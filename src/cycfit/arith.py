@@ -310,6 +310,16 @@ class FieldCtx:
         c %= self.q
         return c if self.k == 1 else tuple([c] + [0] * (self.k - 1))
 
+    def add(self, a, b):
+        if self.k == 1:
+            return (a + b) % self.q
+        return tuple((x + y) % self.q for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        if self.k == 1:
+            return (a - b) % self.q
+        return tuple((x - y) % self.q for x, y in zip(a, b))
+
     def mul(self, a, b):
         if self.k == 1:
             return a * b % self.q
@@ -343,9 +353,6 @@ class FieldCtx:
         if any(a[1:]):
             raise ValueError("element is not in the prime subfield")
         return a[0]
-
-    def element_order_divides(self, a, m: int) -> bool:
-        return self.pow(a, m) == self.one()
 
 
 def _find_irreducible(q: int, k: int) -> tuple:

@@ -62,7 +62,8 @@ def _ideal_desc(nf) -> dict:
 
 
 def auto_precision(p: int, divisors) -> int:
-    """Least N with p^N > |A|, plus one for safety."""
+    """log_p |A| + 2, where |A| = p^{sum(divisors)}: the least N with
+    p^N > |A| is log_p |A| + 1, and one more is kept for safety."""
     return sum(divisors) + 2
 
 

@@ -161,8 +161,8 @@ def annihilation_suite(ctx: AbelianFieldCtx, oracle: FormClassGroup, count: int,
                        k_max: int = 4, search_bound: int = 500_000,
                        budget: int = DEFAULT_FIELD_BUDGET) -> list[AnnihilationReport]:
     """Run annihilation_check at `count` distinct auxiliary primes chosen so
-    the residue-field extension degree stays within k_max (so F_{ell^k}
-    arithmetic stays affordable)."""
+    the residue-field extension degree k stays within k_max and ell^k within
+    the field budget (so F_{ell^k} arithmetic stays affordable)."""
     reports = []
     M = ctx.f_K * ctx.p ** (ctx.m + 1)
     ell = ctx.p + 1
@@ -181,7 +181,7 @@ def annihilation_suite(ctx: AbelianFieldCtx, oracle: FormClassGroup, count: int,
             k += 1
             if k > k_max:
                 break
-        if k > k_max:
+        if k > k_max or ell**k > budget:
             continue
         kp = KolyvaginPrime.build(ell, ctx.p, ctx.conventions.flip_sigma)
         reports.append(annihilation_check(ctx, kp, oracle, budget=budget))

@@ -3,26 +3,30 @@ residue-side evaluation engine.
 
 A symbol is a formal product of basic circular-unit factors with group-ring
 exponents; it is never expanded as an algebraic number.  Evaluation reduces
-the symbol at the distinguished prime above an evaluation prime q: every
-norm is expanded as an explicit product of conjugates (1 - zeta^e) with the
-roots of unity taken from the compatible system zeta_M = g^{(q^k-1)/M}, so
-the whole computation happens inside F_{q^k}.
-
-The distinguished-prime convention: for each q the deterministic generator
-of F_{q^k}^x fixes one arrangement of roots of unity, which plays the role
-of a fixed embedding of the cyclotomic tower into the residue world.
-Conjugation by a Galois element with residue t multiplies every root index
-by t.  Derivative values are accumulated as p-part discrete logarithms, so
-the p^N-th power ambiguity of a derivative class never matters.
+it at the distinguished prime above an evaluation prime q: every norm is an
+explicit product of conjugates (1 - zeta^e), with zeta_M = g^{(q^k-1)/M}
+from the generator g of F_{q^k}^x, which fixes one embedding of the
+cyclotomic tower; a Galois element with residue t multiplies root indices
+by t.  The engine is table driven: zeta_M^e = prod_i T_i[e mod m_i] over the
+conductor components m_i of M, with T_i[j] = zeta_M^{j E_i} and E_i the
+CRT idempotent of m_i.  Norm sets are kept per field in residue form
+R_d x {+-1} (trivial at the auxiliary primes), so each +- pair of conjugates
+is one factor by the cyclotomic identity
+(1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2.
+Derivative values are p-part discrete logarithms, taken once per conjugate
+as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
+ambiguity of a derivative class never matters.  Nothing is cached per
+multiplier: every conjugate and twist is evaluated afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 
-from .arith import FieldCtx, crt, dlog_p_part, make_field, root_of_unity
+from .arith import FieldCtx, dlog_p_part, factorint, kronecker, make_field, root_of_unity
 from .config import DEFAULT_DERIVATIVE_CAP, DEFAULT_FIELD_BUDGET
 from .errors import BudgetExhausted, ConductorClash, NotSplit
 from .fields import AbelianFieldCtx, KolyvaginPrime
@@ -79,9 +83,6 @@ class DerivativeOperator:
 
     def expansion_size(self) -> int:
         return math.prod(max(kp.ell - 2, 1) for kp in self.primes) if self.primes else 1
-
-    def multi_index_ranges(self):
-        return [range(1, kp.ell - 1) for kp in self.primes]
 
 
 @dataclass(frozen=True)
@@ -140,16 +141,25 @@ class EvalContext:
         self.field: FieldCtx = make_field(q, k, budget)
         self.base: FieldCtx = self.field if k == 1 else make_field(q, 1, budget)
         self.zeta = root_of_unity(self.field, self.M)
-        self._s_cache: dict[int, tuple[int, ...]] = {}
-        self._chi_kernel: list[int] | None = None
+        fld = self.field
+        # CRT idempotents E_i (1 mod m_i, 0 mod the other components) and root
+        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i]
+        self.idempotents = [(self.M // mi) * pow(self.M // mi, -1, mi) for mi in self.moduli]
+        self.tables = []
+        for mi, e in zip(self.moduli, self.idempotents):
+            step = fld.pow(self.zeta, e)
+            row = [fld.one()]
+            for _ in range(mi - 1):
+                row.append(fld.mul(row[-1], step))
+            self.tables.append(row)
 
     # -- multiplier (Galois residue) helpers --------------------------------
 
     def lift(self, components: dict[int, int] | None = None) -> int:
         """CRT lift with given residues per conductor component (default 1)."""
         components = components or {}
-        residues = [components.get(mod, 1) % mod for mod in self.moduli]
-        return crt(residues, self.moduli)
+        return sum(components.get(mod, 1) * e
+                   for mod, e in zip(self.moduli, self.idempotents)) % self.M
 
     def delta_lift(self, g: tuple) -> int:
         """Residue acting on the tower as the group element g of Delta x Gamma."""
@@ -162,7 +172,7 @@ class EvalContext:
             # remaining Delta coordinates and the Gamma coordinate act through
             # (Z/p^{m+1})^x / {+-1}
             exp = 0
-            w0 = _primitive_root_cached(self.p_part)
+            w0 = _primitive_root(self.p_part)
             if len(ctx.delta_divisors) > 1:
                 e2 = g[1]
                 exp += e2 * ctx.p**ctx.m
@@ -178,44 +188,19 @@ class EvalContext:
             x += 1
         return x
 
-    def sigma_lift(self, kp: KolyvaginPrime, k: int) -> dict[int, int]:
-        return {kp.ell: pow(kp.s_ell, k, kp.ell)}
-
     # -- norm sets -----------------------------------------------------------
 
-    def _chi_kernel_list(self) -> list[int]:
-        if self._chi_kernel is None:
-            f = self.ctx.f_K
-            self._chi_kernel = [x for x in range(1, f)
-                                if math.gcd(x, f) == 1 and self.ctx.chi_d(x) == 1]
-        return self._chi_kernel
-
-    def norm_set_d(self, d: int) -> tuple[int, ...]:
+    def norm_set_d(self, d: int) -> tuple[tuple[int, int], ...]:
         """Multipliers realizing Gal(Q(mu_{d p^{m+1} n'})/intersection with
-        F_m(mu_{n'})): chi_D-kernel classes mod d times {+-1 mod p^{m+1}},
-        trivial at every auxiliary prime.  Independent of n'."""
-        if d not in self._s_cache:
-            vals = set()
-            for x in self._chi_kernel_list():
-                for y in (1, self.p_part - 1):
-                    vals.add(crt([x % d, y] + [1] * len(self.aux),
-                                 [d, self.p_part] + list(self.aux)))
-            self._s_cache[d] = tuple(sorted(vals))
-        return self._s_cache[d]
+        F_m(mu_{n'})) as adjacent pairs (r, 1), (r, -1): = r mod d (r in the
+        chi_D-kernel mod d), = +-1 mod p^{m+1}, = 1 at every auxiliary prime.
+        One pair per factor 1 - zeta^e; computed once per field."""
+        return _norm_sets(self.ctx.f_K)[d]
 
-    def norm_set_a(self) -> tuple[int, int]:
-        tau = self.lift({self.p_part: self.p_part - 1})
-        return (1, tau)
-
-    # -- field helpers -------------------------------------------------------
-
-    def term(self, e: int):
-        """1 - zeta^e in F_{q^k}."""
-        z = self.field.pow(self.zeta, e % self.M)
-        if self.k == 1:
-            return (1 - z) % self.q
-        one = self.field.one()
-        return tuple((a - b) % self.q for a, b in zip(one, z))
+    def norm_set_a(self) -> tuple[tuple[int, int], ...]:
+        """The a-type norm set {1, tau} in the residue form of norm_set_d:
+        trivial on the f_K-component, +-1 mod p^{m+1}."""
+        return ((1, 1), (1, -1))
 
     def dlog(self, value, level: int) -> int:
         """p-part dlog of a value that lies in the prime field."""
@@ -224,29 +209,47 @@ class EvalContext:
 
     # -- symbol evaluation ----------------------------------------------------
 
+    def _paired_product(self, a: int, norm_set):
+        """prod over (r, +-1) in norm_set of 1 - zeta^(a t), t the multiplier
+        of the pair: the auxiliary primes give the constant c, p^{m+1} gives
+        zeta^(+-b), so each pair is 1 - A s + A^2 with A = c * T_f[a r mod
+        f_K] and s = zeta^b + zeta^-b."""
+        fld = self.field
+        t_f, t_p = self.tables[0], self.tables[1]
+        f, p_part = self.moduli[0], self.p_part
+        c = fld.one()
+        for mod, table in zip(self.moduli[2:], self.tables[2:]):
+            c = fld.mul(c, table[a % mod])
+        s = fld.add(t_p[a % p_part], t_p[-a % p_part])
+        a_f = a % f
+        if self.k == 1:
+            q = self.q
+            out = 1
+            for r, _ in norm_set[::2]:
+                A = c * t_f[a_f * r % f] % q
+                out = out * (1 - A * (s - A)) % q
+            return out
+        one = fld.one()
+        out = one
+        for r, _ in norm_set[::2]:
+            A = fld.mul(c, t_f[a_f * r % f])
+            out = fld.mul(out, fld.sub(one, fld.mul(A, fld.sub(s, A))))
+        return out
+
     def factor_value(self, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
         """One basic unit, conjugated by the multiplier, as a field element."""
-        fld = self.field
         n_sub = math.prod(aux_subset) if aux_subset else 1
+        M = self.M
+        p_m = self.ctx.p**self.ctx.m
         if kind == "d":
-            d = param
-            u = (self.M // d) * pow(self.ctx.p**self.ctx.m, -1, d) + self.M // (n_sub * self.p_part)
-            out = fld.one()
-            for t in self.norm_set_d(d):
-                out = fld.mul(out, self.term(u * t * mult))
-            return out
+            u = (M // param) * pow(p_m, -1, param) + M // (n_sub * self.p_part)
+            return self._paired_product(u * mult % M, self.norm_set_d(param))
         # kind == "a"
-        if n_sub == 1:
-            u_n = 0
-        else:
-            u_n = (self.M // n_sub) * pow(self.ctx.p**self.ctx.m, -1, n_sub)
-        u_p = self.M // self.p_part
-        num = fld.one()
-        den = fld.one()
-        for w in self.norm_set_a():
-            num = fld.mul(num, self.term((u_n + u_p * param) * w * mult))
-            den = fld.mul(den, self.term((u_n + u_p) * w * mult))
-        return fld.mul(num, fld.inv(den))
+        u_n = 0 if n_sub == 1 else (M // n_sub) * pow(p_m, -1, n_sub)
+        u_p = M // self.p_part
+        num = self._paired_product((u_n + u_p * param) * mult % M, self.norm_set_a())
+        den = self._paired_product((u_n + u_p) * mult % M, self.norm_set_a())
+        return self.field.mul(num, self.field.inv(den))
 
     def symbol_value(self, sym: CircularUnitSymbol, mult: int):
         """Product over the symbol's factors with their group-ring exponents."""
@@ -265,41 +268,33 @@ class EvalContext:
         return out
 
 
-_PRIM_ROOT_CACHE: dict[int, int] = {}
+class _NormSets(dict):
+    """d -> norm_set_d(d) for one conductor f_K, filled on first use."""
+
+    def __init__(self, f: int):
+        super().__init__()
+        self.kernel = [x for x in range(1, f) if math.gcd(x, f) == 1 and kronecker(f, x) == 1]
+
+    def __missing__(self, d: int):
+        pairs = tuple((r, s) for r in sorted({x % d for x in self.kernel}) for s in (1, -1))
+        self[d] = pairs
+        return pairs
 
 
-def _primitive_root_cached(p_power: int) -> int:
+@lru_cache(maxsize=2)
+def _norm_sets(f: int) -> _NormSets:
+    return _NormSets(f)
+
+
+@lru_cache(maxsize=None)
+def _primitive_root(p_power: int) -> int:
     """Smallest primitive root modulo an odd prime power."""
-    if p_power not in _PRIM_ROOT_CACHE:
-        phi = p_power - p_power // _smallest_prime_factor(p_power)
-        fac = {}
-        t = phi
-        d = 2
-        while d * d <= t:
-            while t % d == 0:
-                fac[d] = 1
-                t //= d
-            d += 1
-        if t > 1:
-            fac[t] = 1
-        g = 2
-        while True:
-            if math.gcd(g, p_power) == 1 and all(
-                pow(g, phi // r, p_power) != 1 for r in fac
-            ):
-                _PRIM_ROOT_CACHE[p_power] = g
-                break
-            g += 1
-    return _PRIM_ROOT_CACHE[p_power]
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+    phi = p_power - p_power // min(factorint(p_power))
+    factors = factorint(phi)
+    g = 2
+    while math.gcd(g, p_power) != 1 or any(pow(g, phi // r, p_power) == 1 for r in factors):
+        g += 1
+    return g
 
 
 def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:
@@ -356,36 +351,33 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     ev = ev or EvalContext(ctx, cls.symbol.aux, q, budget)
     pN = ctx.p**ctx_level
     ring = GroupRing(ctx.group, ctx.p, ctx_level)
-    twist = 1
-    if h_twist:
-        twist = ev.lift({ell: w for ell, w in h_twist.items()})
+    fld, M = ev.field, ev.M
+    twist = ev.lift(h_twist) if h_twist else 1
+    # per auxiliary prime: (k, CRT lift of sigma_ell^k) for k = 1 .. ell-2
+    sigma_lifts = []
+    for kp in cls.aux_primes:
+        row, s_k = [], 1
+        for k in range(1, kp.ell - 1):
+            s_k = s_k * kp.s_ell % kp.ell
+            row.append((k, ev.lift({kp.ell: s_k})))
+        sigma_lifts.append(row)
     coeffs: dict = {}
     for g in ctx.group.elements():
-        t_g = ev.delta_lift(ctx.group.inv(g)) * twist % ev.M
-        total = 0
-        ranges = op.multi_index_ranges()
-        if not ranges:
-            val = ev.symbol_value(cls.symbol, t_g)
-            total = ev.dlog(val, ctx_level)
-        else:
-            sig_pows = []
-            for kp in cls.aux_primes:
-                pows = {}
-                cur = 1
-                for k in range(1, kp.ell - 1):
-                    cur = cur * kp.s_ell % kp.ell
-                    pows[k] = cur
-                sig_pows.append(pows)
-            for k_vec in iter_product(*ranges):
-                weight = 1
-                comp = {}
-                for kp, pows, k in zip(cls.aux_primes, sig_pows, k_vec):
-                    weight = weight * k % pN
-                    comp[kp.ell] = pows[k]
-                mult = t_g * ev.lift(comp) % ev.M
-                val = ev.symbol_value(cls.symbol, mult)
-                total = (total + weight * ev.dlog(val, ctx_level)) % pN
-        coeffs[g] = total
+        t_g = ev.delta_lift(ctx.group.inv(g)) * twist % M
+        # sum_k w_k dlog(v_k) = dlog(prod_k v_k^{w_k}): multiply the values
+        # per weight, raise each product once, take one dlog per g
+        by_weight: dict = {}
+        for combo in iter_product(*sigma_lifts):
+            weight, mult = 1, t_g
+            for k, lift in combo:
+                weight = weight * k % pN
+                mult = mult * lift % M
+            val = ev.symbol_value(cls.symbol, mult)
+            by_weight[weight] = fld.mul(by_weight[weight], val) if weight in by_weight else val
+        total = fld.one()
+        for weight, val in by_weight.items():
+            total = fld.mul(total, fld.pow(val, weight))
+        coeffs[g] = ev.dlog(total, ctx_level)
     return GroupRingElement(ring, coeffs)
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycfit.arith import (
     crt,
@@ -156,3 +158,33 @@ def test_utility_functions():
     assert crt([1, 2], [3, 5]) == 7
     assert val_p(18, 3, 5) == 2 and val_p(0, 3, 5) == 5
     assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+
+
+# (q, k, p, N) with p^N | q^k - 1, prime fields and extension fields
+DLOG_FIELDS = ((19, 1, 3, 2), (109, 1, 3, 3), (13879, 1, 3, 3), (7, 2, 3, 1),
+               (5, 2, 3, 1), (13, 2, 7, 1), (787, 4, 3, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DLOG_FIELDS), st.integers(0, 10**9), st.integers(0, 10**9))
+def test_dlog_p_part_is_additive(field, i, j):
+    q, k, p, N = field
+    ctx = make_field(q, k)
+    x, y = ctx.pow(ctx.g, i % ctx.order), ctx.pow(ctx.g, j % ctx.order)
+    pN = p**N
+    dx, dy = dlog_p_part(ctx, x, p, N), dlog_p_part(ctx, y, p, N)
+    assert dlog_p_part(ctx, ctx.mul(x, y), p, N) == (dx + dy) % pN
+    assert dx == i % ctx.order % pN
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((7, 1), (31, 1), (1543, 1), (5, 2), (7, 2), (3, 3))), st.data())
+def test_root_of_unity_compatible_along_divisor_chains(field, data):
+    ctx = make_field(*field)
+    big = data.draw(st.sampled_from(_divisors(ctx.order)))
+    small = data.draw(st.sampled_from(_divisors(big)))
+    assert ctx.pow(root_of_unity(ctx, big), big // small) == root_of_unity(ctx, small)

@@ -1,0 +1,124 @@
+"""Differential tests: the table-driven engine of cycfit.units against the
+pow-per-term reference in reference_engine.py.
+
+Factor values are compared exactly, element by element, on seeded-random
+multipliers built from Delta x Gamma conjugations, auxiliary-group twists
+and tame-generator powers; derivative-class vectors are compared on small
+expansions at n = 1, l and l_1 l_2, including the residue-degree-4 field
+F_{787^4} at D = 257.
+"""
+
+import math
+import random
+
+import pytest
+
+import reference_engine as ref
+from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
+from cycfit.units import EvalContext, derivative_class, evaluate_kappa
+
+
+def _chain(ctx, r, level):
+    """The first well-ordered chain of r auxiliary primes at the level."""
+    kps = []
+    for _ in range(r):
+        extra = math.prod(kp.ell for kp in kps)
+        kps.append(next(kolyvagin_primes(ctx, extra_modulus=extra, level=level)))
+    return tuple(kps)
+
+
+def _random_multipliers(ev, kps, rng, count):
+    """delta_lift(g) * (h-twist at each l) * sigma_l^k, all chosen at random."""
+    elements = list(ev.ctx.group.elements())
+    out = []
+    for _ in range(count):
+        comp = {kp.ell: rng.randrange(1, kp.ell) for kp in kps}
+        mult = ev.delta_lift(rng.choice(elements)) * ev.lift(comp) % ev.M
+        for kp in kps:
+            sigma = pow(kp.s_ell, rng.randrange(1, kp.ell - 1), kp.ell)
+            mult = mult * ev.lift({kp.ell: sigma}) % ev.M
+        out.append(mult)
+    return out
+
+
+def _assert_factors_match(ev, kps, rng, count, a_params=(2, 4, 5)):
+    f = ev.ctx.f_K
+    divisors = [d for d in range(2, f + 1) if f % d == 0]
+    ells = tuple(kp.ell for kp in kps)
+    subsets = {ells, ells[:1], ()}
+    for mult in _random_multipliers(ev, kps, rng, count):
+        for aux in subsets:
+            for d in divisors:
+                assert ev.factor_value("d", d, aux, mult) == ref.factor_value(ev, "d", d, aux, mult)
+            for a in a_params:
+                assert ev.factor_value("a", a, aux, mult) == ref.factor_value(ev, "a", a, aux, mult)
+
+
+@pytest.mark.parametrize("D", [5, 8, 44, 257, 473, 785, 1937])
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_factor_values_match_reference(D, m, r):
+    rng = random.Random(1000 * D + 10 * m + r)
+    ctx = build_field(3, D, m, m + 1)
+    kps = _chain(ctx, r, 1)
+    n = math.prod(kp.ell for kp in kps)
+    q = next(evaluation_primes(ctx, n, level=m + 1))
+    ev = EvalContext(ctx, tuple(kp.ell for kp in kps), q)
+    assert ev.k == 1
+    _assert_factors_match(ev, kps, rng, 3 if D < 1000 else 1)
+
+
+def test_factor_values_match_reference_in_degree_4_field():
+    # 787 has order 4 modulo 257 * 3: evaluation happens inside F_{787^4}
+    ctx = build_field(3, 257, 0, 1)
+    ev = EvalContext(ctx, (), 787)
+    assert ev.k == 4
+    _assert_factors_match(ev, (), random.Random(787), 4)
+    cls = derivative_class(ctx, "d", 257, ())
+    assert evaluate_kappa(ctx, cls, 787) == ref.evaluate_kappa(ctx, cls, ev, 1)
+
+
+# (D, m, N, chain length, evaluation level, kind, param, h-twist exponent).
+# Units of a proper divisor d < f_K come from a subfield where they are
+# rational, so their vectors vanish; the others must come out nonzero.
+KAPPA_CASES = [
+    (257, 0, 3, 0, 3, "d", 257, None),
+    (257, 0, 3, 1, 3, "d", 257, 2),
+    (257, 1, 2, 1, 2, "d", 257, 5),
+    (257, 1, 2, 1, 2, "a", 2, 3),
+    (473, 0, 3, 0, 3, "d", 473, None),
+    (473, 0, 3, 0, 3, "d", 43, None),
+    (8, 0, 2, 2, 1, "d", 8, 3),
+    (8, 0, 2, 2, 1, "d", 4, None),
+]
+
+
+@pytest.mark.parametrize("D,m,N,r,level,kind,param,w", KAPPA_CASES)
+def test_kappa_vectors_match_reference(D, m, N, r, level, kind, param, w):
+    ctx = build_field(3, D, m, N)
+    kps = _chain(ctx, r, level)
+    cls = derivative_class(ctx, kind, param, kps)
+    twist = {kps[-1].ell: w} if w else None
+    gen = evaluation_primes(ctx, cls.n, level=level)
+    vectors = []
+    for _ in range(2):
+        q = next(gen)
+        ev = EvalContext(ctx, cls.symbol.aux, q)
+        new = evaluate_kappa(ctx, cls, q, level=level, h_twist=twist)
+        assert new == ref.evaluate_kappa(ctx, cls, ev, level, twist)
+        vectors.append(new)
+    assert any(not v.is_zero() for v in vectors) == (kind == "a" or param == D)
+
+
+def test_h_twists_change_factor_values_but_not_kappa():
+    # the auxiliary components really enter each factor (the twisted values
+    # all differ), so the H-invariance of kappa(l) is not a tautology
+    ctx = build_field(3, 257, 0, 3)
+    kp = KolyvaginPrime.build(379, 3)
+    q = next(evaluation_primes(ctx, kp.ell))
+    ev = EvalContext(ctx, (kp.ell,), q)
+    values = {ev.factor_value("d", 257, (kp.ell,), ev.lift({kp.ell: w})) for w in range(1, 6)}
+    assert len(values) == 5
+    cls = derivative_class(ctx, "d", 257, (kp,))
+    base = evaluate_kappa(ctx, cls, q, ev=ev)
+    assert evaluate_kappa(ctx, cls, q, h_twist={kp.ell: 7}, ev=ev) == base

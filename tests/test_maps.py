@@ -103,3 +103,15 @@ def test_annihilation_small_suite_and_flip():
     flipped = annihilation_suite(ctx_f, oracle, 2)
     assert all(not r.coupling_ok for r in flipped)
     assert any(not r.passed for r in flipped)
+
+
+def test_annihilation_suite_skips_primes_over_field_budget():
+    # at D = 257 the admissible primes start 241 (k = 4), 787 (k = 4),
+    # 1543 (k = 1), 1783 (k = 4), 4111 (k = 2), ..., 13879 (k = 1); with a
+    # field budget of 10^6 only the k = 1 primes fit and the others are
+    # skipped instead of raising BudgetExceeded inside make_field
+    ctx = build_field(3, 257, 0, 3)
+    oracle = narrow_class_group(257)
+    reports = annihilation_suite(ctx, oracle, 2, budget=10**6)
+    assert [r.ell for r in reports] == [1543, 13879]
+    assert all(r.passed for r in reports)

@@ -3,7 +3,7 @@ higher Fitting ideals of class groups over real abelian fields."""
 
 __version__ = "0.1.0"
 
-from .arith import FieldCtx, ModRing, dlog_p_part, make_field, root_of_unity
+from .arith import FieldCtx, dlog_p_part, make_field, root_of_unity
 from .classgroup import FormClassGroup, ideal_class_of_prime, ingest_external, narrow_class_group
 from .combined import build_combined, check_combined_identities, reciprocity_on_combined
 from .fields import (
@@ -12,7 +12,6 @@ from .fields import (
     WellOrderedProduct,
     build_field,
     kolyvagin_primes,
-    well_ordered_chains,
 )
 from .fitting import Presentation, fitting_ideal, fitting_of_p_group
 from .groupring import (
@@ -22,7 +21,6 @@ from .groupring import (
     GroupRingElement,
     IdealNF,
     chi_project,
-    ideal_contains,
     ideal_normal_form,
 )
 from .ideals import CycIdealRun, sample_cyclotomic_ideal, stabilized
@@ -50,7 +48,6 @@ __all__ = [
     "GroupRingElement",
     "IdealNF",
     "KolyvaginPrime",
-    "ModRing",
     "Presentation",
     "WellOrderedProduct",
     "annihilation_check",
@@ -65,7 +62,6 @@ __all__ = [
     "fitting_ideal",
     "fitting_of_p_group",
     "ideal_class_of_prime",
-    "ideal_contains",
     "ideal_normal_form",
     "ingest_external",
     "kolyvagin_primes",
@@ -77,5 +73,4 @@ __all__ = [
     "root_of_unity",
     "sample_cyclotomic_ideal",
     "stabilized",
-    "well_ordered_chains",
 ]

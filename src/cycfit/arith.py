@@ -175,30 +175,6 @@ def val_p(x: int, p: int, cap: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class ModRing:
-    """The coefficient ring Z/p^N for an odd prime p."""
-
-    p: int
-    N: int
-
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise NotPrime(f"p = {self.p} must be an odd prime")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-
-    @property
-    def mod(self) -> int:
-        return self.p**self.N
-
-    def val(self, x: int) -> int:
-        return val_p(x, self.p, self.N)
-
-    def unit_inverse(self, x: int) -> int:
-        return pow(x, -1, self.mod)
-
-
 # ---------------------------------------------------------------------------
 # Finite fields
 
@@ -304,11 +280,6 @@ class FieldCtx:
 
     def zero(self):
         return 0 if self.k == 1 else tuple([0] * self.k)
-
-    def embed(self, c: int):
-        """Image of an integer (prime-subfield element)."""
-        c %= self.q
-        return c if self.k == 1 else tuple([c] + [0] * (self.k - 1))
 
     def add(self, a, b):
         if self.k == 1:

@@ -15,14 +15,13 @@ import sys
 from . import __version__
 from .classgroup import class_number_band, narrow_class_group
 from .config import (
-    DEFAULT_FIELD_BUDGET,
+    DEFAULT_PRIME_SEARCH_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_STABILIZATION_WINDOW,
     Conventions,
-    RunConfig,
 )
 from .errors import CycfitError, exit_code_for
-from .fields import build_field
+from .fields import KolyvaginPrime, build_field, kolyvagin_primes
 from .fitting import diagonal_presentation, fitting_ideal, fitting_of_p_group
 from .groupring import chi_project, scalar_ring
 from .ideals import sample_cyclotomic_ideal
@@ -72,7 +71,6 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
                window: int = DEFAULT_STABILIZATION_WINDOW,
                seed: int = 0, flip_sigma: bool = False,
                anni_count: int = 3, formal_eps: int = 3,
-               field_budget: int = DEFAULT_FIELD_BUDGET,
                quiet: bool = False,
                external: str | None = None) -> dict:
     """The flagship pipeline: oracle -> Fitting ideals -> sampled cyclotomic
@@ -100,9 +98,6 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     divisors = oracle.p_part_divisors(p)
     say(f"[oracle] h+ = {oracle.h_plus}, p-part divisors {divisors}")
     N_used = N if N is not None else auto_precision(p, divisors)
-    cfg = RunConfig(p=p, D=D, external_field=external, m=0, N=N_used, i_max=i_max,
-                    sample_budget=budget, window=window, seed=seed,
-                    conventions=conventions, field_budget=field_budget)
     ctx = build_field(p, D, 0, N_used, conventions)
     ring = scalar_ring(p, N_used)
     fitts = {}
@@ -125,8 +120,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
         say(f"[sample] cyclotomic ideal i = {i}")
         run = sample_cyclotomic_ideal(
             ctx, i, budget=budget, seed=seed, window=window,
-            oracle_fitting=fitts[i], base_run=base, field_budget=field_budget,
-            oracle_group=oracle,
+            oracle_fitting=fitts[i], base_run=base, oracle_group=oracle,
         )
         runs[i] = run
         base = run
@@ -141,7 +135,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
         say(f"[sample] i = {i}: {verdicts[i]} "
             f"(ideal p^{run.ideal.principal_valuation()}, {len(run.samples)} samples)")
     say(f"[annihilation] {anni_count} primes")
-    anni = annihilation_suite(ctx, oracle, anni_count, budget=field_budget)
+    anni = annihilation_suite(ctx, oracle, anni_count)
     say("[formal] combined-element identities")
     formal = [check_combined_identities(eps, strict=False) for eps in range(0, formal_eps + 1)]
     anni_ok = all(r.passed for r in anni)
@@ -155,10 +149,10 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     return {
         "version": __version__,
         "config": {
-            "p": cfg.p, "D": cfg.D, "m": cfg.m, "N": cfg.N, "i_max": cfg.i_max,
-            "budget": cfg.sample_budget, "window": cfg.window, "seed": cfg.seed,
-            "flip_sigma": cfg.conventions.flip_sigma,
-            "phi_sign": cfg.conventions.phi_sign,
+            "p": p, "D": D, "m": 0, "N": N_used, "i_max": i_max,
+            "budget": budget, "window": window, "seed": seed,
+            "flip_sigma": conventions.flip_sigma,
+            "phi_sign": conventions.phi_sign,
         },
         "oracle": {
             "h_plus": oracle.h_plus,
@@ -252,14 +246,11 @@ def cmd_classgroup(args) -> int:
 
 
 def cmd_primes(args) -> int:
-    from .cache import cached_kolyvagin_primes
-    from .fields import KolyvaginPrime
-
     ctx = build_field(args.p, args.D, 0, args.N)
-    ells = cached_kolyvagin_primes(ctx, args.count, extra=args.extra, budget=args.budget)
+    gen = kolyvagin_primes(ctx, extra_modulus=args.extra, budget=args.budget)
     out = []
-    for ell in ells:
-        kp = KolyvaginPrime.build(ell, args.p)
+    for _ in range(args.count):
+        kp = next(gen)
         out.append({"ell": kp.ell, "N_ell": kp.N_ell, "s_ell": kp.s_ell})
     emit({"p": args.p, "D": args.D, "N": args.N, "extra": args.extra, "primes": out})
     return 0
@@ -267,8 +258,6 @@ def cmd_primes(args) -> int:
 
 def cmd_kappa(args) -> int:
     ctx = build_field(args.p, args.D, 0, args.N)
-    from .fields import KolyvaginPrime
-
     aux = tuple(
         KolyvaginPrime.build(ell, args.p) for ell in (args.chain or ())
     )
@@ -350,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("-N", type=int, default=1)
     pr.add_argument("--extra", type=int, default=1)
     pr.add_argument("--count", type=int, default=10)
-    pr.add_argument("--budget", type=int, default=200_000)
+    pr.add_argument("--budget", type=int, default=DEFAULT_PRIME_SEARCH_BUDGET)
     pr.set_defaults(func=cmd_primes)
 
     k = sub.add_parser("kappa", help="evaluate one derivative class")

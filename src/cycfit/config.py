@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Fields F_{q^k} are rejected above this size so element arithmetic stays in
 # machine words whenever the platform allows it.  Overridable per call.
+# Shared by arith.make_field, units, maps and combined.
 DEFAULT_FIELD_BUDGET = 2**62
 
 # Hard cap on the number of multi-indices in a derivative-operator expansion.
-DEFAULT_DERIVATIVE_CAP = 2**22
+# Shared by units.evaluate_kappa, hence the sampler and `cycfit kappa`.
+DEFAULT_DERIVATIVE_CAP = 200_000
 
-# Matrices above this size are rejected by the minor enumerator.
+# Matrices above this size are rejected by the minor enumerator (fitting).
 MAX_PRESENTATION_SIZE = 12
 
+# Stall window and sample budget of the sampler; `verify` and `ideal` defaults.
 DEFAULT_STABILIZATION_WINDOW = 50
 DEFAULT_SAMPLE_BUDGET = 500
+
+# Candidates examined per auxiliary-prime search.  Shared by
+# fields.kolyvagin_primes, the sampler's chains and `cycfit primes --budget`.
 DEFAULT_PRIME_SEARCH_BUDGET = 200_000
-
-CACHE_ENV_VAR = "CYCFIT_CACHE_DIR"
-
-
-def cache_dir() -> str:
-    return os.environ.get(CACHE_ENV_VAR, os.path.join(os.path.expanduser("~"), ".cache", "cycfit"))
 
 
 @dataclass(frozen=True)
@@ -43,23 +42,5 @@ class Conventions:
     phi_sign: int = 1
 
 
+# The frozen conventions; default of fields.AbelianFieldCtx and build_field.
 DEFAULT_CONVENTIONS = Conventions()
-
-
-@dataclass
-class RunConfig:
-    """Configuration for the verification pipeline (CLI surface)."""
-
-    p: int = 3
-    D: int | None = 257
-    external_field: str | None = None
-    m: int = 0
-    N: int | None = None  # None = auto: least N with p^N > |A| plus one
-    i_max: int = 2
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET
-    window: int = DEFAULT_STABILIZATION_WINDOW
-    seed: int = 0
-    cache: str = field(default_factory=cache_dir)
-    conventions: Conventions = DEFAULT_CONVENTIONS
-    field_budget: int = DEFAULT_FIELD_BUDGET
-    derivative_cap: int = DEFAULT_DERIVATIVE_CAP

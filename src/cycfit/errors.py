@@ -45,10 +45,6 @@ class SplitP(CycfitError):
     pass
 
 
-class DegreeDivisible(CycfitError):
-    pass
-
-
 class BudgetExhausted(CycfitError):
     """A bounded search ran out of candidates; retry with a larger budget."""
 
@@ -98,7 +94,6 @@ class InconsistentField(CycfitError):
 EXIT_CODES = {
     Ramified: 4,
     SplitP: 5,
-    DegreeDivisible: 6,
     NotPrime: 7,
     SchemaViolation: 8,
     InconsistentField: 9,

@@ -1,7 +1,7 @@
 """Field metadata for the real abelian base field and its first cyclotomic
 layer: conductor data, the Galois group with its quadratic character, prime
-splitting by residue classes, auxiliary-prime search and well-ordered chain
-enumeration.
+splitting by residue classes, auxiliary-prime search and the well-ordered
+chain condition.
 
 All splitting conditions are pure congruence + Kronecker-symbol tests (valid
 because the fields are abelian of known conductor); no ideal factorization.
@@ -15,12 +15,7 @@ from functools import cached_property
 
 from .arith import is_prime, kronecker, make_field, sqrt_mod_prime, val_p
 from .config import DEFAULT_CONVENTIONS, DEFAULT_PRIME_SEARCH_BUDGET, Conventions
-from .errors import (
-    BudgetExhausted,
-    DegreeDivisible,
-    Ramified,
-    SplitP,
-)
+from .errors import BudgetExhausted, Ramified, SplitP
 from .groupring import Character, FiniteAbelianGroup, GroupRing
 from .classgroup import is_fundamental_discriminant
 
@@ -53,8 +48,6 @@ class AbelianFieldCtx:
             raise Ramified(f"p = {self.p} ramifies in K (p | D = {self.D})")
         if kronecker(self.D, self.p) == 1:
             raise SplitP(f"chi(p) = 1 for p = {self.p}, D = {self.D}")
-        if 2 % self.p == 0:  # pragma: no cover - p odd
-            raise DegreeDivisible("p divides [K:Q]")
 
     @property
     def f_K(self) -> int:
@@ -90,25 +83,8 @@ class AbelianFieldCtx:
         """The quadratic character mod the conductor, chi_D = (D|.)."""
         return kronecker(self.D, t)
 
-    def conductor_F(self) -> int:
-        """Conductor of F_m."""
-        real_part_degree = (self.p - 1) * self.p**self.m // 2
-        if real_part_degree == 1:
-            return self.D
-        return self.D * self.p ** (self.m + 1)
-
     def splits_in_K(self, ell: int) -> bool:
         return self.chi_d(ell) == 1
-
-    def in_S_N(self, ell: int, level: int | None = None) -> bool:
-        """Membership in the auxiliary prime set: ell = 1 mod p^level and
-        split in K, i.e. split completely in K(mu_{p^level})."""
-        level = self.N if level is None else level
-        return (
-            is_prime(ell)
-            and ell % self.p**level == 1
-            and self.splits_in_K(ell)
-        )
 
 
 @dataclass(frozen=True)
@@ -167,7 +143,7 @@ def is_well_ordered(p: int, N: int, factors) -> bool:
 
 def build_field(p: int, d: int, m: int, N: int,
                 conventions: Conventions = DEFAULT_CONVENTIONS) -> AbelianFieldCtx:
-    """Validated field context (errors: Ramified, SplitP, DegreeDivisible)."""
+    """Validated field context (errors: Ramified, SplitP)."""
     return AbelianFieldCtx(p=p, D=d, m=m, N=N, conventions=conventions)
 
 
@@ -206,53 +182,6 @@ def kolyvagin_primes(ctx: AbelianFieldCtx, extra_modulus: int = 1,
         if root is None or (root * root - ctx.D) % ell != 0:  # pragma: no cover
             raise ArithmeticError(f"splitting re-verification failed at {ell}")
         yield KolyvaginPrime.build(ell, ctx.p, ctx.conventions.flip_sigma)
-
-
-def well_ordered_chains(ctx: AbelianFieldCtx, r: int,
-                        budget: int = DEFAULT_PRIME_SEARCH_BUDGET,
-                        per_level: int = 4,
-                        level: int | None = None) -> list[WellOrderedProduct]:
-    """Depth-first enumeration of well-ordered products of length exactly r.
-
-    Chooses up to `per_level` branches at each level; every returned product
-    satisfies the chain invariant and membership in the auxiliary prime set.
-    r = 0 returns the empty product (n = 1).
-    """
-    level = ctx.N if level is None else level
-    if r == 0:
-        return [WellOrderedProduct((), ctx.p, level)]
-    out: list[WellOrderedProduct] = []
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == r:
-            wop = WellOrderedProduct(prefix, ctx.p, level)
-            assert is_well_ordered(ctx.p, level, prefix)
-            out.append(wop)
-            return
-        extra = math.prod(prefix) if prefix else 1
-        found = 0
-        gen = kolyvagin_primes(ctx, extra_modulus=extra, budget=budget, level=level)
-        while found < per_level:
-            try:
-                kp = next(gen)
-            except BudgetExhausted:
-                break
-            if kp.ell in prefix:
-                continue
-            found += 1
-            extend(prefix + (kp.ell,))
-
-    extend(())
-    if not out:
-        raise BudgetExhausted(f"no well-ordered chains of length {r} within budget")
-    return out
-
-
-def frobenius_residue(ctx: AbelianFieldCtx, ell: int, modulus: int) -> int:
-    """Residue representing the arithmetic Frobenius at ell on mu_modulus."""
-    if math.gcd(ell, modulus) != 1:
-        raise ValueError("ell ramifies in the given cyclotomic layer")
-    return ell % modulus
 
 
 def evaluation_primes(ctx: AbelianFieldCtx, n: int = 1, level: int | None = None):

@@ -221,10 +221,6 @@ class Character:
             out = out * pow(v, e, mod) % mod
         return out
 
-    def is_trivial(self) -> bool:
-        mod = self.p**self.N
-        return all(v % mod == 1 % mod for v in self.values)
-
 
 def chi_project(x: GroupRingElement, chi: Character) -> GroupRingElement:
     """Project Z/p^N[Delta x Gamma] onto the chi-quotient Z/p^N[Gamma].
@@ -394,10 +390,6 @@ def ideal_normal_form(gens, ring: GroupRing | None = None) -> IdealNF:
             shifted = ring.monomial(mono) * g
             rows.append(shifted.vector())
     return IdealNF(ring, howell_form(rows, ring.p, ring.N))
-
-
-def ideal_contains(ideal: IdealNF, x: GroupRingElement) -> bool:
-    return ideal.contains(x)
 
 
 def ideal_join(a: IdealNF, b: IdealNF) -> IdealNF:

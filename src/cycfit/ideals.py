@@ -16,13 +16,15 @@ import random
 from dataclasses import dataclass, field
 
 from .arith import val_p
-from .config import (
-    DEFAULT_FIELD_BUDGET,
-    DEFAULT_SAMPLE_BUDGET,
-    DEFAULT_STABILIZATION_WINDOW,
-)
+from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
 from .errors import BudgetExhausted
-from .fields import AbelianFieldCtx, well_ordered_chains
+from .fields import (
+    AbelianFieldCtx,
+    KolyvaginPrime,
+    WellOrderedProduct,
+    evaluation_primes,
+    kolyvagin_primes,
+)
 from .groupring import IdealNF, chi_project, ideal_join, ideal_normal_form
 from .units import derivative_class, evaluate_kappa
 
@@ -107,14 +109,8 @@ def _divisor_generators(ctx: AbelianFieldCtx, a_samples: tuple[int, ...] = (2,))
     return gens
 
 
-def _q_stream(ctx: AbelianFieldCtx, n: int):
-    from .fields import evaluation_primes
-
-    return evaluation_primes(ctx, n)
-
-
-def _preferred_chains(ctx: AbelianFieldCtx, i: int, per_level: int,
-                      chain_budget: int, oracle_group=None) -> list:
+def _preferred_chains(ctx: AbelianFieldCtx, i: int, per_level: int = 3,
+                      oracle_group=None) -> list:
     """Well-ordered chains of length <= i, breadth-first, preferring
     auxiliary primes whose ideal class has nontrivial p-part.
 
@@ -122,7 +118,6 @@ def _preferred_chains(ctx: AbelianFieldCtx, i: int, per_level: int,
     class-group generators, so branch order matters enormously in practice;
     primes with trivial class come last (but are still explored)."""
     from .classgroup import ideal_class_of_prime
-    from .fields import WellOrderedProduct, kolyvagin_primes
 
     def class_is_p_nontrivial(ell: int) -> bool:
         if oracle_group is None:
@@ -140,7 +135,7 @@ def _preferred_chains(ctx: AbelianFieldCtx, i: int, per_level: int,
         next_frontier = []
         for prefix in frontier:
             extra = math.prod(prefix) if prefix else 1
-            gen = kolyvagin_primes(ctx, extra_modulus=extra, budget=chain_budget)
+            gen = kolyvagin_primes(ctx, extra_modulus=extra)
             cands = []
             for _ in range(scan_width):
                 try:
@@ -166,10 +161,6 @@ def sample_cyclotomic_ideal(
     window: int = DEFAULT_STABILIZATION_WINDOW,
     oracle_fitting: IdealNF | None = None,
     base_run: CycIdealRun | None = None,
-    chain_budget: int = 50_000,
-    per_level: int = 3,
-    field_budget: int = DEFAULT_FIELD_BUDGET,
-    derivative_cap: int = 200_000,
     oracle_group=None,
 ) -> CycIdealRun:
     """Sample the i-th cyclotomic ideal at level (m, N).
@@ -193,17 +184,7 @@ def sample_cyclotomic_ideal(
     if stabilized(run, window):
         # inherited ideal is already saturated (unit ideal): nothing to sample
         return run
-    try:
-        chains = _preferred_chains(ctx, i, per_level, chain_budget, oracle_group)
-    except BudgetExhausted:  # pragma: no cover - inner generators are guarded
-        run.status = "PARTIAL"
-        chains = []
-        for eps in range(0, i + 1):
-            try:
-                chains.extend(well_ordered_chains(ctx, eps, budget=chain_budget,
-                                                  per_level=1))
-            except BudgetExhausted:
-                break
+    chains = _preferred_chains(ctx, i, oracle_group=oracle_group)
     pairs = []
     for chain in chains:
         for kind, param in _divisor_generators(ctx):
@@ -225,12 +206,12 @@ def sample_cyclotomic_ideal(
             if key in pruned:
                 continue
             if key not in streams:
-                streams[key] = _q_stream(ctx, math.prod(key) if key else 1)
+                streams[key] = evaluation_primes(ctx, math.prod(key) if key else 1)
                 kp_cache[key] = _chain_primes(ctx, key)
             q = next(streams[key])
             cls = derivative_class(ctx, kind, param, kp_cache[key])
             try:
-                vec = evaluate_kappa(ctx, cls, q, budget=field_budget, cap=derivative_cap)
+                vec = evaluate_kappa(ctx, cls, q)
             except BudgetExhausted:
                 pruned.add(key)
                 continue
@@ -273,8 +254,6 @@ def sample_cyclotomic_ideal(
 
 
 def _chain_primes(ctx: AbelianFieldCtx, factors: tuple[int, ...]):
-    from .fields import KolyvaginPrime
-
     return tuple(
         KolyvaginPrime.build(ell, ctx.p, ctx.conventions.flip_sigma) for ell in factors
     )

@@ -129,24 +129,6 @@ def test_extension_field_inverse_and_pow():
         assert ctx.pow(a, -1) == ctx.inv(a)
 
 
-def test_mod_ring():
-    from cycfit.arith import ModRing
-
-    ring = ModRing(3, 4)
-    assert ring.mod == 81
-    assert ring.val(54) == 3
-    assert ring.unit_inverse(2) * 2 % 81 == 1
-    rng = random.Random(13)
-    for _ in range(30):
-        a, b = rng.randrange(81), rng.randrange(81)
-        assert (a + b) % 81 == ((a % 81) + (b % 81)) % 81
-        assert a * b % 81 == (a % 81) * (b % 81) % 81
-    with pytest.raises(NotPrime):
-        ModRing(9, 2)
-    with pytest.raises(NotPrime):
-        ModRing(2, 2)  # p must be odd
-
-
 def test_utility_functions():
     assert factorint(2**3 * 3 * 257) == {2: 3, 3: 1, 257: 1}
     assert kronecker(257, 3) == -1

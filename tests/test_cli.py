@@ -65,6 +65,13 @@ def test_primes_command(capsys):
     assert [r["ell"] for r in rep["primes"]] == [13, 31, 61]
 
 
+def test_primes_command_writes_nothing_under_home(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert main(["primes", "-D", "257", "-N", "1", "--count", "3"]) == 0
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kappa_command(capsys):
     code, out, _ = run_cli(capsys, ["kappa", "-D", "257", "-N", "3", "-q", "13879"])
     assert code == 0

@@ -8,7 +8,6 @@ from cycfit.fields import (
     evaluation_primes,
     is_well_ordered,
     kolyvagin_primes,
-    well_ordered_chains,
 )
 
 
@@ -69,31 +68,6 @@ def test_well_ordered_examples():
     assert not is_well_ordered(3, 2, (37, 19))
     assert is_well_ordered(3, 2, ())
     assert not is_well_ordered(3, 2, (19, 19))
-
-
-def test_well_ordered_chains():
-    ctx = build_field(3, 257, 0, 1)
-    assert [c.n for c in well_ordered_chains(ctx, 0)] == [1]
-    chains = well_ordered_chains(ctx, 2, per_level=2)
-    assert chains
-    for c in chains:
-        assert c.epsilon == 2
-        assert is_well_ordered(3, 1, c.factors)
-        # prefixes stay well-ordered
-        assert is_well_ordered(3, 1, c.factors[:1])
-        for ell in c.factors:
-            assert ell % 3 == 1 and kronecker(257, ell) == 1
-
-
-def test_frobenius_multiplicative():
-    ctx = build_field(3, 257, 0, 1)
-    from cycfit.fields import frobenius_residue
-
-    f = ctx.f_K
-    assert (
-        frobenius_residue(ctx, 13 * 19, f)
-        == frobenius_residue(ctx, 13, f) * frobenius_residue(ctx, 19, f) % f
-    )
 
 
 def test_kolyvagin_prime_tame_generator():

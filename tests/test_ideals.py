@@ -1,8 +1,9 @@
+from cycfit.arith import kronecker
 from cycfit.classgroup import narrow_class_group
-from cycfit.fields import build_field
+from cycfit.fields import build_field, is_well_ordered
 from cycfit.fitting import fitting_of_p_group
 from cycfit.groupring import IdealNF
-from cycfit.ideals import CycIdealRun, sample_cyclotomic_ideal, stabilized
+from cycfit.ideals import CycIdealRun, _preferred_chains, sample_cyclotomic_ideal, stabilized
 
 
 def test_budget_zero_is_partial_with_zero_ideal():
@@ -59,3 +60,13 @@ def test_monotone_in_i_with_shared_base():
                                    base_run=run1, oracle_group=oracle)
     assert run2.ideal.is_unit_ideal()
     assert len(run2.samples) == len(run1.samples)  # inherited, no new work
+
+
+def test_preferred_chains_are_well_ordered():
+    chains = _preferred_chains(build_field(3, 257, 0, 1), 2, per_level=2)
+    assert [c.n for c in chains if c.epsilon == 0] == [1]
+    assert any(c.epsilon == 2 for c in chains)
+    for c in chains:
+        assert is_well_ordered(3, 1, c.factors)
+        for ell in c.factors:
+            assert ell % 3 == 1 and kronecker(257, ell) == 1

@@ -6,13 +6,7 @@ __version__ = "0.1.0"
 from .arith import FieldCtx, dlog_p_part, make_field, root_of_unity
 from .classgroup import FormClassGroup, ideal_class_of_prime, ingest_external, narrow_class_group
 from .combined import build_combined, check_combined_identities, reciprocity_on_combined
-from .fields import (
-    AbelianFieldCtx,
-    KolyvaginPrime,
-    WellOrderedProduct,
-    build_field,
-    kolyvagin_primes,
-)
+from .fields import AbelianFieldCtx, KolyvaginPrime, build_field, kolyvagin_primes
 from .fitting import Presentation, fitting_ideal, fitting_of_p_group
 from .groupring import (
     Character,
@@ -30,7 +24,6 @@ from .units import (
     DerivativeClass,
     DerivativeOperator,
     evaluate_kappa,
-    evaluate_symbol,
     norm_relation_check,
 )
 
@@ -49,7 +42,6 @@ __all__ = [
     "IdealNF",
     "KolyvaginPrime",
     "Presentation",
-    "WellOrderedProduct",
     "annihilation_check",
     "bracket_ell",
     "build_combined",
@@ -58,7 +50,6 @@ __all__ = [
     "chi_project",
     "dlog_p_part",
     "evaluate_kappa",
-    "evaluate_symbol",
     "fitting_ideal",
     "fitting_of_p_group",
     "ideal_class_of_prime",

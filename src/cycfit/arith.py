@@ -314,11 +314,8 @@ class FieldCtx:
     def is_zero(self, a) -> bool:
         return a == 0 if self.k == 1 else not any(a)
 
-    def in_prime_field(self, a) -> bool:
-        return True if self.k == 1 else not any(a[1:])
-
     def to_prime_field(self, a) -> int:
-        """Constant-term extraction; only valid when in_prime_field(a)."""
+        """Constant term of an element of the prime subfield."""
         if self.k == 1:
             return a
         if any(a[1:]):
@@ -361,13 +358,13 @@ def _candidate_elements(ctx_q: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _make_field_cached(q: int, k: int, budget: int) -> FieldCtx:
+def _make_field_cached(q: int, k: int) -> FieldCtx:
     if q < 2 or not is_prime(q):
         raise NotPrime(f"q = {q} is not prime")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if q**k > budget:
-        raise BudgetExceeded(f"q^k = {q}^{k} exceeds budget {budget}")
+    if q**k > DEFAULT_FIELD_BUDGET:
+        raise BudgetExceeded(f"q^k = {q}^{k} exceeds budget {DEFAULT_FIELD_BUDGET}")
     order = q**k - 1
     fac = tuple(sorted(factorint(order).items()))
     modulus = () if k == 1 else _find_irreducible(q, k)
@@ -383,9 +380,10 @@ def _make_field_cached(q: int, k: int, budget: int) -> FieldCtx:
     raise ArithmeticError("no generator found")  # pragma: no cover
 
 
-def make_field(q: int, k: int = 1, budget: int = DEFAULT_FIELD_BUDGET) -> FieldCtx:
-    """Construct F_{q^k} with deterministic modulus and verified generator."""
-    return _make_field_cached(q, k, budget)
+def make_field(q: int, k: int = 1) -> FieldCtx:
+    """Construct F_{q^k} with deterministic modulus and verified generator;
+    BudgetExceeded when q^k exceeds the field budget."""
+    return _make_field_cached(q, k)
 
 
 def root_of_unity(ctx: FieldCtx, M: int):

@@ -344,8 +344,7 @@ class FormClassGroup:
     def p_part_divisors(self, p: int) -> tuple[int, ...]:
         """Elementary divisors (exponents of p), non-increasing, of the
         p-Sylow subgroup, from the counts #{x : x^{p^j} = e}."""
-        h = self.h_plus
-        sylow = [x for x in range(h) if self._p_power_order(x, p) is not None]
+        sylow = self.p_sylow_elements(p)
         counts = [1]
         j = 1
         while counts[-1] < len(sylow):
@@ -364,13 +363,17 @@ class FormClassGroup:
         return tuple(sorted(divisors, reverse=True))
 
     def _p_power_order(self, x: int, p: int) -> int | None:
-        n = self.element_order(x)
+        order = n = self.element_order(x)
         while n % p == 0:
             n //= p
-        return self.element_order(x) if n == 1 else None
+        return order if n == 1 else None
 
     def p_sylow_elements(self, p: int) -> list[int]:
         return [x for x in range(self.h_plus) if self._p_power_order(x, p) is not None]
+
+
+# narrow_class_group refuses discriminants with more reduced forms than this.
+_MAX_REDUCED_FORMS = 10**6
 
 
 def _plog(q: int, p: int) -> int:
@@ -383,12 +386,12 @@ def _plog(q: int, p: int) -> int:
     return out
 
 
-def narrow_class_group(D: int, budget: int = 10**6) -> FormClassGroup:
+def narrow_class_group(D: int) -> FormClassGroup:
     """Build the narrow class group of discriminant D from reduction cycles."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a positive fundamental discriminant")
     forms = all_reduced_forms(D)
-    if len(forms) > budget:
+    if len(forms) > _MAX_REDUCED_FORMS:
         raise BudgetExhausted(f"too many reduced forms for budget ({len(forms)})")
     form_set = set(forms)
     unassigned = set(forms)
@@ -465,7 +468,7 @@ def _require(cond: bool, msg: str):
         raise SchemaViolation(msg)
 
 
-def ingest_external(path: str, cross_check: bool = True) -> ExternalClassData:
+def ingest_external(path: str) -> ExternalClassData:
     """Load and validate an externally supplied class-group record.
 
     Schema: {"field": {"type": ..., "D" or "conductor": int, "degree": int},
@@ -516,7 +519,7 @@ def ingest_external(path: str, cross_check: bool = True) -> ExternalClassData:
         field_type=ftype, D=D, conductor=conductor, degree=degree, p=p,
         divisors=tuple(divisors), classes=tuple(classes),
     )
-    if cross_check and ftype == "real_quadratic":
+    if ftype == "real_quadratic":
         grp = narrow_class_group(D)
         if grp.p_part_divisors(p) != data.divisors:
             raise InconsistentField(

@@ -13,14 +13,14 @@ import json
 import sys
 
 from . import __version__
-from .classgroup import class_number_band, narrow_class_group
+from .classgroup import class_number_band, ingest_external, narrow_class_group
 from .config import (
     DEFAULT_PRIME_SEARCH_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_STABILIZATION_WINDOW,
     Conventions,
 )
-from .errors import CycfitError, exit_code_for
+from .errors import CycfitError, InconsistentField, exit_code_for
 from .fields import KolyvaginPrime, build_field, kolyvagin_primes
 from .fitting import diagonal_presentation, fitting_ideal, fitting_of_p_group
 from .groupring import chi_project, scalar_ring
@@ -30,6 +30,8 @@ from .maps import annihilation_suite
 from .units import derivative_class, evaluate_kappa
 
 _INT_LIMIT = 2**53
+# Largest epsilon of the formal identity suite; `verify` and the `formal` default.
+_FORMAL_EPS_MAX = 3
 
 
 def _sanitize(obj):
@@ -70,7 +72,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
                budget: int = DEFAULT_SAMPLE_BUDGET,
                window: int = DEFAULT_STABILIZATION_WINDOW,
                seed: int = 0, flip_sigma: bool = False,
-               anni_count: int = 3, formal_eps: int = 3,
+               anni_count: int = 3,
                quiet: bool = False,
                external: str | None = None) -> dict:
     """The flagship pipeline: oracle -> Fitting ideals -> sampled cyclotomic
@@ -82,14 +84,10 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
 
     conventions = Conventions(flip_sigma=flip_sigma)
     if external is not None:
-        from .classgroup import ingest_external
-
         record = ingest_external(external)
         if record.field_type != "real_quadratic":
             return _external_fitting_only(record, i_max)
         if record.p != p:
-            from .errors import InconsistentField
-
             raise InconsistentField(
                 f"external record is for p = {record.p}, requested p = {p}")
         D = record.D
@@ -137,7 +135,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     say(f"[annihilation] {anni_count} primes")
     anni = annihilation_suite(ctx, oracle, anni_count)
     say("[formal] combined-element identities")
-    formal = [check_combined_identities(eps, strict=False) for eps in range(0, formal_eps + 1)]
+    formal = [check_combined_identities(eps) for eps in range(_FORMAL_EPS_MAX + 1)]
     anni_ok = all(r.passed for r in anni)
     formal_ok = all(r.passed for r in formal)
     if any(v == "BUG" for v in verdicts.values()) or not anni_ok or not formal_ok:
@@ -292,7 +290,7 @@ def cmd_fitting(args) -> int:
 
 
 def cmd_formal(args) -> int:
-    reports = [check_combined_identities(eps, strict=False) for eps in range(args.eps_max + 1)]
+    reports = [check_combined_identities(eps) for eps in range(args.eps_max + 1)]
     emit({
         "reports": [
             {"epsilon": r.epsilon, "identity1": r.identity1, "identity2": r.identity2,
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fitting)
 
     fo = sub.add_parser("formal", help="formal combined-element identities")
-    fo.add_argument("--eps-max", type=int, default=3)
+    fo.add_argument("--eps-max", type=int, default=_FORMAL_EPS_MAX)
     fo.set_defaults(func=cmd_formal)
 
     return ap

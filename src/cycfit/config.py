@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # Fields F_{q^k} are rejected above this size so element arithmetic stays in
-# machine words whenever the platform allows it.  Overridable per call.
-# Shared by arith.make_field, units, maps and combined.
+# machine words whenever the platform allows it.  Read by arith.make_field
+# (BudgetExceeded) and by maps, whose annihilation suite skips ell with
+# ell^k above it.
 DEFAULT_FIELD_BUDGET = 2**62
 
 # Hard cap on the number of multi-indices in a derivative-operator expansion.

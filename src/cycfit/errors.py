@@ -14,7 +14,7 @@ class NotPrime(CycfitError):
 
 
 class BudgetExceeded(CycfitError):
-    """A field or expansion would exceed the configured size budget."""
+    """A field F_{q^k} would exceed the field budget (config.DEFAULT_FIELD_BUDGET)."""
 
 
 class OrderNotDividing(CycfitError):

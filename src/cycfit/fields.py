@@ -110,24 +110,6 @@ class KolyvaginPrime:
         return KolyvaginPrime(ell=ell, p=p, N_ell=n_ell, s_ell=s)
 
 
-@dataclass(frozen=True)
-class WellOrderedProduct:
-    """An ordered square-free product (l_1, ..., l_r) satisfying the chain
-    congruences l_{i+1} = 1 mod p^N * prod_{j<=i} l_j."""
-
-    factors: tuple[int, ...]
-    p: int
-    N: int
-
-    @property
-    def n(self) -> int:
-        return math.prod(self.factors) if self.factors else 1
-
-    @property
-    def epsilon(self) -> int:
-        return len(self.factors)
-
-
 def is_well_ordered(p: int, N: int, factors) -> bool:
     """Pure congruence form of the chain condition (no splitting checks)."""
     factors = tuple(factors)

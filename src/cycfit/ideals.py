@@ -16,15 +16,10 @@ import random
 from dataclasses import dataclass, field
 
 from .arith import val_p
+from .classgroup import ideal_class_of_prime
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
 from .errors import BudgetExhausted
-from .fields import (
-    AbelianFieldCtx,
-    KolyvaginPrime,
-    WellOrderedProduct,
-    evaluation_primes,
-    kolyvagin_primes,
-)
+from .fields import AbelianFieldCtx, KolyvaginPrime, evaluation_primes, kolyvagin_primes
 from .groupring import IdealNF, chi_project, ideal_join, ideal_normal_form
 from .units import derivative_class, evaluate_kappa
 
@@ -98,46 +93,44 @@ def stabilized(run: CycIdealRun, window: int = DEFAULT_STABILIZATION_WINDOW) -> 
     return run.stall >= window
 
 
-def _divisor_generators(ctx: AbelianFieldCtx, a_samples: tuple[int, ...] = (2,)):
+def _divisor_generators(ctx: AbelianFieldCtx):
     """Basic-unit generator list: every divisor d > 1 of the conductor (the
     full conductor first: it carries the chi-component for quadratic K) plus
-    a small sample of a-type units."""
+    the a-type unit a = 2 (prime to the odd p)."""
     f = ctx.f_K
     divs = sorted((d for d in range(2, f + 1) if f % d == 0), reverse=True)
-    gens = [("d", d) for d in divs]
-    gens += [("a", a) for a in a_samples if math.gcd(a, ctx.p) == 1]
-    return gens
+    return [("d", d) for d in divs] + [("a", 2)]
 
 
-def _preferred_chains(ctx: AbelianFieldCtx, i: int, per_level: int = 3,
-                      oracle_group=None) -> list:
-    """Well-ordered chains of length <= i, breadth-first, preferring
-    auxiliary primes whose ideal class has nontrivial p-part.
+# Auxiliary primes kept per chain prefix, out of _SCAN_WIDTH candidates.
+_PER_LEVEL = 3
+_SCAN_WIDTH = 12
+
+
+def _preferred_chains(ctx: AbelianFieldCtx, i: int, oracle_group=None) -> list:
+    """Well-ordered chains (l_1, ..., l_r) with r <= i, breadth-first,
+    preferring auxiliary primes whose ideal class has nontrivial p-part.
 
     The unit-realizing derivative classes use auxiliary primes linked to
     class-group generators, so branch order matters enormously in practice;
-    primes with trivial class come last (but are still explored)."""
-    from .classgroup import ideal_class_of_prime
+    primes with trivial class come last (but are still explored).
+    kolyvagin_primes yields only odd primes split in K and prime to D, which
+    ideal_class_of_prime accepts."""
 
     def class_is_p_nontrivial(ell: int) -> bool:
         if oracle_group is None:
             return False
-        try:
-            c = ideal_class_of_prime(ell, ctx.D, oracle_group)
-        except Exception:  # pragma: no cover - split rechecks upstream
-            return False
+        c = ideal_class_of_prime(ell, ctx.D, oracle_group)
         return oracle_group.element_order(c) % ctx.p == 0
 
-    chains = [WellOrderedProduct((), ctx.p, ctx.N)]
+    chains = [()]
     frontier = [()]
-    scan_width = max(4 * per_level, 8)
     for _eps in range(1, i + 1):
         next_frontier = []
         for prefix in frontier:
-            extra = math.prod(prefix) if prefix else 1
-            gen = kolyvagin_primes(ctx, extra_modulus=extra)
+            gen = kolyvagin_primes(ctx, extra_modulus=math.prod(prefix))
             cands = []
-            for _ in range(scan_width):
+            for _ in range(_SCAN_WIDTH):
                 try:
                     kp = next(gen)
                 except BudgetExhausted:
@@ -145,9 +138,9 @@ def _preferred_chains(ctx: AbelianFieldCtx, i: int, per_level: int = 3,
                 if kp.ell not in prefix:
                     cands.append(kp.ell)
             cands.sort(key=lambda ell: (not class_is_p_nontrivial(ell), ell))
-            for ell in cands[:per_level]:
+            for ell in cands[:_PER_LEVEL]:
                 chain = prefix + (ell,)
-                chains.append(WellOrderedProduct(chain, ctx.p, ctx.N))
+                chains.append(chain)
                 next_frontier.append(chain)
         frontier = next_frontier
     return chains
@@ -159,6 +152,7 @@ def sample_cyclotomic_ideal(
     budget: int = DEFAULT_SAMPLE_BUDGET,
     seed: int = 0,
     window: int = DEFAULT_STABILIZATION_WINDOW,
+    *,
     oracle_fitting: IdealNF | None = None,
     base_run: CycIdealRun | None = None,
     oracle_group=None,
@@ -192,7 +186,7 @@ def sample_cyclotomic_ideal(
     rng = random.Random(seed)
     rng.shuffle(pairs)
     # breadth-first bias: cheap low-epsilon pairs first, then interleave
-    pairs.sort(key=lambda t: t[0].epsilon)
+    pairs.sort(key=lambda t: len(t[0]))
     streams = {}
     kp_cache = {}
     pruned: set = set()
@@ -202,18 +196,17 @@ def sample_cyclotomic_ideal(
         for chain, kind, param in pairs:
             if taken >= budget or stabilized(run, window):
                 break
-            key = chain.factors
-            if key in pruned:
+            if chain in pruned:
                 continue
-            if key not in streams:
-                streams[key] = evaluation_primes(ctx, math.prod(key) if key else 1)
-                kp_cache[key] = _chain_primes(ctx, key)
-            q = next(streams[key])
-            cls = derivative_class(ctx, kind, param, kp_cache[key])
+            if chain not in streams:
+                streams[chain] = evaluation_primes(ctx, math.prod(chain))
+                kp_cache[chain] = _chain_primes(ctx, chain)
+            q = next(streams[chain])
+            cls = derivative_class(ctx, kind, param, kp_cache[chain])
             try:
                 vec = evaluate_kappa(ctx, cls, q)
             except BudgetExhausted:
-                pruned.add(key)
+                pruned.add(chain)
                 continue
             proj = chi_project(vec, ctx.chi)
             gen_nf = ideal_normal_form([proj], ctx.chi_ring)
@@ -222,9 +215,9 @@ def sample_cyclotomic_ideal(
             if oracle_fitting is not None:
                 in_fitt = oracle_fitting.contains_vector(proj.vector())
             sample = Sample(
-                epsilon=chain.epsilon,
-                n=chain.n,
-                factors=chain.factors,
+                epsilon=len(chain),
+                n=math.prod(chain),
+                factors=chain,
                 kind=kind,
                 param=param,
                 q=q,

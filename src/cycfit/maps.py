@@ -14,19 +14,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .arith import make_field, val_p
+from .arith import is_prime, make_field, val_p
 from .classgroup import FormClassGroup, ideal_class_of_prime
 from .config import DEFAULT_FIELD_BUDGET
-from .errors import DividesAux, NotDividing, PrecisionTooLow
+from .errors import BudgetExhausted, DividesAux, NotDividing, PrecisionTooLow
 from .fields import AbelianFieldCtx, KolyvaginPrime
-from .groupring import GroupRingElement, chi_project
+from .groupring import Character, GroupRingElement, chi_project
 from .units import DerivativeClass, derivative_class, evaluate_kappa
+
+# The annihilation suite's primes: residue degree k <= _SUITE_K_MAX (so that
+# F_{ell^k} arithmetic stays affordable) and ell below _SUITE_SEARCH_BOUND.
+_SUITE_K_MAX = 4
+_SUITE_SEARCH_BOUND = 500_000
 
 
 def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
-            level: int | None = None,
-            budget: int = DEFAULT_FIELD_BUDGET) -> GroupRingElement:
+            level: int | None = None) -> GroupRingElement:
     """Reciprocity coordinate at ell applied to kappa(n), in R_{m,N,chi}.
 
     Defined when ell does not divide n (the class is a unit at ell).  The
@@ -36,7 +41,7 @@ def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
     if cls.n % ell == 0:
         raise DividesAux(f"ell = {ell} divides the auxiliary product {cls.n}")
     eff = min(level if level is not None else ctx.N, kp.N_ell, ctx.N)
-    vec = evaluate_kappa(ctx, cls, ell, level=eff, budget=budget)
+    vec = evaluate_kappa(ctx, cls, ell, level=eff)
     proj = chi_project(vec, _chi_at_level(ctx, eff))
     if ctx.conventions.phi_sign == -1:
         proj = -proj
@@ -46,8 +51,6 @@ def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
 def _chi_at_level(ctx: AbelianFieldCtx, level: int):
     if level == ctx.N:
         return ctx.chi
-    from .groupring import Character
-
     mod = ctx.p**level
     values = (mod - 1,) + (1,) * (len(ctx.delta_divisors) - 1)
     return Character(ctx.delta_divisors, ctx.p, level, values)
@@ -62,8 +65,7 @@ class TheoremBacked:
     basis: str = "theorem"
 
 
-def bracket_ell(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
-                budget: int = DEFAULT_FIELD_BUDGET) -> TheoremBacked:
+def bracket_ell(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass) -> TheoremBacked:
     """Divisor coordinate at ell | n of kappa(n), via the identity with
     phi_bar of kappa(n/ell); THEOREM_BACKED by construction."""
     ell = kp.ell
@@ -72,7 +74,7 @@ def bracket_ell(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
     reduced_primes = tuple(k for k in cls.aux_primes if k.ell != ell)
     kind, param, _ = cls.symbol.factors[0]
     reduced = derivative_class(ctx, kind, param, reduced_primes)
-    return TheoremBacked(value=phi_bar(ctx, kp, reduced, budget=budget))
+    return TheoremBacked(value=phi_bar(ctx, kp, reduced))
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +118,7 @@ def tame_coupling_ok(kp: KolyvaginPrime) -> bool:
 
 
 def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
-                       oracle: FormClassGroup,
-                       budget: int = DEFAULT_FIELD_BUDGET) -> AnnihilationReport:
+                       oracle: FormClassGroup) -> AnnihilationReport:
     """PASS iff (a) the tame-generator coupling holds at ell and (b) the
     reciprocity value e = phi_bar(ell, eta) annihilates the class of the
     distinguished prime above ell in the p-part of the class group mod
@@ -134,7 +135,7 @@ def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
     n_eff = min(N, kp.N_ell)
     coupling = tame_coupling_ok(kp)
     eta = derivative_class(ctx, "d", ctx.f_K, ())
-    e = phi_bar(ctx, kp, eta, level=n_eff, budget=budget).scalar()
+    e = phi_bar(ctx, kp, eta, level=n_eff).scalar()
     cls_idx = ideal_class_of_prime(kp.ell, ctx.D, oracle)
     # project the class to its p-primary component
     h = oracle.h_plus
@@ -157,19 +158,12 @@ def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
     )
 
 
-def annihilation_suite(ctx: AbelianFieldCtx, oracle: FormClassGroup, count: int,
-                       k_max: int = 4, search_bound: int = 500_000,
-                       budget: int = DEFAULT_FIELD_BUDGET) -> list[AnnihilationReport]:
-    """Run annihilation_check at `count` distinct auxiliary primes chosen so
-    the residue-field extension degree k stays within k_max and ell^k within
-    the field budget (so F_{ell^k} arithmetic stays affordable)."""
-    reports = []
+def _suite_primes(ctx: AbelianFieldCtx):
+    """The annihilation suite's primes in increasing order: ell = 1 mod p,
+    split in K and prime to the conductor, with residue degree k <=
+    _SUITE_K_MAX modulo f_K * p^{m+1} and ell^k within the field budget."""
     M = ctx.f_K * ctx.p ** (ctx.m + 1)
-    ell = ctx.p + 1
-    from .arith import is_prime
-
-    while len(reports) < count and ell < search_bound:
-        ell += 1
+    for ell in range(ctx.p + 2, _SUITE_SEARCH_BOUND):
         if not is_prime(ell) or ell % ctx.p != 1:
             continue
         if not ctx.splits_in_K(ell) or math.gcd(ell, M) != 1:
@@ -179,15 +173,19 @@ def annihilation_suite(ctx: AbelianFieldCtx, oracle: FormClassGroup, count: int,
         while t != 1:
             t = t * ell % M
             k += 1
-            if k > k_max:
+            if k > _SUITE_K_MAX:
                 break
-        if k > k_max or ell**k > budget:
-            continue
-        kp = KolyvaginPrime.build(ell, ctx.p, ctx.conventions.flip_sigma)
-        reports.append(annihilation_check(ctx, kp, oracle, budget=budget))
-    if len(reports) < count:
-        from .errors import BudgetExhausted
+        if k <= _SUITE_K_MAX and ell**k <= DEFAULT_FIELD_BUDGET:
+            yield ell
 
+
+def annihilation_suite(ctx: AbelianFieldCtx, oracle: FormClassGroup,
+                       count: int) -> list[AnnihilationReport]:
+    """Run annihilation_check at the first `count` primes of _suite_primes."""
+    flip = ctx.conventions.flip_sigma
+    reports = [annihilation_check(ctx, KolyvaginPrime.build(ell, ctx.p, flip), oracle)
+               for ell in islice(_suite_primes(ctx), count)]
+    if len(reports) < count:
         raise BudgetExhausted(
-            f"found only {len(reports)} admissible primes below {search_bound}")
+            f"found only {len(reports)} admissible primes below {_SUITE_SEARCH_BOUND}")
     return reports

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .arith import FieldCtx, dlog_p_part, factorint, kronecker, make_field, root_of_unity
-from .config import DEFAULT_DERIVATIVE_CAP, DEFAULT_FIELD_BUDGET
+from .config import DEFAULT_DERIVATIVE_CAP
 from .errors import BudgetExhausted, ConductorClash, NotSplit
 from .fields import AbelianFieldCtx, KolyvaginPrime
 from .groupring import GroupRing, GroupRingElement
@@ -122,8 +122,7 @@ class EvalContext:
     its own canonical generator, so values at one q are mutually consistent.
     """
 
-    def __init__(self, ctx: AbelianFieldCtx, aux: tuple[int, ...], q: int,
-                 budget: int = DEFAULT_FIELD_BUDGET):
+    def __init__(self, ctx: AbelianFieldCtx, aux: tuple[int, ...], q: int):
         self.ctx = ctx
         self.aux = tuple(aux)
         self.q = q
@@ -138,8 +137,8 @@ class EvalContext:
             t = t * q % self.M
             k += 1
         self.k = k
-        self.field: FieldCtx = make_field(q, k, budget)
-        self.base: FieldCtx = self.field if k == 1 else make_field(q, 1, budget)
+        self.field: FieldCtx = make_field(q, k)
+        self.base: FieldCtx = self.field if k == 1 else make_field(q, 1)
         self.zeta = root_of_unity(self.field, self.M)
         fld = self.field
         # CRT idempotents E_i (1 mod m_i, 0 mod the other components) and root
@@ -311,29 +310,9 @@ def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:
     return True
 
 
-def evaluate_symbol(ctx: AbelianFieldCtx, sym: CircularUnitSymbol, q: int,
-                    conj: tuple | None = None,
-                    h_twist: dict[int, int] | None = None,
-                    budget: int = DEFAULT_FIELD_BUDGET,
-                    ev: EvalContext | None = None):
-    """Reduction of the conj-conjugate of the symbol at the distinguished
-    prime above q, as an element of F_{q^k}."""
-    sym.validate(ctx)
-    ev = ev or EvalContext(ctx, sym.aux, q, budget)
-    mult = 1
-    if conj is not None:
-        mult = ev.delta_lift(conj)
-    if h_twist:
-        mult = mult * ev.lift({ell: w for ell, w in h_twist.items()}) % ev.M
-    return ev.symbol_value(sym, mult)
-
-
 def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
                    level: int | None = None,
-                   h_twist: dict[int, int] | None = None,
-                   budget: int = DEFAULT_FIELD_BUDGET,
-                   cap: int = DEFAULT_DERIVATIVE_CAP,
-                   ev: EvalContext | None = None) -> GroupRingElement:
+                   h_twist: dict[int, int] | None = None) -> GroupRingElement:
     """The conjugate vector of p-part dlogs of kappa(n) at q.
 
     Returns sum_g dlog(eval(g^{-1} . eta(n)^{D_n})) * g over Z/p^level[G]; the
@@ -345,10 +324,10 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
         raise NotSplit(f"q = {q} does not split completely in F_m(mu_{cls.n})"
                        f" with q = 1 mod {ctx.p}^{ctx_level}")
     op = cls.operator()
-    if op.expansion_size() > cap:
-        raise BudgetExhausted(
-            f"derivative expansion of size {op.expansion_size()} exceeds cap {cap}")
-    ev = ev or EvalContext(ctx, cls.symbol.aux, q, budget)
+    if op.expansion_size() > DEFAULT_DERIVATIVE_CAP:
+        raise BudgetExhausted(f"derivative expansion of size {op.expansion_size()}"
+                              f" exceeds cap {DEFAULT_DERIVATIVE_CAP}")
+    ev = EvalContext(ctx, cls.symbol.aux, q)
     pN = ctx.p**ctx_level
     ring = GroupRing(ctx.group, ctx.p, ctx_level)
     fld, M = ev.field, ev.M
@@ -382,8 +361,7 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
 
 
 def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,
-                        aux_primes: tuple[KolyvaginPrime, ...], ell: int, q: int,
-                        budget: int = DEFAULT_FIELD_BUDGET) -> bool:
+                        aux_primes: tuple[KolyvaginPrime, ...], ell: int, q: int) -> bool:
     """Exact check of the Euler-system norm relation at ell | n:
 
         N_{F(mu_n)/F(mu_{n/ell})} eta(n)  =  eta(n/ell)^{1 - Frob_ell^{-1}}
@@ -396,7 +374,7 @@ def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,
     sym_n = basic_symbol(ctx, kind, param, ells)
     sub = tuple(e for e in ells if e != ell)
     sym_sub = basic_symbol(ctx, kind, param, sub)
-    ev = EvalContext(ctx, ells, q, budget)
+    ev = EvalContext(ctx, ells, q)
     fld = ev.field
     lhs = fld.one()
     for w in range(1, ell):

@@ -120,5 +120,5 @@ def test_h_twists_change_factor_values_but_not_kappa():
     values = {ev.factor_value("d", 257, (kp.ell,), ev.lift({kp.ell: w})) for w in range(1, 6)}
     assert len(values) == 5
     cls = derivative_class(ctx, "d", 257, (kp,))
-    base = evaluate_kappa(ctx, cls, q, ev=ev)
-    assert evaluate_kappa(ctx, cls, q, h_twist={kp.ell: 7}, ev=ev) == base
+    base = evaluate_kappa(ctx, cls, q)
+    assert evaluate_kappa(ctx, cls, q, h_twist={kp.ell: 7}) == base

@@ -1,3 +1,5 @@
+import pytest
+
 from cycfit.arith import kronecker
 from cycfit.classgroup import narrow_class_group
 from cycfit.fields import build_field, is_well_ordered
@@ -63,10 +65,17 @@ def test_monotone_in_i_with_shared_base():
 
 
 def test_preferred_chains_are_well_ordered():
-    chains = _preferred_chains(build_field(3, 257, 0, 1), 2, per_level=2)
-    assert [c.n for c in chains if c.epsilon == 0] == [1]
-    assert any(c.epsilon == 2 for c in chains)
+    chains = _preferred_chains(build_field(3, 257, 0, 1), 2)
+    assert [c for c in chains if not c] == [()]
+    assert any(len(c) == 2 for c in chains)
     for c in chains:
-        assert is_well_ordered(3, 1, c.factors)
-        for ell in c.factors:
+        assert is_well_ordered(3, 1, c)
+        for ell in c:
             assert ell % 3 == 1 and kronecker(257, ell) == 1
+
+
+def test_sampler_oracle_arguments_are_keyword_only():
+    # bench/spans.py reads base_run by keyword, so no caller may pass it by position
+    ctx = build_field(3, 257, 0, 3)
+    with pytest.raises(TypeError):
+        sample_cyclotomic_ideal(ctx, 0, 0, 0, 5, None, None)

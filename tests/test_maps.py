@@ -1,11 +1,14 @@
+from itertools import islice
+
 import pytest
 
 from cycfit.classgroup import narrow_class_group
-from cycfit.config import Conventions
+from cycfit.config import DEFAULT_FIELD_BUDGET, Conventions
 from cycfit.errors import DividesAux, NotDividing, PrecisionTooLow
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
 from cycfit.maps import (
     TheoremBacked,
+    _suite_primes,
     annihilation_check,
     annihilation_suite,
     bracket_ell,
@@ -106,12 +109,11 @@ def test_annihilation_small_suite_and_flip():
 
 
 def test_annihilation_suite_skips_primes_over_field_budget():
-    # at D = 257 the admissible primes start 241 (k = 4), 787 (k = 4),
-    # 1543 (k = 1), 1783 (k = 4), 4111 (k = 2), ..., 13879 (k = 1); with a
-    # field budget of 10^6 only the k = 1 primes fit and the others are
-    # skipped instead of raising BudgetExceeded inside make_field
-    ctx = build_field(3, 257, 0, 3)
-    oracle = narrow_class_group(257)
-    reports = annihilation_suite(ctx, oracle, 2, budget=10**6)
-    assert [r.ell for r in reports] == [1543, 13879]
-    assert all(r.passed for r in reports)
+    # at D = 1937 the admissible ell after 51853 is 53149, whose residue
+    # degree k = 4 gives 53149^4 > 2^62: the suite skips it to 58111 instead
+    # of raising BudgetExceeded inside make_field
+    ctx = build_field(3, 1937, 0, 3)
+    primes = list(islice(_suite_primes(ctx), 10))
+    assert primes == [1087, 6661, 16987, 17389, 36847, 40231, 42019, 46489, 51853, 58111]
+    assert 53149**4 > DEFAULT_FIELD_BUDGET
+    assert pow(53149, 4, 1937 * 3) == 1 and all(pow(53149, k, 1937 * 3) != 1 for k in (1, 2, 3))

@@ -12,8 +12,9 @@ import math
 import pytest
 
 from cycfit.arith import crt, kronecker, val_p
+from cycfit.config import DEFAULT_DERIVATIVE_CAP
 from cycfit.errors import BudgetExceeded, BudgetExhausted, NotSplit
-from cycfit.fields import build_field, evaluation_primes, kolyvagin_primes
+from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
 from cycfit.groupring import chi_project
 from cycfit.units import (
     CircularUnitSymbol,
@@ -21,9 +22,13 @@ from cycfit.units import (
     basic_symbol,
     derivative_class,
     evaluate_kappa,
-    evaluate_symbol,
     norm_relation_check,
 )
+
+
+def _symbol_at(ctx, sym, q):
+    """The symbol reduced at the distinguished prime above q."""
+    return EvalContext(ctx, sym.aux, q).symbol_value(sym, 1)
 
 
 def _mu(n):
@@ -114,7 +119,7 @@ def test_zero_exponent_symbol_evaluates_to_one():
     ctx = build_field(3, 257, 0, 1)
     sym = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, ()),))
     q = next(evaluation_primes(ctx, 1, level=1))
-    assert evaluate_symbol(ctx, sym, q) == 1
+    assert _symbol_at(ctx, sym, q) == 1
 
 
 def test_a_type_units_trivial_for_p3_level0():
@@ -122,11 +127,11 @@ def test_a_type_units_trivial_for_p3_level0():
     q = next(evaluation_primes(ctx, 1, level=1))
     for a in (2, 4, 5):
         sym = basic_symbol(ctx, "a", a)
-        assert evaluate_symbol(ctx, sym, q) == 1
+        assert _symbol_at(ctx, sym, q) == 1
     kp = next(kolyvagin_primes(ctx))
     q2 = next(evaluation_primes(ctx, kp.ell, level=1))
     sym_n = basic_symbol(ctx, "a", 2, (kp.ell,))
-    assert evaluate_symbol(ctx, sym_n, q2) == 1
+    assert _symbol_at(ctx, sym_n, q2) == 1
 
 
 def test_negative_group_ring_exponent_inverts():
@@ -134,8 +139,8 @@ def test_negative_group_ring_exponent_inverts():
     q = next(evaluation_primes(ctx, 1, level=1))
     plain = basic_symbol(ctx, "d", 257)
     inv_sym = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, (((0, 0), -1),)),))
-    v = evaluate_symbol(ctx, plain, q)
-    w = evaluate_symbol(ctx, inv_sym, q)
+    v = _symbol_at(ctx, plain, q)
+    w = _symbol_at(ctx, inv_sym, q)
     assert v * w % q == 1
 
 
@@ -197,11 +202,14 @@ def test_kappa_not_split_rejected():
 
 def test_kappa_budget_guards():
     ctx = build_field(3, 257, 0, 1)
-    kp = next(kolyvagin_primes(ctx))
+    # 200041 = 1 mod 3 splits in K; its expansion of 200039 multi-indices
+    # exceeds the cap, which is refused before any field is built
+    kp = KolyvaginPrime.build(200041, 3)
+    assert kronecker(257, kp.ell) == 1 and kp.ell - 2 > DEFAULT_DERIVATIVE_CAP
     cls = derivative_class(ctx, "d", 257, (kp,))
     q = next(evaluation_primes(ctx, kp.ell, level=1))
     with pytest.raises(BudgetExhausted):
-        evaluate_kappa(ctx, cls, q, cap=3)
+        evaluate_kappa(ctx, cls, q)
     # the documented conductor-degree budget conflict: q = 13 needs F_13^128
     with pytest.raises(BudgetExceeded):
         evaluate_kappa(ctx, cls_for_13(ctx), 13)

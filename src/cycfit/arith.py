@@ -175,6 +175,23 @@ def val_p(x: int, p: int, cap: int) -> int:
     return v
 
 
+def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
+    """Product of two nonempty coefficient lists over F_q, entries in [0, q).
+
+    Exact Kronecker substitution: each list is packed into one integer with
+    byte slots wide enough for any coefficient of the exact integer product
+    (at most min(len) terms below (q-1)^2 each), so one big-integer
+    multiplication carries no slot into the next; the slots are then
+    unpacked and reduced mod q.
+    """
+    terms = min(len(a), len(b))
+    width = (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
+    x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+    y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
+    z = (x * y).to_bytes(width * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(z[i:i + width], "little") % q for i in range(0, len(z), width)]
+
+
 # ---------------------------------------------------------------------------
 # Finite fields
 

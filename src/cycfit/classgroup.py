@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorint, is_prime, kronecker, sqrt_mod_prime, crt
-from .errors import BudgetExhausted, InconsistentField, NotSplit, SchemaViolation
+from .errors import (BudgetExhausted, InconsistentField, NotFundamental, NotSplit,
+                     SchemaViolation)
 
 
 def is_squarefree(n: int) -> bool:
@@ -389,7 +390,7 @@ def _plog(q: int, p: int) -> int:
 def narrow_class_group(D: int) -> FormClassGroup:
     """Build the narrow class group of discriminant D from reduction cycles."""
     if not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a positive fundamental discriminant")
+        raise NotFundamental(f"{D} is not a positive fundamental discriminant")
     forms = all_reduced_forms(D)
     if len(forms) > _MAX_REDUCED_FORMS:
         raise BudgetExhausted(f"too many reduced forms for budget ({len(forms)})")

@@ -21,7 +21,7 @@ from .config import (
     Conventions,
 )
 from .errors import CycfitError, InconsistentField, exit_code_for
-from .fields import KolyvaginPrime, build_field, kolyvagin_primes
+from .fields import build_field, chain_primes, kolyvagin_primes
 from .fitting import diagonal_presentation, fitting_ideal, fitting_of_p_group
 from .groupring import chi_project, scalar_ring
 from .ideals import sample_cyclotomic_ideal
@@ -256,9 +256,7 @@ def cmd_primes(args) -> int:
 
 def cmd_kappa(args) -> int:
     ctx = build_field(args.p, args.D, 0, args.N)
-    aux = tuple(
-        KolyvaginPrime.build(ell, args.p) for ell in (args.chain or ())
-    )
+    aux = chain_primes(ctx, args.chain or ())
     cls = derivative_class(ctx, args.kind, args.param or args.D, aux)
     vec = evaluate_kappa(ctx, cls, args.q)
     proj = chi_project(vec, ctx.chi)

@@ -13,6 +13,11 @@ class NotPrime(CycfitError):
     pass
 
 
+class NotFundamental(CycfitError, ValueError):
+    """D is not a positive fundamental discriminant.  Also a ValueError, the
+    type this check raised before it had an exit code."""
+
+
 class BudgetExceeded(CycfitError):
     """A field F_{q^k} would exceed the field budget (config.DEFAULT_FIELD_BUDGET)."""
 
@@ -70,7 +75,7 @@ class MissingWeight(CycfitError):
 
 
 class NotWellOrdered(CycfitError):
-    pass
+    """Auxiliary primes violate the chain congruences l_i = 1 mod p^N l_1 ... l_{i-1}."""
 
 
 class ReductionFailure(CycfitError):
@@ -94,6 +99,7 @@ class InconsistentField(CycfitError):
 EXIT_CODES = {
     Ramified: 4,
     SplitP: 5,
+    NotFundamental: 6,
     NotPrime: 7,
     SchemaViolation: 8,
     InconsistentField: 9,
@@ -103,6 +109,7 @@ EXIT_CODES = {
     PrecisionTooLow: 13,
     OrderNotDividing: 14,
     NotSplit: 15,
+    NotWellOrdered: 16,
     CycfitError: 19,
 }
 

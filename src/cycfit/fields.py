@@ -15,7 +15,8 @@ from functools import cached_property
 
 from .arith import is_prime, kronecker, make_field, sqrt_mod_prime, val_p
 from .config import DEFAULT_CONVENTIONS, DEFAULT_PRIME_SEARCH_BUDGET, Conventions
-from .errors import BudgetExhausted, Ramified, SplitP
+from .errors import (BudgetExhausted, NotFundamental, NotPrime, NotSplit, NotWellOrdered,
+                     Ramified, SplitP)
 from .groupring import Character, FiniteAbelianGroup, GroupRing
 from .classgroup import is_fundamental_discriminant
 
@@ -41,7 +42,7 @@ class AbelianFieldCtx:
         if self.p < 3 or not is_prime(self.p):
             raise ValueError(f"p = {self.p} must be an odd prime")
         if not is_fundamental_discriminant(self.D):
-            raise ValueError(f"D = {self.D} is not a positive fundamental discriminant")
+            raise NotFundamental(f"D = {self.D} is not a positive fundamental discriminant")
         if self.N < max(1, self.m + 1):
             raise ValueError("need N >= max(1, m+1)")
         if self.D % self.p == 0:
@@ -123,9 +124,28 @@ def is_well_ordered(p: int, N: int, factors) -> bool:
     return True
 
 
+def chain_primes(ctx: AbelianFieldCtx, chain) -> tuple[KolyvaginPrime, ...]:
+    """The auxiliary primes of a chain, checked as kolyvagin_primes yields
+    them: each factor prime (NotPrime), the chain well ordered at level N
+    (NotWellOrdered), each factor prime to D (Ramified) and split in K
+    (NotSplit)."""
+    chain = tuple(chain)
+    for ell in chain:
+        if not is_prime(ell):
+            raise NotPrime(f"chain factor {ell} is not prime")
+    if not is_well_ordered(ctx.p, ctx.N, chain):
+        raise NotWellOrdered(f"{chain} violates the chain congruences at level {ctx.N}")
+    for ell in chain:
+        if ctx.D % ell == 0:
+            raise Ramified(f"chain factor {ell} ramifies in K ({ell} | D = {ctx.D})")
+        if not ctx.splits_in_K(ell):
+            raise NotSplit(f"chain factor {ell} does not split in K")
+    return tuple(KolyvaginPrime.build(ell, ctx.p, ctx.conventions.flip_sigma) for ell in chain)
+
+
 def build_field(p: int, d: int, m: int, N: int,
                 conventions: Conventions = DEFAULT_CONVENTIONS) -> AbelianFieldCtx:
-    """Validated field context (errors: Ramified, SplitP)."""
+    """Validated field context (errors: NotFundamental, Ramified, SplitP)."""
     return AbelianFieldCtx(p=p, D=d, m=m, N=N, conventions=conventions)
 
 

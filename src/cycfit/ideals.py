@@ -19,7 +19,7 @@ from .arith import val_p
 from .classgroup import ideal_class_of_prime
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
 from .errors import BudgetExhausted
-from .fields import AbelianFieldCtx, KolyvaginPrime, evaluation_primes, kolyvagin_primes
+from .fields import AbelianFieldCtx, chain_primes, evaluation_primes, kolyvagin_primes
 from .groupring import IdealNF, chi_project, ideal_join, ideal_normal_form
 from .units import derivative_class, evaluate_kappa
 
@@ -200,7 +200,7 @@ def sample_cyclotomic_ideal(
                 continue
             if chain not in streams:
                 streams[chain] = evaluation_primes(ctx, math.prod(chain))
-                kp_cache[chain] = _chain_primes(ctx, chain)
+                kp_cache[chain] = chain_primes(ctx, chain)
             q = next(streams[chain])
             cls = derivative_class(ctx, kind, param, kp_cache[chain])
             try:
@@ -245,8 +245,3 @@ def sample_cyclotomic_ideal(
         run.status = "PARTIAL"
     return run
 
-
-def _chain_primes(ctx: AbelianFieldCtx, factors: tuple[int, ...]):
-    return tuple(
-        KolyvaginPrime.build(ell, ctx.p, ctx.conventions.flip_sigma) for ell in factors
-    )

@@ -15,8 +15,21 @@ is one factor by the cyclotomic identity
 (1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2.
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
-ambiguity of a derivative class never matters.  Nothing is cached per
-multiplier: every conjugate and twist is evaluated afresh.
+ambiguity of a derivative class never matters.
+
+A derivative class at n > 1 in F_q (k = 1) evaluates its whole auxiliary
+orbit at once.  For one conjugate g the multi-indices move only the
+auxiliary components of the multiplier, so a factor's value at every one of
+them is P_g(c) for a root c of mu_n and one polynomial
+P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q (EvalContext.factor_orbit).
+P_g comes from a product tree of exact Kronecker products
+(arith.poly_mul), is folded mod X^n - 1 onto one axis per auxiliary prime,
+and each axis is evaluated at all of mu_l by a chirp-z transform over the
+root table T_l; a multi-index reads its value at its residues mod l_i.
+The per-multiplier loop (symbol_value) still runs for n = 1, in F_{q^k}
+with k > 1, and for symbols with group-ring exponents.  Nothing is cached
+per multiplier: every conjugate and twist is evaluated afresh, and an orbit
+table lives only for one conjugate of one evaluate_kappa call.
 """
 
 from __future__ import annotations
@@ -26,7 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .arith import FieldCtx, dlog_p_part, factorint, kronecker, make_field, root_of_unity
+from .arith import (FieldCtx, dlog_p_part, factorint, kronecker, make_field, poly_mul,
+                    root_of_unity)
 from .config import DEFAULT_DERIVATIVE_CAP
 from .errors import BudgetExhausted, ConductorClash, NotSplit
 from .fields import AbelianFieldCtx, KolyvaginPrime
@@ -148,8 +162,14 @@ class EvalContext:
         for mi, e in zip(self.moduli, self.idempotents):
             step = fld.pow(self.zeta, e)
             row = [fld.one()]
-            for _ in range(mi - 1):
-                row.append(fld.mul(row[-1], step))
+            if k == 1:
+                x = 1
+                for _ in range(mi - 1):
+                    x = x * step % q
+                    row.append(x)
+            else:
+                for _ in range(mi - 1):
+                    row.append(fld.mul(row[-1], step))
             self.tables.append(row)
 
     # -- multiplier (Galois residue) helpers --------------------------------
@@ -235,20 +255,82 @@ class EvalContext:
             out = fld.mul(out, fld.sub(one, fld.mul(A, fld.sub(s, A))))
         return out
 
-    def factor_value(self, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
-        """One basic unit, conjugated by the multiplier, as a field element."""
+    def _paired_orbit(self, a: int, norm_set, rows) -> list[int]:
+        """_paired_product(a * lift({l_i: rho_i}), norm_set) for every
+        (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major; k = 1.
+
+        Only the auxiliary components of the multiplier move, so B_r =
+        T_f[a r mod f_K] and s are fixed and every value is P(c) at the root
+        c = prod_i T_i[a rho_i mod l_i] of mu_n, with
+        P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  P is built by a
+        product tree of exact Kronecker products, folded onto the cells
+        (t mod l_1, ..., t mod l_r) (its reduction mod X^n - 1), and each axis
+        is evaluated at all of mu_{l_i} by _chirp_axis."""
+        q, f = self.q, self.moduli[0]
+        t_f, t_p = self.tables[0], self.tables[1]
+        s = (t_p[a % self.p_part] + t_p[-a % self.p_part]) % q
+        a_f = a % f
+        pairs = norm_set[::2]
+        polys = []
+        for i in range(0, len(pairs), _LEAF):
+            # a leaf multiplies up to _LEAF quadratics directly
+            poly = [1]
+            for r, _ in pairs[i:i + _LEAF]:
+                B = t_f[a_f * r % f]
+                c1, c2 = -B * s % q, B * B % q
+                poly = [(x + c1 * y + c2 * z) % q
+                        for x, y, z in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+            polys.append(poly)
+        while len(polys) > 1:
+            polys = [poly_mul(*polys[i:i + 2], q) if i + 1 < len(polys) else polys[i]
+                     for i in range(0, len(polys), 2)]
+        ells = self.moduli[2:]
+        cells = [0] * math.prod(ells)
+        for t, coeff in enumerate(polys[0]):
+            idx = 0
+            for ell in ells:
+                idx = idx * ell + t % ell
+            cells[idx] += coeff
+        cells = [x % q for x in cells]
+        for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
+            cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
+        return cells
+
+    def _factor_multipliers(self, kind: str, param: int, aux_subset: tuple[int, ...]):
+        """(u, u_den, norm set): the factor at multiplier t is
+        paired(u t) / paired(u_den t), without the denominator when u_den is
+        None (d-type)."""
         n_sub = math.prod(aux_subset) if aux_subset else 1
         M = self.M
         p_m = self.ctx.p**self.ctx.m
         if kind == "d":
             u = (M // param) * pow(p_m, -1, param) + M // (n_sub * self.p_part)
-            return self._paired_product(u * mult % M, self.norm_set_d(param))
+            return u, None, self.norm_set_d(param)
         # kind == "a"
         u_n = 0 if n_sub == 1 else (M // n_sub) * pow(p_m, -1, n_sub)
         u_p = M // self.p_part
-        num = self._paired_product((u_n + u_p * param) * mult % M, self.norm_set_a())
-        den = self._paired_product((u_n + u_p) * mult % M, self.norm_set_a())
+        return u_n + u_p * param, u_n + u_p, self.norm_set_a()
+
+    def factor_value(self, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
+        """One basic unit, conjugated by the multiplier, as a field element."""
+        u, u_den, norm_set = self._factor_multipliers(kind, param, aux_subset)
+        num = self._paired_product(u * mult % self.M, norm_set)
+        if u_den is None:
+            return num
+        den = self._paired_product(u_den * mult % self.M, norm_set)
         return self.field.mul(num, self.field.inv(den))
+
+    def factor_orbit(self, kind: str, param: int, aux_subset: tuple[int, ...],
+                     mult: int, rows) -> tuple[list[int], list[int] | None]:
+        """factor_value at mult * lift({l_i: rho_i}) for every rho in
+        rows[0] x ... x rows[r-1] (one row of residues per auxiliary prime of
+        the context), row-major, as (numerators, denominators); the
+        denominators are None for a d-type factor.  Needs k = 1."""
+        u, u_den, norm_set = self._factor_multipliers(kind, param, aux_subset)
+        num = self._paired_orbit(u * mult % self.M, norm_set, rows)
+        if u_den is None:
+            return num, None
+        return num, self._paired_orbit(u_den * mult % self.M, norm_set, rows)
 
     def symbol_value(self, sym: CircularUnitSymbol, mult: int):
         """Product over the symbol's factors with their group-ring exponents."""
@@ -265,6 +347,37 @@ class EvalContext:
                 base = self.factor_value(kind, param, sym.aux, shifted)
                 out = fld.mul(out, fld.pow(base, c))
         return out
+
+
+# Quadratics multiplied directly per leaf of the product tree, below the
+# size where a Kronecker product beats a Python loop.
+_LEAF = 8
+
+
+def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) -> list[int]:
+    """Evaluate the last axis of a row-major array at the roots w^j, j in
+    picks, with w = table[1] of odd prime order l = len(table), and move that
+    axis to the front: out[j-th pick, line] = sum_t cells[line, t] w^(t j).
+
+    Chirp-z with binomial exponents, t j = C(t+j, 2) - C(t, 2) - C(j, 2), so
+    every power is a table entry and no root of w is needed.  The chirp
+    b_s = w^C(s, 2) has period l (C(l, 2) = 0 mod l), so a line's values are
+    a cyclic correlation with b_0 .. b_{l-1}: with the line reversed, the
+    linear product at l - 1 + j plus its wrap at j - 1.  All lines are
+    packed at stride 2l - 1 into one exact product with the chirp, so no
+    line's product meets its neighbours'."""
+    ell = len(table)
+    binom = [s * (s - 1) // 2 % ell for s in range(ell)]
+    chirp = [table[c] for c in binom]
+    damp = [table[-c % ell] for c in binom]
+    pad = [0] * (ell - 1)
+    packed = []
+    for start in range(0, len(cells), ell):
+        packed.extend(x * w % q for x, w in zip(reversed(cells[start:start + ell]), reversed(damp)))
+        packed.extend(pad)
+    conv = poly_mul(packed, chirp, q)
+    return [(conv[base + ell - 1 + j] + (conv[base + j - 1] if j else 0)) * damp[j] % q
+            for j in picks for base in range(0, len(packed), 2 * ell - 1)]
 
 
 class _NormSets(dict):
@@ -332,6 +445,31 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     ring = GroupRing(ctx.group, ctx.p, ctx_level)
     fld, M = ev.field, ev.M
     twist = ev.lift(h_twist) if h_twist else 1
+    sym = cls.symbol
+    coeffs: dict = {}
+    if ev.k == 1 and cls.n > 1 and all(exp is None for _, _, exp in sym.factors):
+        # the orbit transform: one table per factor and conjugate, read in
+        # the row-major order of the multi-indices (k_1, ..., k_r)
+        rows, weights = [], [1]
+        for kp in cls.aux_primes:
+            row = [kp.s_ell]
+            for _ in range(kp.ell - 3):
+                row.append(row[-1] * kp.s_ell % kp.ell)
+            rows.append(row)
+            weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
+        for g in ctx.group.elements():
+            t_g = ev.delta_lift(ctx.group.inv(g)) * twist % M
+            nums, dens = [], []
+            for kind, param, _ in sym.factors:
+                num, den = ev.factor_orbit(kind, param, sym.aux, t_g, rows)
+                nums.append(num)
+                if den is not None:
+                    dens.append(den)
+            total = _weighted_product(nums, weights, ev.q)
+            if dens:
+                total = fld.mul(total, fld.inv(_weighted_product(dens, weights, ev.q)))
+            coeffs[g] = ev.dlog(total, ctx_level)
+        return GroupRingElement(ring, coeffs)
     # per auxiliary prime: (k, CRT lift of sigma_ell^k) for k = 1 .. ell-2
     sigma_lifts = []
     for kp in cls.aux_primes:
@@ -340,7 +478,6 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
             s_k = s_k * kp.s_ell % kp.ell
             row.append((k, ev.lift({kp.ell: s_k})))
         sigma_lifts.append(row)
-    coeffs: dict = {}
     for g in ctx.group.elements():
         t_g = ev.delta_lift(ctx.group.inv(g)) * twist % M
         # sum_k w_k dlog(v_k) = dlog(prod_k v_k^{w_k}): multiply the values
@@ -351,13 +488,25 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
             for k, lift in combo:
                 weight = weight * k % pN
                 mult = mult * lift % M
-            val = ev.symbol_value(cls.symbol, mult)
+            val = ev.symbol_value(sym, mult)
             by_weight[weight] = fld.mul(by_weight[weight], val) if weight in by_weight else val
         total = fld.one()
         for weight, val in by_weight.items():
             total = fld.mul(total, fld.pow(val, weight))
         coeffs[g] = ev.dlog(total, ctx_level)
     return GroupRingElement(ring, coeffs)
+
+
+def _weighted_product(tables: list[list[int]], weights: list[int], q: int) -> int:
+    """prod_i (prod_F tables[F][i])^(weights[i]) mod q, one pow per weight."""
+    values = tables[0] if len(tables) == 1 else [math.prod(col) % q for col in zip(*tables)]
+    by_weight: dict = {}
+    for weight, val in zip(weights, values):
+        by_weight[weight] = by_weight.get(weight, 1) * val % q
+    total = 1
+    for weight, val in by_weight.items():
+        total = total * pow(val, weight, q) % q
+    return total
 
 
 def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,

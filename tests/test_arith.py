@@ -11,6 +11,7 @@ from cycfit.arith import (
     is_prime,
     kronecker,
     make_field,
+    poly_mul,
     root_of_unity,
     sqrt_mod_prime,
     val_p,
@@ -170,3 +171,31 @@ def test_root_of_unity_compatible_along_divisor_chains(field, data):
     big = data.draw(st.sampled_from(_divisors(ctx.order)))
     small = data.draw(st.sampled_from(_divisors(big)))
     assert ctx.pow(root_of_unity(ctx, big), big // small) == root_of_unity(ctx, small)
+
+
+# q below and above 2^31; for 2^31 + 11 the slot has no spare bit
+POLY_MUL_MODULI = (2, 3, 65537, 2**31 - 1, 2**31 + 11, 2**61 - 1)
+
+
+def _schoolbook(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return out
+
+
+@pytest.mark.parametrize("q", POLY_MUL_MODULI)
+def test_poly_mul_fills_slots_exactly(q):
+    # every coefficient q - 1: the largest sums a slot must hold
+    a = [q - 1] * 64
+    assert poly_mul(a, a, q) == _schoolbook(a, a, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(POLY_MUL_MODULI), st.data())
+def test_poly_mul_matches_schoolbook(q, data):
+    coeff = st.one_of(st.just(q - 1), st.integers(0, q - 1))
+    a = data.draw(st.lists(coeff, min_size=1, max_size=64))
+    b = data.draw(st.lists(coeff, min_size=1, max_size=64))
+    assert poly_mul(a, b, q) == _schoolbook(a, b, q)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from cycfit.classgroup import narrow_class_group
 from cycfit.cli import _sanitize, build_parser, main, run_verify
 
 
@@ -40,6 +43,15 @@ def test_verify_input_error_exit_codes(capsys):
     assert code == 4 and "Ramified" in err
     code, _, err = run_cli(capsys, ["verify", "-p", "3", "-D", "13", "--quiet"])
     assert code == 5 and "SplitP" in err
+
+
+def test_verify_rejects_non_fundamental_discriminant(capsys):
+    code, out, err = run_cli(capsys, ["verify", "-D", "15", "--quiet"])
+    assert code == 6 and "NotFundamental" in err and out == ""
+    code, _, err = run_cli(capsys, ["kappa", "-D", "15", "-q", "31"])
+    assert code == 6 and "NotFundamental" in err
+    with pytest.raises(ValueError):
+        narrow_class_group(15)
 
 
 def test_reports_are_byte_identical(capsys):
@@ -127,6 +139,21 @@ def test_kappa_cli_with_chain(capsys):
     # bad evaluation prime: NotSplit maps to its own exit code
     code, _, err = run_cli(capsys, ["kappa", "-D", "257", "-N", "1", "-q", "11"])
     assert code == 15 and "NotSplit" in err
+
+
+@pytest.mark.parametrize("D,chain,code,name", [
+    (257, ["7"], 15, "NotSplit"),  # 7 is inert in Q(sqrt 257)
+    (257, ["257"], 16, "NotWellOrdered"),  # not 1 mod 3
+    (257, ["13", "13"], 16, "NotWellOrdered"),
+    (257, ["13", "7"], 16, "NotWellOrdered"),  # 7 is not 1 mod 3 * 13
+    (257, ["91"], 7, "NotPrime"),
+    (785, ["157"], 4, "Ramified"),  # 157 | 785
+])
+def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
+    got, out, err = run_cli(capsys, [
+        "kappa", "-D", str(D), "-N", "1", "-q", "21589", "--chain", *chain,
+    ])
+    assert got == code and name in err and out == ""
 
 
 def test_sanitize_big_integers():

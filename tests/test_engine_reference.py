@@ -5,11 +5,14 @@ Factor values are compared exactly, element by element, on seeded-random
 multipliers built from Delta x Gamma conjugations, auxiliary-group twists
 and tame-generator powers; derivative-class vectors are compared on small
 expansions at n = 1, l and l_1 l_2, including the residue-degree-4 field
-F_{787^4} at D = 257.
+F_{787^4} at D = 257.  The orbit transform (EvalContext.factor_orbit, the
+path of evaluate_kappa for n > 1 in F_q) is compared at every multi-index
+of its orbit.
 """
 
 import math
 import random
+from itertools import product as iter_product
 
 import pytest
 
@@ -122,3 +125,54 @@ def test_h_twists_change_factor_values_but_not_kappa():
     cls = derivative_class(ctx, "d", 257, (kp,))
     base = evaluate_kappa(ctx, cls, q)
     assert evaluate_kappa(ctx, cls, q, h_twist={kp.ell: 7}) == base
+
+
+# (D, m, N, chain length, level, h-twist exponent): chains of one and two
+# primes; D = 785 has deg P = 2 |R_785| = 624 above l = 109 and above
+# 7 * 43, so its fold wraps; m = 1 has p^{m+1} = 9 and six conjugates.
+ORBIT_CASES = [
+    (257, 0, 3, 1, 3, None),
+    (785, 0, 3, 1, 3, 2),
+    (257, 1, 2, 1, 2, 5),
+    (8, 0, 2, 2, 1, 3),
+    (785, 0, 1, 2, 1, None),
+]
+
+
+@pytest.mark.parametrize("D,m,N,r,level,w", ORBIT_CASES)
+def test_factor_orbits_match_reference(D, m, N, r, level, w):
+    ctx = build_field(3, D, m, N)
+    kps = _chain(ctx, r, level)
+    ells = tuple(kp.ell for kp in kps)
+    q = next(evaluation_primes(ctx, math.prod(ells), level=level))
+    ev = EvalContext(ctx, ells, q)
+    if D == 785:
+        assert len(ev.norm_set_d(D)) == 624 > math.prod(ells)
+    rows = [[pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1)] for kp in kps]
+    twist = ev.lift({ells[-1]: w}) if w else 1
+    divisor = min(d for d in range(2, D + 1) if D % d == 0)
+    cosets = set()
+    for g in ctx.group.elements():
+        t_g = ev.delta_lift(g) * twist % ev.M
+        cosets.add(ctx.chi_d(t_g % ctx.f_K))
+        for kind, param in (("d", D), ("d", divisor), ("a", 2)):
+            num, den = ev.factor_orbit(kind, param, ells, t_g, rows)
+            assert (den is None) == (kind == "d")
+            for i, rhos in enumerate(iter_product(*rows)):
+                mult = t_g * ev.lift(dict(zip(ells, rhos))) % ev.M
+                got = num[i] if den is None else num[i] * pow(den[i], -1, q) % q
+                assert got == ref.factor_value(ev, kind, param, ells, mult)
+    assert cosets == {1, -1}
+
+
+@pytest.mark.parametrize("D,m,N,r,level,w", ORBIT_CASES[:3])
+@pytest.mark.parametrize("kind", ["d", "a"])
+def test_orbit_kappa_vectors_match_reference(D, m, N, r, level, w, kind):
+    ctx = build_field(3, D, m, N)
+    kps = _chain(ctx, r, level)
+    cls = derivative_class(ctx, kind, D if kind == "d" else 2, kps)
+    twist = {kps[-1].ell: w} if w else None
+    q = next(evaluation_primes(ctx, cls.n, level=level))
+    ev = EvalContext(ctx, cls.symbol.aux, q)
+    assert evaluate_kappa(ctx, cls, q, level=level, h_twist=twist) == \
+        ref.evaluate_kappa(ctx, cls, ev, level, twist)

@@ -256,18 +256,27 @@ def _poly_gcd(a: list, b: list, q: int) -> list:
 
 
 def _is_irreducible(poly: tuple, q: int) -> bool:
-    """Monic poly of degree k irreducible over F_q iff x^{q^k} = x and
-    gcd(x^{q^{k/r}} - x, poly) = 1 for every prime r | k."""
+    """Ben-Or's test: a monic poly f of degree k is irreducible over F_q iff
+    gcd(x^{q^i} - x, f) = 1 for i = 1 .. k // 2.
+
+    x^q mod f is one square-and-multiply; each further x^{q^{i+1}} is
+    h(x^q) mod f for h = x^{q^i} mod f (Frobenius fixes the coefficients), a
+    Horner composition of k - 1 products.  Stops at the first nontrivial gcd,
+    so most reducible candidates cost one x^q.
+    """
     k = len(poly) - 1
-    x = tuple([0, 1] + [0] * (k - 2)) if k >= 2 else (0,)
-    xq = _poly_powmod(x, q**k, poly, q)
-    if xq != x:
-        return False
-    for r in factorint(k):
-        xr = _poly_powmod(x, q ** (k // r), poly, q)
-        diff = [(a - b) % q for a, b in zip(xr, x)]
-        g = _poly_gcd(list(poly), diff, q)
-        if len(g) - 1 > 0:
+    x = (0, 1) + (0,) * (k - 2)
+    xq = _poly_powmod(x, q, poly, q)
+    h = xq
+    for i in range(1, k // 2 + 1):
+        if i > 1:
+            acc = (h[-1],) + (0,) * (k - 1)
+            for c in reversed(h[:-1]):
+                acc = _poly_mulmod(acc, xq, poly, q)
+                acc = ((acc[0] + c) % q,) + acc[1:]
+            h = acc
+        diff = [(a - b) % q for a, b in zip(h, x)]
+        if len(_poly_gcd(list(poly), diff, q)) > 1:
             return False
     return True
 
@@ -343,7 +352,9 @@ class FieldCtx:
 def _find_irreducible(q: int, k: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree k over F_q
     (candidates ordered by their base-q digit value, high coefficients most
-    significant)."""
+    significant), each tested with Ben-Or's _is_irreducible.  The modulus
+    fixes the generator g and so every root of unity of F_{q^k}: keep this
+    order."""
     for t in range(q**k):
         coeffs = []
         v = t

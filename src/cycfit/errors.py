@@ -9,13 +9,15 @@ class CycfitError(Exception):
     """Base class for all package errors."""
 
 
-class NotPrime(CycfitError):
-    pass
+class NotPrime(CycfitError, ValueError):
+    """A number that must be prime (or an odd prime, for p) is not."""
 
 
 class NotFundamental(CycfitError, ValueError):
-    """D is not a positive fundamental discriminant.  Also a ValueError, the
-    type this check raised before it had an exit code."""
+    """D is not a positive fundamental discriminant.
+
+    This and the other input errors that are also ValueErrors keep the type
+    their checks raised before they had an exit code."""
 
 
 class BudgetExceeded(CycfitError):
@@ -30,16 +32,17 @@ class ZeroElement(CycfitError):
     pass
 
 
-class BadDecomposition(CycfitError):
-    pass
+class BadDecomposition(CycfitError, ValueError):
+    """A module decomposition is not in canonical form: elementary divisors
+    not positive and non-increasing, or |Delta| not prime to p."""
 
 
 class MixedAmbient(CycfitError):
     pass
 
 
-class InsufficientPrecision(CycfitError):
-    pass
+class InsufficientPrecision(CycfitError, ValueError):
+    """The level N is too small: N <= sum of the divisors, or N < max(1, m+1)."""
 
 
 class Ramified(CycfitError):
@@ -54,8 +57,10 @@ class BudgetExhausted(CycfitError):
     """A bounded search ran out of candidates; retry with a larger budget."""
 
 
-class ConductorClash(CycfitError):
-    pass
+class ConductorClash(CycfitError, ValueError):
+    """A parameter is incompatible with the conductor: q divides the symbol
+    conductor, d does not divide f_K, a or the auxiliary product is not prime
+    to p f_K, or an extra modulus is not a positive integer prime to p f_K."""
 
 
 class NotSplit(CycfitError):
@@ -110,6 +115,8 @@ EXIT_CODES = {
     OrderNotDividing: 14,
     NotSplit: 15,
     NotWellOrdered: 16,
+    ConductorClash: 17,
+    BadDecomposition: 18,
     CycfitError: 19,
 }
 

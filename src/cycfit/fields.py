@@ -15,8 +15,8 @@ from functools import cached_property
 
 from .arith import is_prime, kronecker, make_field, sqrt_mod_prime, val_p
 from .config import DEFAULT_CONVENTIONS, DEFAULT_PRIME_SEARCH_BUDGET, Conventions
-from .errors import (BudgetExhausted, NotFundamental, NotPrime, NotSplit, NotWellOrdered,
-                     Ramified, SplitP)
+from .errors import (BudgetExhausted, ConductorClash, InsufficientPrecision, NotFundamental,
+                     NotPrime, NotSplit, NotWellOrdered, Ramified, SplitP)
 from .groupring import Character, FiniteAbelianGroup, GroupRing
 from .classgroup import is_fundamental_discriminant
 
@@ -40,11 +40,11 @@ class AbelianFieldCtx:
 
     def __post_init__(self):
         if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p = {self.p} must be an odd prime")
+            raise NotPrime(f"p = {self.p} must be an odd prime")
         if not is_fundamental_discriminant(self.D):
             raise NotFundamental(f"D = {self.D} is not a positive fundamental discriminant")
         if self.N < max(1, self.m + 1):
-            raise ValueError("need N >= max(1, m+1)")
+            raise InsufficientPrecision(f"need N >= max(1, m+1), got N = {self.N}")
         if self.D % self.p == 0:
             raise Ramified(f"p = {self.p} ramifies in K (p | D = {self.D})")
         if kronecker(self.D, self.p) == 1:
@@ -160,10 +160,10 @@ def kolyvagin_primes(ctx: AbelianFieldCtx, extra_modulus: int = 1,
     Kronecker-symbol test.
     """
     level = ctx.N if level is None else level
-    if extra_modulus < 1:
-        raise ValueError("extra_modulus must be positive")
-    if extra_modulus != 1 and math.gcd(extra_modulus, ctx.p * ctx.f_K) != 1:
-        raise ValueError("extra_modulus must be coprime to p*f_K")
+    if extra_modulus < 1 or math.gcd(extra_modulus, ctx.p * ctx.f_K) != 1:
+        raise ConductorClash(
+            f"extra modulus {extra_modulus} must be a positive integer prime to "
+            f"p*f_K = {ctx.p * ctx.f_K}")
     step = ctx.p**level * extra_modulus
     cand = 1 + step
     examined = 0

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .config import MAX_PRESENTATION_SIZE
-from .errors import InsufficientPrecision, MixedAmbient
+from .errors import BadDecomposition, InsufficientPrecision, MixedAmbient
 from .groupring import (
     GroupRing,
     GroupRingElement,
@@ -132,9 +132,9 @@ def fitting_of_p_group(p: int, N: int, divisors, i: int) -> IdealNF:
     """
     divisors = tuple(divisors)
     if any(divisors[j] < divisors[j + 1] for j in range(len(divisors) - 1)):
-        raise ValueError("divisors must be non-increasing")
+        raise BadDecomposition(f"divisors {divisors} must be non-increasing")
     if any(d < 1 for d in divisors):
-        raise ValueError("divisors must be positive")
+        raise BadDecomposition(f"divisors {divisors} must be positive")
     total = sum(divisors)
     if N <= total:
         raise InsufficientPrecision(f"need N > {total}, got N = {N}")

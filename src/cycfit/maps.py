@@ -161,10 +161,12 @@ def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
 def _suite_primes(ctx: AbelianFieldCtx):
     """The annihilation suite's primes in increasing order: ell = 1 mod p,
     split in K and prime to the conductor, with residue degree k <=
-    _SUITE_K_MAX modulo f_K * p^{m+1} and ell^k within the field budget."""
+    _SUITE_K_MAX modulo f_K * p^{m+1} and ell^k within the field budget.
+
+    An odd ell = 1 mod p is 1 mod 2p, so only those candidates are visited."""
     M = ctx.f_K * ctx.p ** (ctx.m + 1)
-    for ell in range(ctx.p + 2, _SUITE_SEARCH_BOUND):
-        if not is_prime(ell) or ell % ctx.p != 1:
+    for ell in range(2 * ctx.p + 1, _SUITE_SEARCH_BOUND, 2 * ctx.p):
+        if not is_prime(ell):
             continue
         if not ctx.splits_in_K(ell) or math.gcd(ell, M) != 1:
             continue

@@ -70,14 +70,14 @@ class CircularUnitSymbol:
         if self.m != ctx.m:
             raise ValueError("symbol level does not match the field context")
         if math.gcd(self.n, ctx.p * ctx.f_K) != 1:
-            raise ValueError("auxiliary product must be prime to p*f_K")
+            raise ConductorClash("auxiliary product must be prime to p*f_K")
         for kind, param, _exp in self.factors:
             if kind == "d":
                 if param <= 1 or ctx.f_K % param:
-                    raise ValueError(f"d = {param} must divide the conductor and exceed 1")
+                    raise ConductorClash(f"d = {param} must divide the conductor and exceed 1")
             elif kind == "a":
                 if math.gcd(param, ctx.p) != 1:
-                    raise ValueError(f"a = {param} must be prime to p")
+                    raise ConductorClash(f"a = {param} must be prime to p")
             else:
                 raise ValueError(f"unknown factor kind {kind!r}")
 

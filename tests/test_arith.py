@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycfit.arith import (
+    _find_irreducible,
+    _is_irreducible,
     crt,
     dlog_p_part,
     factorint,
@@ -59,6 +62,44 @@ def test_make_field_rejects_composite():
 def test_make_field_budget():
     with pytest.raises(BudgetExceeded):
         make_field(13, 128)
+
+
+def _moebius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 5, 7) for k in (2, 3, 4)]
+                         + [(2, 5), (2, 6)])
+def test_irreducible_count_matches_gauss(q, k):
+    # Gauss: (1/k) sum_{d | k} mu(d) q^{k/d} monic irreducibles of degree k
+    expected = sum(_moebius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    count = sum(_is_irreducible(tail + (1,), q)
+                for tail in itertools.product(range(q), repeat=k))
+    assert count == expected
+
+
+# The moduli `cycfit verify -p 3` builds at D = 5, 8, 257, 473, 1229, 1937:
+# they fix the generator of F_{q^k} and so every reported k > 1 value.
+PINNED_MODULI = {
+    (19, 2): (1, 0, 1), (7, 2): (1, 0, 1), (31, 2): (1, 0, 1),
+    (4729, 2): (11, 0, 1), (12289, 2): (11, 0, 1),
+    (2113, 3): (3, 0, 0, 1), (3433, 3): (2, 0, 0, 1), (16987, 3): (3, 0, 0, 1),
+    (241, 4): (7, 0, 0, 0, 1), (787, 4): (2, 1, 0, 0, 1),
+    (1087, 4): (3, 1, 0, 0, 1), (6661, 4): (2, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("q,k", sorted(PINNED_MODULI))
+def test_find_irreducible_pinned_moduli(q, k):
+    assert _find_irreducible(q, k) == PINNED_MODULI[(q, k)]
 
 
 def test_root_of_unity_examples():

@@ -156,6 +156,20 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     assert got == code and name in err and out == ""
 
 
+@pytest.mark.parametrize("argv,code,name", [
+    (["verify", "-p", "4", "-D", "5", "--quiet"], 7, "NotPrime"),
+    (["kappa", "-D", "257", "-N", "1", "-q", "20047", "--chain", "13", "--param", "7"],
+     17, "ConductorClash"),  # d = 7 does not divide D
+    (["kappa", "-D", "257", "-N", "0", "-q", "20047"], 12, "InsufficientPrecision"),
+    (["primes", "-D", "257", "-N", "1", "--extra", "257"], 17, "ConductorClash"),
+    (["fitting", "-N", "5", "1", "2"], 18, "BadDecomposition"),  # increasing divisors
+])
+def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
+    got, out, err = run_cli(capsys, argv)
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {name}: ")
+
+
 def test_sanitize_big_integers():
     doc = {"small": 7, "big": 2**60, "neg": -(2**60), "list": [2**54]}
     out = _sanitize(doc)

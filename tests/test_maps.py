@@ -1,12 +1,15 @@
+import math
 from itertools import islice
 
 import pytest
 
+from cycfit.arith import is_prime
 from cycfit.classgroup import narrow_class_group
 from cycfit.config import DEFAULT_FIELD_BUDGET, Conventions
 from cycfit.errors import DividesAux, NotDividing, PrecisionTooLow
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
 from cycfit.maps import (
+    _SUITE_K_MAX,
     TheoremBacked,
     _suite_primes,
     annihilation_check,
@@ -117,3 +120,20 @@ def test_annihilation_suite_skips_primes_over_field_budget():
     assert primes == [1087, 6661, 16987, 17389, 36847, 40231, 42019, 46489, 51853, 58111]
     assert 53149**4 > DEFAULT_FIELD_BUDGET
     assert pow(53149, 4, 1937 * 3) == 1 and all(pow(53149, k, 1937 * 3) != 1 for k in (1, 2, 3))
+
+
+# at D = 8 the first suite prime is 2p + 1 = 7, the first candidate the scan visits
+@pytest.mark.parametrize("p,D", [(3, 8), (3, 257), (3, 1229), (3, 1937), (5, 257), (7, 577)])
+def test_suite_primes_match_a_scan_of_every_integer(p, D):
+    ctx = build_field(p, D, 0, 3)
+    M = D * p
+    expected = []
+    ell = 2
+    while len(expected) < 10:
+        ell += 1
+        if ell % p != 1 or not is_prime(ell) or not ctx.splits_in_K(ell) or math.gcd(ell, M) != 1:
+            continue
+        k = next((k for k in range(1, _SUITE_K_MAX + 1) if pow(ell, k, M) == 1), None)
+        if k is not None and ell**k <= DEFAULT_FIELD_BUDGET:
+            expected.append(ell)
+    assert list(islice(_suite_primes(ctx), 10)) == expected

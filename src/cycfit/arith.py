@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .config import DEFAULT_FIELD_BUDGET
 from .errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
@@ -229,6 +229,20 @@ def _poly_powmod(base: tuple, e: int, modpoly: tuple, q: int) -> tuple:
     return out
 
 
+def _poly_xpowmod(e: int, modpoly: tuple, q: int) -> tuple:
+    """x^e mod a monic modpoly of degree k >= 2, e >= 1, left to right: each
+    further bit of e squares, and a set bit shifts by x and folds the one
+    coefficient that reaches x^k back with the modulus."""
+    k = len(modpoly) - 1
+    out = (0, 1) + (0,) * (k - 2)
+    for bit in bin(e)[3:]:
+        out = _poly_mulmod(out, out, modpoly, q)
+        if bit == "1":
+            top = out[-1]
+            out = tuple((low - top * m) % q for low, m in zip((0,) + out[:-1], modpoly))
+    return out
+
+
 def _poly_gcd(a: list, b: list, q: int) -> list:
     a, b = a[:], b[:]
     while any(b):
@@ -259,14 +273,14 @@ def _is_irreducible(poly: tuple, q: int) -> bool:
     """Ben-Or's test: a monic poly f of degree k is irreducible over F_q iff
     gcd(x^{q^i} - x, f) = 1 for i = 1 .. k // 2.
 
-    x^q mod f is one square-and-multiply; each further x^{q^{i+1}} is
-    h(x^q) mod f for h = x^{q^i} mod f (Frobenius fixes the coefficients), a
-    Horner composition of k - 1 products.  Stops at the first nontrivial gcd,
-    so most reducible candidates cost one x^q.
+    x^q mod f is one left-to-right power (_poly_xpowmod); each further
+    x^{q^{i+1}} is h(x^q) mod f for h = x^{q^i} mod f (Frobenius fixes the
+    coefficients), a Horner composition of k - 1 products.  Stops at the
+    first nontrivial gcd, so most reducible candidates cost one x^q.
     """
     k = len(poly) - 1
     x = (0, 1) + (0,) * (k - 2)
-    xq = _poly_powmod(x, q, poly, q)
+    xq = _poly_xpowmod(q, poly, q)
     h = xq
     for i in range(1, k // 2 + 1):
         if i > 1:
@@ -329,6 +343,21 @@ class FieldCtx:
         if self.k == 1:
             return pow(a, e, self.q)
         return _poly_powmod(a, e, self.modulus, self.q)
+
+    def frobenius(self, a):
+        """a^q for k > 1: Frobenius is F_q-linear, so one product with the
+        k x k matrix whose column j is (x^q)^j mod the modulus."""
+        q = self.q
+        return tuple(sum(map(int.__mul__, a, row)) % q for row in self._frobenius_rows)
+
+    @cached_property
+    def _frobenius_rows(self) -> tuple:
+        """Rows of the Frobenius matrix, built once per field."""
+        xq = _poly_xpowmod(self.q, self.modulus, self.q)
+        cols = [self.one(), xq]
+        while len(cols) < self.k:
+            cols.append(_poly_mulmod(cols[-1], xq, self.modulus, self.q))
+        return tuple(zip(*cols[:self.k]))
 
     def inv(self, a):
         if self.is_zero(a):

@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import __version__
+from .arith import is_prime
 from .classgroup import class_number_band, ingest_external, narrow_class_group
 from .config import (
     DEFAULT_PRIME_SEARCH_BUDGET,
@@ -20,7 +21,7 @@ from .config import (
     DEFAULT_STABILIZATION_WINDOW,
     Conventions,
 )
-from .errors import CycfitError, InconsistentField, exit_code_for
+from .errors import CycfitError, InconsistentField, NotPrime, exit_code_for
 from .fields import build_field, chain_primes, kolyvagin_primes
 from .fitting import diagonal_presentation, fitting_ideal, fitting_of_p_group
 from .groupring import chi_project, scalar_ring
@@ -221,6 +222,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classgroup(args) -> int:
+    if args.p < 3 or not is_prime(args.p):
+        raise NotPrime(f"p = {args.p} must be an odd prime")
     grp = narrow_class_group(args.D)
     divisors = grp.p_part_divisors(args.p)
     band = class_number_band(args.D, grp.h_plus, grp.unit)

@@ -163,21 +163,22 @@ def _suite_primes(ctx: AbelianFieldCtx):
     split in K and prime to the conductor, with residue degree k <=
     _SUITE_K_MAX modulo f_K * p^{m+1} and ell^k within the field budget.
 
-    An odd ell = 1 mod p is 1 mod 2p, so only those candidates are visited."""
+    An odd ell = 1 mod p is 1 mod 2p, so only those candidates are visited.
+    The cheap tests run first (gcd, residue degree and budget, splitting) and
+    primality last; each is a property of ell alone, so the order of the
+    tests changes neither the primes nor their order."""
     M = ctx.f_K * ctx.p ** (ctx.m + 1)
     for ell in range(2 * ctx.p + 1, _SUITE_SEARCH_BOUND, 2 * ctx.p):
-        if not is_prime(ell):
-            continue
-        if not ctx.splits_in_K(ell) or math.gcd(ell, M) != 1:
+        if math.gcd(ell, M) != 1:
             continue
         k = 1
         t = ell % M
-        while t != 1:
+        while t != 1 and k <= _SUITE_K_MAX:
             t = t * ell % M
             k += 1
-            if k > _SUITE_K_MAX:
-                break
-        if k <= _SUITE_K_MAX and ell**k <= DEFAULT_FIELD_BUDGET:
+        if k > _SUITE_K_MAX or ell**k > DEFAULT_FIELD_BUDGET:
+            continue
+        if ctx.splits_in_K(ell) and is_prime(ell):
             yield ell
 
 

@@ -30,6 +30,15 @@ The per-multiplier loop (symbol_value) still runs for n = 1, in F_{q^k}
 with k > 1, and for symbols with group-ring exponents.  Nothing is cached
 per multiplier: every conjugate and twist is evaluated afresh, and an orbit
 table lives only for one conjugate of one evaluate_kappa call.
+
+In F_{q^k} with k > 1 a context needs q split completely in F_m(mu_n)
+(NotSplit otherwise).  Frobenius x -> x^q then fixes c and s and maps the
+pair at r to the pair at r q mod d, so a product over R_d runs over the
+orbits of r -> r q: one pair per orbit representative, and each orbit
+length o folds its product Y_o as Y_o Y_o^q ... Y_o^(q^(o-1)) with
+FieldCtx.frobenius.  The orbit partition depends on (d, q) only.  Root
+tables in F_{q^k} are baby and giant steps (_RootRow), at most one
+multiplication per entry.
 """
 
 from __future__ import annotations
@@ -151,26 +160,31 @@ class EvalContext:
             t = t * q % self.M
             k += 1
         self.k = k
+        n = math.prod(self.aux)
+        if k > 1 and not splits_completely(ctx, q, n, 0):
+            raise NotSplit(f"q = {q} does not split completely in F_m(mu_{n})")
         self.field: FieldCtx = make_field(q, k)
         self.base: FieldCtx = self.field if k == 1 else make_field(q, 1)
         self.zeta = root_of_unity(self.field, self.M)
         fld = self.field
         # CRT idempotents E_i (1 mod m_i, 0 mod the other components) and root
-        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i]
+        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i];
+        # full rows in F_q, baby and giant steps in F_{q^k}
         self.idempotents = [(self.M // mi) * pow(self.M // mi, -1, mi) for mi in self.moduli]
         self.tables = []
         for mi, e in zip(self.moduli, self.idempotents):
             step = fld.pow(self.zeta, e)
-            row = [fld.one()]
-            if k == 1:
-                x = 1
-                for _ in range(mi - 1):
-                    x = x * step % q
-                    row.append(x)
-            else:
-                for _ in range(mi - 1):
-                    row.append(fld.mul(row[-1], step))
+            if k > 1:
+                self.tables.append(_RootRow(fld, step, mi))
+                continue
+            row, x = [1], 1
+            for _ in range(mi - 1):
+                x = x * step % q
+                row.append(x)
             self.tables.append(row)
+        # d -> Frobenius orbits of the norm-set residues mod d; depends on
+        # (d, q) only, never on a multiplier or twist
+        self._orbits: dict[int, list] = {}
 
     # -- multiplier (Galois residue) helpers --------------------------------
 
@@ -221,6 +235,31 @@ class EvalContext:
         trivial on the f_K-component, +-1 mod p^{m+1}."""
         return ((1, 1), (1, -1))
 
+    def _norm_set(self, d: int):
+        """norm_set_d(d), or the a-type norm set for d = 1."""
+        return self.norm_set_d(d) if d > 1 else self.norm_set_a()
+
+    def _frobenius_orbits(self, d: int) -> list[tuple[int, list[int]]]:
+        """The pair residues r of _norm_set(d) split into orbits of
+        r -> r q mod d, as (length o, one representative per orbit of length
+        o) in increasing o.  Needs q split completely in F_m(mu_n): chi(q) = 1
+        makes R_d q = R_d.  For d = 1 the a-type's one pair is its own orbit."""
+        if d not in self._orbits:
+            reps: dict[int, list[int]] = {}
+            seen = set()
+            for r, _ in self._norm_set(d)[::2]:
+                x = start = r % d
+                if x in seen:
+                    continue
+                o = 0
+                while not o or x != start:
+                    seen.add(x)
+                    x = x * self.q % d
+                    o += 1
+                reps.setdefault(o, []).append(r)
+            self._orbits[d] = sorted(reps.items())
+        return self._orbits[d]
+
     def dlog(self, value, level: int) -> int:
         """p-part dlog of a value that lies in the prime field."""
         v = self.field.to_prime_field(value)
@@ -228,35 +267,54 @@ class EvalContext:
 
     # -- symbol evaluation ----------------------------------------------------
 
-    def _paired_product(self, a: int, norm_set):
-        """prod over (r, +-1) in norm_set of 1 - zeta^(a t), t the multiplier
-        of the pair: the auxiliary primes give the constant c, p^{m+1} gives
-        zeta^(+-b), so each pair is 1 - A s + A^2 with A = c * T_f[a r mod
-        f_K] and s = zeta^b + zeta^-b."""
+    def _paired_product(self, a: int, d: int):
+        """prod over (r, +-1) in _norm_set(d) of 1 - zeta^(a t), t the
+        multiplier of the pair: the auxiliary primes give the constant c,
+        p^{m+1} gives zeta^(+-b), so each pair is 1 - A s + A^2 with
+        A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.
+
+        In F_{q^k}, k > 1, Frobenius fixes c and s and maps the pair at r to
+        the pair at r q mod d (a r mod f_K depends on r mod d only), so an
+        orbit of length o contributes Y Y^q ... Y^(q^(o-1)) with Y its
+        representative's pair: the representatives of each length are
+        multiplied into one Y_o, and Y_o is folded with o - 1 Frobenius
+        matrix products."""
         fld = self.field
         t_f, t_p = self.tables[0], self.tables[1]
         f, p_part = self.moduli[0], self.p_part
-        c = fld.one()
-        for mod, table in zip(self.moduli[2:], self.tables[2:]):
-            c = fld.mul(c, table[a % mod])
+        aux = [table[a % mod] for mod, table in zip(self.moduli[2:], self.tables[2:])]
         s = fld.add(t_p[a % p_part], t_p[-a % p_part])
         a_f = a % f
         if self.k == 1:
             q = self.q
+            c = math.prod(aux) % q
             out = 1
-            for r, _ in norm_set[::2]:
+            for r, _ in self._norm_set(d)[::2]:
                 A = c * t_f[a_f * r % f] % q
                 out = out * (1 - A * (s - A)) % q
             return out
+        c = None  # 1 when the context has no auxiliary primes
+        for x in aux:
+            c = x if c is None else fld.mul(c, x)
         one = fld.one()
-        out = one
-        for r, _ in norm_set[::2]:
-            A = fld.mul(c, t_f[a_f * r % f])
-            out = fld.mul(out, fld.sub(one, fld.mul(A, fld.sub(s, A))))
+        out = None
+        for o, reps in self._frobenius_orbits(d):
+            y = None
+            for r in reps:
+                A = t_f[a_f * r % f]
+                if c is not None:
+                    A = fld.mul(c, A)
+                pair = fld.sub(one, fld.mul(A, fld.sub(s, A)))
+                y = pair if y is None else fld.mul(y, pair)
+            z = y
+            for _ in range(o - 1):
+                z = fld.frobenius(z)
+                y = fld.mul(y, z)
+            out = y if out is None else fld.mul(out, y)
         return out
 
-    def _paired_orbit(self, a: int, norm_set, rows) -> list[int]:
-        """_paired_product(a * lift({l_i: rho_i}), norm_set) for every
+    def _paired_orbit(self, a: int, d: int, rows) -> list[int]:
+        """_paired_product(a * lift({l_i: rho_i}), d) for every
         (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major; k = 1.
 
         Only the auxiliary components of the multiplier move, so B_r =
@@ -270,7 +328,7 @@ class EvalContext:
         t_f, t_p = self.tables[0], self.tables[1]
         s = (t_p[a % self.p_part] + t_p[-a % self.p_part]) % q
         a_f = a % f
-        pairs = norm_set[::2]
+        pairs = self._norm_set(d)[::2]
         polys = []
         for i in range(0, len(pairs), _LEAF):
             # a leaf multiplies up to _LEAF quadratics directly
@@ -297,27 +355,27 @@ class EvalContext:
         return cells
 
     def _factor_multipliers(self, kind: str, param: int, aux_subset: tuple[int, ...]):
-        """(u, u_den, norm set): the factor at multiplier t is
-        paired(u t) / paired(u_den t), without the denominator when u_den is
-        None (d-type)."""
+        """(u, u_den, d): the factor at multiplier t is paired(u t, d) /
+        paired(u_den t, d), without the denominator when u_den is None
+        (d-type); d = 1 selects the a-type norm set."""
         n_sub = math.prod(aux_subset) if aux_subset else 1
         M = self.M
         p_m = self.ctx.p**self.ctx.m
         if kind == "d":
             u = (M // param) * pow(p_m, -1, param) + M // (n_sub * self.p_part)
-            return u, None, self.norm_set_d(param)
+            return u, None, param
         # kind == "a"
         u_n = 0 if n_sub == 1 else (M // n_sub) * pow(p_m, -1, n_sub)
         u_p = M // self.p_part
-        return u_n + u_p * param, u_n + u_p, self.norm_set_a()
+        return u_n + u_p * param, u_n + u_p, 1
 
     def factor_value(self, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
         """One basic unit, conjugated by the multiplier, as a field element."""
-        u, u_den, norm_set = self._factor_multipliers(kind, param, aux_subset)
-        num = self._paired_product(u * mult % self.M, norm_set)
+        u, u_den, d = self._factor_multipliers(kind, param, aux_subset)
+        num = self._paired_product(u * mult % self.M, d)
         if u_den is None:
             return num
-        den = self._paired_product(u_den * mult % self.M, norm_set)
+        den = self._paired_product(u_den * mult % self.M, d)
         return self.field.mul(num, self.field.inv(den))
 
     def factor_orbit(self, kind: str, param: int, aux_subset: tuple[int, ...],
@@ -326,11 +384,11 @@ class EvalContext:
         rows[0] x ... x rows[r-1] (one row of residues per auxiliary prime of
         the context), row-major, as (numerators, denominators); the
         denominators are None for a d-type factor.  Needs k = 1."""
-        u, u_den, norm_set = self._factor_multipliers(kind, param, aux_subset)
-        num = self._paired_orbit(u * mult % self.M, norm_set, rows)
+        u, u_den, d = self._factor_multipliers(kind, param, aux_subset)
+        num = self._paired_orbit(u * mult % self.M, d, rows)
         if u_den is None:
             return num, None
-        return num, self._paired_orbit(u_den * mult % self.M, norm_set, rows)
+        return num, self._paired_orbit(u_den * mult % self.M, d, rows)
 
     def symbol_value(self, sym: CircularUnitSymbol, mult: int):
         """Product over the symbol's factors with their group-ring exponents."""
@@ -347,6 +405,31 @@ class EvalContext:
                 base = self.factor_value(kind, param, sym.aux, shifted)
                 out = fld.mul(out, fld.pow(base, c))
         return out
+
+
+class _RootRow:
+    """T[j] = step^j, 0 <= j < size, in F_{q^k} (k > 1), kept as b =
+    ceil(sqrt(size)) baby steps step^j and giant steps step^(b i): set-up
+    takes about 2 sqrt(size) multiplications and an entry at most one."""
+
+    def __init__(self, fld: FieldCtx, step, size: int):
+        b = math.isqrt(size - 1) + 1
+        self.fld, self.b = fld, b
+        self.baby = [fld.one()]
+        for _ in range(b - 1):
+            self.baby.append(fld.mul(self.baby[-1], step))
+        jump = fld.mul(self.baby[-1], step)
+        self.giant = [fld.one()]
+        for _ in range((size - 1) // b):
+            self.giant.append(fld.mul(self.giant[-1], jump))
+
+    def __getitem__(self, j: int):
+        i, r = divmod(j, self.b)
+        if not i:
+            return self.baby[r]
+        if not r:
+            return self.giant[i]
+        return self.fld.mul(self.giant[i], self.baby[r])
 
 
 # Quadratics multiplied directly per leaf of the product tree, below the
@@ -411,7 +494,7 @@ def _primitive_root(p_power: int) -> int:
 
 def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:
     """q splits completely in F_m(mu_n) and q = 1 mod p^level."""
-    if q % ctx.p**level != 1:
+    if (q - 1) % ctx.p**level:
         return False
     p_part = ctx.p ** (ctx.m + 1)
     if q % p_part not in (1, p_part - 1):

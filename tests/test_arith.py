@@ -102,6 +102,16 @@ def test_find_irreducible_pinned_moduli(q, k):
     assert _find_irreducible(q, k) == PINNED_MODULI[(q, k)]
 
 
+@pytest.mark.parametrize("q,k", sorted(PINNED_MODULI))
+def test_frobenius_is_the_q_th_power(q, k):
+    fld = make_field(q, k)
+    rng = random.Random(q * k)
+    elements = [fld.g, fld.one(), fld.zero()]
+    elements += [tuple(rng.randrange(q) for _ in range(k)) for _ in range(20)]
+    for a in elements:
+        assert fld.frobenius(a) == fld.pow(a, q)
+
+
 def test_root_of_unity_examples():
     F7 = make_field(7, 1)
     assert root_of_unity(F7, 1) == 1

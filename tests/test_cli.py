@@ -163,6 +163,7 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["kappa", "-D", "257", "-N", "0", "-q", "20047"], 12, "InsufficientPrecision"),
     (["primes", "-D", "257", "-N", "1", "--extra", "257"], 17, "ConductorClash"),
     (["fitting", "-N", "5", "1", "2"], 18, "BadDecomposition"),  # increasing divisors
+    (["classgroup", "-D", "1229", "-p", "4"], 7, "NotPrime"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)

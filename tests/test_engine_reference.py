@@ -17,6 +17,7 @@ from itertools import product as iter_product
 import pytest
 
 import reference_engine as ref
+from cycfit.errors import NotSplit
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
 from cycfit.units import EvalContext, derivative_class, evaluate_kappa
 
@@ -79,6 +80,40 @@ def test_factor_values_match_reference_in_degree_4_field():
     _assert_factors_match(ev, (), random.Random(787), 4)
     cls = derivative_class(ctx, "d", 257, ())
     assert evaluate_kappa(ctx, cls, 787) == ref.evaluate_kappa(ctx, cls, ev, 1)
+
+
+# (D, chain length, q, k): one context per residue degree k > 1 with no
+# auxiliary prime, as in the annihilation suite, and one with a chain of one
+# prime, so the pairs carry an auxiliary constant.  Each q splits completely
+# in F_0(mu_n) with q = 1 mod 3.
+EXTENSION_CASES = [
+    (1229, 0, 12289, 2),
+    (473, 0, 2113, 3),
+    (1937, 0, 1087, 4),
+    (8, 1, 127, 2),
+    (473, 1, 10627, 3),
+    (785, 1, 757, 4),
+]
+
+
+@pytest.mark.parametrize("D,r,q,k", EXTENSION_CASES)
+def test_frobenius_orbit_products_match_reference(D, r, q, k):
+    ctx = build_field(3, D, 0, 1)
+    kps = _chain(ctx, r, 1)
+    ev = EvalContext(ctx, tuple(kp.ell for kp in kps), q)
+    assert ev.k == k
+    lengths = {o for d in range(2, D + 1) if D % d == 0 for o, _ in ev._frobenius_orbits(d)}
+    assert max(lengths) > 1
+    _assert_factors_match(ev, kps, random.Random(q), 2 if D < 1000 else 1)
+    for kind, param in (("d", D), ("a", 2)):
+        cls = derivative_class(ctx, kind, param, kps)
+        assert evaluate_kappa(ctx, cls, q) == ref.evaluate_kappa(ctx, cls, ev, 1)
+
+
+def test_extension_context_must_split():
+    # 5 has order 2 modulo 8 * 3 but is inert in Q(sqrt 2)
+    with pytest.raises(NotSplit):
+        EvalContext(build_field(3, 8, 0, 1), (), 5)
 
 
 # (D, m, N, chain length, evaluation level, kind, param, h-twist exponent).

@@ -23,6 +23,7 @@ from cycfit.units import (
     derivative_class,
     evaluate_kappa,
     norm_relation_check,
+    splits_completely,
 )
 
 
@@ -198,6 +199,20 @@ def test_kappa_not_split_rejected():
     cls = derivative_class(ctx, "d", 257, ())
     with pytest.raises(NotSplit):
         evaluate_kappa(ctx, cls, 7)
+
+
+def test_splits_completely_at_level_zero():
+    # level 0 asks for no congruence mod p: every q = 2 mod 3 with
+    # chi_257(q) = 1 splits then, and fails at level 1
+    ctx = build_field(3, 257, 0, 1)
+    split_at = {2: (True, False), 5: (False, False), 7: (False, False),
+                11: (True, False), 13: (True, True), 19: (False, False),
+                787: (True, True), 1301: (True, False)}
+    for q, (level0, level1) in split_at.items():
+        assert splits_completely(ctx, q, 1, 0) == level0
+        assert splits_completely(ctx, q, 1, 1) == level1
+    assert splits_completely(ctx, 1301, 13, 0)  # 1301 = 1 mod 13
+    assert not splits_completely(ctx, 1301, 7, 0)
 
 
 def test_kappa_budget_guards():

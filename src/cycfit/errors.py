@@ -79,6 +79,11 @@ class MissingWeight(CycfitError):
     pass
 
 
+class NegativeArgument(CycfitError, ValueError):
+    """An index or a count that must be >= 0 is negative: the ideal index i
+    or the number of annihilation primes."""
+
+
 class NotWellOrdered(CycfitError):
     """Auxiliary primes violate the chain congruences l_i = 1 mod p^N l_1 ... l_{i-1}."""
 
@@ -117,6 +122,7 @@ EXIT_CODES = {
     NotWellOrdered: 16,
     ConductorClash: 17,
     BadDecomposition: 18,
+    NegativeArgument: 20,
     CycfitError: 19,
 }
 

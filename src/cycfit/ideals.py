@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .arith import val_p
 from .classgroup import ideal_class_of_prime
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, NegativeArgument
 from .fields import AbelianFieldCtx, chain_primes, evaluation_primes, kolyvagin_primes
 from .groupring import IdealNF, chi_project, ideal_join, ideal_normal_form
 from .units import derivative_class, evaluate_kappa
@@ -166,7 +166,7 @@ def sample_cyclotomic_ideal(
     ideal and provenance, making monotonicity structural.
     """
     if i < 0:
-        raise ValueError("i must be >= 0")
+        raise NegativeArgument(f"the ideal index i = {i} must be >= 0")
     run = CycIdealRun(
         p=ctx.p, D=ctx.D, m=ctx.m, N=ctx.N, i=i, seed=seed,
         ideal=base_run.ideal if base_run else IdealNF(ctx.chi_ring, ()),

@@ -19,7 +19,7 @@ from itertools import islice
 from .arith import is_prime, make_field, val_p
 from .classgroup import FormClassGroup, ideal_class_of_prime
 from .config import DEFAULT_FIELD_BUDGET
-from .errors import BudgetExhausted, DividesAux, NotDividing, PrecisionTooLow
+from .errors import BudgetExhausted, DividesAux, NegativeArgument, NotDividing, PrecisionTooLow
 from .fields import AbelianFieldCtx, KolyvaginPrime
 from .groupring import Character, GroupRingElement, chi_project
 from .units import DerivativeClass, derivative_class, evaluate_kappa
@@ -185,6 +185,8 @@ def _suite_primes(ctx: AbelianFieldCtx):
 def annihilation_suite(ctx: AbelianFieldCtx, oracle: FormClassGroup,
                        count: int) -> list[AnnihilationReport]:
     """Run annihilation_check at the first `count` primes of _suite_primes."""
+    if count < 0:
+        raise NegativeArgument(f"the number of annihilation primes {count} must be >= 0")
     flip = ctx.conventions.flip_sigma
     reports = [annihilation_check(ctx, KolyvaginPrime.build(ell, ctx.p, flip), oracle)
                for ell in islice(_suite_primes(ctx), count)]

@@ -17,17 +17,17 @@ Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
 ambiguity of a derivative class never matters.
 
-A derivative class at n > 1 in F_q (k = 1) evaluates its whole auxiliary
-orbit at once.  For one conjugate g the multi-indices move only the
-auxiliary components of the multiplier, so a factor's value at every one of
-them is P_g(c) for a root c of mu_n and one polynomial
-P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q (EvalContext.factor_orbit).
-P_g comes from a product tree of exact Kronecker products
-(arith.poly_mul), is folded mod X^n - 1 onto one axis per auxiliary prime,
-and each axis is evaluated at all of mu_l by a chirp-z transform over the
-root table T_l; a multi-index reads its value at its residues mod l_i.
-The per-multiplier loop (symbol_value) still runs for n = 1, in F_{q^k}
-with k > 1, and for symbols with group-ring exponents.  Nothing is cached
+Every derivative class evaluates its whole auxiliary orbit at once: for
+one conjugate g, EvalContext.factor_orbit gives a factor's value at every
+multi-index (one cell at n = 1), once per group-ring exponent term.  At
+n > 1 in F_q (k = 1) the multi-indices move only the auxiliary components
+of the multiplier, so those values are P_g(c) for a root c of mu_n and one
+polynomial P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  P_g comes
+from a product tree of exact Kronecker products (arith.poly_mul), is folded
+mod X^n - 1 onto one axis per auxiliary prime, and each axis is evaluated
+at all of mu_l by a chirp-z transform over the root table T_l; a
+multi-index reads its value at its residues mod l_i.  At n = 1, and in
+F_{q^k} with k > 1, each cell is one paired product.  Nothing is cached
 per multiplier: every conjugate and twist is evaluated afresh, and an orbit
 table lives only for one conjugate of one evaluate_kappa call.
 
@@ -313,17 +313,23 @@ class EvalContext:
             out = y if out is None else fld.mul(out, y)
         return out
 
-    def _paired_orbit(self, a: int, d: int, rows) -> list[int]:
+    def _paired_orbit(self, a: int, d: int, rows) -> list:
         """_paired_product(a * lift({l_i: rho_i}), d) for every
-        (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major; k = 1.
+        (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
 
-        Only the auxiliary components of the multiplier move, so B_r =
+        In F_{q^k} with k > 1, or with no auxiliary prime (one cell), each
+        cell is one _paired_product.  Otherwise (k = 1, n > 1) only the
+        auxiliary components of the multiplier move, so B_r =
         T_f[a r mod f_K] and s are fixed and every value is P(c) at the root
         c = prod_i T_i[a rho_i mod l_i] of mu_n, with
         P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  P is built by a
         product tree of exact Kronecker products, folded onto the cells
         (t mod l_1, ..., t mod l_r) (its reduction mod X^n - 1), and each axis
         is evaluated at all of mu_{l_i} by _chirp_axis."""
+        ells = self.moduli[2:]
+        if self.k > 1 or not ells:
+            return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
+                    for rho in iter_product(*rows)]
         q, f = self.q, self.moduli[0]
         t_f, t_p = self.tables[0], self.tables[1]
         s = (t_p[a % self.p_part] + t_p[-a % self.p_part]) % q
@@ -342,7 +348,6 @@ class EvalContext:
         while len(polys) > 1:
             polys = [poly_mul(*polys[i:i + 2], q) if i + 1 < len(polys) else polys[i]
                      for i in range(0, len(polys), 2)]
-        ells = self.moduli[2:]
         cells = [0] * math.prod(ells)
         for t, coeff in enumerate(polys[0]):
             idx = 0
@@ -379,11 +384,12 @@ class EvalContext:
         return self.field.mul(num, self.field.inv(den))
 
     def factor_orbit(self, kind: str, param: int, aux_subset: tuple[int, ...],
-                     mult: int, rows) -> tuple[list[int], list[int] | None]:
+                     mult: int, rows) -> tuple[list, list | None]:
         """factor_value at mult * lift({l_i: rho_i}) for every rho in
         rows[0] x ... x rows[r-1] (one row of residues per auxiliary prime of
-        the context), row-major, as (numerators, denominators); the
-        denominators are None for a d-type factor.  Needs k = 1."""
+        the context; no rows and one value at n = 1), row-major, as
+        (numerators, denominators); the denominators are None for a d-type
+        factor."""
         u, u_den, d = self._factor_multipliers(kind, param, aux_subset)
         num = self._paired_orbit(u * mult % self.M, d, rows)
         if u_den is None:
@@ -529,66 +535,42 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     fld, M = ev.field, ev.M
     twist = ev.lift(h_twist) if h_twist else 1
     sym = cls.symbol
-    coeffs: dict = {}
-    if ev.k == 1 and cls.n > 1 and all(exp is None for _, _, exp in sym.factors):
-        # the orbit transform: one table per factor and conjugate, read in
-        # the row-major order of the multi-indices (k_1, ..., k_r)
-        rows, weights = [], [1]
-        for kp in cls.aux_primes:
-            row = [kp.s_ell]
-            for _ in range(kp.ell - 3):
-                row.append(row[-1] * kp.s_ell % kp.ell)
-            rows.append(row)
-            weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
-        for g in ctx.group.elements():
-            t_g = ev.delta_lift(ctx.group.inv(g)) * twist % M
-            nums, dens = [], []
-            for kind, param, _ in sym.factors:
-                num, den = ev.factor_orbit(kind, param, sym.aux, t_g, rows)
-                nums.append(num)
-                if den is not None:
-                    dens.append(den)
-            total = _weighted_product(nums, weights, ev.q)
-            if dens:
-                total = fld.mul(total, fld.inv(_weighted_product(dens, weights, ev.q)))
-            coeffs[g] = ev.dlog(total, ctx_level)
-        return GroupRingElement(ring, coeffs)
-    # per auxiliary prime: (k, CRT lift of sigma_ell^k) for k = 1 .. ell-2
-    sigma_lifts = []
+    # the multi-indices (k_1, ..., k_r) in row-major order: residues
+    # sigma_l^k per auxiliary prime and weights prod_i k_i (one cell at n = 1)
+    rows, weights = [], [1]
     for kp in cls.aux_primes:
-        row, s_k = [], 1
-        for k in range(1, kp.ell - 1):
-            s_k = s_k * kp.s_ell % kp.ell
-            row.append((k, ev.lift({kp.ell: s_k})))
-        sigma_lifts.append(row)
+        row = [kp.s_ell]
+        for _ in range(kp.ell - 3):
+            row.append(row[-1] * kp.s_ell % kp.ell)
+        rows.append(row)
+        weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
+    # (kind, param, [(shift, c), ...]): one orbit table per exponent term
+    terms = [(kind, param, [(1, 1)] if exponent is None else
+              [(ev.delta_lift(g), c) for g, c in exponent if c])
+             for kind, param, exponent in sym.factors]
+    coeffs: dict = {}
     for g in ctx.group.elements():
         t_g = ev.delta_lift(ctx.group.inv(g)) * twist % M
-        # sum_k w_k dlog(v_k) = dlog(prod_k v_k^{w_k}): multiply the values
-        # per weight, raise each product once, take one dlog per g
-        by_weight: dict = {}
-        for combo in iter_product(*sigma_lifts):
-            weight, mult = 1, t_g
-            for k, lift in combo:
-                weight = weight * k % pN
-                mult = mult * lift % M
-            val = ev.symbol_value(sym, mult)
-            by_weight[weight] = fld.mul(by_weight[weight], val) if weight in by_weight else val
         total = fld.one()
-        for weight, val in by_weight.items():
-            total = fld.mul(total, fld.pow(val, weight))
+        for kind, param, exps in terms:
+            for shift, c in exps:
+                num, den = ev.factor_orbit(kind, param, sym.aux, shift * t_g % M, rows)
+                val = _weighted_product(fld, num, weights)
+                if den is not None:
+                    val = fld.mul(val, fld.inv(_weighted_product(fld, den, weights)))
+                total = fld.mul(total, val if c == 1 else fld.pow(val, c))
         coeffs[g] = ev.dlog(total, ctx_level)
     return GroupRingElement(ring, coeffs)
 
 
-def _weighted_product(tables: list[list[int]], weights: list[int], q: int) -> int:
-    """prod_i (prod_F tables[F][i])^(weights[i]) mod q, one pow per weight."""
-    values = tables[0] if len(tables) == 1 else [math.prod(col) % q for col in zip(*tables)]
+def _weighted_product(fld: FieldCtx, values: list, weights: list[int]):
+    """prod_i values[i]^(weights[i]) in fld, one pow per distinct weight."""
     by_weight: dict = {}
     for weight, val in zip(weights, values):
-        by_weight[weight] = by_weight.get(weight, 1) * val % q
-    total = 1
+        by_weight[weight] = fld.mul(by_weight[weight], val) if weight in by_weight else val
+    total = fld.one()
     for weight, val in by_weight.items():
-        total = total * pow(val, weight, q) % q
+        total = fld.mul(total, fld.pow(val, weight))
     return total
 
 

@@ -164,6 +164,8 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["primes", "-D", "257", "-N", "1", "--extra", "257"], 17, "ConductorClash"),
     (["fitting", "-N", "5", "1", "2"], 18, "BadDecomposition"),  # increasing divisors
     (["classgroup", "-D", "1229", "-p", "4"], 7, "NotPrime"),
+    (["ideal", "-D", "257", "-i", "-1"], 20, "NegativeArgument"),
+    (["verify", "-D", "257", "--annihilation", "-1", "--quiet"], 20, "NegativeArgument"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)

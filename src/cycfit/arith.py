@@ -379,12 +379,24 @@ class FieldCtx:
 
 
 def _find_irreducible(q: int, k: int) -> tuple:
-    """Lexicographically smallest monic irreducible of degree k over F_q
-    (candidates ordered by their base-q digit value, high coefficients most
-    significant), each tested with Ben-Or's _is_irreducible.  The modulus
-    fixes the generator g and so every root of unity of F_{q^k}: keep this
-    order."""
-    for t in range(q**k):
+    """Lexicographically smallest monic irreducible of degree k >= 2 over
+    F_q (candidates ordered by their base-q digit value, high coefficients
+    most significant).  The modulus fixes the generator g and so every root
+    of unity of F_{q^k}: keep this order.
+
+    The first q candidates are the binomials x^k + t, decided in closed form
+    (Lidl-Niederreiter, Thm 3.75): x^k - a, a of order e in F_q^x, is
+    irreducible iff every prime r | k divides e but not (q - 1)/e, that is
+    r | q - 1 and a^((q-1)/r) != 1, and q = 1 mod 4 when 4 | k.  When that
+    rule excludes every binomial the block is skipped; the later candidates
+    are tested with Ben-Or's _is_irreducible."""
+    primes = list(factorint(k))
+    if all((q - 1) % r == 0 for r in primes) and (k % 4 or q % 4 == 1):
+        # a primitive root passes, so some binomial is irreducible
+        for t in range(1, q):
+            if all(pow(q - t, (q - 1) // r, q) != 1 for r in primes):
+                return (t,) + (0,) * (k - 1) + (1,)
+    for t in range(q, q**k):
         coeffs = []
         v = t
         for _ in range(k):

@@ -21,7 +21,7 @@ from .config import (
     DEFAULT_STABILIZATION_WINDOW,
     Conventions,
 )
-from .errors import CycfitError, InconsistentField, NotPrime, exit_code_for
+from .errors import CycfitError, InconsistentField, NegativeArgument, NotPrime, exit_code_for
 from .fields import build_field, chain_primes, kolyvagin_primes
 from .fitting import diagonal_presentation, fitting_ideal, fitting_of_p_group
 from .groupring import chi_project, scalar_ring
@@ -83,6 +83,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
         if not quiet:
             log(msg)
 
+    _check_bound("--i-max", i_max)
     conventions = Conventions(flip_sigma=flip_sigma)
     if external is not None:
         record = ingest_external(external)
@@ -203,6 +204,12 @@ def _external_fitting_only(record, i_max: int) -> dict:
     }
 
 
+def _check_bound(flag: str, value: int) -> None:
+    """A negative upper bound would check nothing and still report success."""
+    if value < 0:
+        raise NegativeArgument(f"{flag} = {value} must be >= 0")
+
+
 def _status_exit(report: dict) -> int:
     return {"OK": 0, "INCONCLUSIVE": 2, "BUG": 3}[report["status"]]
 
@@ -281,6 +288,7 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_fitting(args) -> int:
+    _check_bound("--i-max", args.i_max)
     divisors = tuple(args.divisors)
     out = {}
     for i in range(args.i_max + 1):
@@ -291,6 +299,7 @@ def cmd_fitting(args) -> int:
 
 
 def cmd_formal(args) -> int:
+    _check_bound("--eps-max", args.eps_max)
     reports = [check_combined_identities(eps) for eps in range(args.eps_max + 1)]
     emit({
         "reports": [

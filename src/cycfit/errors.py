@@ -80,8 +80,9 @@ class MissingWeight(CycfitError):
 
 
 class NegativeArgument(CycfitError, ValueError):
-    """An index or a count that must be >= 0 is negative: the ideal index i
-    or the number of annihilation primes."""
+    """An index, a count or a bound that must be >= 0 is negative: the ideal
+    index i, the number of annihilation primes, or the largest ideal index
+    (--i-max) or epsilon (--eps-max) to check."""
 
 
 class NotWellOrdered(CycfitError):

@@ -12,7 +12,12 @@ conductor components m_i of M, with T_i[j] = zeta_M^{j E_i} and E_i the
 CRT idempotent of m_i.  Norm sets are kept per field in residue form
 R_d x {+-1} (trivial at the auxiliary primes), so each +- pair of conjugates
 is one factor by the cyclotomic identity
-(1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2.
+(1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2,
+A = c T_f[a r mod f_K].  In F_q the f_K-component keeps no table: with
+u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, a product walks R_d in increasing
+r, A_{r'} = A_r u^{r' - r}, with the powers u^gap up to the largest gap of
+R_d (the gaps are kept beside the norm sets).  The chi_D-kernel behind the
+norm sets is the product of per-prime-power characters, each tabulated once.
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
 ambiguity of a derivative class never matters.
@@ -38,18 +43,21 @@ orbits of r -> r q: one pair per orbit representative, and each orbit
 length o folds its product Y_o as Y_o Y_o^q ... Y_o^(q^(o-1)) with
 FieldCtx.frobenius.  The orbit partition depends on (d, q) only.  Root
 tables in F_{q^k} are baby and giant steps (_RootRow), at most one
-multiplication per entry.
+multiplication per entry, T_f included: the orbit representatives are not
+in increasing order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from itertools import product as iter_product
 
-from .arith import (FieldCtx, dlog_p_part, factorint, kronecker, make_field, poly_mul,
-                    root_of_unity)
+from .arith import (FieldCtx, crt, dlog_p_part, factorint, kronecker, make_field,
+                    poly_mul, root_of_unity)
 from .config import DEFAULT_DERIVATIVE_CAP
 from .errors import BudgetExhausted, ConductorClash, NotSplit
 from .fields import AbelianFieldCtx, KolyvaginPrime
@@ -168,20 +176,18 @@ class EvalContext:
         self.zeta = root_of_unity(self.field, self.M)
         fld = self.field
         # CRT idempotents E_i (1 mod m_i, 0 mod the other components) and root
-        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i];
-        # full rows in F_q, baby and giant steps in F_{q^k}
+        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i]:
+        # baby and giant steps in F_{q^k}, full rows in F_q.  In F_q the
+        # f_K-component has no row (tables[0] is None): a product over R_d
+        # walks the powers of w_f = zeta^(E_f) instead (_walk_steps)
         self.idempotents = [(self.M // mi) * pow(self.M // mi, -1, mi) for mi in self.moduli]
-        self.tables = []
-        for mi, e in zip(self.moduli, self.idempotents):
-            step = fld.pow(self.zeta, e)
-            if k > 1:
-                self.tables.append(_RootRow(fld, step, mi))
-                continue
-            row, x = [1], 1
-            for _ in range(mi - 1):
-                x = x * step % q
-                row.append(x)
-            self.tables.append(row)
+        steps = [fld.pow(self.zeta, e) for e in self.idempotents]
+        if k > 1:
+            self.tables = [_RootRow(fld, step, mi) for mi, step in zip(self.moduli, steps)]
+        else:
+            self.w_f = steps[0]
+            self.tables = [None] + [_power_row(step, mi, q)
+                                    for mi, step in zip(self.moduli[1:], steps[1:])]
         # d -> Frobenius orbits of the norm-set residues mod d; depends on
         # (d, q) only, never on a multiplier or twist
         self._orbits: dict[int, list] = {}
@@ -239,6 +245,23 @@ class EvalContext:
         """norm_set_d(d), or the a-type norm set for d = 1."""
         return self.norm_set_d(d) if d > 1 else self.norm_set_a()
 
+    def _walk_steps(self, a: int, d: int) -> tuple[tuple[int, ...], list[int]]:
+        """(gaps, steps) for k = 1: the gaps r_0 - 0, r_1 - r_0, ... of the
+        pair residues of _norm_set(d) in increasing order, and steps[g] =
+        u^g up to the largest gap, u = w_f^(a mod f_K).  Multiplying by
+        steps[gap] in turn gives T_f[a r mod f_K] for r = r_0, r_1, ..."""
+        if d > 1:
+            self.norm_set_d(d)  # fills the gaps beside the pairs
+            gaps, widest = _norm_sets(self.ctx.f_K).gaps[d]
+        else:
+            gaps, widest = (1,), 1
+        q = self.q
+        u = pow(self.w_f, a % self.moduli[0], q)
+        steps = [1, u]
+        for _ in range(widest - 1):
+            steps.append(steps[-1] * u % q)
+        return gaps, steps
+
     def _frobenius_orbits(self, d: int) -> list[tuple[int, list[int]]]:
         """The pair residues r of _norm_set(d) split into orbits of
         r -> r q mod d, as (length o, one representative per orbit of length
@@ -271,7 +294,8 @@ class EvalContext:
         """prod over (r, +-1) in _norm_set(d) of 1 - zeta^(a t), t the
         multiplier of the pair: the auxiliary primes give the constant c,
         p^{m+1} gives zeta^(+-b), so each pair is 1 - A s + A^2 with
-        A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.
+        A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.  In F_q,
+        A walks R_d in increasing r by the steps of _walk_steps.
 
         In F_{q^k}, k > 1, Frobenius fixes c and s and maps the pair at r to
         the pair at r q mod d (a r mod f_K depends on r mod d only), so an
@@ -280,19 +304,20 @@ class EvalContext:
         multiplied into one Y_o, and Y_o is folded with o - 1 Frobenius
         matrix products."""
         fld = self.field
-        t_f, t_p = self.tables[0], self.tables[1]
-        f, p_part = self.moduli[0], self.p_part
+        t_p, p_part = self.tables[1], self.p_part
         aux = [table[a % mod] for mod, table in zip(self.moduli[2:], self.tables[2:])]
         s = fld.add(t_p[a % p_part], t_p[-a % p_part])
-        a_f = a % f
         if self.k == 1:
             q = self.q
-            c = math.prod(aux) % q
+            gaps, steps = self._walk_steps(a, d)
+            A = math.prod(aux) % q
             out = 1
-            for r, _ in self._norm_set(d)[::2]:
-                A = c * t_f[a_f * r % f] % q
+            for gap in gaps:
+                A = A * steps[gap] % q
                 out = out * (1 - A * (s - A)) % q
             return out
+        t_f, f = self.tables[0], self.moduli[0]
+        a_f = a % f
         c = None  # 1 when the context has no auxiliary primes
         for x in aux:
             c = x if c is None else fld.mul(c, x)
@@ -320,7 +345,8 @@ class EvalContext:
         In F_{q^k} with k > 1, or with no auxiliary prime (one cell), each
         cell is one _paired_product.  Otherwise (k = 1, n > 1) only the
         auxiliary components of the multiplier move, so B_r =
-        T_f[a r mod f_K] and s are fixed and every value is P(c) at the root
+        T_f[a r mod f_K] (walked as in _walk_steps) and s are fixed and every
+        value is P(c) at the root
         c = prod_i T_i[a rho_i mod l_i] of mu_n, with
         P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  P is built by a
         product tree of exact Kronecker products, folded onto the cells
@@ -330,17 +356,16 @@ class EvalContext:
         if self.k > 1 or not ells:
             return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
                     for rho in iter_product(*rows)]
-        q, f = self.q, self.moduli[0]
-        t_f, t_p = self.tables[0], self.tables[1]
+        q, t_p = self.q, self.tables[1]
         s = (t_p[a % self.p_part] + t_p[-a % self.p_part]) % q
-        a_f = a % f
-        pairs = self._norm_set(d)[::2]
+        gaps, steps = self._walk_steps(a, d)
+        B = 1
         polys = []
-        for i in range(0, len(pairs), _LEAF):
+        for i in range(0, len(gaps), _LEAF):
             # a leaf multiplies up to _LEAF quadratics directly
             poly = [1]
-            for r, _ in pairs[i:i + _LEAF]:
-                B = t_f[a_f * r % f]
+            for gap in gaps[i:i + _LEAF]:
+                B = B * steps[gap] % q
                 c1, c2 = -B * s % q, B * B % q
                 poly = [(x + c1 * y + c2 * z) % q
                         for x, y, z in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
@@ -413,6 +438,15 @@ class EvalContext:
         return out
 
 
+def _power_row(step: int, size: int, q: int) -> list[int]:
+    """[step^0, ..., step^(size - 1)] in F_q."""
+    row, x = [1], 1
+    for _ in range(size - 1):
+        x = x * step % q
+        row.append(x)
+    return row
+
+
 class _RootRow:
     """T[j] = step^j, 0 <= j < size, in F_{q^k} (k > 1), kept as b =
     ceil(sqrt(size)) baby steps step^j and giant steps step^(b i): set-up
@@ -470,15 +504,40 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
 
 
 class _NormSets(dict):
-    """d -> norm_set_d(d) for one conductor f_K, filled on first use."""
+    """d -> norm_set_d(d) for one conductor f_K, filled on first use, and
+    beside it gaps[d] = (the gaps of its pair residues from 0 in increasing
+    order, the largest gap).
+
+    The kernel of chi_D = (f_K | .) comes from chi_D = prod_m chi_m over the
+    prime powers m || f_K, each chi_m a character mod m tabulated once on
+    Z/m: at m = 4 or 8 by kronecker at a lift y = x mod m, y = 1 mod f_K/m;
+    at an odd prime (f_K is squarefree away from 2) by its squares, the
+    non-squares signed by chi_m at a primitive root.  Then one pass over
+    Z/f_K per further component."""
 
     def __init__(self, f: int):
         super().__init__()
-        self.kernel = [x for x in range(1, f) if math.gcd(x, f) == 1 and kronecker(f, x) == 1]
+        chi = None
+        for r, e in factorint(f).items():
+            m = r**e
+            rest = f // m
+            if r == 2:
+                row = [kronecker(f, crt([x, 1], [m, rest])) if x % 2 else 0 for x in range(m)]
+            else:
+                row = [kronecker(f, crt([_primitive_root(m), 1], [m, rest]))] * m
+                row[0] = 0
+                for x in range(1, (m + 1) // 2):
+                    row[x * x % m] = 1
+            chi = row * rest if chi is None else list(map(operator.mul, chi, row * rest))
+        self.kernel = list(compress(range(f), map((1).__eq__, chi)))
+        self.gaps: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def __missing__(self, d: int):
-        pairs = tuple((r, s) for r in sorted({x % d for x in self.kernel}) for s in (1, -1))
+        residues = sorted({x % d for x in self.kernel})
+        pairs = tuple((r, s) for r in residues for s in (1, -1))
+        gaps = tuple(b - a for a, b in zip([0] + residues, residues))
         self[d] = pairs
+        self.gaps[d] = (gaps, max(gaps))
         return pairs
 
 

@@ -19,6 +19,7 @@ from cycfit.arith import (
     sqrt_mod_prime,
     val_p,
 )
+from cycfit.config import DEFAULT_FIELD_BUDGET
 from cycfit.errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
 
 
@@ -100,6 +101,25 @@ PINNED_MODULI = {
 @pytest.mark.parametrize("q,k", sorted(PINNED_MODULI))
 def test_find_irreducible_pinned_moduli(q, k):
     assert _find_irreducible(q, k) == PINNED_MODULI[(q, k)]
+
+
+def _ben_or_scan(q, k):
+    """The lexicographically first monic irreducible, all by Ben-Or."""
+    for t in range(q**k):
+        tail = tuple(t // q**i % q for i in range(k))
+        if _is_irreducible(tail + (1,), q):
+            return tail + (1,)
+
+
+def test_find_irreducible_matches_plain_ben_or_scan():
+    # binomial blocks decided in closed form: irreducible (q = 1 mod 4 or
+    # k = 2, 3, 5, 6 with every prime of k dividing q - 1), excluded by
+    # 4 | k with q = 3 mod 4, and excluded by a prime of k not dividing q - 1
+    cases = [(q, k) for q in range(2, 400) if is_prime(q) for k in range(2, 7)
+             if q**k <= DEFAULT_FIELD_BUDGET]
+    assert len(cases) == 390
+    for q, k in cases:
+        assert _find_irreducible(q, k) == _ben_or_scan(q, k), (q, k)
 
 
 @pytest.mark.parametrize("q,k", sorted(PINNED_MODULI))

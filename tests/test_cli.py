@@ -166,6 +166,9 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["classgroup", "-D", "1229", "-p", "4"], 7, "NotPrime"),
     (["ideal", "-D", "257", "-i", "-1"], 20, "NegativeArgument"),
     (["verify", "-D", "257", "--annihilation", "-1", "--quiet"], 20, "NegativeArgument"),
+    (["verify", "-D", "257", "--i-max", "-1", "--quiet"], 20, "NegativeArgument"),
+    (["fitting", "-N", "5", "1", "2", "--i-max", "-1"], 20, "NegativeArgument"),
+    (["formal", "--eps-max", "-1"], 20, "NegativeArgument"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)

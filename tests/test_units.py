@@ -12,6 +12,7 @@ import math
 import pytest
 
 from cycfit.arith import crt, kronecker, val_p
+from cycfit.classgroup import fundamental_discriminants
 from cycfit.config import DEFAULT_DERIVATIVE_CAP
 from cycfit.errors import BudgetExceeded, BudgetExhausted, NotSplit
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
@@ -22,6 +23,7 @@ from cycfit.units import (
     basic_symbol,
     derivative_class,
     evaluate_kappa,
+    _NormSets,
     norm_relation_check,
     splits_completely,
 )
@@ -151,6 +153,21 @@ def test_conductor_clash():
 
     with pytest.raises(ConductorClash):
         EvalContext(ctx, (), 257)
+
+
+def test_norm_sets_from_component_tables():
+    # both 2-parts (4 || 12, 8 || 24) and odd components of both signs at -1
+    # (r = 3 mod 4 at 12, r = 1 mod 4 at 5); 32009 and 39992 lie beyond the
+    # D < 2000 corpus
+    for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009, 39992]:
+        direct = [x for x in range(1, D) if math.gcd(x, D) == 1 and kronecker(D, x) == 1]
+        sets = _NormSets(D)
+        assert sets.kernel == direct, D
+        for d in (d for d in range(2, D + 1) if D % d == 0):
+            residues = sorted({x % d for x in direct})
+            assert sets[d] == tuple((r, s) for r in residues for s in (1, -1)), (D, d)
+            gaps = [b - a for a, b in zip([0] + residues, residues)]
+            assert sets.gaps[d] == (tuple(gaps), max(gaps)), (D, d)
 
 
 def test_kappa_regression_frozen_values():

@@ -254,6 +254,7 @@ def cmd_classgroup(args) -> int:
 
 
 def cmd_primes(args) -> int:
+    _check_bound("--count", args.count)
     ctx = build_field(args.p, args.D, 0, args.N)
     gen = kolyvagin_primes(ctx, extra_modulus=args.extra, budget=args.budget)
     out = []

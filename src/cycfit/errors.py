@@ -81,7 +81,8 @@ class MissingWeight(CycfitError):
 
 class NegativeArgument(CycfitError, ValueError):
     """An index, a count or a bound that must be >= 0 is negative: the ideal
-    index i, the number of annihilation primes, or the largest ideal index
+    index i, the sample budget or stabilization window, the number of
+    annihilation or auxiliary primes (--count), or the largest ideal index
     (--i-max) or epsilon (--eps-max) to check."""
 
 

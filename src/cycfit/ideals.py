@@ -167,6 +167,9 @@ def sample_cyclotomic_ideal(
     """
     if i < 0:
         raise NegativeArgument(f"the ideal index i = {i} must be >= 0")
+    for name, value in (("sample budget", budget), ("stabilization window", window)):
+        if value < 0:
+            raise NegativeArgument(f"the {name} = {value} must be >= 0")
     run = CycIdealRun(
         p=ctx.p, D=ctx.D, m=ctx.m, N=ctx.N, i=i, seed=seed,
         ideal=base_run.ideal if base_run else IdealNF(ctx.chi_ring, ()),

@@ -27,10 +27,15 @@ one conjugate g, EvalContext.factor_orbit gives a factor's value at every
 multi-index (one cell at n = 1), once per group-ring exponent term.  At
 n > 1 in F_q (k = 1) the multi-indices move only the auxiliary components
 of the multiplier, so those values are P_g(c) for a root c of mu_n and one
-polynomial P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  P_g comes
-from a product tree of exact Kronecker products (arith.poly_mul), is folded
-mod X^n - 1 onto one axis per auxiliary prime, and each axis is evaluated
-at all of mu_l by a chirp-z transform over the root table T_l; a
+polynomial P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
+s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P_g(X) =
+Q(alpha X) Q(X / alpha) for Q(Y) = prod_r (1 - B_r Y), of half the degree.
+Q comes from a product tree of exact Kronecker products (arith.poly_mul)
+whose nodes are folded mod X^(n p^{m+1}) - 1 (alpha^t depends on t mod
+p^{m+1} only); its two scalings are folded mod X^n - 1 and multiplied
+once, the product folded mod X^n - 1 onto one axis per auxiliary prime,
+and each axis is evaluated at all of mu_l by a chirp-z transform over the
+root table T_l that packs each line only up to its last nonzero entry; a
 multi-index reads its value at its residues mod l_i.  At n = 1, and in
 F_{q^k} with k > 1, each cell is one paired product.  Nothing is cached
 per multiplier: every conjugate and twist is evaluated afresh, and an orbit
@@ -233,25 +238,27 @@ class EvalContext:
         """Multipliers realizing Gal(Q(mu_{d p^{m+1} n'})/intersection with
         F_m(mu_{n'})) as adjacent pairs (r, 1), (r, -1): = r mod d (r in the
         chi_D-kernel mod d), = +-1 mod p^{m+1}, = 1 at every auxiliary prime.
-        One pair per factor 1 - zeta^e; computed once per field."""
-        return _norm_sets(self.ctx.f_K)[d]
+        One pair per factor 1 - zeta^e; the residues r are kept once per
+        field, the pairs are built per call."""
+        return tuple((r, s) for r in _norm_sets(self.ctx.f_K)[d] for s in (1, -1))
 
     def norm_set_a(self) -> tuple[tuple[int, int], ...]:
         """The a-type norm set {1, tau} in the residue form of norm_set_d:
         trivial on the f_K-component, +-1 mod p^{m+1}."""
         return ((1, 1), (1, -1))
 
-    def _norm_set(self, d: int):
-        """norm_set_d(d), or the a-type norm set for d = 1."""
-        return self.norm_set_d(d) if d > 1 else self.norm_set_a()
+    def _residues(self, d: int) -> tuple[int, ...]:
+        """The pair residues R_d of norm_set_d(d) in increasing order, or
+        the a-type's one residue 1 for d = 1."""
+        return _norm_sets(self.ctx.f_K)[d] if d > 1 else (1,)
 
     def _walk_steps(self, a: int, d: int) -> tuple[tuple[int, ...], list[int]]:
-        """(gaps, steps) for k = 1: the gaps r_0 - 0, r_1 - r_0, ... of the
-        pair residues of _norm_set(d) in increasing order, and steps[g] =
-        u^g up to the largest gap, u = w_f^(a mod f_K).  Multiplying by
-        steps[gap] in turn gives T_f[a r mod f_K] for r = r_0, r_1, ..."""
+        """(gaps, steps) for k = 1: the gaps r_0 - 0, r_1 - r_0, ... of
+        _residues(d), and steps[g] = u^g up to the largest gap, u =
+        w_f^(a mod f_K).  Multiplying by steps[gap] in turn gives
+        T_f[a r mod f_K] for r = r_0, r_1, ..."""
         if d > 1:
-            self.norm_set_d(d)  # fills the gaps beside the pairs
+            self._residues(d)  # fills the gaps beside the residues
             gaps, widest = _norm_sets(self.ctx.f_K).gaps[d]
         else:
             gaps, widest = (1,), 1
@@ -263,14 +270,14 @@ class EvalContext:
         return gaps, steps
 
     def _frobenius_orbits(self, d: int) -> list[tuple[int, list[int]]]:
-        """The pair residues r of _norm_set(d) split into orbits of
+        """The residues r of _residues(d) split into orbits of
         r -> r q mod d, as (length o, one representative per orbit of length
         o) in increasing o.  Needs q split completely in F_m(mu_n): chi(q) = 1
         makes R_d q = R_d.  For d = 1 the a-type's one pair is its own orbit."""
         if d not in self._orbits:
             reps: dict[int, list[int]] = {}
             seen = set()
-            for r, _ in self._norm_set(d)[::2]:
+            for r in self._residues(d):
                 x = start = r % d
                 if x in seen:
                     continue
@@ -291,11 +298,11 @@ class EvalContext:
     # -- symbol evaluation ----------------------------------------------------
 
     def _paired_product(self, a: int, d: int):
-        """prod over (r, +-1) in _norm_set(d) of 1 - zeta^(a t), t the
-        multiplier of the pair: the auxiliary primes give the constant c,
-        p^{m+1} gives zeta^(+-b), so each pair is 1 - A s + A^2 with
-        A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.  In F_q,
-        A walks R_d in increasing r by the steps of _walk_steps.
+        """prod over (r, +-1) in norm_set_d(d) (norm_set_a() at d = 1) of
+        1 - zeta^(a t), t the multiplier of the pair: the auxiliary primes
+        give the constant c, p^{m+1} gives zeta^(+-b), so each pair is
+        1 - A s + A^2 with A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.
+        In F_q, A walks R_d in increasing r by the steps of _walk_steps.
 
         In F_{q^k}, k > 1, Frobenius fixes c and s and maps the pair at r to
         the pair at r q mod d (a r mod f_K depends on r mod d only), so an
@@ -346,40 +353,44 @@ class EvalContext:
         cell is one _paired_product.  Otherwise (k = 1, n > 1) only the
         auxiliary components of the multiplier move, so B_r =
         T_f[a r mod f_K] (walked as in _walk_steps) and s are fixed and every
-        value is P(c) at the root
-        c = prod_i T_i[a rho_i mod l_i] of mu_n, with
-        P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  P is built by a
-        product tree of exact Kronecker products, folded onto the cells
-        (t mod l_1, ..., t mod l_r) (its reduction mod X^n - 1), and each axis
-        is evaluated at all of mu_{l_i} by _chirp_axis."""
+        value is P(c) at the root c = prod_i T_i[a rho_i mod l_i] of mu_n,
+        with P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  As s =
+        alpha + 1/alpha with alpha = T_p[a mod p^{m+1}] in F_q, P(X) =
+        Q(alpha X) Q(X / alpha) with Q(Y) = prod_{r in R_d} (1 - B_r Y).  Q
+        comes from a product tree of exact Kronecker products over linear
+        leaves; alpha^t depends on t mod p^{m+1} only, so every node is
+        folded mod X^(n p^{m+1}) - 1.  Each scaled half is folded mod
+        X^n - 1 (not Q itself: alpha^n != 1), the halves are multiplied once
+        and folded again, the coefficient of X^t goes to the cell
+        (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
+        mu_{l_i} by _chirp_axis."""
         ells = self.moduli[2:]
         if self.k > 1 or not ells:
             return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
                     for rho in iter_product(*rows)]
-        q, t_p = self.q, self.tables[1]
-        s = (t_p[a % self.p_part] + t_p[-a % self.p_part]) % q
+        q, t_p, p_part = self.q, self.tables[1], self.p_part
+        n = math.prod(ells)
         gaps, steps = self._walk_steps(a, d)
         B = 1
         polys = []
         for i in range(0, len(gaps), _LEAF):
-            # a leaf multiplies up to _LEAF quadratics directly
+            # a leaf multiplies up to _LEAF linear factors directly
             poly = [1]
             for gap in gaps[i:i + _LEAF]:
                 B = B * steps[gap] % q
-                c1, c2 = -B * s % q, B * B % q
-                poly = [(x + c1 * y + c2 * z) % q
-                        for x, y, z in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+                poly = [(x - B * y) % q for x, y in zip(poly + [0], [0] + poly)]
             polys.append(poly)
         while len(polys) > 1:
-            polys = [poly_mul(*polys[i:i + 2], q) if i + 1 < len(polys) else polys[i]
-                     for i in range(0, len(polys), 2)]
-        cells = [0] * math.prod(ells)
-        for t, coeff in enumerate(polys[0]):
+            polys = [_fold(poly_mul(*polys[i:i + 2], q), n * p_part, q)
+                     if i + 1 < len(polys) else polys[i] for i in range(0, len(polys), 2)]
+        halves = [_fold([c * t_p[sign * a * t % p_part] % q for t, c in enumerate(polys[0])], n, q)
+                  for sign in (1, -1)]
+        cells = [0] * n
+        for t, coeff in enumerate(_fold(poly_mul(*halves, q), n, q)):
             idx = 0
             for ell in ells:
                 idx = idx * ell + t % ell
-            cells[idx] += coeff
-        cells = [x % q for x in cells]
+            cells[idx] = coeff
         for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
             cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
         return cells
@@ -472,9 +483,20 @@ class _RootRow:
         return self.fld.mul(self.giant[i], self.baby[r])
 
 
-# Quadratics multiplied directly per leaf of the product tree, below the
-# size where a Kronecker product beats a Python loop.
-_LEAF = 8
+# Linear factors multiplied directly per leaf of the product tree, below
+# the size where a Kronecker product beats a Python loop.
+_LEAF = 12
+
+
+def _fold(poly: list[int], size: int, q: int) -> list[int]:
+    """poly mod X^size - 1 over F_q (poly itself when it is no longer)."""
+    if len(poly) <= size:
+        return poly
+    out = poly[:size]
+    for start in range(size, len(poly), size):
+        chunk = poly[start:start + size]
+        out[:len(chunk)] = map(operator.add, out, chunk)
+    return [x % q for x in out]
 
 
 def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) -> list[int]:
@@ -485,28 +507,41 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
     Chirp-z with binomial exponents, t j = C(t+j, 2) - C(t, 2) - C(j, 2), so
     every power is a table entry and no root of w is needed.  The chirp
     b_s = w^C(s, 2) has period l (C(l, 2) = 0 mod l), so a line's values are
-    a cyclic correlation with b_0 .. b_{l-1}: with the line reversed, the
-    linear product at l - 1 + j plus its wrap at j - 1.  All lines are
-    packed at stride 2l - 1 into one exact product with the chirp, so no
-    line's product meets its neighbours'."""
+    a cyclic correlation with b_0 .. b_{l-1}.  Only the line's support
+    t <= top enters: with it reversed, the value at j is the linear product
+    at top + j plus, for j > shift = l - 1 - top, its wrap at j - 1 - shift.
+    The lines are packed at stride top + l into one exact product with the
+    chirp, so no line's product meets its neighbours'.  A single line reads
+    its top from its last nonzero entry; several lines keep top = l - 1."""
     ell = len(table)
+    top = ell - 1
+    if len(cells) == ell:
+        while top and not cells[top]:
+            top -= 1
+    shift = ell - 1 - top
+    stride = top + ell
     binom = [s * (s - 1) // 2 % ell for s in range(ell)]
     chirp = [table[c] for c in binom]
     damp = [table[-c % ell] for c in binom]
     pad = [0] * (ell - 1)
     packed = []
     for start in range(0, len(cells), ell):
-        packed.extend(x * w % q for x, w in zip(reversed(cells[start:start + ell]), reversed(damp)))
-        packed.extend(pad)
+        if start:
+            packed.extend(pad)
+        packed.extend(x * w % q for x, w in zip(reversed(cells[start:start + top + 1]),
+                                                reversed(damp[:top + 1])))
     conv = poly_mul(packed, chirp, q)
-    return [(conv[base + ell - 1 + j] + (conv[base + j - 1] if j else 0)) * damp[j] % q
-            for j in picks for base in range(0, len(packed), 2 * ell - 1)]
+    wrap = [0] * (shift + 1)
+    lines = [[(x + y) * w % q for x, y, w in zip(conv[base + top:base + top + ell],
+                                                 wrap + conv[base:base + ell - 1 - shift], damp)]
+             for base in range(0, len(packed), stride)]
+    return [line[j] for j in picks for line in lines]
 
 
 class _NormSets(dict):
-    """d -> norm_set_d(d) for one conductor f_K, filled on first use, and
-    beside it gaps[d] = (the gaps of its pair residues from 0 in increasing
-    order, the largest gap).
+    """d -> the pair residues R_d of norm_set_d(d) for one conductor f_K,
+    sorted, filled on first use, and beside them gaps[d] = (the gaps of R_d
+    from 0 in increasing order, the largest gap).
 
     The kernel of chi_D = (f_K | .) comes from chi_D = prod_m chi_m over the
     prime powers m || f_K, each chi_m a character mod m tabulated once on
@@ -533,12 +568,11 @@ class _NormSets(dict):
         self.gaps: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def __missing__(self, d: int):
-        residues = sorted({x % d for x in self.kernel})
-        pairs = tuple((r, s) for r in residues for s in (1, -1))
-        gaps = tuple(b - a for a, b in zip([0] + residues, residues))
-        self[d] = pairs
+        residues = tuple(sorted({x % d for x in self.kernel}))
+        gaps = tuple(b - a for a, b in zip((0,) + residues, residues))
+        self[d] = residues
         self.gaps[d] = (gaps, max(gaps))
-        return pairs
+        return residues
 
 
 @lru_cache(maxsize=2)

@@ -169,6 +169,11 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["verify", "-D", "257", "--i-max", "-1", "--quiet"], 20, "NegativeArgument"),
     (["fitting", "-N", "5", "1", "2", "--i-max", "-1"], 20, "NegativeArgument"),
     (["formal", "--eps-max", "-1"], 20, "NegativeArgument"),
+    (["primes", "-D", "257", "--count", "-1"], 20, "NegativeArgument"),
+    (["ideal", "-D", "257", "--window", "-1"], 20, "NegativeArgument"),
+    (["ideal", "-D", "257", "--budget", "-1"], 20, "NegativeArgument"),
+    (["verify", "-D", "257", "--window", "-1", "--quiet"], 20, "NegativeArgument"),
+    (["verify", "-D", "257", "--budget", "-1", "--quiet"], 20, "NegativeArgument"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)

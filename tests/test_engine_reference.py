@@ -168,12 +168,17 @@ def test_h_twists_change_factor_values_but_not_kappa():
 # (D, m, N, chain length, level, h-twist exponent): chains of one and two
 # primes; D = 785 has deg P = 2 |R_785| = 624 above l = 109 and above
 # 7 * 43, so its fold wraps; m = 1 has p^{m+1} = 9 and six conjugates.
+# deg Q = |R_d| exceeds n p^{m+1} at D = 1937, l = 61 (888 > 183) and at
+# D = 785, m = 1, l = 7 (312 > 63), so the nodes of the tree for Q fold
+# too; 7 is 1 mod 3 but not mod 9.
 ORBIT_CASES = [
     (257, 0, 3, 1, 3, None),
     (785, 0, 3, 1, 3, 2),
     (257, 1, 2, 1, 2, 5),
     (8, 0, 2, 2, 1, 3),
     (785, 0, 1, 2, 1, None),
+    (1937, 0, 1, 1, 1, None),
+    (785, 1, 2, 1, 1, 2),
 ]
 
 
@@ -182,10 +187,13 @@ def test_factor_orbits_match_reference(D, m, N, r, level, w):
     ctx = build_field(3, D, m, N)
     kps = _chain(ctx, r, level)
     ells = tuple(kp.ell for kp in kps)
-    q = next(evaluation_primes(ctx, math.prod(ells), level=level))
+    # q = 1 mod p^{m+1} also when the chain's level is below m + 1
+    q = next(evaluation_primes(ctx, math.prod(ells), level=max(level, m + 1)))
     ev = EvalContext(ctx, ells, q)
     if D == 785:
         assert len(ev.norm_set_d(D)) == 624 > math.prod(ells)
+    if (D, m, r) in ((1937, 0, 1), (785, 1, 1)):
+        assert len(ev.norm_set_d(D)) // 2 > math.prod(ells) * ev.p_part
     rows = [[pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1)] for kp in kps]
     twist = ev.lift({ells[-1]: w}) if w else 1
     divisor = min(d for d in range(2, D + 1) if D % d == 0)

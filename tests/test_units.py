@@ -8,10 +8,11 @@ shares no arithmetic with the F_q engine.
 """
 
 import math
+from itertools import count
 
 import pytest
 
-from cycfit.arith import crt, kronecker, val_p
+from cycfit.arith import crt, is_prime, kronecker, val_p
 from cycfit.classgroup import fundamental_discriminants
 from cycfit.config import DEFAULT_DERIVATIVE_CAP
 from cycfit.errors import BudgetExceeded, BudgetExhausted, NotSplit
@@ -23,6 +24,7 @@ from cycfit.units import (
     basic_symbol,
     derivative_class,
     evaluate_kappa,
+    _chirp_axis,
     _NormSets,
     norm_relation_check,
     splits_completely,
@@ -155,19 +157,47 @@ def test_conductor_clash():
         EvalContext(ctx, (), 257)
 
 
+def _context_over(D):
+    """A k = 1 EvalContext over Q(sqrt D) with no auxiliary prime, at the
+    first odd prime p inert in it and the first prime q = 1 mod p D."""
+    p = next(p for p in count(3) if is_prime(p) and kronecker(D, p) == -1)
+    q = next(q for q in count(1 + 2 * p * D, 2 * p * D) if is_prime(q))
+    return EvalContext(build_field(p, D, 0, 1), (), q)
+
+
 def test_norm_sets_from_component_tables():
     # both 2-parts (4 || 12, 8 || 24) and odd components of both signs at -1
     # (r = 3 mod 4 at 12, r = 1 mod 4 at 5); 32009 and 39992 lie beyond the
-    # D < 2000 corpus
+    # D < 2000 corpus.  The sets keep the residues, norm_set_d pairs them
     for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009, 39992]:
         direct = [x for x in range(1, D) if math.gcd(x, D) == 1 and kronecker(D, x) == 1]
         sets = _NormSets(D)
         assert sets.kernel == direct, D
+        ev = _context_over(D)
         for d in (d for d in range(2, D + 1) if D % d == 0):
-            residues = sorted({x % d for x in direct})
-            assert sets[d] == tuple((r, s) for r in residues for s in (1, -1)), (D, d)
-            gaps = [b - a for a, b in zip([0] + residues, residues)]
+            residues = tuple(sorted({x % d for x in direct}))
+            assert sets[d] == residues, (D, d)
+            assert ev.norm_set_d(d) == tuple((r, s) for r in residues for s in (1, -1)), (D, d)
+            gaps = [b - a for a, b in zip((0,) + residues, residues)]
             assert sets.gaps[d] == (tuple(gaps), max(gaps)), (D, d)
+
+
+@pytest.mark.parametrize("cells", [
+    [5, 0, 0, 0, 0, 0, 0],  # one line, top = 0
+    [3, 0, 126, 4, 0, 0, 0],  # one line, 0 < top < l - 1
+    [1, 2, 3, 4, 5, 6, 7],  # one line, top = l - 1
+    [9, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8],  # three lines
+])
+def test_chirp_axis_matches_direct_evaluation(cells):
+    # w = 2^18 has order l = 7 in F_127; the picks are every exponent, out of order
+    ell, q = 7, 127
+    w = pow(2, 18, q)
+    table = [pow(w, j, q) for j in range(ell)]
+    picks = [3, 0, 6, 1, 5, 2, 4]
+    lines = [cells[i:i + ell] for i in range(0, len(cells), ell)]
+    direct = [sum(c * pow(w, t * j, q) for t, c in enumerate(line)) % q
+              for j in picks for line in lines]
+    assert _chirp_axis(cells, table, picks, q) == direct
 
 
 def test_kappa_regression_frozen_values():

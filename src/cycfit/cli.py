@@ -9,6 +9,7 @@ an exact identity failed); 4+ = input errors (see errors.EXIT_CODES).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -137,7 +138,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     say(f"[annihilation] {anni_count} primes")
     anni = annihilation_suite(ctx, oracle, anni_count)
     say("[formal] combined-element identities")
-    formal = [check_combined_identities(eps) for eps in range(_FORMAL_EPS_MAX + 1)]
+    formal = _formal_reports()
     anni_ok = all(r.passed for r in anni)
     formal_ok = all(r.passed for r in formal)
     if any(v == "BUG" for v in verdicts.values()) or not anni_ok or not formal_ok:
@@ -181,6 +182,13 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
         ],
         "status": status,
     }
+
+
+@functools.cache
+def _formal_reports() -> tuple:
+    """The formal suite up to _FORMAL_EPS_MAX for `verify`: it depends on no
+    field, so it runs once per process, on first use."""
+    return tuple(check_combined_identities(eps) for eps in range(_FORMAL_EPS_MAX + 1))
 
 
 def _external_fitting_only(record, i_max: int) -> dict:
@@ -268,12 +276,13 @@ def cmd_primes(args) -> int:
 def cmd_kappa(args) -> int:
     ctx = build_field(args.p, args.D, 0, args.N)
     aux = chain_primes(ctx, args.chain or ())
-    cls = derivative_class(ctx, args.kind, args.param or args.D, aux)
+    param = args.D if args.param is None else args.param
+    cls = derivative_class(ctx, args.kind, param, aux)
     vec = evaluate_kappa(ctx, cls, args.q)
     proj = chi_project(vec, ctx.chi)
     emit({
         "p": args.p, "D": args.D, "N": args.N, "n_factors": list(args.chain or ()),
-        "q": args.q, "kind": args.kind, "param": args.param or args.D,
+        "q": args.q, "kind": args.kind, "param": param,
         "vector": list(vec.vector()), "chi_vector": list(proj.vector()),
     })
     return 0

@@ -78,7 +78,7 @@ class AbelianFieldCtx:
     @cached_property
     def chi_ring(self) -> GroupRing:
         """R_{m,N,chi}, the chi-quotient: Z/p^N[Gamma]."""
-        return GroupRing(FiniteAbelianGroup((), self.p**self.m), self.p, self.N)
+        return self.ring.chi_quotient
 
     def chi_d(self, t: int) -> int:
         """The quadratic character mod the conductor, chi_D = (D|.)."""

@@ -87,6 +87,11 @@ class GroupRing:
         return self.p**self.N
 
     @cached_property
+    def chi_quotient(self) -> "GroupRing":
+        """Z/p^N[Gamma], the target of chi_project, built once per ring."""
+        return GroupRing(FiniteAbelianGroup((), self.group.gamma_order), self.p, self.N)
+
+    @cached_property
     def basis(self) -> tuple[tuple, ...]:
         return tuple(sorted(self.group.elements()))
 
@@ -236,7 +241,7 @@ def chi_project(x: GroupRingElement, chi: Character) -> GroupRingElement:
     if chi.delta_divisors != grp.delta_divisors or (chi.p, chi.N) != (ring.p, ring.N):
         raise MixedAmbient("character does not match the ring's Delta")
     t = len(grp.delta_divisors)
-    target = GroupRing(FiniteAbelianGroup((), grp.gamma_order), ring.p, ring.N)
+    target = ring.chi_quotient
     out: dict = {}
     for g, c in x.coeffs.items():
         delta, gamma = g[:t], g[t:]
@@ -344,6 +349,11 @@ class IdealNF:
         return all(self.contains_vector(r) for r in other.rows)
 
     def is_unit_ideal(self) -> bool:
+        return self._is_unit
+
+    @cached_property
+    def _is_unit(self) -> bool:
+        """Whether 1 lies in the ideal, tested once: the form is immutable."""
         one = [0] * self.ring.group.order
         one[self.ring.basis_index[self.ring.group.identity()]] = 1
         return self.contains_vector(one)

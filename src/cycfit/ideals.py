@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .arith import val_p
+from .arith import factorint, val_p
 from .classgroup import ideal_class_of_prime
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
 from .errors import BudgetExhausted, NegativeArgument
@@ -97,9 +97,10 @@ def _divisor_generators(ctx: AbelianFieldCtx):
     """Basic-unit generator list: every divisor d > 1 of the conductor (the
     full conductor first: it carries the chi-component for quadratic K) plus
     the a-type unit a = 2 (prime to the odd p)."""
-    f = ctx.f_K
-    divs = sorted((d for d in range(2, f + 1) if f % d == 0), reverse=True)
-    return [("d", d) for d in divs] + [("a", 2)]
+    divs = [1]
+    for r, e in factorint(ctx.f_K).items():
+        divs = [x * r**i for x in divs for i in range(e + 1)]
+    return [("d", d) for d in sorted(divs, reverse=True)[:-1]] + [("a", 2)]
 
 
 # Auxiliary primes kept per chain prefix, out of _SCAN_WIDTH candidates.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycfit import cli, combined
 from cycfit.classgroup import narrow_class_group
 from cycfit.cli import _sanitize, build_parser, main, run_verify
 
@@ -174,11 +175,33 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["ideal", "-D", "257", "--budget", "-1"], 20, "NegativeArgument"),
     (["verify", "-D", "257", "--window", "-1", "--quiet"], 20, "NegativeArgument"),
     (["verify", "-D", "257", "--budget", "-1", "--quiet"], 20, "NegativeArgument"),
+    # an explicit --param 0 is checked, not replaced by D
+    (["kappa", "-D", "257", "-q", "1543", "--kind", "a", "--param", "0"],
+     17, "ConductorClash"),
+    (["kappa", "-D", "257", "-q", "1543", "--kind", "d", "--param", "0"],
+     17, "ConductorClash"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)
     assert got == code and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {name}: ")
+
+
+def test_verify_runs_the_formal_suite_once(capsys, monkeypatch):
+    calls = []
+    build = combined.build_combined
+    monkeypatch.setattr(combined, "build_combined",
+                        lambda *args, **kw: calls.append(args) or build(*args, **kw))
+    cli._formal_reports.cache_clear()
+    reports = [run_verify(3, 5, i_max=0, anni_count=0, quiet=True)]
+    first = len(calls)
+    assert first == sum(eps + 1 for eps in range(4))  # x_{nu,q} and each x_{nu/l,q}
+    reports.append(run_verify(3, 5, i_max=0, anni_count=0, quiet=True))
+    assert len(calls) == first
+    code, out, _ = run_cli(capsys, ["formal", "--eps-max", "3"])
+    assert code == 0 and len(calls) == 2 * first  # `formal` computes afresh
+    fresh = json.loads(out)["reports"]
+    assert reports[0]["formal_identities"] == reports[1]["formal_identities"] == fresh
 
 
 def test_sanitize_big_integers():

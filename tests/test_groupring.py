@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycfit.errors import MixedAmbient
 from cycfit.groupring import (
@@ -195,3 +197,17 @@ def test_ideal_join():
     a = ideal_normal_form([ring.monomial((0,), 9)], ring)
     b = ideal_normal_form([ring.monomial((0,), 3)], ring)
     assert ideal_join(a, b) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cached_unit_check_agrees_with_membership(data):
+    # Z/3^N and Z/3^N[Gamma_1], Gamma_1 cyclic of order 3
+    N = data.draw(st.integers(1, 4))
+    ring = GroupRing(FiniteAbelianGroup((), data.draw(st.sampled_from([1, 3]))), 3, N)
+    width = ring.group.order
+    vectors = data.draw(st.lists(st.lists(st.integers(0, ring.mod - 1), min_size=width,
+                                          max_size=width), max_size=3))
+    nf = ideal_normal_form([ring.from_vector(v) for v in vectors], ring)
+    assert nf.is_unit_ideal() == nf.contains_vector(ring.one().vector())
+    assert nf.is_unit_ideal() == nf.contains_vector(ring.one().vector())  # cached

@@ -5,7 +5,9 @@ from cycfit.classgroup import narrow_class_group
 from cycfit.fields import build_field, is_well_ordered
 from cycfit.fitting import fitting_of_p_group
 from cycfit.groupring import IdealNF
-from cycfit.ideals import CycIdealRun, _preferred_chains, sample_cyclotomic_ideal, stabilized
+from cycfit.classgroup import fundamental_discriminants
+from cycfit.ideals import (CycIdealRun, _divisor_generators, _preferred_chains,
+                           sample_cyclotomic_ideal, stabilized)
 
 
 def test_budget_zero_is_partial_with_zero_ideal():
@@ -79,3 +81,10 @@ def test_sampler_oracle_arguments_are_keyword_only():
     ctx = build_field(3, 257, 0, 3)
     with pytest.raises(TypeError):
         sample_cyclotomic_ideal(ctx, 0, 0, 0, 5, None, None)
+
+
+def test_divisor_generators_list_every_divisor_in_decreasing_order():
+    for D in [D for D in fundamental_discriminants(2000) if D % 3 == 2] + [32009, 39992]:
+        ctx = build_field(3, D, 0, 1)
+        divs = sorted((d for d in range(2, D + 1) if D % d == 0), reverse=True)
+        assert _divisor_generators(ctx) == [("d", d) for d in divs] + [("a", 2)], D

@@ -121,7 +121,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
         say(f"[sample] cyclotomic ideal i = {i}")
         run = sample_cyclotomic_ideal(
             ctx, i, budget=budget, seed=seed, window=window,
-            oracle_fitting=fitts[i], base_run=base, oracle_group=oracle,
+            oracle_fitting=fitts[i], base_run=base,
         )
         runs[i] = run
         base = run
@@ -263,6 +263,7 @@ def cmd_classgroup(args) -> int:
 
 def cmd_primes(args) -> int:
     _check_bound("--count", args.count)
+    _check_bound("--budget", args.budget)
     ctx = build_field(args.p, args.D, 0, args.N)
     gen = kolyvagin_primes(ctx, extra_modulus=args.extra, budget=args.budget)
     out = []
@@ -290,9 +291,8 @@ def cmd_kappa(args) -> int:
 
 def cmd_ideal(args) -> int:
     ctx = build_field(args.p, args.D, 0, args.N)
-    oracle = narrow_class_group(args.D)
     run = sample_cyclotomic_ideal(ctx, args.i, budget=args.budget, seed=args.seed,
-                                  window=args.window, oracle_group=oracle)
+                                  window=args.window)
     emit(run.to_dict())
     return 0 if run.status == "OK" else (3 if run.status == "BUG" else 2)
 

@@ -2,6 +2,12 @@
 (m, N): accumulate chi-projected reciprocity values of derivative classes
 over well-ordered auxiliary products with at most i factors.
 
+Only the class of the basic unit at the full conductor (d = f_K) is drawn.
+The unit at a proper divisor d | f_K, and the a-type unit, lie in a field
+that does not contain K (chi_D has conductor f_K), so the element of Delta
+on which chi is -1 fixes them and their chi-projection is zero (character
+orthogonality): drawing them would only pad the stall window.
+
 Every accumulated generator is a genuine element of the target ideal, so the
 run is always a sound lower bound; stabilization (or reaching the unit
 ideal) is the stopping rule, and comparison with the oracle Fitting ideal is
@@ -15,8 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .arith import factorint, val_p
-from .classgroup import ideal_class_of_prime
+from .arith import val_p
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
 from .errors import BudgetExhausted, NegativeArgument
 from .fields import AbelianFieldCtx, chain_primes, evaluation_primes, kolyvagin_primes
@@ -93,54 +98,28 @@ def stabilized(run: CycIdealRun, window: int = DEFAULT_STABILIZATION_WINDOW) -> 
     return run.stall >= window
 
 
-def _divisor_generators(ctx: AbelianFieldCtx):
-    """Basic-unit generator list: every divisor d > 1 of the conductor (the
-    full conductor first: it carries the chi-component for quadratic K) plus
-    the a-type unit a = 2 (prime to the odd p)."""
-    divs = [1]
-    for r, e in factorint(ctx.f_K).items():
-        divs = [x * r**i for x in divs for i in range(e + 1)]
-    return [("d", d) for d in sorted(divs, reverse=True)[:-1]] + [("a", 2)]
+# Auxiliary primes kept per chain prefix: the first ones kolyvagin_primes
+# yields, in increasing order.
+_PER_LEVEL = 6
 
 
-# Auxiliary primes kept per chain prefix, out of _SCAN_WIDTH candidates.
-_PER_LEVEL = 3
-_SCAN_WIDTH = 12
-
-
-def _preferred_chains(ctx: AbelianFieldCtx, i: int, oracle_group=None) -> list:
-    """Well-ordered chains (l_1, ..., l_r) with r <= i, breadth-first,
-    preferring auxiliary primes whose ideal class has nontrivial p-part.
-
-    The unit-realizing derivative classes use auxiliary primes linked to
-    class-group generators, so branch order matters enormously in practice;
-    primes with trivial class come last (but are still explored).
-    kolyvagin_primes yields only odd primes split in K and prime to D, which
-    ideal_class_of_prime accepts."""
-
-    def class_is_p_nontrivial(ell: int) -> bool:
-        if oracle_group is None:
-            return False
-        c = ideal_class_of_prime(ell, ctx.D, oracle_group)
-        return oracle_group.element_order(c) % ctx.p == 0
-
+def _preferred_chains(ctx: AbelianFieldCtx, i: int) -> list:
+    """Well-ordered chains (l_1, ..., l_r) with r <= i, breadth-first: each
+    prefix is extended by the _PER_LEVEL smallest auxiliary primes that
+    kolyvagin_primes yields for it (l = 1 mod p^N times the prefix product,
+    so no factor repeats).  The order depends on the field alone, never on
+    the class group."""
     chains = [()]
     frontier = [()]
     for _eps in range(1, i + 1):
         next_frontier = []
         for prefix in frontier:
             gen = kolyvagin_primes(ctx, extra_modulus=math.prod(prefix))
-            cands = []
-            for _ in range(_SCAN_WIDTH):
+            for _ in range(_PER_LEVEL):
                 try:
-                    kp = next(gen)
+                    chain = prefix + (next(gen).ell,)
                 except BudgetExhausted:
                     break
-                if kp.ell not in prefix:
-                    cands.append(kp.ell)
-            cands.sort(key=lambda ell: (not class_is_p_nontrivial(ell), ell))
-            for ell in cands[:_PER_LEVEL]:
-                chain = prefix + (ell,)
                 chains.append(chain)
                 next_frontier.append(chain)
         frontier = next_frontier
@@ -156,7 +135,6 @@ def sample_cyclotomic_ideal(
     *,
     oracle_fitting: IdealNF | None = None,
     base_run: CycIdealRun | None = None,
-    oracle_group=None,
 ) -> CycIdealRun:
     """Sample the i-th cyclotomic ideal at level (m, N).
 
@@ -182,33 +160,28 @@ def sample_cyclotomic_ideal(
     if stabilized(run, window):
         # inherited ideal is already saturated (unit ideal): nothing to sample
         return run
-    chains = _preferred_chains(ctx, i, oracle_group=oracle_group)
-    pairs = []
-    for chain in chains:
-        for kind, param in _divisor_generators(ctx):
-            pairs.append((chain, kind, param))
+    chains = _preferred_chains(ctx, i)
     rng = random.Random(seed)
-    rng.shuffle(pairs)
-    # breadth-first bias: cheap low-epsilon pairs first, then interleave
-    pairs.sort(key=lambda t: len(t[0]))
+    rng.shuffle(chains)
+    # breadth-first bias: cheap low-epsilon chains first, then interleave
+    chains.sort(key=len)
     streams = {}
-    kp_cache = {}
+    classes = {}
     pruned: set = set()
     taken = 0
     while taken < budget and not stabilized(run, window):
         progressed = False
-        for chain, kind, param in pairs:
+        for chain in chains:
             if taken >= budget or stabilized(run, window):
                 break
             if chain in pruned:
                 continue
             if chain not in streams:
                 streams[chain] = evaluation_primes(ctx, math.prod(chain))
-                kp_cache[chain] = chain_primes(ctx, chain)
+                classes[chain] = derivative_class(ctx, "d", ctx.f_K, chain_primes(ctx, chain))
             q = next(streams[chain])
-            cls = derivative_class(ctx, kind, param, kp_cache[chain])
             try:
-                vec = evaluate_kappa(ctx, cls, q)
+                vec = evaluate_kappa(ctx, classes[chain], q)
             except BudgetExhausted:
                 pruned.add(chain)
                 continue
@@ -222,8 +195,8 @@ def sample_cyclotomic_ideal(
                 epsilon=len(chain),
                 n=math.prod(chain),
                 factors=chain,
-                kind=kind,
-                param=param,
+                kind="d",
+                param=ctx.f_K,
                 q=q,
                 vector=vec.vector(),
                 chi_vector=proj.vector(),
@@ -243,7 +216,7 @@ def sample_cyclotomic_ideal(
             else:
                 run.ideal = new_ideal
                 run.stall = 0
-        if not progressed:  # pragma: no cover - pairs is never empty
+        if not progressed:  # pragma: no cover - chains is never empty
             break
     if not stabilized(run, window) and run.status == "OK":
         run.status = "PARTIAL"

@@ -50,15 +50,6 @@ FieldCtx.frobenius.  The orbit partition depends on (d, q) only.  Root
 tables in F_{q^k} are baby and giant steps (_RootRow), at most one
 multiplication per entry, T_f included: the orbit representatives are not
 in increasing order.
-
-A d-type factor at a proper divisor 1 < d < f_K walks no norm set: chi_D
-is primitive of conductor f_K, so R_d = (Z/d)^x, and the multiplier's
-f_K-part is (f_K/d) v with v prime to d, so B_r = T_f[a r mod f_K] runs over
-the primitive d-th roots of unity and prod_r (1 - B_r Y) = Phi_d(Y).  A
-paired product is Phi_d(c alpha) Phi_d(c / alpha) by the Moebius form
-Phi_d(x) = prod_{e | d} (x^e - 1)^mu(d/e), at any k; in the orbit
-transform Q is Phi_d itself, its integer coefficients cached per d (and on
-nothing else) and folded mod X^(n p^{m+1}) - 1.
 """
 
 from __future__ import annotations
@@ -318,13 +309,10 @@ class EvalContext:
         orbit of length o contributes Y Y^q ... Y^(q^(o-1)) with Y its
         representative's pair: the representatives of each length are
         multiplied into one Y_o, and Y_o is folded with o - 1 Frobenius
-        matrix products.  A proper divisor 1 < d < f_K takes the closed form
-        of _cyclotomic_pair instead, at any k."""
+        matrix products."""
         fld = self.field
         t_p, p_part = self.tables[1], self.p_part
         aux = [table[a % mod] for mod, table in zip(self.moduli[2:], self.tables[2:])]
-        if 1 < d < self.moduli[0]:
-            return self._cyclotomic_pair(aux, t_p[a % p_part], t_p[-a % p_part], d)
         s = fld.add(t_p[a % p_part], t_p[-a % p_part])
         if self.k == 1:
             q = self.q
@@ -357,27 +345,6 @@ class EvalContext:
             out = y if out is None else fld.mul(out, y)
         return out
 
-    def _cyclotomic_pair(self, aux: list, alpha, alpha_inv, d: int):
-        """_paired_product at a proper divisor d of f_K: Phi_d(c alpha)
-        Phi_d(c / alpha), c the product of the auxiliary entries.  R_d is all
-        of (Z/d)^x and a = (f_K/d) v mod f_K with v prime to d, so B_r =
-        T_f[a r mod f_K] runs over the primitive d-th roots of unity and
-        prod_r (1 - B_r Y) = Phi_d(Y).  Phi_d(x) = prod_{e | d} (x^e -
-        1)^mu(d/e), where no x^e - 1 vanishes: x has order divisible by
-        p^{m+1}, prime to d."""
-        fld = self.field
-        one = fld.one()
-        num = den = one
-        plus, minus = _mobius_divisors(d)
-        for x in (alpha, alpha_inv):
-            for c in aux:
-                x = fld.mul(x, c)
-            for e in plus:
-                num = fld.mul(num, fld.sub(fld.pow(x, e), one))
-            for e in minus:
-                den = fld.mul(den, fld.sub(fld.pow(x, e), one))
-        return fld.mul(num, fld.inv(den))
-
     def _paired_orbit(self, a: int, d: int, rows) -> list:
         """_paired_product(a * lift({l_i: rho_i}), d) for every
         (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
@@ -396,36 +363,13 @@ class EvalContext:
         X^n - 1 (not Q itself: alpha^n != 1), the halves are multiplied once
         and folded again, the coefficient of X^t goes to the cell
         (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
-        mu_{l_i} by _chirp_axis.  At a proper divisor 1 < d < f_K, Q is
-        Phi_d (_cyclotomic_pair), from its cached integer coefficients."""
+        mu_{l_i} by _chirp_axis."""
         ells = self.moduli[2:]
         if self.k > 1 or not ells:
             return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
                     for rho in iter_product(*rows)]
         q, t_p, p_part = self.q, self.tables[1], self.p_part
         n = math.prod(ells)
-        if 1 < d < self.moduli[0]:
-            # the B_r are the primitive d-th roots of unity (_cyclotomic_pair)
-            Q = _fold(list(_cyclotomic(d)), n * p_part, q)
-        else:
-            Q = self._root_tree(a, d, n * p_part)
-        halves = [_fold([c * t_p[sign * a * t % p_part] % q for t, c in enumerate(Q)], n, q)
-                  for sign in (1, -1)]
-        cells = [0] * n
-        for t, coeff in enumerate(_fold(poly_mul(*halves, q), n, q)):
-            idx = 0
-            for ell in ells:
-                idx = idx * ell + t % ell
-            cells[idx] = coeff
-        for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
-            cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
-        return cells
-
-    def _root_tree(self, a: int, d: int, size: int) -> list[int]:
-        """Q(Y) = prod_{r in R_d} (1 - B_r Y) mod Y^size - 1 over F_q, B_r =
-        T_f[a r mod f_K] walked as in _walk_steps: a product tree of exact
-        Kronecker products over linear leaves, every node folded."""
-        q = self.q
         gaps, steps = self._walk_steps(a, d)
         B = 1
         polys = []
@@ -437,9 +381,19 @@ class EvalContext:
                 poly = [(x - B * y) % q for x, y in zip(poly + [0], [0] + poly)]
             polys.append(poly)
         while len(polys) > 1:
-            polys = [_fold(poly_mul(*polys[i:i + 2], q), size, q)
+            polys = [_fold(poly_mul(*polys[i:i + 2], q), n * p_part, q)
                      if i + 1 < len(polys) else polys[i] for i in range(0, len(polys), 2)]
-        return polys[0]
+        halves = [_fold([c * t_p[sign * a * t % p_part] % q for t, c in enumerate(polys[0])], n, q)
+                  for sign in (1, -1)]
+        cells = [0] * n
+        for t, coeff in enumerate(_fold(poly_mul(*halves, q), n, q)):
+            idx = 0
+            for ell in ells:
+                idx = idx * ell + t % ell
+            cells[idx] = coeff
+        for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
+            cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
+        return cells
 
     def _factor_multipliers(self, kind: str, param: int, aux_subset: tuple[int, ...]):
         """(u, u_den, d): the factor at multiplier t is paired(u t, d) /
@@ -624,32 +578,6 @@ class _NormSets(dict):
 @lru_cache(maxsize=2)
 def _norm_sets(f: int) -> _NormSets:
     return _NormSets(f)
-
-
-@lru_cache(maxsize=None)
-def _mobius_divisors(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The divisors e of d with mu(d/e) = 1 and those with mu(d/e) = -1."""
-    plus, minus = [d], []
-    for r in factorint(d):
-        plus, minus = plus + [e // r for e in minus], minus + [e // r for e in plus]
-    return tuple(plus), tuple(minus)
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """The integer coefficients of Phi_d, d > 1, constant first: Phi_d =
-    prod_{e | d} (1 - X^e)^mu(d/e) (the signs of the X^e - 1 cancel, as
-    sum_{e | d} mu(d/e) = 0), as power series cut at degree phi(d).  Keyed
-    on d alone; each division by 1 - X^e runs block by block."""
-    plus, minus = _mobius_divisors(d)
-    deg = sum(plus) - sum(minus)
-    c = [1] + [0] * deg
-    for e in plus:
-        c[e:] = map(operator.sub, c[e:], c[:deg + 1 - e])
-    for e in minus:
-        for start in range(e, deg + 1, e):
-            c[start:start + e] = map(operator.add, c[start:start + e], c[start - e:start])
-    return tuple(c)
 
 
 @lru_cache(maxsize=None)

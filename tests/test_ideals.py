@@ -1,13 +1,16 @@
+import math
+
 import pytest
 
 from cycfit.arith import kronecker
-from cycfit.classgroup import narrow_class_group
-from cycfit.fields import build_field, is_well_ordered
+from cycfit.cli import run_verify
+from cycfit.fields import (build_field, chain_primes, evaluation_primes, is_well_ordered,
+                           kolyvagin_primes)
 from cycfit.fitting import fitting_of_p_group
-from cycfit.groupring import IdealNF
+from cycfit.groupring import IdealNF, chi_project
 from cycfit.classgroup import fundamental_discriminants
-from cycfit.ideals import (CycIdealRun, _divisor_generators, _preferred_chains,
-                           sample_cyclotomic_ideal, stabilized)
+from cycfit.ideals import CycIdealRun, _preferred_chains, sample_cyclotomic_ideal, stabilized
+from cycfit.units import derivative_class, evaluate_kappa
 
 
 def test_budget_zero_is_partial_with_zero_ideal():
@@ -50,30 +53,34 @@ def test_determinism_and_transcript():
 
 def test_monotone_in_i_with_shared_base():
     ctx = build_field(3, 257, 0, 3)
-    oracle = narrow_class_group(257)
     f0 = fitting_of_p_group(3, 3, (1,), 0)
     f1 = fitting_of_p_group(3, 3, (1,), 1)
     run0 = sample_cyclotomic_ideal(ctx, 0, budget=100, seed=0, window=12,
-                                   oracle_fitting=f0, oracle_group=oracle)
+                                   oracle_fitting=f0)
     run1 = sample_cyclotomic_ideal(ctx, 1, budget=100, seed=0, window=12,
-                                   oracle_fitting=f1, base_run=run0,
-                                   oracle_group=oracle)
+                                   oracle_fitting=f1, base_run=run0)
     assert run1.ideal.contains_ideal(run0.ideal)
     assert run1.ideal.is_unit_ideal()
     run2 = sample_cyclotomic_ideal(ctx, 2, budget=100, seed=0, window=12,
-                                   base_run=run1, oracle_group=oracle)
+                                   base_run=run1)
     assert run2.ideal.is_unit_ideal()
     assert len(run2.samples) == len(run1.samples)  # inherited, no new work
 
 
 def test_preferred_chains_are_well_ordered():
-    chains = _preferred_chains(build_field(3, 257, 0, 1), 2)
+    ctx = build_field(3, 257, 0, 1)
+    chains = _preferred_chains(ctx, 2)
     assert [c for c in chains if not c] == [()]
-    assert any(len(c) == 2 for c in chains)
     for c in chains:
         assert is_well_ordered(3, 1, c)
         for ell in c:
             assert ell % 3 == 1 and kronecker(257, ell) == 1
+    # each prefix takes the 6 smallest auxiliary primes, in increasing order
+    assert len(chains) == 1 + 6 + 6 * 6
+    for prefix in [()] + [c for c in chains if len(c) == 1]:
+        gen = kolyvagin_primes(ctx, extra_modulus=math.prod(prefix))
+        assert [c for c in chains if c[:-1] == prefix and c] == [
+            prefix + (next(gen).ell,) for _ in range(6)], prefix
 
 
 def test_sampler_oracle_arguments_are_keyword_only():
@@ -83,8 +90,47 @@ def test_sampler_oracle_arguments_are_keyword_only():
         sample_cyclotomic_ideal(ctx, 0, 0, 0, 5, None, None)
 
 
-def test_divisor_generators_list_every_divisor_in_decreasing_order():
-    for D in [D for D in fundamental_discriminants(2000) if D % 3 == 2] + [32009, 39992]:
-        ctx = build_field(3, D, 0, 1)
-        divs = sorted((d for d in range(2, D + 1) if D % d == 0), reverse=True)
-        assert _divisor_generators(ctx) == [("d", d) for d in divs] + [("a", 2)], D
+def test_undrawn_generators_have_zero_chi_projection():
+    # the sampler draws only d = f_K: a unit at a proper divisor d | f_K, or
+    # the a-type unit, lies in a field without K, so chi kills its class;
+    # the d = f_K class at the same points is not always killed
+    def chi_value(ctx, kind, param, chain, q):
+        cls = derivative_class(ctx, kind, param, chain_primes(ctx, chain))
+        return chi_project(evaluate_kappa(ctx, cls, q), ctx.chi).vector()
+
+    evaluations = 0
+    for D in (785, 1016, 1820, 1937, 3137):
+        ctx = build_field(3, D, 0, 3)
+        aux = kolyvagin_primes(ctx)
+        chains = [(), (next(aux).ell,), (next(aux).ell,)]
+        generators = [("d", d) for d in range(2, D) if D % d == 0] + [("a", 2)]
+        live = 0
+        for chain in chains:
+            qs = evaluation_primes(ctx, math.prod(chain))
+            for q in (next(qs) for _ in range(3)):
+                live += any(chi_value(ctx, "d", D, chain, q))
+                for kind, param in generators:
+                    assert not any(chi_value(ctx, kind, param, chain, q)), (D, chain, q, kind)
+                    evaluations += 1
+        assert live, D
+    assert evaluations == 333
+
+
+def test_corpus_matches_at_every_sampler_seed():
+    # criterion-2 settings at seeds 1-9 (criterion 2 itself runs seed 0)
+    corpus = [D for D in fundamental_discriminants(2000) if D % 3 == 2]
+    for seed in range(1, 10):
+        for D in corpus:
+            rep = run_verify(3, D, i_max=2, budget=500, window=50, seed=seed,
+                             anni_count=0, quiet=True)
+            assert set(rep["verdicts"].values()) == {"MATCH"}, (seed, D, rep["verdicts"])
+
+
+@pytest.mark.parametrize("D", [3137, 4409])
+def test_proper_fitting_ideal_of_a_z9_field_is_matched(D):
+    # 3-part Z/9: C_0 = Fitt_0 = (9), Fitt_1 = Fitt_2 = (1)
+    rep = run_verify(3, D, seed=0, anni_count=0, quiet=True)
+    assert rep["oracle"]["p_part_divisors"] == [2]
+    assert rep["verdicts"] == {"0": "MATCH", "1": "MATCH", "2": "MATCH"}
+    assert rep["cyclotomic"]["0"]["ideal_valuation"] == 2
+    assert rep["fitting"]["0"]["p_valuation"] == 2

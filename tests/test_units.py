@@ -25,7 +25,6 @@ from cycfit.units import (
     derivative_class,
     evaluate_kappa,
     _chirp_axis,
-    _cyclotomic,
     _NormSets,
     norm_relation_check,
     splits_completely,
@@ -185,8 +184,7 @@ def test_norm_sets_from_component_tables():
 
 def test_proper_divisor_norm_sets_are_all_units():
     # chi_D is primitive of conductor f_K = D, so its kernel maps onto
-    # (Z/d)^x for every proper divisor d: the closed form Phi_d of the
-    # engine rests on this
+    # (Z/d)^x for every proper divisor d
     pairs = 0
     for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009]:
         sets = _NormSets(D)
@@ -194,25 +192,6 @@ def test_proper_divisor_norm_sets_are_all_units():
             assert sets[d] == tuple(x for x in range(d) if math.gcd(x, d) == 1), (D, d)
             pairs += 1
     assert pairs == 2628
-
-
-def test_cyclotomic_coefficients_match_exact_division():
-    # Phi_d = (X^d - 1) / prod_{e | d, e < d} Phi_e, constant term first
-    phi = {1: [-1, 1]}
-    for d in range(2, 500):
-        quot = [-1] + [0] * (d - 1) + [1]
-        for e in (e for e in range(1, d) if d % e == 0):
-            div, out = phi[e], []
-            # exact division by a monic polynomial, from the top
-            for top in range(len(quot) - 1, len(div) - 2, -1):
-                c = quot[top]
-                out.append(c)
-                for i, x in enumerate(div):
-                    quot[top - len(div) + 1 + i] -= c * x
-            assert not any(quot[:len(div) - 1]), (d, e)
-            quot = out[::-1]
-        phi[d] = quot
-        assert _cyclotomic(d) == tuple(quot), d
 
 
 @pytest.mark.parametrize("cells", [

@@ -4,8 +4,8 @@ higher Fitting ideals of class groups over real abelian fields."""
 __version__ = "0.1.0"
 
 from .arith import FieldCtx, dlog_p_part, make_field, root_of_unity
-from .classgroup import FormClassGroup, ideal_class_of_prime, ingest_external, narrow_class_group
-from .combined import build_combined, check_combined_identities, reciprocity_on_combined
+from .classgroup import FormClassGroup, ideal_class_of_prime, narrow_class_group
+from .combined import build_combined, check_combined_identities
 from .fields import AbelianFieldCtx, KolyvaginPrime, build_field, kolyvagin_primes
 from .fitting import Presentation, fitting_ideal, fitting_of_p_group
 from .groupring import (
@@ -18,7 +18,7 @@ from .groupring import (
     ideal_normal_form,
 )
 from .ideals import CycIdealRun, sample_cyclotomic_ideal, stabilized
-from .maps import annihilation_check, bracket_ell, phi_bar
+from .maps import annihilation_check, phi_bar
 from .units import (
     CircularUnitSymbol,
     DerivativeClass,
@@ -43,7 +43,6 @@ __all__ = [
     "KolyvaginPrime",
     "Presentation",
     "annihilation_check",
-    "bracket_ell",
     "build_combined",
     "build_field",
     "check_combined_identities",
@@ -54,13 +53,11 @@ __all__ = [
     "fitting_of_p_group",
     "ideal_class_of_prime",
     "ideal_normal_form",
-    "ingest_external",
     "kolyvagin_primes",
     "make_field",
     "narrow_class_group",
     "norm_relation_check",
     "phi_bar",
-    "reciprocity_on_combined",
     "root_of_unity",
     "sample_cyclotomic_ideal",
     "stabilized",

@@ -14,14 +14,12 @@ series slack) -- no floating point anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorint, is_prime, kronecker, sqrt_mod_prime, crt
-from .errors import (BudgetExhausted, InconsistentField, NotFundamental, NotSplit,
-                     SchemaViolation)
+from .errors import BudgetExhausted, NotFundamental, NotSplit
 
 
 def is_squarefree(n: int) -> bool:
@@ -447,83 +445,3 @@ def ideal_class_of_prime(ell: int, D: int, group: FormClassGroup) -> int:
     b = min(candidates)
     c = (b * b - D) // (4 * ell)
     return group.cycle_of((ell, b, c))
-
-
-# ---------------------------------------------------------------------------
-# External class-group records
-
-
-@dataclass(frozen=True)
-class ExternalClassData:
-    field_type: str
-    D: int | None
-    conductor: int | None
-    degree: int
-    p: int
-    divisors: tuple[int, ...]
-    classes: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise SchemaViolation(msg)
-
-
-def ingest_external(path: str) -> ExternalClassData:
-    """Load and validate an externally supplied class-group record.
-
-    Schema: {"field": {"type": ..., "D" or "conductor": int, "degree": int},
-             "p": int, "divisors": [d1 >= d2 >= ...],
-             "classes": [{"prime": int, "exponents": [..]}]}.
-    Quadratic records are cross-checked against the form oracle.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaViolation(f"cannot read record: {exc}") from exc
-    _require(isinstance(doc, dict), "top level must be an object")
-    _require(isinstance(doc.get("field"), dict), "missing field descriptor")
-    fld = doc["field"]
-    ftype = fld.get("type")
-    _require(ftype in ("real_quadratic", "abelian"), f"unknown field type {ftype!r}")
-    degree = fld.get("degree")
-    _require(isinstance(degree, int) and degree >= 2, "degree must be an integer >= 2")
-    p = doc.get("p")
-    _require(isinstance(p, int) and p >= 3, "p must be an odd prime >= 3")
-    if not is_prime(p):
-        raise SchemaViolation(f"p = {p} is not prime")
-    divisors = doc.get("divisors")
-    _require(isinstance(divisors, list) and all(isinstance(d, int) and d >= 1 for d in divisors),
-             "divisors must be a list of positive integers")
-    _require(all(divisors[i] >= divisors[i + 1] for i in range(len(divisors) - 1)),
-             "divisors must be non-increasing")
-    classes = []
-    for rec in doc.get("classes", []):
-        _require(isinstance(rec, dict) and isinstance(rec.get("prime"), int), "bad class record")
-        exps = rec.get("exponents", [])
-        _require(isinstance(exps, list) and len(exps) == len(divisors), "exponent length mismatch")
-        classes.append((rec["prime"], tuple(exps)))
-    D = fld.get("D")
-    conductor = fld.get("conductor")
-    if ftype == "real_quadratic":
-        _require(isinstance(D, int) and D > 0, "real_quadratic needs a positive D")
-        if not is_fundamental_discriminant(D):
-            raise InconsistentField(f"D = {D} is not a fundamental discriminant")
-        if degree != 2:
-            raise InconsistentField("real quadratic fields have degree 2")
-    if degree % p == 0:
-        raise InconsistentField(f"p = {p} divides the field degree {degree}")
-    if ftype == "real_quadratic" and p != 2 and D is not None and D % p == 0:
-        raise InconsistentField(f"p = {p} ramifies (p | D)")
-    data = ExternalClassData(
-        field_type=ftype, D=D, conductor=conductor, degree=degree, p=p,
-        divisors=tuple(divisors), classes=tuple(classes),
-    )
-    if ftype == "real_quadratic":
-        grp = narrow_class_group(D)
-        if grp.p_part_divisors(p) != data.divisors:
-            raise InconsistentField(
-                f"record divisors {data.divisors} disagree with oracle {grp.p_part_divisors(p)}"
-            )
-    return data

@@ -15,14 +15,14 @@ import sys
 
 from . import __version__
 from .arith import is_prime
-from .classgroup import class_number_band, ingest_external, narrow_class_group
+from .classgroup import class_number_band, narrow_class_group
 from .config import (
     DEFAULT_PRIME_SEARCH_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_STABILIZATION_WINDOW,
     Conventions,
 )
-from .errors import CycfitError, InconsistentField, NegativeArgument, NotPrime, exit_code_for
+from .errors import CycfitError, NegativeArgument, NotPrime, UsageError, exit_code_for
 from .fields import build_field, chain_primes, kolyvagin_primes
 from .fitting import diagonal_presentation, fitting_ideal, fitting_of_p_group
 from .groupring import chi_project, scalar_ring
@@ -64,7 +64,7 @@ def _ideal_desc(nf) -> dict:
     return out
 
 
-def auto_precision(p: int, divisors) -> int:
+def auto_precision(divisors) -> int:
     """log_p |A| + 2, where |A| = p^{sum(divisors)}: the least N with
     p^N > |A| is log_p |A| + 1, and one more is kept for safety."""
     return sum(divisors) + 2
@@ -75,8 +75,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
                window: int = DEFAULT_STABILIZATION_WINDOW,
                seed: int = 0, flip_sigma: bool = False,
                anni_count: int = 3,
-               quiet: bool = False,
-               external: str | None = None) -> dict:
+               quiet: bool = False) -> dict:
     """The flagship pipeline: oracle -> Fitting ideals -> sampled cyclotomic
     ideals -> per-index verdict, plus the annihilation and formal suites."""
 
@@ -85,20 +84,15 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
             log(msg)
 
     _check_bound("--i-max", i_max)
+    _check_bound("--annihilation", anni_count)
+    _check_bound("--budget", budget)
+    _check_bound("--window", window)
     conventions = Conventions(flip_sigma=flip_sigma)
-    if external is not None:
-        record = ingest_external(external)
-        if record.field_type != "real_quadratic":
-            return _external_fitting_only(record, i_max)
-        if record.p != p:
-            raise InconsistentField(
-                f"external record is for p = {record.p}, requested p = {p}")
-        D = record.D
     say(f"[oracle] narrow class group of D = {D}")
     oracle = narrow_class_group(D)
     divisors = oracle.p_part_divisors(p)
     say(f"[oracle] h+ = {oracle.h_plus}, p-part divisors {divisors}")
-    N_used = N if N is not None else auto_precision(p, divisors)
+    N_used = N if N is not None else auto_precision(divisors)
     ctx = build_field(p, D, 0, N_used, conventions)
     ring = scalar_ring(p, N_used)
     fitts = {}
@@ -191,27 +185,6 @@ def _formal_reports() -> tuple:
     return tuple(check_combined_identities(eps) for eps in range(_FORMAL_EPS_MAX + 1))
 
 
-def _external_fitting_only(record, i_max: int) -> dict:
-    """For non-quadratic external records only the Fitting route is
-    available (the built-in evaluation engine covers quadratic fields), so
-    the sampled side is reported empty and the status INCONCLUSIVE."""
-    N_used = auto_precision(record.p, record.divisors)
-    fitts = {i: fitting_of_p_group(record.p, N_used, record.divisors, i)
-             for i in range(i_max + 1)}
-    return {
-        "version": __version__,
-        "config": {"p": record.p, "external": True, "degree": record.degree,
-                   "N": N_used, "i_max": i_max},
-        "oracle": {"p_part_divisors": list(record.divisors), "source": "external"},
-        "fitting": {str(i): _ideal_desc(f) for i, f in fitts.items()},
-        "cyclotomic": {},
-        "verdicts": {str(i): "INCONCLUSIVE" for i in range(i_max + 1)},
-        "annihilation": [],
-        "formal_identities": [],
-        "status": "INCONCLUSIVE",
-    }
-
-
 def _check_bound(flag: str, value: int) -> None:
     """A negative upper bound would check nothing and still report success."""
     if value < 0:
@@ -230,7 +203,7 @@ def cmd_verify(args) -> int:
     report = run_verify(
         p=args.p, D=args.D, i_max=args.i_max, N=args.N, budget=args.budget,
         window=args.window, seed=args.seed, flip_sigma=args.flip_sigma,
-        anni_count=args.annihilation, quiet=args.quiet, external=args.external,
+        anni_count=args.annihilation, quiet=args.quiet,
     )
     emit(report)
     return _status_exit(report)
@@ -250,12 +223,6 @@ def cmd_classgroup(args) -> int:
         "p": args.p,
         "p_part_divisors": list(divisors),
         "l_series_band": {"h_lo": band["h_lo"], "h_hi": band["h_hi"], "ok": band["ok"]},
-        "external_record": {
-            "field": {"type": "real_quadratic", "D": args.D, "degree": 2},
-            "p": args.p,
-            "divisors": list(divisors),
-            "classes": [],
-        },
     }
     emit(report)
     return 0 if band["ok"] else 3
@@ -322,8 +289,16 @@ def cmd_formal(args) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2, the
+    INCONCLUSIVE code; subparsers are built with the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cycfit",
         description="verify sampled cyclotomic ideals against class-group Fitting ideals",
     )
@@ -342,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--flip-sigma", action="store_true",
                    help="run with the rejected tame-generator convention")
     v.add_argument("--quiet", action="store_true")
-    v.add_argument("--external", type=str, default=None,
-                   help="path to an external class-group record")
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("classgroup", help="narrow class group oracle")
@@ -395,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CycfitError as exc:
         log(f"error: {type(exc).__name__}: {exc}")

@@ -13,19 +13,14 @@ their auxiliary-group tensor tags tracked and stripped only after checking
 they are uniform, which is what makes permuting the l-labels safe.
 
 Everything here is label-level symbol pushing: it needs no primes, no
-fields, and no randomness.  The numeric entry point evaluates the same
-combinations through the residue engine.
+fields, and no randomness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MissingWeight, NotWellOrdered, ReductionFailure
-from .fields import KolyvaginPrime, is_well_ordered
-from .groupring import GroupRingElement
-from .maps import phi_bar
-from .units import derivative_class
+from .errors import NotWellOrdered, ReductionFailure
 
 # coefficient = dict {frozenset(weight labels): int}, a multilinear polynomial
 Coeff = dict
@@ -68,9 +63,6 @@ class CombinedClass:
     q: object
     terms: FormalSum  # kappa atoms only
 
-    def labels(self) -> frozenset:
-        return frozenset(self.nu) | {self.q}
-
 
 def _subsets(labels: tuple):
     n = len(labels)
@@ -78,17 +70,12 @@ def _subsets(labels: tuple):
         yield frozenset(labels[i] for i in range(n) if mask >> i & 1)
 
 
-def build_combined(nu: tuple, q, weights: dict | None = None) -> CombinedClass:
+def build_combined(nu: tuple, q) -> CombinedClass:
     """Expand the divisor-lattice product defining x_{nu,q}.
 
-    weights maps each l in nu to its symbolic presence (None = symbolic
-    indeterminate w_l); every l must be covered.  The auxiliary tensor tag of
-    each term is e union (nu - e) = nu, checked uniform and then stripped.
+    The auxiliary tensor tag of each term is e union (nu - e) = nu, checked
+    uniform and then stripped.
     """
-    if weights is not None:
-        for ell in nu:
-            if ell not in weights:
-                raise MissingWeight(f"no weight for {ell}")
     if len(set(nu)) != len(nu) or q in nu:
         raise NotWellOrdered("labels of q*nu must be distinct")
     terms: FormalSum = {}
@@ -174,44 +161,3 @@ def check_combined_identities(epsilon: int) -> CombinedIdentityReport:
         if diff3:
             ok3 = False
     return CombinedIdentityReport(epsilon=epsilon, identity1=ok1, identity2=ok2, identity3=ok3)
-
-
-# ---------------------------------------------------------------------------
-# Numeric instantiation
-
-
-def combined_expansion(nu_kps: tuple[KolyvaginPrime, ...], q_kp: KolyvaginPrime,
-                    weights: dict[int, int], p: int, N: int):
-    """The (weight, auxiliary-primes) expansion of x_{nu,q} with numeric
-    weights; validates the chain condition on (q, l_1, ..., l_r)."""
-    chain = (q_kp.ell,) + tuple(kp.ell for kp in nu_kps)
-    if not is_well_ordered(p, N, chain):
-        raise NotWellOrdered(f"{chain} violates the chain congruences at level {N}")
-    for kp in nu_kps:
-        if kp.ell not in weights:
-            raise MissingWeight(f"no weight for {kp.ell}")
-    out = []
-    ells = tuple(kp.ell for kp in nu_kps)
-    for e in _subsets(ells):
-        w = 1
-        for ell in e:
-            w = w * weights[ell]
-        aux = tuple(kp for kp in nu_kps if kp.ell not in e)
-        out.append((w % p**N, (q_kp,) + aux))
-    return out
-
-
-def reciprocity_on_combined(ctx, nu_kps: tuple[KolyvaginPrime, ...], q_kp: KolyvaginPrime,
-                     weights: dict[int, int], eval_kp: KolyvaginPrime,
-                     kind: str = "d", param: int | None = None) -> GroupRingElement:
-    """phi_bar at a fresh prime applied linearly to x_{nu,q}."""
-    param = param if param is not None else ctx.f_K
-    if any(eval_kp.ell == kp.ell for kp in nu_kps) or eval_kp.ell == q_kp.ell:
-        raise NotWellOrdered("evaluation prime must not divide q*nu")
-    total = None
-    for w, aux in combined_expansion(nu_kps, q_kp, weights, ctx.p, ctx.N):
-        aux_sorted = tuple(sorted(aux, key=lambda kp: kp.ell))
-        cls = derivative_class(ctx, kind, param, aux_sorted)
-        val = phi_bar(ctx, eval_kp, cls) * w
-        total = val if total is None else total + val
-    return total

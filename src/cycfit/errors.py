@@ -71,19 +71,17 @@ class DividesAux(CycfitError):
     pass
 
 
-class NotDividing(CycfitError):
-    pass
-
-
-class MissingWeight(CycfitError):
-    pass
-
-
 class NegativeArgument(CycfitError, ValueError):
     """An index, a count or a bound that must be >= 0 is negative: the ideal
     index i, the sample budget or stabilization window, the number of
-    annihilation or auxiliary primes (--count), or the largest ideal index
-    (--i-max) or epsilon (--eps-max) to check."""
+    annihilation or auxiliary primes (--count), the prime-search budget
+    (primes --budget), or the largest ideal index (--i-max) or epsilon
+    (--eps-max) to check."""
+
+
+class UsageError(CycfitError):
+    """The command line does not parse: an unknown command or option, or a
+    value of the wrong type."""
 
 
 class NotWellOrdered(CycfitError):
@@ -98,23 +96,14 @@ class PrecisionTooLow(CycfitError):
     pass
 
 
-class SchemaViolation(CycfitError):
-    pass
-
-
-class InconsistentField(CycfitError):
-    pass
-
-
 # CLI exit codes: 0 = all MATCH/PASS, 2 = INCONCLUSIVE present,
-# 3 = BUG-class failure, 4+ = input/validation errors.
+# 3 = BUG-class failure, 4+ = input/validation errors.  8 and 9 are retired
+# and not reused, so an old code never reads as a different error.
 EXIT_CODES = {
     Ramified: 4,
     SplitP: 5,
     NotFundamental: 6,
     NotPrime: 7,
-    SchemaViolation: 8,
-    InconsistentField: 9,
     BudgetExhausted: 10,
     BudgetExceeded: 11,
     InsufficientPrecision: 12,
@@ -125,6 +114,7 @@ EXIT_CODES = {
     ConductorClash: 17,
     BadDecomposition: 18,
     NegativeArgument: 20,
+    UsageError: 21,
     CycfitError: 19,
 }
 

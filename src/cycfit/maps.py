@@ -1,13 +1,8 @@
-"""The two arithmetic maps on (F_m^x/p^N)_chi -- the divisor coordinate at a
-prime and the reciprocity coordinate -- plus the annihilation integration
-test that ties them to the class group oracle.
+"""The reciprocity coordinate on (F_m^x/p^N)_chi, plus the annihilation
+integration test that ties it to the class group oracle.
 
 The reciprocity coordinate phi_bar at ell is computed as the chi-projection
-of the dlog conjugate vector of the class at q := ell.  The divisor
-coordinate on a derivative class is not computed independently (that would
-need a Kummer descent of a p^N-th root); it is supplied through the proven
-identity with phi_bar of the reduced class and is always labeled
-THEOREM_BACKED so reports never present a theorem as an independent check.
+of the dlog conjugate vector of the class at q := ell.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from itertools import islice
 from .arith import is_prime, make_field, val_p
 from .classgroup import FormClassGroup, ideal_class_of_prime
 from .config import DEFAULT_FIELD_BUDGET
-from .errors import BudgetExhausted, DividesAux, NegativeArgument, NotDividing, PrecisionTooLow
+from .errors import BudgetExhausted, DividesAux, NegativeArgument, PrecisionTooLow
 from .fields import AbelianFieldCtx, KolyvaginPrime
 from .groupring import Character, GroupRingElement, chi_project
 from .units import DerivativeClass, derivative_class, evaluate_kappa
@@ -54,27 +49,6 @@ def _chi_at_level(ctx: AbelianFieldCtx, level: int):
     mod = ctx.p**level
     values = (mod - 1,) + (1,) * (len(ctx.delta_divisors) - 1)
     return Character(ctx.delta_divisors, ctx.p, level, values)
-
-
-@dataclass(frozen=True)
-class TheoremBacked:
-    """A value obtained through a proven identity, not an independent
-    computation; consumers must not count it as a second route."""
-
-    value: GroupRingElement
-    basis: str = "theorem"
-
-
-def bracket_ell(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass) -> TheoremBacked:
-    """Divisor coordinate at ell | n of kappa(n), via the identity with
-    phi_bar of kappa(n/ell); THEOREM_BACKED by construction."""
-    ell = kp.ell
-    if cls.n % ell != 0:
-        raise NotDividing(f"ell = {ell} does not divide n = {cls.n}")
-    reduced_primes = tuple(k for k in cls.aux_primes if k.ell != ell)
-    kind, param, _ = cls.symbol.factors[0]
-    reduced = derivative_class(ctx, kind, param, reduced_primes)
-    return TheoremBacked(value=phi_bar(ctx, kp, reduced))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -10,14 +9,13 @@ from cycfit.classgroup import (
     fundamental_discriminants,
     fundamental_unit,
     ideal_class_of_prime,
-    ingest_external,
     is_fundamental_discriminant,
     is_reduced,
     narrow_class_group,
     principal_form,
     rho,
 )
-from cycfit.errors import InconsistentField, NotSplit, SchemaViolation
+from cycfit.errors import NotSplit
 
 
 def test_fundamental_discriminants():
@@ -145,46 +143,3 @@ def test_band_is_tight_for_small_discriminants():
         g = narrow_class_group(D)
         band = class_number_band(D, g.h_plus, g.unit)
         assert band["ok"] and band["width_below_one"]
-
-
-def test_ingest_external_roundtrip(tmp_path):
-    rec = {
-        "field": {"type": "real_quadratic", "D": 257, "degree": 2},
-        "p": 3,
-        "divisors": [1],
-        "classes": [{"prime": 13, "exponents": [1]}],
-    }
-    path = tmp_path / "rec.json"
-    path.write_text(json.dumps(rec))
-    data = ingest_external(str(path))
-    assert data.divisors == (1,)
-
-    rec_bad = dict(rec, p=2)  # p | degree
-    path2 = tmp_path / "bad.json"
-    path2.write_text(json.dumps(rec_bad))
-    with pytest.raises((InconsistentField, SchemaViolation)):
-        ingest_external(str(path2))
-
-    path3 = tmp_path / "malformed.json"
-    path3.write_text("{not json")
-    with pytest.raises(SchemaViolation):
-        ingest_external(str(path3))
-
-    rec_wrong = dict(rec, divisors=[2])
-    path4 = tmp_path / "wrong.json"
-    path4.write_text(json.dumps(rec_wrong))
-    with pytest.raises(InconsistentField):
-        ingest_external(str(path4))
-
-
-def test_ingest_degree_divisible(tmp_path):
-    rec = {
-        "field": {"type": "abelian", "conductor": 63, "degree": 6},
-        "p": 3,
-        "divisors": [],
-        "classes": [],
-    }
-    path = tmp_path / "deg.json"
-    path.write_text(json.dumps(rec))
-    with pytest.raises(InconsistentField):
-        ingest_external(str(path))

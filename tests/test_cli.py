@@ -177,11 +177,33 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
      17, "ConductorClash"),
     # a negative prime-search budget is refused before any search
     (["primes", "-D", "257", "--budget", "-1"], 20, "NegativeArgument"),
+    # a command line that does not parse is not INCONCLUSIVE (exit 2)
+    (["verify", "--external", "r.json"], 21, "UsageError"),
+    (["verify", "-D", "abc"], 21, "UsageError"),
+    (["nosuch"], 21, "UsageError"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)
     assert got == code and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {name}: ")
+
+
+@pytest.mark.parametrize("flag", ["--annihilation", "--budget", "--window"])
+def test_verify_refuses_negative_bounds_before_any_work(capsys, monkeypatch, flag):
+    def no_oracle(D):
+        raise AssertionError("the class group was built before the bounds were checked")
+
+    monkeypatch.setattr(cli, "narrow_class_group", no_oracle)
+    got, out, err = run_cli(capsys, ["verify", "-D", "257", flag, "-1", "--quiet"])
+    assert got == 20 and out == ""
+    assert err == f"error: NegativeArgument: {flag} = -1 must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
 
 
 def test_verify_runs_the_formal_suite_once(capsys, monkeypatch):
@@ -216,29 +238,6 @@ def test_parser_has_all_subcommands():
     assert set(subs.choices) == {
         "verify", "classgroup", "primes", "kappa", "ideal", "fitting", "formal",
     }
-
-
-def test_verify_external_record(tmp_path, capsys):
-    # oracle reports emit the external schema; feeding one back verifies D
-    code, out, _ = run_cli(capsys, ["classgroup", "-D", "257"])
-    rec = json.loads(out)["external_record"]
-    path = tmp_path / "record.json"
-    path.write_text(json.dumps(rec))
-    code, out, _ = run_cli(capsys, [
-        "verify", "--external", str(path), "--annihilation", "0", "--quiet",
-    ])
-    assert code == 0
-    assert json.loads(out)["verdicts"]["0"] == "MATCH"
-    # non-quadratic records: fitting route only
-    rec2 = {"field": {"type": "abelian", "conductor": 91, "degree": 4},
-            "p": 3, "divisors": [1], "classes": []}
-    path2 = tmp_path / "abelian.json"
-    path2.write_text(json.dumps(rec2))
-    code, out, _ = run_cli(capsys, ["verify", "--external", str(path2), "--quiet"])
-    assert code == 2
-    rep = json.loads(out)
-    assert rep["status"] == "INCONCLUSIVE"
-    assert rep["fitting"]["0"]["p_valuation"] == 1
 
 
 def test_run_verify_inconclusive_paths_do_not_crash():

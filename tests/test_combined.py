@@ -1,14 +1,16 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from cycfit.errors import MissingWeight, NotWellOrdered
-from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
+import cycfit
+from cycfit.errors import NotWellOrdered
 from cycfit.combined import (
     apply_bracket,
     apply_phi,
     build_combined,
     check_combined_identities,
-    reciprocity_on_combined,
-    combined_expansion,
 )
 
 
@@ -29,8 +31,6 @@ def test_build_combined_divisor_lattice():
 def test_build_combined_label_validation():
     with pytest.raises(NotWellOrdered):
         build_combined(("l", "l"), "q")
-    with pytest.raises(MissingWeight):
-        build_combined(("l1", "l2"), "q", weights={"l1": 1})
 
 
 def test_build_combined_respects_divisor_recursion():
@@ -68,35 +68,18 @@ def test_formal_identities_all_shapes():
         assert report.passed, report
 
 
-def test_combined_expansion_validation():
-    ctx = build_field(3, 257, 0, 1)
-    q_kp = next(kolyvagin_primes(ctx))
-    bad = KolyvaginPrime.build(31, 3)  # 31 != 1 mod 3*13
-    with pytest.raises(NotWellOrdered):
-        combined_expansion((bad,), q_kp, {31: 1}, 3, 1)
-
-
-def test_numeric_phi_linearity():
-    # two independent computation paths agree, including degenerate weights
-    ctx = build_field(3, 257, 0, 1)
-    q_kp = next(kolyvagin_primes(ctx))
-    l_kp = next(kolyvagin_primes(ctx, extra_modulus=q_kp.ell))
-    eval_kp = KolyvaginPrime.build(next(evaluation_primes(ctx, q_kp.ell * l_kp.ell, level=1)), 3)
-    from cycfit.maps import phi_bar
-    from cycfit.units import derivative_class
-
-    w = {l_kp.ell: 5}
-    via_formal = reciprocity_on_combined(ctx, (l_kp,), q_kp, w, eval_kp)
-    direct = None
-    for wt, aux in combined_expansion((l_kp,), q_kp, w, 3, 1):
-        cls = derivative_class(ctx, "d", 257, tuple(sorted(aux, key=lambda kp: kp.ell)))
-        v = phi_bar(ctx, eval_kp, cls) * wt
-        direct = v if direct is None else direct + v
-    assert via_formal == direct
-    # zero weights: collapses to phi of the full class
-    via0 = reciprocity_on_combined(ctx, (l_kp,), q_kp, {l_kp.ell: 0}, eval_kp)
-    full = derivative_class(ctx, "d", 257,
-                            tuple(sorted((q_kp, l_kp), key=lambda kp: kp.ell)))
-    assert via0 == phi_bar(ctx, eval_kp, full)
-    with pytest.raises(NotWellOrdered):
-        reciprocity_on_combined(ctx, (l_kp,), q_kp, w, q_kp)
+def test_combined_imports_no_numeric_layer():
+    # The package __init__ re-exports every layer, so the package is
+    # registered bare in a fresh interpreter to see combined's own imports.
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('cycfit')\n"
+        f"pkg.__path__ = [{str(Path(cycfit.__file__).parent)!r}]\n"
+        "sys.modules['cycfit'] = pkg\n"
+        "import cycfit.combined\n"
+        "print(sorted(m for m in ('cycfit.units', 'cycfit.maps', 'cycfit.fields')"
+        " if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -6,15 +6,13 @@ import pytest
 from cycfit.arith import is_prime
 from cycfit.classgroup import narrow_class_group
 from cycfit.config import DEFAULT_FIELD_BUDGET, Conventions
-from cycfit.errors import DividesAux, NotDividing, PrecisionTooLow
+from cycfit.errors import DividesAux, PrecisionTooLow
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
 from cycfit.maps import (
     _SUITE_K_MAX,
-    TheoremBacked,
     _suite_primes,
     annihilation_check,
     annihilation_suite,
-    bracket_ell,
     phi_bar,
     tame_coupling_ok,
 )
@@ -52,21 +50,6 @@ def test_phi_sign_convention_flips_value():
     q = KolyvaginPrime.build(next(evaluation_primes(ctx, 1)), 3)
     eta = derivative_class(ctx, "d", 257, ())
     assert phi_bar(ctx, q, eta) == -phi_bar(ctx_neg, q, eta)
-
-
-def test_bracket_ell():
-    ctx = build_field(3, 257, 0, 1)
-    kp = next(kolyvagin_primes(ctx))
-    # evaluation at q := ell itself happens inside F_{13^k}; 13 has large order
-    # mod 771, so use an admissible small-order ell instead
-    kp787 = KolyvaginPrime.build(787, 3)
-    cls = derivative_class(ctx, "d", 257, (kp787,))
-    out = bracket_ell(ctx, kp787, cls)
-    assert isinstance(out, TheoremBacked) and out.basis == "theorem"
-    eta = derivative_class(ctx, "d", 257, ())
-    assert out.value == phi_bar(ctx, kp787, eta)
-    with pytest.raises(NotDividing):
-        bracket_ell(ctx, kp, derivative_class(ctx, "d", 257, ()))
 
 
 def test_tame_coupling():

@@ -64,6 +64,17 @@ def _ideal_desc(nf) -> dict:
     return out
 
 
+def _unit_desc(unit) -> dict:
+    """The fundamental unit (T + U sqrt(D)) / 2 with its norm."""
+    T, U, norm = unit
+    return {"T": T, "U": U, "norm": norm}
+
+
+def _entries(reports) -> list:
+    """One entry per suite report: its fields plus the derived `passed`."""
+    return [{**vars(r), "passed": r.passed} for r in reports]
+
+
 def auto_precision(divisors) -> int:
     """log_p |A| + 2, where |A| = p^{sum(divisors)}: the least N with
     p^N > |A| is log_p |A| + 1, and one more is kept for safety."""
@@ -95,17 +106,9 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     N_used = N if N is not None else auto_precision(divisors)
     ctx = build_field(p, D, 0, N_used, conventions)
     ring = scalar_ring(p, N_used)
-    fitts = {}
-    cross = {}
-    diag = diagonal_presentation(ring, [p**d for d in divisors]) if divisors else None
-    for i in range(i_max + 1):
-        fitts[i] = fitting_of_p_group(p, N_used, divisors, i)
-        if divisors:
-            cross[i] = fitting_ideal(diag, i) == fitts[i]
-        else:
-            cross[i] = fitting_ideal(
-                diagonal_presentation(ring, [1]), i
-            ).is_unit_ideal() == fitts[i].is_unit_ideal()
+    fitts = {i: fitting_of_p_group(p, N_used, divisors, i) for i in range(i_max + 1)}
+    diag = diagonal_presentation(ring, [p**d for d in divisors] or [1])
+    cross = {i: fitting_ideal(diag, i) == fitts[i] for i in fitts}
     say(f"[fitting] N = {N_used}, ideals "
         + ", ".join(f"Fitt_{i}=p^{fitts[i].principal_valuation()}" for i in fitts))
     runs = {}
@@ -152,28 +155,14 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
         "oracle": {
             "h_plus": oracle.h_plus,
             "p_part_divisors": list(divisors),
-            "fundamental_unit": {"T": oracle.unit[0], "U": oracle.unit[1],
-                                 "norm": oracle.unit[2]},
+            "fundamental_unit": _unit_desc(oracle.unit),
         },
         "fitting": {str(i): _ideal_desc(f) for i, f in fitts.items()},
         "fitting_minor_cross_check": {str(i): bool(v) for i, v in cross.items()},
         "cyclotomic": {str(i): runs[i].to_dict() for i in runs},
         "verdicts": {str(i): verdicts[i] for i in verdicts},
-        "annihilation": [
-            {
-                "ell": r.ell, "N_eff": r.N_eff, "coupling_ok": r.coupling_ok,
-                "e": r.e_value, "e_valuation": r.e_valuation,
-                "class_order": r.class_order,
-                "annihilation_ok": r.annihilation_ok, "passed": r.passed,
-            }
-            for r in anni
-        ],
-        "formal_identities": [
-            {"epsilon": r.epsilon, "identity1": r.identity1,
-             "identity2": r.identity2, "identity3": r.identity3,
-             "passed": r.passed}
-            for r in formal
-        ],
+        "annihilation": _entries(anni),
+        "formal_identities": _entries(formal),
         "status": status,
     }
 
@@ -219,7 +208,7 @@ def cmd_classgroup(args) -> int:
         "D": args.D,
         "h_plus": grp.h_plus,
         "cycles": [[list(f) for f in cyc] for cyc in grp.cycles],
-        "fundamental_unit": {"T": grp.unit[0], "U": grp.unit[1], "norm": grp.unit[2]},
+        "fundamental_unit": _unit_desc(grp.unit),
         "p": args.p,
         "p_part_divisors": list(divisors),
         "l_series_band": {"h_lo": band["h_lo"], "h_hi": band["h_hi"], "ok": band["ok"]},
@@ -279,11 +268,7 @@ def cmd_formal(args) -> int:
     _check_bound("--eps-max", args.eps_max)
     reports = [check_combined_identities(eps) for eps in range(args.eps_max + 1)]
     emit({
-        "reports": [
-            {"epsilon": r.epsilon, "identity1": r.identity1, "identity2": r.identity2,
-             "identity3": r.identity3, "passed": r.passed}
-            for r in reports
-        ],
+        "reports": _entries(reports),
         "all_passed": all(r.passed for r in reports),
     })
     return 0 if all(r.passed for r in reports) else 3

@@ -71,9 +71,13 @@ class AbelianFieldCtx:
 
     @cached_property
     def chi(self) -> Character:
-        mod = self.p**self.N
-        values = (mod - 1,) + (1,) * (len(self.delta_divisors) - 1)
-        return Character(self.delta_divisors, self.p, self.N, values)
+        return self.chi_at(self.N)
+
+    def chi_at(self, level: int) -> Character:
+        """chi with values in (Z/p^level)^x: -1 on the K-component of Delta,
+        1 on the real cyclotomic one."""
+        values = (self.p**level - 1,) + (1,) * (len(self.delta_divisors) - 1)
+        return Character(self.delta_divisors, self.p, level, values)
 
     @cached_property
     def chi_ring(self) -> GroupRing:

@@ -236,8 +236,6 @@ def chi_project(x: GroupRingElement, chi: Character) -> GroupRingElement:
     """
     ring = x.ring
     grp = ring.group
-    if math.gcd(grp.delta_order, ring.p) != 1:
-        raise BadDecomposition("|Delta| shares a factor with p")
     if chi.delta_divisors != grp.delta_divisors or (chi.p, chi.N) != (ring.p, ring.N):
         raise MixedAmbient("character does not match the ring's Delta")
     t = len(grp.delta_divisors)

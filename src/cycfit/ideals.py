@@ -1,12 +1,17 @@
 """Monte-Carlo construction of the sampled cyclotomic ideals at level
-(m, N): accumulate chi-projected reciprocity values of derivative classes
-over well-ordered auxiliary products with at most i factors.
+(m, N): accumulate chi-projected reciprocity values of the derivative class
+kappa(n) over well-ordered auxiliary products n with at most i factors.
 
 Only the class of the basic unit at the full conductor (d = f_K) is drawn.
 The unit at a proper divisor d | f_K, and the a-type unit, lie in a field
 that does not contain K (chi_D has conductor f_K), so the element of Delta
 on which chi is -1 fixes them and their chi-projection is zero (character
 orthogonality): drawing them would only pad the stall window.
+
+The well-ordered chains of auxiliary primes (KolyvaginPrime tuples, as
+kolyvagin_primes yields them) wait in one round-robin queue, shortest first;
+each step draws one evaluation prime for the chain at the front and puts it
+back at the end, and a chain over the derivative cap is dropped.
 
 Every accumulated generator is a genuine element of the target ideal, so the
 run is always a sound lower bound; stabilization (or reaching the unit
@@ -19,12 +24,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .arith import val_p
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
 from .errors import BudgetExhausted, NegativeArgument
-from .fields import AbelianFieldCtx, chain_primes, evaluation_primes, kolyvagin_primes
+from .fields import AbelianFieldCtx, evaluation_primes, kolyvagin_primes
 from .groupring import IdealNF, chi_project, ideal_join, ideal_normal_form
 from .units import derivative_class, evaluate_kappa
 
@@ -70,21 +76,7 @@ class CycIdealRun:
             "ideal_valuation": (
                 self.ideal.principal_valuation() if self.ideal.ring.group.order == 1 else None
             ),
-            "samples": [
-                {
-                    "epsilon": s.epsilon,
-                    "n": s.n,
-                    "factors": list(s.factors),
-                    "kind": s.kind,
-                    "param": s.param,
-                    "q": s.q,
-                    "vector": list(s.vector),
-                    "chi_vector": list(s.chi_vector),
-                    "valuation": s.valuation,
-                    "in_fitting": s.in_fitting,
-                }
-                for s in self.samples
-            ],
+            "samples": [dict(vars(s)) for s in self.samples],
         }
 
 
@@ -104,25 +96,21 @@ _PER_LEVEL = 6
 
 
 def _preferred_chains(ctx: AbelianFieldCtx, i: int) -> list:
-    """Well-ordered chains (l_1, ..., l_r) with r <= i, breadth-first: each
-    prefix is extended by the _PER_LEVEL smallest auxiliary primes that
-    kolyvagin_primes yields for it (l = 1 mod p^N times the prefix product,
-    so no factor repeats).  The order depends on the field alone, never on
-    the class group."""
+    """Well-ordered chains (kp_1, ..., kp_r) of KolyvaginPrime with r <= i,
+    breadth-first: each prefix is extended by the _PER_LEVEL smallest
+    auxiliary primes that kolyvagin_primes yields for it (l = 1 mod p^N times
+    the prefix product, so no factor repeats).  The order depends on the
+    field alone, never on the class group."""
     chains = [()]
-    frontier = [()]
-    for _eps in range(1, i + 1):
-        next_frontier = []
-        for prefix in frontier:
-            gen = kolyvagin_primes(ctx, extra_modulus=math.prod(prefix))
-            for _ in range(_PER_LEVEL):
-                try:
-                    chain = prefix + (next(gen).ell,)
-                except BudgetExhausted:
-                    break
-                chains.append(chain)
-                next_frontier.append(chain)
-        frontier = next_frontier
+    for prefix in chains:  # the list grows while it is walked: breadth first
+        if len(prefix) == i:
+            continue
+        gen = kolyvagin_primes(ctx, extra_modulus=math.prod(kp.ell for kp in prefix))
+        for _ in range(_PER_LEVEL):
+            try:
+                chains.append(prefix + (next(gen),))
+            except BudgetExhausted:
+                break
     return chains
 
 
@@ -138,11 +126,13 @@ def sample_cyclotomic_ideal(
 ) -> CycIdealRun:
     """Sample the i-th cyclotomic ideal at level (m, N).
 
-    Interleaves well-ordered auxiliary products with epsilon(n) <= i (breadth
-    first over chain length so no branch starves), draws evaluation primes in
-    ascending order per product, and joins normal forms.  Deterministic for
-    fixed (ctx, i, budget, seed).  base_run (a run at a smaller i) seeds the
-    ideal and provenance, making monotonicity structural.
+    Keeps one round-robin queue of well-ordered chains with epsilon(n) <= i,
+    shortest first so no branch starves.  Each step pops a chain, draws its
+    next evaluation prime in ascending order, joins the normal form and
+    pushes the chain back; a chain whose derivative expansion exceeds the cap
+    is dropped.  Deterministic for fixed (ctx, i, budget, seed).  base_run (a
+    run at a smaller i) seeds the ideal and provenance, making monotonicity
+    structural.
     """
     if i < 0:
         raise NegativeArgument(f"the ideal index i = {i} must be >= 0")
@@ -165,60 +155,46 @@ def sample_cyclotomic_ideal(
     rng.shuffle(chains)
     # breadth-first bias: cheap low-epsilon chains first, then interleave
     chains.sort(key=len)
-    streams = {}
-    classes = {}
-    pruned: set = set()
+    # (chain, evaluation primes, derivative class), the last two built on first visit
+    queue = deque((chain, None, None) for chain in chains)
     taken = 0
-    while taken < budget and not stabilized(run, window):
-        progressed = False
-        for chain in chains:
-            if taken >= budget or stabilized(run, window):
-                break
-            if chain in pruned:
-                continue
-            if chain not in streams:
-                streams[chain] = evaluation_primes(ctx, math.prod(chain))
-                classes[chain] = derivative_class(ctx, "d", ctx.f_K, chain_primes(ctx, chain))
-            q = next(streams[chain])
-            try:
-                vec = evaluate_kappa(ctx, classes[chain], q)
-            except BudgetExhausted:
-                pruned.add(chain)
-                continue
-            proj = chi_project(vec, ctx.chi)
-            gen_nf = ideal_normal_form([proj], ctx.chi_ring)
-            new_ideal = ideal_join(run.ideal, gen_nf)
-            in_fitt = None
-            if oracle_fitting is not None:
-                in_fitt = oracle_fitting.contains_vector(proj.vector())
-            sample = Sample(
-                epsilon=len(chain),
-                n=math.prod(chain),
-                factors=chain,
-                kind="d",
-                param=ctx.f_K,
-                q=q,
-                vector=vec.vector(),
-                chi_vector=proj.vector(),
-                valuation=min(
-                    (val_p(c, ctx.p, ctx.N) for c in proj.vector()), default=ctx.N
-                ),
-                in_fitting=in_fitt,
-            )
-            run.samples.append(sample)
-            taken += 1
-            progressed = True
-            if in_fitt is False:
-                run.status = "BUG"
-                return run
-            if new_ideal == run.ideal:
-                run.stall += 1
-            else:
-                run.ideal = new_ideal
-                run.stall = 0
-        if not progressed:  # pragma: no cover - chains is never empty
-            break
+    while queue and taken < budget and not stabilized(run, window):
+        chain, qs, cls = queue.popleft()
+        if cls is None:
+            cls = derivative_class(ctx, "d", ctx.f_K, chain)
+            qs = evaluation_primes(ctx, cls.n)
+        q = next(qs)
+        try:
+            vec = evaluate_kappa(ctx, cls, q)
+        except BudgetExhausted:
+            continue
+        queue.append((chain, qs, cls))
+        proj = chi_project(vec, ctx.chi)
+        new_ideal = ideal_join(run.ideal, ideal_normal_form([proj], ctx.chi_ring))
+        in_fitt = None
+        if oracle_fitting is not None:
+            in_fitt = oracle_fitting.contains_vector(proj.vector())
+        run.samples.append(Sample(
+            epsilon=len(chain),
+            n=cls.n,
+            factors=cls.symbol.aux,
+            kind="d",
+            param=ctx.f_K,
+            q=q,
+            vector=vec.vector(),
+            chi_vector=proj.vector(),
+            valuation=min((val_p(c, ctx.p, ctx.N) for c in proj.vector()), default=ctx.N),
+            in_fitting=in_fitt,
+        ))
+        taken += 1
+        if in_fitt is False:
+            run.status = "BUG"
+            return run
+        if new_ideal == run.ideal:
+            run.stall += 1
+        else:
+            run.ideal = new_ideal
+            run.stall = 0
     if not stabilized(run, window) and run.status == "OK":
         run.status = "PARTIAL"
     return run
-

@@ -16,7 +16,7 @@ from .classgroup import FormClassGroup, ideal_class_of_prime
 from .config import DEFAULT_FIELD_BUDGET
 from .errors import BudgetExhausted, DividesAux, NegativeArgument, PrecisionTooLow
 from .fields import AbelianFieldCtx, KolyvaginPrime
-from .groupring import Character, GroupRingElement, chi_project
+from .groupring import GroupRingElement, chi_project
 from .units import DerivativeClass, derivative_class, evaluate_kappa
 
 # The annihilation suite's primes: residue degree k <= _SUITE_K_MAX (so that
@@ -37,18 +37,10 @@ def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
         raise DividesAux(f"ell = {ell} divides the auxiliary product {cls.n}")
     eff = min(level if level is not None else ctx.N, kp.N_ell, ctx.N)
     vec = evaluate_kappa(ctx, cls, ell, level=eff)
-    proj = chi_project(vec, _chi_at_level(ctx, eff))
+    proj = chi_project(vec, ctx.chi_at(eff))
     if ctx.conventions.phi_sign == -1:
         proj = -proj
     return proj
-
-
-def _chi_at_level(ctx: AbelianFieldCtx, level: int):
-    if level == ctx.N:
-        return ctx.chi
-    mod = ctx.p**level
-    values = (mod - 1,) + (1,) * (len(ctx.delta_divisors) - 1)
-    return Character(ctx.delta_divisors, ctx.p, level, values)
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +52,8 @@ class AnnihilationReport:
     ell: int
     N_eff: int
     coupling_ok: bool
-    e_value: int
+    e: int
     e_valuation: int
-    class_index: int
     class_order: int
     annihilation_ok: bool
 
@@ -124,9 +115,8 @@ def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
         ell=kp.ell,
         N_eff=n_eff,
         coupling_ok=coupling,
-        e_value=e,
+        e=e,
         e_valuation=val_p(e, p, n_eff),
-        class_index=cls_idx,
         class_order=oracle.element_order(c_p),
         annihilation_ok=ok,
     )

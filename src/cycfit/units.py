@@ -632,10 +632,7 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     # sigma_l^k per auxiliary prime and weights prod_i k_i (one cell at n = 1)
     rows, weights = [], [1]
     for kp in cls.aux_primes:
-        row = [kp.s_ell]
-        for _ in range(kp.ell - 3):
-            row.append(row[-1] * kp.s_ell % kp.ell)
-        rows.append(row)
+        rows.append(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:])
         weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
     # (kind, param, [(shift, c), ...]): one orbit table per exponent term
     terms = [(kind, param, [(1, 1)] if exponent is None else

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import math
 
 import pytest
 
 from cycfit.arith import kronecker
-from cycfit.cli import run_verify
+from cycfit.cli import _sanitize, run_verify
 from cycfit.fields import (build_field, chain_primes, evaluation_primes, is_well_ordered,
                            kolyvagin_primes)
 from cycfit.fitting import fitting_of_p_group
@@ -72,15 +74,51 @@ def test_preferred_chains_are_well_ordered():
     chains = _preferred_chains(ctx, 2)
     assert [c for c in chains if not c] == [()]
     for c in chains:
-        assert is_well_ordered(3, 1, c)
-        for ell in c:
+        ells = [kp.ell for kp in c]
+        assert is_well_ordered(3, 1, ells)
+        for ell in ells:
             assert ell % 3 == 1 and kronecker(257, ell) == 1
-    # each prefix takes the 6 smallest auxiliary primes, in increasing order
+    # breadth first; each prefix takes the 6 smallest auxiliary primes, in
+    # increasing order, exactly as kolyvagin_primes yields them
     assert len(chains) == 1 + 6 + 6 * 6
+    assert [len(c) for c in chains] == sorted(len(c) for c in chains)
     for prefix in [()] + [c for c in chains if len(c) == 1]:
-        gen = kolyvagin_primes(ctx, extra_modulus=math.prod(prefix))
+        gen = kolyvagin_primes(ctx, extra_modulus=math.prod(kp.ell for kp in prefix))
         assert [c for c in chains if c[:-1] == prefix and c] == [
-            prefix + (next(gen).ell,) for _ in range(6)], prefix
+            prefix + (next(gen),) for _ in range(6)], prefix
+
+
+def test_sampler_transcript_is_pinned():
+    # sha256 of the canonical `cyclotomic` section of `verify` at CLI defaults
+    # (the annihilation suite does not touch it): any change to chain order,
+    # evaluation-prime order, pruning or the stopping rule shows here
+    pinned = {
+        (257, 0): "a5837902022f377bd5e35c45751d7ca6a6e7147186a27e672313e30f25af86f9",
+        (257, 4): "c1169fc07b6b1f994e859b50bc64bcf78140a6e56eee7e2d8800b8591381e335",
+        (785, 0): "54d7036e373a5e6b8b2786a9e43d45c45c67308b0aae70d22f6694dca5f56463",
+        (785, 4): "82b5cf71b8aff069a5751245e5a081b869252c22b8faf06a5a5366f322e226e3",
+        (3137, 0): "3f4091eca25f61bc23d6db863e7c16507d1cd41c00e5a098f93b705fc65bcc9b",
+        (3137, 4): "bb27d16861ed3a7cc58a9b16bae7b83b4d3a6837a10ed74138194f13a46951ab",
+    }
+    for (D, seed), digest in pinned.items():
+        rep = run_verify(3, D, seed=seed, anni_count=0, quiet=True)
+        blob = json.dumps(_sanitize(rep["cyclotomic"]), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (D, seed)
+
+
+def test_chains_over_the_derivative_cap_are_dropped(monkeypatch):
+    # every auxiliary prime at N = 3 is 1 mod 27, so each epsilon = 1 chain
+    # expands to ell - 2 > 10 multi-indices: with the cap at 10 all six are
+    # dropped on first visit and only the empty chain is drawn until the
+    # stall window fills
+    monkeypatch.setattr("cycfit.units.DEFAULT_DERIVATIVE_CAP", 10)
+    ctx = build_field(3, 257, 0, 3)
+    run = sample_cyclotomic_ideal(ctx, 1, budget=500, window=12)
+    assert run.status == "OK" and run.stall == 12
+    assert {s.epsilon for s in run.samples} == {0}
+    assert run.ideal.principal_valuation() == 1
+    # the ideal settles at the first draw, so the window fills right after it
+    assert len(run.samples) == 1 + 12
 
 
 def test_sampler_oracle_arguments_are_keyword_only():

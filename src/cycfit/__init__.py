@@ -20,7 +20,6 @@ from .groupring import (
 from .ideals import CycIdealRun, sample_cyclotomic_ideal, stabilized
 from .maps import annihilation_check, phi_bar
 from .units import (
-    CircularUnitSymbol,
     DerivativeClass,
     DerivativeOperator,
     evaluate_kappa,
@@ -30,7 +29,6 @@ from .units import (
 __all__ = [
     "AbelianFieldCtx",
     "Character",
-    "CircularUnitSymbol",
     "CycIdealRun",
     "DerivativeClass",
     "DerivativeOperator",

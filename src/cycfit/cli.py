@@ -231,6 +231,8 @@ def cmd_primes(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    if not is_prime(args.q):
+        raise NotPrime(f"q = {args.q} is not prime")
     ctx = build_field(args.p, args.D, 0, args.N)
     aux = chain_primes(ctx, args.chain or ())
     param = args.D if args.param is None else args.param

@@ -176,18 +176,6 @@ class GroupRingElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "GroupRingElement":
-        if e < 0:
-            raise ValueError("negative powers not supported in the group ring")
-        out = self.ring.one()
-        b = self
-        while e:
-            if e & 1:
-                out = out * b
-            b = b * b
-            e >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -177,7 +177,7 @@ def sample_cyclotomic_ideal(
         run.samples.append(Sample(
             epsilon=len(chain),
             n=cls.n,
-            factors=cls.symbol.aux,
+            factors=cls.aux,
             kind="d",
             param=ctx.f_K,
             q=q,

@@ -1,17 +1,18 @@
-"""Symbolic circular units, Kolyvagin's derivative operator, and the
-residue-side evaluation engine.
+"""Derivative classes of circular units, Kolyvagin's derivative operator,
+and the residue-side evaluation engine.
 
-A symbol is a formal product of basic circular-unit factors with group-ring
-exponents; it is never expanded as an algebraic number.  Evaluation reduces
-it at the distinguished prime above an evaluation prime q: every norm is an
-explicit product of conjugates (1 - zeta^e), with zeta_M = g^{(q^k-1)/M}
-from the generator g of F_{q^k}^x, which fixes one embedding of the
-cyclotomic tower; a Galois element with residue t multiplies root indices
-by t.  The engine is table driven: zeta_M^e = prod_i T_i[e mod m_i] over the
-conductor components m_i of M, with T_i[j] = zeta_M^{j E_i} and E_i the
-CRT idempotent of m_i.  Norm sets are kept per field in residue form
-R_d x {+-1} (trivial at the auxiliary primes), so each +- pair of conjugates
-is one factor by the cyclotomic identity
+A derivative class is one basic circular unit (kind, param) with a chain
+of auxiliary primes; the unit is never expanded as an algebraic number.
+Evaluation reduces it at the distinguished prime above an evaluation prime
+q: every norm is an explicit product of conjugates (1 - zeta^e), with
+zeta_M = g^{(q^k-1)/M} from the generator g of F_{q^k}^x, which fixes one
+embedding of the cyclotomic tower; a Galois element with residue t
+multiplies root indices by t.  The engine is table driven:
+zeta_M^e = prod_i T_i[e mod m_i] over the conductor components m_i of M,
+with T_i[j] = zeta_M^{j E_i} and E_i the CRT idempotent of m_i.  Norm
+sets are kept per field in residue form R_d x {+-1} (trivial at the
+auxiliary primes), so each +- pair of conjugates is one factor by the
+cyclotomic identity
 (1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2,
 A = c T_f[a r mod f_K].  In F_q the f_K-component keeps no table: with
 u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, a product walks R_d in increasing
@@ -23,11 +24,11 @@ as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
 ambiguity of a derivative class never matters.
 
 Every derivative class evaluates its whole auxiliary orbit at once: for
-one conjugate g, EvalContext.factor_orbit gives a factor's value at every
-multi-index (one cell at n = 1), once per group-ring exponent term.  At
-n > 1 in F_q (k = 1) the multi-indices move only the auxiliary components
-of the multiplier, so those values are P_g(c) for a root c of mu_n and one
-polynomial P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
+one conjugate g, EvalContext.factor_orbit gives the unit's value at every
+multi-index (one cell at n = 1).  At n > 1 in F_q (k = 1) the
+multi-indices move only the auxiliary components of the multiplier, so
+those values are P_g(c) for a root c of mu_n and one polynomial
+P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
 s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P_g(X) =
 Q(alpha X) Q(X / alpha) for Q(Y) = prod_r (1 - B_r Y), of half the degree.
 Q comes from a product tree of exact Kronecker products (arith.poly_mul)
@@ -39,7 +40,8 @@ root table T_l that packs each line only up to its last nonzero entry; a
 multi-index reads its value at its residues mod l_i.  At n = 1, and in
 F_{q^k} with k > 1, each cell is one paired product.  Nothing is cached
 per multiplier: every conjugate and twist is evaluated afresh, and an orbit
-table lives only for one conjugate of one evaluate_kappa call.
+table lives only for one conjugate of one evaluate_kappa call (or one side
+of one norm_relation_check).
 
 In F_{q^k} with k > 1 a context needs q split completely in F_m(mu_n)
 (NotSplit otherwise).  Frobenius x -> x^q then fixes c and s and maps the
@@ -70,48 +72,6 @@ from .groupring import GroupRing, GroupRingElement
 
 
 @dataclass(frozen=True)
-class CircularUnitSymbol:
-    """A formal word in basic circular units at level m with auxiliary
-    product n = prod(aux).
-
-    factors entries are (kind, param, exponent): kind "d" with param a
-    divisor > 1 of the conductor, kind "a" with param coprime to p; exponent
-    is None (meaning 1) or a tuple of (group_element, integer) pairs acting
-    through Galois conjugation.
-    """
-
-    m: int
-    aux: tuple[int, ...]
-    factors: tuple[tuple, ...]
-
-    @property
-    def n(self) -> int:
-        return math.prod(self.aux) if self.aux else 1
-
-    def validate(self, ctx: AbelianFieldCtx):
-        if self.m != ctx.m:
-            raise ValueError("symbol level does not match the field context")
-        if math.gcd(self.n, ctx.p * ctx.f_K) != 1:
-            raise ConductorClash("auxiliary product must be prime to p*f_K")
-        for kind, param, _exp in self.factors:
-            if kind == "d":
-                if param <= 1 or ctx.f_K % param:
-                    raise ConductorClash(f"d = {param} must divide the conductor and exceed 1")
-            elif kind == "a":
-                if math.gcd(param, ctx.p) != 1:
-                    raise ConductorClash(f"a = {param} must be prime to p")
-            else:
-                raise ValueError(f"unknown factor kind {kind!r}")
-
-
-def basic_symbol(ctx: AbelianFieldCtx, kind: str, param: int,
-                 aux: tuple[int, ...] = ()) -> CircularUnitSymbol:
-    sym = CircularUnitSymbol(m=ctx.m, aux=tuple(aux), factors=((kind, param, None),))
-    sym.validate(ctx)
-    return sym
-
-
-@dataclass(frozen=True)
 class DerivativeOperator:
     """D_n = prod_ell sum_k k*sigma_ell^k, kept factored (never expanded)."""
 
@@ -123,19 +83,22 @@ class DerivativeOperator:
 
 @dataclass(frozen=True)
 class DerivativeClass:
-    """kappa(n): the class of eta(n)^{D_n} in F_m^x / p^N."""
+    """kappa(n): the class of eta(n)^{D_n} in F_m^x / p^N for the basic
+    circular unit eta = (kind, param) at level m and the auxiliary product n
+    of the chain: kind "d" with param a divisor > 1 of the conductor, kind
+    "a" with param prime to p."""
 
-    symbol: CircularUnitSymbol
+    kind: str
+    param: int
     aux_primes: tuple[KolyvaginPrime, ...]
-    N: int
 
-    def __post_init__(self):
-        if tuple(kp.ell for kp in self.aux_primes) != self.symbol.aux:
-            raise ValueError("auxiliary primes disagree with the symbol")
+    @property
+    def aux(self) -> tuple[int, ...]:
+        return tuple(kp.ell for kp in self.aux_primes)
 
     @property
     def n(self) -> int:
-        return self.symbol.n
+        return math.prod(self.aux)
 
     def operator(self) -> DerivativeOperator:
         return DerivativeOperator(self.aux_primes)
@@ -143,16 +106,26 @@ class DerivativeClass:
 
 def derivative_class(ctx: AbelianFieldCtx, kind: str, param: int,
                      aux_primes: tuple[KolyvaginPrime, ...]) -> DerivativeClass:
-    sym = basic_symbol(ctx, kind, param, tuple(kp.ell for kp in aux_primes))
-    return DerivativeClass(symbol=sym, aux_primes=aux_primes, N=ctx.N)
+    cls = DerivativeClass(kind, param, tuple(aux_primes))
+    if math.gcd(cls.n, ctx.p * ctx.f_K) != 1:
+        raise ConductorClash("auxiliary product must be prime to p*f_K")
+    if kind == "d":
+        if param <= 1 or ctx.f_K % param:
+            raise ConductorClash(f"d = {param} must divide the conductor and exceed 1")
+    elif kind == "a":
+        if math.gcd(param, ctx.p) != 1:
+            raise ConductorClash(f"a = {param} must be prime to p")
+    else:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    return cls
 
 
 class EvalContext:
-    """Shared state for evaluating symbols with auxiliary support dividing n
-    at one evaluation prime q.
+    """Shared state for evaluating basic circular units with auxiliary
+    support dividing n at one evaluation prime q.
 
     Conductor components are (f_K, p^{m+1}, l_1, ..., l_r); multipliers are
-    residues modulo the master modulus M = f_K * p^{m+1} * n.  The symbol's
+    residues modulo the master modulus M = f_K * p^{m+1} * n.  The units'
     arithmetic happens in F_{q^k} with k the order of q mod M; the final
     discrete logarithms always happen in the prime field F_q with respect to
     its own canonical generator, so values at one q are mutually consistent.
@@ -295,7 +268,7 @@ class EvalContext:
         v = self.field.to_prime_field(value)
         return dlog_p_part(self.base, v, self.ctx.p, level)
 
-    # -- symbol evaluation ----------------------------------------------------
+    # -- unit evaluation ------------------------------------------------------
 
     def _paired_product(self, a: int, d: int):
         """prod over (r, +-1) in norm_set_d(d) (norm_set_a() at d = 1) of
@@ -410,6 +383,7 @@ class EvalContext:
         u_p = M // self.p_part
         return u_n + u_p * param, u_n + u_p, 1
 
+    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 5
     def factor_value(self, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
         """One basic unit, conjugated by the multiplier, as a field element."""
         u, u_den, d = self._factor_multipliers(kind, param, aux_subset)
@@ -432,21 +406,11 @@ class EvalContext:
             return num, None
         return num, self._paired_orbit(u_den * mult % self.M, d, rows)
 
-    def symbol_value(self, sym: CircularUnitSymbol, mult: int):
-        """Product over the symbol's factors with their group-ring exponents."""
-        fld = self.field
-        out = fld.one()
-        for kind, param, exponent in sym.factors:
-            if exponent is None:
-                out = fld.mul(out, self.factor_value(kind, param, sym.aux, mult))
-                continue
-            for g, c in exponent:
-                if c == 0:
-                    continue
-                shifted = self.delta_lift(g) * mult % self.M
-                base = self.factor_value(kind, param, sym.aux, shifted)
-                out = fld.mul(out, fld.pow(base, c))
-        return out
+    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 5
+    def symbol_value(self, cls: DerivativeClass, mult: int):
+        """The class's basic unit at its auxiliary product, conjugated by the
+        multiplier."""
+        return self.factor_value(cls.kind, cls.param, cls.aux, mult)
 
 
 def _power_row(step: int, size: int, q: int) -> list[int]:
@@ -614,7 +578,7 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     coefficient convention makes the map Galois-equivariant.  Requires q to
     split completely in F_m(mu_n) with q = 1 mod p^level.
     """
-    ctx_level = level if level is not None else min(cls.N, ctx.N)
+    ctx_level = ctx.N if level is None else level
     if not splits_completely(ctx, q, cls.n, ctx_level):
         raise NotSplit(f"q = {q} does not split completely in F_m(mu_{cls.n})"
                        f" with q = 1 mod {ctx.p}^{ctx_level}")
@@ -622,35 +586,32 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     if op.expansion_size() > DEFAULT_DERIVATIVE_CAP:
         raise BudgetExhausted(f"derivative expansion of size {op.expansion_size()}"
                               f" exceeds cap {DEFAULT_DERIVATIVE_CAP}")
-    ev = EvalContext(ctx, cls.symbol.aux, q)
+    ev = EvalContext(ctx, cls.aux, q)
     pN = ctx.p**ctx_level
     ring = ctx.ring if ctx_level == ctx.N else GroupRing(ctx.group, ctx.p, ctx_level)
-    fld, M = ev.field, ev.M
     twist = ev.lift(h_twist) if h_twist else 1
-    sym = cls.symbol
     # the multi-indices (k_1, ..., k_r) in row-major order: residues
     # sigma_l^k per auxiliary prime and weights prod_i k_i (one cell at n = 1)
     rows, weights = [], [1]
     for kp in cls.aux_primes:
         rows.append(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:])
         weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
-    # (kind, param, [(shift, c), ...]): one orbit table per exponent term
-    terms = [(kind, param, [(1, 1)] if exponent is None else
-              [(ev.delta_lift(g), c) for g, c in exponent if c])
-             for kind, param, exponent in sym.factors]
     coeffs: dict = {}
     for g in ctx.group.elements():
-        t_g = ev.delta_lift(ctx.group.inv(g)) * twist % M
-        total = fld.one()
-        for kind, param, exps in terms:
-            for shift, c in exps:
-                num, den = ev.factor_orbit(kind, param, sym.aux, shift * t_g % M, rows)
-                val = _weighted_product(fld, num, weights)
-                if den is not None:
-                    val = fld.mul(val, fld.inv(_weighted_product(fld, den, weights)))
-                total = fld.mul(total, val if c == 1 else fld.pow(val, c))
-        coeffs[g] = ev.dlog(total, ctx_level)
+        t_g = ev.delta_lift(ctx.group.inv(g)) * twist % ev.M
+        orbit = ev.factor_orbit(cls.kind, cls.param, cls.aux, t_g, rows)
+        coeffs[g] = ev.dlog(_orbit_value(ev.field, orbit, weights), ctx_level)
     return GroupRingElement(ring, coeffs)
+
+
+def _orbit_value(fld: FieldCtx, orbit: tuple[list, list | None], weights: list[int]):
+    """prod_i cell_i^(weights[i]) of a factor_orbit table, numerators over
+    denominators."""
+    num, den = orbit
+    val = _weighted_product(fld, num, weights)
+    if den is not None:
+        val = fld.mul(val, fld.inv(_weighted_product(fld, den, weights)))
+    return val
 
 
 def _weighted_product(fld: FieldCtx, values: list, weights: list[int]):
@@ -670,22 +631,24 @@ def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,
 
         N_{F(mu_n)/F(mu_{n/ell})} eta(n)  =  eta(n/ell)^{1 - Frob_ell^{-1}}
 
-    Both sides are expanded in F_{q^k} and compared exactly.
+    Both sides are expanded in F_{q^k} and compared exactly.  The norm is
+    one factor_orbit table of eta(n) over the twists sigma in Gal(Q(mu_ell)/Q)
+    (the residues 1 .. ell - 1 at ell, 1 at the other auxiliary primes), its
+    cells multiplied together; each side of the quotient on the right is a
+    one-cell table of eta(n/ell).
     """
-    ells = tuple(kp.ell for kp in aux_primes)
+    cls = derivative_class(ctx, kind, param, aux_primes)
+    ells = cls.aux
     if ell not in ells:
         raise ValueError(f"ell = {ell} does not divide the auxiliary product")
-    sym_n = basic_symbol(ctx, kind, param, ells)
     sub = tuple(e for e in ells if e != ell)
-    sym_sub = basic_symbol(ctx, kind, param, sub)
     ev = EvalContext(ctx, ells, q)
     fld = ev.field
-    lhs = fld.one()
-    for w in range(1, ell):
-        lhs = fld.mul(lhs, ev.symbol_value(sym_n, ev.lift({ell: w})))
+    rows = [range(1, ell) if e == ell else [1] for e in ells]
+    lhs = _orbit_value(fld, ev.factor_orbit(kind, param, ells, 1, rows), [1] * (ell - 1))
     frob = ev.lift({ctx.f_K: ell % ctx.f_K, ev.p_part: ell % ev.p_part,
                     **{e: ell % e for e in sub}})
-    frob_inv = pow(frob, -1, ev.M)
-    rhs = fld.mul(ev.symbol_value(sym_sub, 1),
-                  fld.inv(ev.symbol_value(sym_sub, frob_inv)))
-    return lhs == rhs
+    cell = [[1]] * len(ells)
+    rhs = [_orbit_value(fld, ev.factor_orbit(kind, param, sub, mult, cell), [1])
+           for mult in (1, pow(frob, -1, ev.M))]
+    return lhs == fld.mul(rhs[0], fld.inv(rhs[1]))

@@ -63,20 +63,6 @@ def factor_value(ev, kind: str, param: int, aux_subset: tuple[int, ...], mult: i
     return fld.mul(num, fld.inv(den))
 
 
-def symbol_value(ev, sym, mult: int):
-    fld = ev.field
-    out = fld.one()
-    for kind, param, exponent in sym.factors:
-        if exponent is None:
-            out = fld.mul(out, factor_value(ev, kind, param, sym.aux, mult))
-            continue
-        for g, c in exponent:
-            if c:
-                shifted = ev.delta_lift(g) * mult % ev.M
-                out = fld.mul(out, fld.pow(factor_value(ev, kind, param, sym.aux, shifted), c))
-    return out
-
-
 def evaluate_kappa(ctx, cls, ev, level: int, h_twist: dict[int, int] | None = None):
     """sum_g sum_k weight(k) * dlog(value) * g with one dlog per multi-index."""
     pN = ctx.p**level
@@ -92,7 +78,7 @@ def evaluate_kappa(ctx, cls, ev, level: int, h_twist: dict[int, int] | None = No
             for kp, k in zip(cls.aux_primes, k_vec):
                 weight = weight * k % pN
                 comp[kp.ell] = pow(kp.s_ell, k, kp.ell)
-            val = symbol_value(ev, cls.symbol, t_g * lift(ev, comp) % ev.M)
+            val = factor_value(ev, cls.kind, cls.param, cls.aux, t_g * lift(ev, comp) % ev.M)
             total = (total + weight * ev.dlog(val, level)) % pN
         coeffs[g] = total
     return GroupRingElement(GroupRing(ctx.group, ctx.p, level), coeffs)

@@ -181,6 +181,7 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["verify", "--external", "r.json"], 21, "UsageError"),
     (["verify", "-D", "abc"], 21, "UsageError"),
     (["nosuch"], 21, "UsageError"),
+    (["kappa", "-D", "8", "-q", "4"], 7, "NotPrime"),  # composite q, whatever chi_D(q)
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)

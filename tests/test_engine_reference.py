@@ -8,8 +8,7 @@ expansions at n = 1, l and l_1 l_2, including the residue-degree-4 field
 F_{787^4} at D = 257.  The orbit tables of EvalContext.factor_orbit, the
 one path of evaluate_kappa (the transform for n > 1 in F_q, one paired
 product per cell at n = 1 and in F_{q^k}), are compared at every
-multi-index, and so are derivative classes of symbols with group-ring
-exponents in F_q and F_{q^2}.
+multi-index.
 """
 
 import math
@@ -21,8 +20,7 @@ import pytest
 import reference_engine as ref
 from cycfit.errors import NotSplit
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
-from cycfit.units import (CircularUnitSymbol, DerivativeClass, EvalContext, derivative_class,
-                          evaluate_kappa)
+from cycfit.units import EvalContext, derivative_class, evaluate_kappa
 
 
 def _chain(ctx, r, level):
@@ -144,7 +142,7 @@ def test_kappa_vectors_match_reference(D, m, N, r, level, kind, param, w):
     vectors = []
     for _ in range(2):
         q = next(gen)
-        ev = EvalContext(ctx, cls.symbol.aux, q)
+        ev = EvalContext(ctx, cls.aux, q)
         new = evaluate_kappa(ctx, cls, q, level=level, h_twist=twist)
         assert new == ref.evaluate_kappa(ctx, cls, ev, level, twist)
         vectors.append(new)
@@ -219,30 +217,6 @@ def test_orbit_kappa_vectors_match_reference(D, m, N, r, level, w, kind):
     cls = derivative_class(ctx, kind, D if kind == "d" else 2, kps)
     twist = {kps[-1].ell: w} if w else None
     q = next(evaluation_primes(ctx, cls.n, level=level))
-    ev = EvalContext(ctx, cls.symbol.aux, q)
+    ev = EvalContext(ctx, cls.aux, q)
     assert evaluate_kappa(ctx, cls, q, level=level, h_twist=twist) == \
         ref.evaluate_kappa(ctx, cls, ev, level, twist)
-
-
-@pytest.mark.parametrize("D,q,k", [(257, 20047, 1), (8, 127, 2)])
-def test_exponent_symbol_kappa_matches_reference(D, q, k):
-    # group-ring exponents with c = 2, -2, 0 on a d-type factor and c = -2 on
-    # an a-type one, an empty exponent and a plain factor, on a one-prime
-    # chain; 2 - tau would kill the d-type vector mod 3
-    ctx = build_field(3, D, 0, 1)
-    kps = _chain(ctx, 1, 1)
-    one, tau = ctx.group.elements()
-    sym = CircularUnitSymbol(m=0, aux=(kps[0].ell,), factors=(
-        ("d", D, ((one, 2), (tau, -2), (tau, 0))),
-        ("a", 2, ((tau, -2),)),
-        ("d", D, ()),
-        ("a", 5, None),
-    ))
-    sym.validate(ctx)
-    cls = DerivativeClass(symbol=sym, aux_primes=kps, N=ctx.N)
-    ev = EvalContext(ctx, sym.aux, q)
-    assert ev.k == k
-    for twist in (None, {kps[0].ell: 2}):
-        new = evaluate_kappa(ctx, cls, q, h_twist=twist)
-        assert new == ref.evaluate_kappa(ctx, cls, ev, 1, twist)
-        assert not new.is_zero()

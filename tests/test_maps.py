@@ -16,7 +16,7 @@ from cycfit.maps import (
     phi_bar,
     tame_coupling_ok,
 )
-from cycfit.units import CircularUnitSymbol, DerivativeClass, derivative_class
+from cycfit.units import derivative_class
 
 
 def test_phi_bar_preconditions():
@@ -25,23 +25,6 @@ def test_phi_bar_preconditions():
     cls = derivative_class(ctx, "d", 257, (kp,))
     with pytest.raises(DividesAux):
         phi_bar(ctx, kp, cls)
-
-
-def test_phi_bar_additive_and_kills_pN_powers():
-    ctx = build_field(3, 257, 0, 1)
-    q = KolyvaginPrime.build(next(evaluation_primes(ctx, 1, level=1)), 3)
-    eta = derivative_class(ctx, "d", 257, ())
-    sigma_twist = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, (((1, 0), 1),)),))
-    cls2 = DerivativeClass(symbol=sigma_twist, aux_primes=(), N=ctx.N)
-    both = DerivativeClass(
-        symbol=CircularUnitSymbol(m=0, aux=(), factors=eta.symbol.factors + sigma_twist.factors),
-        aux_primes=(), N=ctx.N,
-    )
-    assert phi_bar(ctx, q, both) == phi_bar(ctx, q, eta) + phi_bar(ctx, q, cls2)
-    # x^{p^N}: exponent p^N * identity must map to 0
-    powed = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, (((0, 0), 3),)),))
-    cls_pow = DerivativeClass(symbol=powed, aux_primes=(), N=ctx.N)
-    assert phi_bar(ctx, q, cls_pow).is_zero()
 
 
 def test_phi_sign_convention_flips_value():

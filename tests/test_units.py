@@ -15,13 +15,12 @@ import pytest
 from cycfit.arith import crt, is_prime, kronecker, val_p
 from cycfit.classgroup import fundamental_discriminants
 from cycfit.config import DEFAULT_DERIVATIVE_CAP
-from cycfit.errors import BudgetExceeded, BudgetExhausted, NotSplit
-from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
+from cycfit.errors import BudgetExceeded, BudgetExhausted, ConductorClash, NotSplit
+from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
+                           kolyvagin_primes)
 from cycfit.groupring import chi_project
 from cycfit.units import (
-    CircularUnitSymbol,
     EvalContext,
-    basic_symbol,
     derivative_class,
     evaluate_kappa,
     _chirp_axis,
@@ -31,9 +30,9 @@ from cycfit.units import (
 )
 
 
-def _symbol_at(ctx, sym, q):
-    """The symbol reduced at the distinguished prime above q."""
-    return EvalContext(ctx, sym.aux, q).symbol_value(sym, 1)
+def _unit_at(ctx, cls, q):
+    """The class's basic unit reduced at the distinguished prime above q."""
+    return EvalContext(ctx, cls.aux, q).symbol_value(cls, 1)
 
 
 def _mu(n):
@@ -99,7 +98,6 @@ def test_engine_matches_exact_cyclotomic_oracle():
             continue
         T, U = exact_eta_quadratic(D, 3)
         ctx = build_field(3, D, 0, 1)
-        sym = basic_symbol(ctx, "d", D)
         gen = evaluation_primes(ctx, 1, level=1)
         for _ in range(3):
             q = next(gen)
@@ -111,8 +109,8 @@ def test_engine_matches_exact_cyclotomic_oracle():
                     w = (w + kronecker(D, x) * pow(zD, x, q)) % q
             assert w * w % q == D % q
             inv2 = pow(2, -1, q)
-            assert ev.symbol_value(sym, 1) == (T + U * w) * inv2 % q
-            assert ev.symbol_value(sym, ev.delta_lift((1, 0))) == (T - U * w) * inv2 % q
+            assert ev.factor_value("d", D, (), 1) == (T + U * w) * inv2 % q
+            assert ev.factor_value("d", D, (), ev.delta_lift((1, 0))) == (T - U * w) * inv2 % q
 
 
 def test_eta_257_frozen_exact_value():
@@ -120,41 +118,36 @@ def test_eta_257_frozen_exact_value():
     assert exact_eta_quadratic(257, 3) == (1080042498, 67371200)
 
 
-def test_zero_exponent_symbol_evaluates_to_one():
-    ctx = build_field(3, 257, 0, 1)
-    sym = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, ()),))
-    q = next(evaluation_primes(ctx, 1, level=1))
-    assert _symbol_at(ctx, sym, q) == 1
-
-
 def test_a_type_units_trivial_for_p3_level0():
     ctx = build_field(3, 257, 0, 1)
     q = next(evaluation_primes(ctx, 1, level=1))
     for a in (2, 4, 5):
-        sym = basic_symbol(ctx, "a", a)
-        assert _symbol_at(ctx, sym, q) == 1
+        assert _unit_at(ctx, derivative_class(ctx, "a", a, ()), q) == 1
     kp = next(kolyvagin_primes(ctx))
     q2 = next(evaluation_primes(ctx, kp.ell, level=1))
-    sym_n = basic_symbol(ctx, "a", 2, (kp.ell,))
-    assert _symbol_at(ctx, sym_n, q2) == 1
-
-
-def test_negative_group_ring_exponent_inverts():
-    ctx = build_field(3, 257, 0, 1)
-    q = next(evaluation_primes(ctx, 1, level=1))
-    plain = basic_symbol(ctx, "d", 257)
-    inv_sym = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, (((0, 0), -1),)),))
-    v = _symbol_at(ctx, plain, q)
-    w = _symbol_at(ctx, inv_sym, q)
-    assert v * w % q == 1
+    assert _unit_at(ctx, derivative_class(ctx, "a", 2, (kp,)), q2) == 1
 
 
 def test_conductor_clash():
     ctx = build_field(3, 257, 0, 1)
-    from cycfit.errors import ConductorClash
-
     with pytest.raises(ConductorClash):
         EvalContext(ctx, (), 257)
+
+
+# (kind, param, chain, error, message) at D = 473 = 11 * 43, p = 3
+@pytest.mark.parametrize("kind,param,chain,error,message", [
+    ("d", 1, (), ConductorClash, "d = 1 must divide the conductor and exceed 1"),
+    ("d", 3, (), ConductorClash, "d = 3 must divide the conductor and exceed 1"),
+    ("a", 6, (), ConductorClash, "a = 6 must be prime to p"),
+    ("d", 473, (43,), ConductorClash, "auxiliary product must be prime to p*f_K"),
+    ("b", 2, (), ValueError, "unknown factor kind 'b'"),
+])
+def test_derivative_class_checks(kind, param, chain, error, message):
+    ctx = build_field(3, 473, 0, 1)
+    kps = tuple(KolyvaginPrime.build(ell, 3) for ell in chain)
+    with pytest.raises(error) as info:
+        derivative_class(ctx, kind, param, kps)
+    assert str(info.value) == message
 
 
 def _context_over(D):
@@ -293,35 +286,21 @@ def cls_for_13(ctx):
     return derivative_class(ctx, "d", 257, ())
 
 
-def test_galois_equivariance():
-    # coefficient convention makes g . kappa evaluate to the g-shift
-    ctx = build_field(3, 257, 0, 1)
-    q = next(evaluation_primes(ctx, 1, level=1))
-    sym = basic_symbol(ctx, "d", 257)
-    sigma = (1, 0)
-    twisted = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, ((sigma, 1),)),))
-    v_plain = evaluate_kappa(ctx, derivative_class(ctx, "d", 257, ()), q)
-    cls_twisted = type(v_plain)  # noqa: F841 - just for clarity
-    from cycfit.units import DerivativeClass
-
-    v_twist = evaluate_kappa(ctx, DerivativeClass(symbol=twisted, aux_primes=(), N=ctx.N), q)
+@pytest.mark.parametrize("D", [257, 785, 3137])
+def test_kappa_conjugates_at_n_1(D):
+    # coefficient g of kappa(1) is the dlog of the unit conjugated by g^-1,
+    # and c_1 + c_tau = dlog(eta eta^tau) = dlog(N_{K/Q} eta) = dlog(+-1) = 0
+    ctx = build_field(3, D, 0, 3)
+    q = next(evaluation_primes(ctx, 1))
+    vec = evaluate_kappa(ctx, derivative_class(ctx, "d", D, ()), q)
+    ev = EvalContext(ctx, (), q)
     grp = ctx.group
-    shifted = {grp.mul(g, sigma): c for g, c in v_plain.coeffs.items()}
-    assert v_twist.coeffs == {g: c for g, c in shifted.items() if c}
-
-
-def test_kappa_multiplicative_in_symbol():
-    ctx = build_field(3, 257, 0, 1)
-    q = next(evaluation_primes(ctx, 1, level=1))
-    from cycfit.units import DerivativeClass
-
-    s1 = basic_symbol(ctx, "d", 257)
-    s2 = CircularUnitSymbol(m=0, aux=(), factors=(("d", 257, (((1, 0), 1),)),))
-    s12 = CircularUnitSymbol(m=0, aux=(), factors=s1.factors + s2.factors)
-    v1 = evaluate_kappa(ctx, DerivativeClass(symbol=s1, aux_primes=(), N=ctx.N), q)
-    v2 = evaluate_kappa(ctx, DerivativeClass(symbol=s2, aux_primes=(), N=ctx.N), q)
-    v12 = evaluate_kappa(ctx, DerivativeClass(symbol=s12, aux_primes=(), N=ctx.N), q)
-    assert v12 == v1 + v2
+    for g in grp.elements():
+        unit = ev.factor_value("d", D, (), ev.delta_lift(grp.inv(g)))
+        assert vec.coeffs.get(g, 0) == ev.dlog(unit, ctx.N), (D, g)
+    one, tau = grp.elements()
+    assert (vec.coeffs.get(one, 0) + vec.coeffs.get(tau, 0)) % 27 == 0
+    assert not vec.is_zero()
 
 
 def test_norm_relation_flagship():
@@ -332,6 +311,18 @@ def test_norm_relation_flagship():
     assert norm_relation_check(ctx, "a", 2, (kp,), kp.ell, q)
     with pytest.raises(ValueError):
         norm_relation_check(ctx, "d", 257, (kp,), 7, q)
+
+
+# two-prime chains: criterion 4 checks the relation only at one prime
+@pytest.mark.parametrize("D,chain", [(257, (13, 79)), (8, (7, 127)), (785, (7, 43))])
+@pytest.mark.parametrize("kind", ["d", "a"])
+def test_norm_relation_on_two_prime_chains(D, chain, kind):
+    ctx = build_field(3, D, 0, 1)
+    kps = chain_primes(ctx, chain)
+    q = next(evaluation_primes(ctx, math.prod(chain), level=1))
+    param = D if kind == "d" else 2
+    for ell in chain:
+        assert norm_relation_check(ctx, kind, param, kps, ell, q), (D, chain, kind, ell)
 
 
 def test_h_invariance_full_orbit():
@@ -357,18 +348,14 @@ def test_level_one_norm_compatibility():
     for e1 in (0, 1):
         prod = ev1.field.one()
         for j in range(3):
-            prod = ev1.field.mul(
-                prod, ev1.symbol_value(basic_symbol(ctx1, "d", 257), ev1.delta_lift((e1, j)))
-            )
-        v0 = ev0.symbol_value(basic_symbol(ctx0, "d", 257), ev0.delta_lift((e1, 0)))
+            prod = ev1.field.mul(prod, ev1.factor_value("d", 257, (), ev1.delta_lift((e1, j))))
+        v0 = ev0.factor_value("d", 257, (), ev0.delta_lift((e1, 0)))
         assert prod == v0
     pa = ev1.field.one()
     for j in range(3):
-        pa = ev1.field.mul(
-            pa, ev1.symbol_value(basic_symbol(ctx1, "a", 2), ev1.delta_lift((0, j)))
-        )
-    assert pa == ev0.symbol_value(basic_symbol(ctx0, "a", 2), 1) == 1
-    assert ev1.symbol_value(basic_symbol(ctx1, "a", 2), 1) != 1
+        pa = ev1.field.mul(pa, ev1.factor_value("a", 2, (), ev1.delta_lift((0, j))))
+    assert pa == ev0.factor_value("a", 2, (), 1) == 1
+    assert ev1.factor_value("a", 2, (), 1) != 1
 
 
 def test_tower_projection_compatibility():

@@ -129,23 +129,22 @@ def compose(f1: tuple, f2: tuple, D: int) -> tuple:
 
 
 def all_reduced_forms(D: int) -> list[tuple]:
-    """Exhaustive enumeration of reduced forms of discriminant D."""
+    """Exhaustive enumeration of reduced forms of a non-square discriminant
+    D.  With t = isqrt(D), 0 < b < sqrt(D) is 1 <= b <= t and
+    sqrt(D) - b < 2|a| < sqrt(D) + b is ceil((t - b + 1)/2) <= |a| <=
+    floor((t + b)/2), so only that interval is scanned for divisors |a| of
+    (D - b^2)/4."""
     out = []
     t = _isqrt(D)
     for b in range(1, t + 1):
-        if (D - b * b) % 2:
+        if (D - b * b) % 4:
             continue
-        m = (D - b * b) // 4 if (D - b * b) % 4 == 0 else None
-        if m is None:
-            continue
-        for a_abs in range(1, t + 1):
+        m = (D - b * b) // 4
+        for a_abs in range((t - b + 2) // 2, (t + b) // 2 + 1):
             if m % a_abs:
                 continue
             for a in (a_abs, -a_abs):
-                c = (b * b - D) // (4 * a)
-                f = (a, b, c)
-                if is_reduced(f, D):
-                    out.append(f)
+                out.append((a, b, (b * b - D) // (4 * a)))
     return sorted(out)
 
 

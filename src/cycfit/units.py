@@ -17,8 +17,12 @@ cyclotomic identity
 A = c T_f[a r mod f_K].  In F_q the f_K-component keeps no table: with
 u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, a product walks R_d in increasing
 r, A_{r'} = A_r u^{r' - r}, with the powers u^gap up to the largest gap of
-R_d (the gaps are kept beside the norm sets).  The chi_D-kernel behind the
-norm sets is the product of per-prime-power characters, each tabulated once.
+R_d (the gaps are kept beside the norm sets).  With no auxiliary prime
+(c = 1) and d > 2 the walk stops below d/2: K is real, so R_d = -R_d, and
+the pair at d - r is the pair at r divided by A_r^2.  The product is then
+the square of the product over R_d+ = {r in R_d : 2 r < d} times
+u^(-2 sum R_d+).  The chi_D-kernel behind the norm sets is the product of
+per-prime-power characters, each tabulated once.
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
 ambiguity of a derivative class never matters.
@@ -37,11 +41,12 @@ p^{m+1} only); its two scalings are folded mod X^n - 1 and multiplied
 once, the product folded mod X^n - 1 onto one axis per auxiliary prime,
 and each axis is evaluated at all of mu_l by a chirp-z transform over the
 root table T_l that packs each line only up to its last nonzero entry; a
-multi-index reads its value at its residues mod l_i.  At n = 1, and in
-F_{q^k} with k > 1, each cell is one paired product.  Nothing is cached
-per multiplier: every conjugate and twist is evaluated afresh, and an orbit
-table lives only for one conjugate of one evaluate_kappa call (or one side
-of one norm_relation_check).
+multi-index reads its value at its residues mod l_i.  A one-cell table
+(n = 1, or one residue per auxiliary prime), and every cell in F_{q^k}
+with k > 1, is one paired product.  Nothing is cached per multiplier:
+every conjugate and twist is evaluated afresh, and an orbit table lives
+only for one conjugate of one evaluate_kappa call (or one side of one
+norm_relation_check).
 
 In F_{q^k} with k > 1 a context needs q split completely in F_m(mu_n)
 (NotSplit otherwise).  Frobenius x -> x^q then fixes c and s and maps the
@@ -225,14 +230,17 @@ class EvalContext:
         the a-type's one residue 1 for d = 1."""
         return _norm_sets(self.ctx.f_K)[d] if d > 1 else (1,)
 
-    def _walk_steps(self, a: int, d: int) -> tuple[tuple[int, ...], list[int]]:
+    def _walk_steps(self, a: int, d: int,
+                    half: bool = False) -> tuple[tuple[int, ...], list[int]]:
         """(gaps, steps) for k = 1: the gaps r_0 - 0, r_1 - r_0, ... of
-        _residues(d), and steps[g] = u^g up to the largest gap, u =
-        w_f^(a mod f_K).  Multiplying by steps[gap] in turn gives
-        T_f[a r mod f_K] for r = r_0, r_1, ..."""
+        _residues(d), or with half (d > 2) of its lower half
+        R_d+ = {r in R_d : 2 r < d}, and steps[g] = u^g up to the largest of
+        those gaps, u = w_f^(a mod f_K) = steps[1].  Multiplying by
+        steps[gap] in turn gives T_f[a r mod f_K] for r = r_0, r_1, ..."""
         if d > 1:
-            self._residues(d)  # fills the gaps beside the residues
-            gaps, widest = _norm_sets(self.ctx.f_K).gaps[d]
+            sets = _norm_sets(self.ctx.f_K)
+            sets[d]  # fills the walks beside the residues
+            gaps, widest = sets.halves[d][:2] if half else sets.gaps[d]
         else:
             gaps, widest = (1,), 1
         q = self.q
@@ -277,6 +285,13 @@ class EvalContext:
         1 - A s + A^2 with A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.
         In F_q, A walks R_d in increasing r by the steps of _walk_steps.
 
+        In F_q with no auxiliary prime (c = 1) and d > 2 the walk takes only
+        R_d+ = {r in R_d : 2 r < d}: K is real, so chi_D is even and
+        R_d = -R_d, while 0 and d/2 are not in R_d.  As a is a multiple of
+        f_K/d, u = T_f[a mod f_K] has u^d = 1, so A_{d-r} = A_r^-1.  With
+        1 - A^-1 s + A^-2 = (1 - A s + A^2) / A^2 the product is
+        (prod_{r in R_d+} (1 - A_r s + A_r^2))^2 u^(-2 sum R_d+).
+
         In F_{q^k}, k > 1, Frobenius fixes c and s and maps the pair at r to
         the pair at r q mod d (a r mod f_K depends on r mod d only), so an
         orbit of length o contributes Y Y^q ... Y^(q^(o-1)) with Y its
@@ -289,12 +304,16 @@ class EvalContext:
         s = fld.add(t_p[a % p_part], t_p[-a % p_part])
         if self.k == 1:
             q = self.q
-            gaps, steps = self._walk_steps(a, d)
+            half = d > 2 and not aux
+            gaps, steps = self._walk_steps(a, d, half)
             A = math.prod(aux) % q
             out = 1
             for gap in gaps:
                 A = A * steps[gap] % q
                 out = out * (1 - A * (s - A)) % q
+            if half:
+                total = _norm_sets(self.ctx.f_K).halves[d][2]
+                out = out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
             return out
         t_f, f = self.tables[0], self.moduli[0]
         a_f = a % f
@@ -322,12 +341,13 @@ class EvalContext:
         """_paired_product(a * lift({l_i: rho_i}), d) for every
         (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
 
-        In F_{q^k} with k > 1, or with no auxiliary prime (one cell), each
-        cell is one _paired_product.  Otherwise (k = 1, n > 1) only the
-        auxiliary components of the multiplier move, so B_r =
-        T_f[a r mod f_K] (walked as in _walk_steps) and s are fixed and every
-        value is P(c) at the root c = prod_i T_i[a rho_i mod l_i] of mu_n,
-        with P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  As s =
+        In F_{q^k} with k > 1, or for one cell (every row one residue, or no
+        auxiliary prime), each cell is one _paired_product.  Otherwise
+        (k = 1, several cells) only the auxiliary components of the
+        multiplier move, so B_r = T_f[a r mod f_K] (walked in full as in
+        _walk_steps) and s are fixed and every value is P(c) at the root
+        c = prod_i T_i[a rho_i mod l_i] of mu_n, with
+        P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  As s =
         alpha + 1/alpha with alpha = T_p[a mod p^{m+1}] in F_q, P(X) =
         Q(alpha X) Q(X / alpha) with Q(Y) = prod_{r in R_d} (1 - B_r Y).  Q
         comes from a product tree of exact Kronecker products over linear
@@ -338,7 +358,7 @@ class EvalContext:
         (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
         mu_{l_i} by _chirp_axis."""
         ells = self.moduli[2:]
-        if self.k > 1 or not ells:
+        if self.k > 1 or all(len(row) == 1 for row in rows):
             return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
                     for rho in iter_product(*rows)]
         q, t_p, p_part = self.q, self.tables[1], self.p_part
@@ -505,7 +525,10 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
 class _NormSets(dict):
     """d -> the pair residues R_d of norm_set_d(d) for one conductor f_K,
     sorted, filled on first use, and beside them gaps[d] = (the gaps of R_d
-    from 0 in increasing order, the largest gap).
+    from 0 in increasing order, the largest gap) and, for d > 2,
+    halves[d] = (the same two for R_d+ = {r in R_d : 2 r < d}, the sum of
+    R_d+).  R_d = -R_d, so R_d+ is the first half of R_d.  All three depend
+    on (f_K, d) only.  R_{f_K} is the kernel itself.
 
     The kernel of chi_D = (f_K | .) comes from chi_D = prod_m chi_m over the
     prime powers m || f_K, each chi_m a character mod m tabulated once on
@@ -528,14 +551,22 @@ class _NormSets(dict):
                 for x in range(1, (m + 1) // 2):
                     row[x * x % m] = 1
             chi = row * rest if chi is None else list(map(operator.mul, chi, row * rest))
+        self.f = f
         self.kernel = list(compress(range(f), map((1).__eq__, chi)))
         self.gaps: dict[int, tuple[tuple[int, ...], int]] = {}
+        self.halves: dict[int, tuple[tuple[int, ...], int, int]] = {}
 
     def __missing__(self, d: int):
-        residues = tuple(sorted({x % d for x in self.kernel}))
+        if d == self.f:
+            residues = tuple(self.kernel)
+        else:
+            residues = tuple(sorted({x % d for x in self.kernel}))
         gaps = tuple(b - a for a, b in zip((0,) + residues, residues))
         self[d] = residues
         self.gaps[d] = (gaps, max(gaps))
+        if d > 2:
+            h = len(residues) // 2
+            self.halves[d] = (gaps[:h], max(gaps[:h]), sum(residues[:h]))
         return residues
 
 

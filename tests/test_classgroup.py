@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -78,6 +79,17 @@ def test_rho_preserves_reduced_set_exhaustively():
         assert len({rho(f, D) for f in forms}) == len(forms)
         g = narrow_class_group(D)
         assert sum(len(c) for c in g.cycles) == len(forms)
+
+
+def test_all_reduced_forms_match_brute_force():
+    # every (a, b) with 0 < |a|, b <= isqrt(D) and c integral, kept by is_reduced
+    for D in list(fundamental_discriminants(2000)) + [32009]:
+        t = math.isqrt(D)
+        brute = sorted((a, b, (b * b - D) // (4 * a))
+                       for b in range(1, t + 1) for a in range(-t, t + 1)
+                       if a and (b * b - D) % (4 * a) == 0
+                       and is_reduced((a, b, (b * b - D) // (4 * a)), D))
+        assert all_reduced_forms(D) == brute, D
 
 
 def test_reduce_form_lands_in_cycle():

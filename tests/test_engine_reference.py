@@ -73,6 +73,22 @@ def test_factor_values_match_reference(D, m, r):
     _assert_factors_match(ev, kps, rng, 3 if D < 1000 else 1)
 
 
+# n = 1 in F_q walks R_d+ only for d > 2 (d = 4, 8 are the 2-parts);
+# (D, p) with p inert in Q(sqrt(D))
+@pytest.mark.parametrize("D,p", [(8, 3), (44, 3), (8, 5), (12, 5), (12, 7), (24, 7),
+                                 (40, 7)])
+@pytest.mark.parametrize("m", [0, 1])
+def test_half_walk_matches_reference(D, p, m):
+    rng = random.Random(100 * D + 10 * p + m)
+    ctx = build_field(p, D, m, m + 1)
+    q = next(evaluation_primes(ctx, 1, level=m + 1))
+    ev = EvalContext(ctx, (), q)
+    assert ev.k == 1
+    for mult in _random_multipliers(ev, (), rng, 4):
+        for d in (d for d in range(2, D + 1) if D % d == 0):
+            assert ev.factor_value("d", d, (), mult) == ref.factor_value(ev, "d", d, (), mult)
+
+
 def test_factor_values_match_reference_in_degree_4_field():
     # 787 has order 4 modulo 257 * 3: evaluation happens inside F_{787^4}
     ctx = build_field(3, 257, 0, 1)

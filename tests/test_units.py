@@ -25,6 +25,7 @@ from cycfit.units import (
     evaluate_kappa,
     _chirp_axis,
     _NormSets,
+    _orbit_value,
     norm_relation_check,
     splits_completely,
 )
@@ -173,6 +174,18 @@ def test_norm_sets_from_component_tables():
             assert ev.norm_set_d(d) == tuple((r, s) for r in residues for s in (1, -1)), (D, d)
             gaps = [b - a for a, b in zip((0,) + residues, residues)]
             assert sets.gaps[d] == (tuple(gaps), max(gaps)), (D, d)
+            if d > 2:
+                # chi_D is even, so R_d = -R_d, and 0, d/2 are not units mod d:
+                # R_d+ = {r : 2 r < d} is the first half of R_d
+                assert residues == tuple(sorted(d - r for r in residues)), (D, d)
+                assert 0 not in residues and d / 2 not in residues, (D, d)
+                h = len(residues) // 2
+                assert all(2 * r < d for r in residues[:h]), (D, d)
+                assert all(2 * r > d for r in residues[h:]), (D, d)
+                assert sets.halves[d] == (tuple(gaps[:h]), max(gaps[:h]),
+                                          sum(residues[:h])), (D, d)
+            else:
+                assert d not in sets.halves
 
 
 def test_proper_divisor_norm_sets_are_all_units():
@@ -323,6 +336,41 @@ def test_norm_relation_on_two_prime_chains(D, chain, kind):
     param = D if kind == "d" else 2
     for ell in chain:
         assert norm_relation_check(ctx, kind, param, kps, ell, q), (D, chain, kind, ell)
+
+
+# at m = 0, p = 3 an a-type unit is 1 (test_a_type_units_trivial_for_p3_level0),
+# so its relation reads 1 == 1; at m = 1 it is not
+@pytest.mark.parametrize("D,chain", [(257, (73,)), (785, (19,)), (17, (19, 2053)),
+                                     (92, (19, 2053))])
+def test_a_type_norm_relation_at_level_one(D, chain):
+    ctx = build_field(3, D, 1, 2)
+    kps = chain_primes(ctx, chain)
+    q = next(evaluation_primes(ctx, math.prod(chain)))
+    ev = EvalContext(ctx, chain, q)
+    assert ev.factor_value("a", 2, chain, 1) != 1
+    assert ev.factor_value("a", 2, chain[1:], 1) != 1
+    for ell in chain:
+        assert norm_relation_check(ctx, "a", 2, kps, ell, q), (D, chain, ell)
+
+
+@pytest.mark.parametrize("kind,param", [("d", 257), ("a", 2)])
+def test_one_cell_table_is_one_paired_product(kind, param):
+    # rows of one residue each give one cell, evaluated as one paired product;
+    # it equals factor_value and the same cell of the full transform table
+    ctx = build_field(3, 257, 0, 1)
+    chain = (13, 79)
+    q = next(evaluation_primes(ctx, math.prod(chain), level=1))
+    ev = EvalContext(ctx, chain, q)
+    _, tau = ctx.group.elements()
+    mult = ev.delta_lift(tau)
+    for aux in (chain, chain[:1], ()):
+        full = ev.factor_orbit(kind, param, aux, mult, [range(1, 13), range(1, 79)])
+        for rho in ((1, 1), (5, 1), (2, 40), (12, 78)):
+            cell = ev.factor_orbit(kind, param, aux, mult, [[rho[0]], [rho[1]]])
+            idx = (rho[0] - 1) * 78 + rho[1] - 1
+            assert cell == ([full[0][idx]], None if full[1] is None else [full[1][idx]])
+            value = ev.factor_value(kind, param, aux, mult * ev.lift(dict(zip(chain, rho))))
+            assert _orbit_value(ev.field, cell, [1]) == value, (kind, aux, rho)
 
 
 def test_h_invariance_full_orbit():

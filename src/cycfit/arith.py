@@ -10,6 +10,8 @@ that every downstream sign and indexing convention is reproducible.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -175,21 +177,63 @@ def val_p(x: int, p: int, cap: int) -> int:
     return v
 
 
-def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    """Product of two nonempty coefficient lists over F_q, entries in [0, q).
+def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> list[int]:
+    """Product of two nonempty coefficient lists over F_q, entries in [0, q);
+    with cyclic=L (len(a), len(b) <= L), the product mod X^L - 1, as
+    min(len(a) + len(b) - 1, L) coefficients.
 
     Exact Kronecker substitution: each list is packed into one integer with
     byte slots wide enough for any coefficient of the exact integer product
     (at most min(len) terms below (q-1)^2 each), so one big-integer
-    multiplication carries no slot into the next; the slots are then
-    unpacked and reduced mod q.
+    multiplication carries no slot into the next.  The cyclic product is
+    folded on that integer, low L slots plus the rest: residue t mod L
+    still collects at most min(len) terms, so the slots stay exact.  For
+    q < 2^64 the coefficients of both lists go through one array('Q') as
+    little-endian 64-bit words, moved between words and slots by one strided
+    bytearray copy per slot byte, and the product is unpacked the same way
+    into one, two or three words per slot; only the final % q runs per
+    coefficient.  Larger q packs and unpacks each coefficient with
+    int.to_bytes / int.from_bytes.
     """
     terms = min(len(a), len(b))
     width = (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
-    x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
-    y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
-    z = (x * y).to_bytes(width * (len(a) + len(b) - 1), "little")
-    return [int.from_bytes(z[i:i + width], "little") % q for i in range(0, len(z), width)]
+    size = len(a) + len(b) - 1
+    if q >> 64:
+        x, y = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
+                for v in (a, b))
+    else:
+        words = array("Q", a)
+        words.extend(b)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+        slots = bytearray(width * len(words))
+        for k in range(min(width, 8)):
+            slots[k::width] = raw[k::8]
+        view = memoryview(slots)
+        x = int.from_bytes(view[:width * len(a)], "little")
+        y = int.from_bytes(view[width * len(a):], "little")
+    z = x * y
+    if cyclic is not None and size > cyclic:
+        bits = 8 * width * cyclic
+        z = (z & ((1 << bits) - 1)) + (z >> bits)
+        size = cyclic
+    raw = z.to_bytes(width * size, "little")
+    if q >> 64:
+        return [int.from_bytes(raw[i:i + width], "little") % q for i in range(0, len(raw), width)]
+    span = 8 * -(-width // 8)  # whole words per slot, in bytes
+    buf = bytearray(span * size)
+    for k in range(width):
+        buf[k::span] = raw[k::width]
+    words = array("Q", buf)
+    if sys.byteorder == "big":
+        words.byteswap()
+    if span == 8:
+        return [c % q for c in words]
+    if span == 16:
+        return [(lo | hi << 64) % q for lo, hi in zip(words[::2], words[1::2])]
+    return [(lo | mid << 64 | hi << 128) % q
+            for lo, mid, hi in zip(words[::3], words[1::3], words[2::3])]
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,13 @@ P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
 s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P_g(X) =
 Q(alpha X) Q(X / alpha) for Q(Y) = prod_r (1 - B_r Y), of half the degree.
 Q comes from a product tree of exact Kronecker products (arith.poly_mul)
-whose nodes are folded mod X^(n p^{m+1}) - 1 (alpha^t depends on t mod
-p^{m+1} only); its two scalings are folded mod X^n - 1 and multiplied
-once, the product folded mod X^n - 1 onto one axis per auxiliary prime,
-and each axis is evaluated at all of mu_l by a chirp-z transform over the
-root table T_l that packs each line only up to its last nonzero entry; a
-multi-index reads its value at its residues mod l_i.  A one-cell table
+whose nodes are cyclic products mod X^(n p^{m+1}) - 1, folded on the big
+integer (alpha^t depends on t mod p^{m+1} only); its two scalings are
+folded mod X^n - 1 and multiplied once, cyclically mod X^n - 1, the
+product spread onto one axis per auxiliary prime, and each axis is
+evaluated at all of mu_l by a chirp-z transform over the root table T_l
+that packs each line only up to its last nonzero entry; a multi-index
+reads its value at its residues mod l_i.  A one-cell table
 (n = 1, or one residue per auxiliary prime), and every cell in F_{q^k}
 with k > 1, is one paired product.  Nothing is cached per multiplier:
 every conjugate and twist is evaluated afresh, and an orbit table lives
@@ -351,12 +352,14 @@ class EvalContext:
         alpha + 1/alpha with alpha = T_p[a mod p^{m+1}] in F_q, P(X) =
         Q(alpha X) Q(X / alpha) with Q(Y) = prod_{r in R_d} (1 - B_r Y).  Q
         comes from a product tree of exact Kronecker products over linear
-        leaves; alpha^t depends on t mod p^{m+1} only, so every node is
-        folded mod X^(n p^{m+1}) - 1.  Each scaled half is folded mod
-        X^n - 1 (not Q itself: alpha^n != 1), the halves are multiplied once
-        and folded again, the coefficient of X^t goes to the cell
-        (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
-        mu_{l_i} by _chirp_axis."""
+        leaves; alpha^t depends on t mod p^{m+1} only, so every node is a
+        cyclic poly_mul mod X^(n p^{m+1}) - 1, folded on the big integer.
+        Each scaled half is folded mod X^n - 1 by _fold (not Q itself:
+        alpha^n != 1), the halves are multiplied once, cyclically mod
+        X^n - 1, the coefficient of X^t goes to the cell
+        (t mod l_1, ..., t mod l_r) (at one auxiliary prime the coefficients
+        are the cells), and each axis is evaluated at all of mu_{l_i} by
+        _chirp_axis."""
         ells = self.moduli[2:]
         if self.k > 1 or all(len(row) == 1 for row in rows):
             return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
@@ -374,16 +377,20 @@ class EvalContext:
                 poly = [(x - B * y) % q for x, y in zip(poly + [0], [0] + poly)]
             polys.append(poly)
         while len(polys) > 1:
-            polys = [_fold(poly_mul(*polys[i:i + 2], q), n * p_part, q)
+            polys = [poly_mul(*polys[i:i + 2], q, cyclic=n * p_part)
                      if i + 1 < len(polys) else polys[i] for i in range(0, len(polys), 2)]
         halves = [_fold([c * t_p[sign * a * t % p_part] % q for t, c in enumerate(polys[0])], n, q)
                   for sign in (1, -1)]
-        cells = [0] * n
-        for t, coeff in enumerate(_fold(poly_mul(*halves, q), n, q)):
-            idx = 0
-            for ell in ells:
-                idx = idx * ell + t % ell
-            cells[idx] = coeff
+        folded = poly_mul(*halves, q, cyclic=n)
+        if len(ells) == 1:
+            cells = folded + [0] * (n - len(folded))
+        else:
+            cells = [0] * n
+            for t, coeff in enumerate(folded):
+                idx = 0
+                for ell in ells:
+                    idx = idx * ell + t % ell
+                cells[idx] = coeff
         for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
             cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
         return cells

@@ -244,8 +244,12 @@ def test_root_of_unity_compatible_along_divisor_chains(field, data):
     assert ctx.pow(root_of_unity(ctx, big), big // small) == root_of_unity(ctx, small)
 
 
-# q below and above 2^31; for 2^31 + 11 the slot has no spare bit
-POLY_MUL_MODULI = (2, 3, 65537, 2**31 - 1, 2**31 + 11, 2**61 - 1)
+# Slot paths at 64 terms (a slot needs 2 bits(q - 1) + 7 bits): 2, 3 and
+# 65537 fill part of one 64-bit word and 134217757 63 of its 64 bits;
+# 2^31 - 1 (69 of 72 bits) and 2^31 + 11 (71 of 72) take two words,
+# 2^61 - 1 takes three, and 2^89 - 1 >= 2^64 packs each coefficient with
+# int.to_bytes
+POLY_MUL_MODULI = (2, 3, 65537, 134217757, 2**31 - 1, 2**31 + 11, 2**61 - 1, 2**89 - 1)
 
 
 def _schoolbook(a, b, q):
@@ -256,11 +260,22 @@ def _schoolbook(a, b, q):
     return out
 
 
+def _cyclic_fold(poly, size, q):
+    if len(poly) <= size:
+        return poly
+    out = [0] * size
+    for t, c in enumerate(poly):
+        out[t % size] = (out[t % size] + c) % q
+    return out
+
+
 @pytest.mark.parametrize("q", POLY_MUL_MODULI)
 def test_poly_mul_fills_slots_exactly(q):
-    # every coefficient q - 1: the largest sums a slot must hold
+    # every coefficient q - 1: the largest sums a slot must hold, also
+    # after the cyclic fold, where every residue collects 64 products
     a = [q - 1] * 64
     assert poly_mul(a, a, q) == _schoolbook(a, a, q)
+    assert poly_mul(a, a, q, cyclic=64) == _cyclic_fold(_schoolbook(a, a, q), 64, q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -270,3 +285,19 @@ def test_poly_mul_matches_schoolbook(q, data):
     a = data.draw(st.lists(coeff, min_size=1, max_size=64))
     b = data.draw(st.lists(coeff, min_size=1, max_size=64))
     assert poly_mul(a, b, q) == _schoolbook(a, b, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(POLY_MUL_MODULI), st.integers(1, 64),
+       st.sampled_from(["any", "no fold", "2L - 1"]), st.data())
+def test_poly_mul_cyclic_matches_folded_schoolbook(q, size, shape, data):
+    if shape == "2L - 1":
+        len_a = len_b = size
+    else:
+        len_a = data.draw(st.integers(1, size))
+        top = size - len_a + 1 if shape == "no fold" else size
+        len_b = data.draw(st.integers(1, top))
+    coeff = st.one_of(st.just(q - 1), st.integers(0, q - 1))
+    a = data.draw(st.lists(coeff, min_size=len_a, max_size=len_a))
+    b = data.draw(st.lists(coeff, min_size=len_b, max_size=len_b))
+    assert poly_mul(a, b, q, cyclic=size) == _cyclic_fold(_schoolbook(a, b, q), size, q)

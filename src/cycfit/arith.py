@@ -188,17 +188,18 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
     multiplication carries no slot into the next.  The cyclic product is
     folded on that integer, low L slots plus the rest: residue t mod L
     still collects at most min(len) terms, so the slots stay exact.  For
-    q < 2^64 the coefficients of both lists go through one array('Q') as
-    little-endian 64-bit words, moved between words and slots by one strided
-    bytearray copy per slot byte, and the product is unpacked the same way
-    into one, two or three words per slot; only the final % q runs per
-    coefficient.  Larger q packs and unpacks each coefficient with
-    int.to_bytes / int.from_bytes.
+    slots of at most 16 bytes (at 64 terms, every q < 2^60) the
+    coefficients of both lists go through one array('Q') as little-endian
+    64-bit words, moved between words and slots by one strided bytearray
+    copy per slot byte, and the product is unpacked the same way into one
+    or two words per slot; only the final % q runs per coefficient.  Wider
+    slots pack and unpack each coefficient with int.to_bytes /
+    int.from_bytes.
     """
     terms = min(len(a), len(b))
     width = (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
     size = len(a) + len(b) - 1
-    if q >> 64:
+    if width > 16:
         x, y = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
                 for v in (a, b))
     else:
@@ -219,7 +220,7 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
         z = (z & ((1 << bits) - 1)) + (z >> bits)
         size = cyclic
     raw = z.to_bytes(width * size, "little")
-    if q >> 64:
+    if width > 16:
         return [int.from_bytes(raw[i:i + width], "little") % q for i in range(0, len(raw), width)]
     span = 8 * -(-width // 8)  # whole words per slot, in bytes
     buf = bytearray(span * size)
@@ -230,10 +231,7 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
         words.byteswap()
     if span == 8:
         return [c % q for c in words]
-    if span == 16:
-        return [(lo | hi << 64) % q for lo, hi in zip(words[::2], words[1::2])]
-    return [(lo | mid << 64 | hi << 128) % q
-            for lo, mid, hi in zip(words[::3], words[1::3], words[2::3])]
+    return [(lo | hi << 64) % q for lo, hi in zip(words[::2], words[1::2])]
 
 
 # ---------------------------------------------------------------------------

@@ -357,9 +357,8 @@ class EvalContext:
         Each scaled half is folded mod X^n - 1 by _fold (not Q itself:
         alpha^n != 1), the halves are multiplied once, cyclically mod
         X^n - 1, the coefficient of X^t goes to the cell
-        (t mod l_1, ..., t mod l_r) (at one auxiliary prime the coefficients
-        are the cells), and each axis is evaluated at all of mu_{l_i} by
-        _chirp_axis."""
+        (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
+        mu_{l_i} by _chirp_axis."""
         ells = self.moduli[2:]
         if self.k > 1 or all(len(row) == 1 for row in rows):
             return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
@@ -381,16 +380,12 @@ class EvalContext:
                      if i + 1 < len(polys) else polys[i] for i in range(0, len(polys), 2)]
         halves = [_fold([c * t_p[sign * a * t % p_part] % q for t, c in enumerate(polys[0])], n, q)
                   for sign in (1, -1)]
-        folded = poly_mul(*halves, q, cyclic=n)
-        if len(ells) == 1:
-            cells = folded + [0] * (n - len(folded))
-        else:
-            cells = [0] * n
-            for t, coeff in enumerate(folded):
-                idx = 0
-                for ell in ells:
-                    idx = idx * ell + t % ell
-                cells[idx] = coeff
+        cells = [0] * n
+        for t, coeff in enumerate(poly_mul(*halves, q, cyclic=n)):
+            idx = 0
+            for ell in ells:
+                idx = idx * ell + t % ell
+            cells[idx] = coeff
         for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
             cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
         return cells
@@ -475,7 +470,9 @@ class _RootRow:
 
 
 # Linear factors multiplied directly per leaf of the product tree, below
-# the size where a Kronecker product beats a Python loop.
+# the size where a Kronecker product beats a Python loop.  The tree's
+# cyclic poly_mul needs both operands at most n p^{m+1} long: every chain
+# prime is 1 mod p, so n p^{m+1} >= 7 * 3 > _LEAF + 1.
 _LEAF = 12
 
 

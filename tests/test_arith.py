@@ -246,9 +246,9 @@ def test_root_of_unity_compatible_along_divisor_chains(field, data):
 
 # Slot paths at 64 terms (a slot needs 2 bits(q - 1) + 7 bits): 2, 3 and
 # 65537 fill part of one 64-bit word and 134217757 63 of its 64 bits;
-# 2^31 - 1 (69 of 72 bits) and 2^31 + 11 (71 of 72) take two words,
-# 2^61 - 1 takes three, and 2^89 - 1 >= 2^64 packs each coefficient with
-# int.to_bytes
+# 2^31 - 1 (69 of 72 bits) and 2^31 + 11 (71 of 72) take two words, and
+# 2^61 - 1 (129 bits) and 2^89 - 1 are wider than two words and pack each
+# coefficient with int.to_bytes
 POLY_MUL_MODULI = (2, 3, 65537, 134217757, 2**31 - 1, 2**31 + 11, 2**61 - 1, 2**89 - 1)
 
 

@@ -200,36 +200,25 @@ def test_proper_divisor_norm_sets_are_all_units():
     assert pairs == 2628
 
 
-CHIRP_CELLS = [
+@pytest.mark.parametrize("cells", [
     [5, 0, 0, 0, 0, 0, 0],  # one line, top = 0
     [3, 0, 126, 4, 0, 0, 0],  # one line, 0 < top < l - 1
     [1, 2, 3, 4, 5, 6, 7],  # one line, top = l - 1
     [9, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8],  # three lines
-]
-
-
-def _check_chirp_axis(cells, q, w):
-    # w has order l = 7 in F_q; the picks are every exponent, out of order
+])
+def test_chirp_axis_matches_direct_evaluation(cells):
+    # w = 2^((q - 1) / 7) has order l = 7 in F_q; the picks are every
+    # exponent, out of order.  q = 127 takes one-word slots; q = 2147483857
+    # (2 bits(q - 1) + 3 = 67) spans two 64-bit words per slot
     ell = 7
-    table = [pow(w, j, q) for j in range(ell)]
     picks = [3, 0, 6, 1, 5, 2, 4]
     lines = [cells[i:i + ell] for i in range(0, len(cells), ell)]
-    direct = [sum(c * pow(w, t * j, q) for t, c in enumerate(line)) % q
-              for j in picks for line in lines]
-    assert _chirp_axis(cells, table, picks, q) == direct
-
-
-@pytest.mark.parametrize("cells", CHIRP_CELLS)
-def test_chirp_axis_matches_direct_evaluation(cells):
-    # w = 2^18 has order 7 in F_127: one-word slots
-    _check_chirp_axis(cells, 127, pow(2, 18, 127))
-
-
-@pytest.mark.parametrize("cells", CHIRP_CELLS)
-def test_chirp_axis_matches_direct_evaluation_at_two_word_slots(cells):
-    # q = 1 mod 7 and 2 bits(q - 1) + 3 = 67: each slot spans two 64-bit words
-    q = 2147483857
-    _check_chirp_axis(cells, q, pow(2, (q - 1) // 7, q))
+    for q in (127, 2147483857):
+        w = pow(2, (q - 1) // ell, q)
+        table = [pow(w, j, q) for j in range(ell)]
+        direct = [sum(c * pow(w, t * j, q) for t, c in enumerate(line)) % q
+                  for j in picks for line in lines]
+        assert _chirp_axis(cells, table, picks, q) == direct, q
 
 
 def test_kappa_regression_frozen_values():

@@ -19,10 +19,15 @@ from .config import DEFAULT_FIELD_BUDGET
 from .errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (bound, number of leading _SMALL_PRIMES): Miller-Rabin with these bases
+# is proven for n below the bound (Jaeschke, Math. Comp. 61, 1993; each
+# bound is the least strong pseudoprime to its bases).  All twelve bases
+# are proven below 318665857834031151167461.
+_MR_BASES = ((3215031751, 4), (341550071728321, 7), (3825123056546413051, 9))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond 2^64 with these bases)."""
+    """Deterministic Miller-Rabin (valid far beyond 2^64 with all bases)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -33,7 +38,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _SMALL_PRIMES:
+    count = next((c for bound, c in _MR_BASES if n < bound), len(_SMALL_PRIMES))
+    for a in _SMALL_PRIMES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -23,6 +23,18 @@ the pair at d - r is the pair at r divided by A_r^2.  The product is then
 the square of the product over R_d+ = {r in R_d : 2 r < d} times
 u^(-2 sum R_d+).  The chi_D-kernel behind the norm sets is the product of
 per-prime-power characters, each tabulated once.
+
+The epsilon = 0 class (kind "d" at f_K, no auxiliary prime) in F_q walks
+only the conjugates g with g[0] = 0.  The partner g tau (g[0] = 1) has
+the multiplier a n_0 with chi_D(n_0) = -1 and n_0 = 1 mod p^{m+1}, so the
+two norm sets are the two cosets of the chi_D-kernel in (Z/f_K)^x, and the
+product of the two values is Phi_f(omega) Phi_f(1/omega) with
+omega = T_p[a mod p^{m+1}] (+-1 at p = 3, m = 0: Apostol, Proc. AMS 24,
+1970).  The Moebius form of Phi_f reads it with two table entries per
+squarefree divisor of f_K, and the partner's dlog is its dlog minus the
+walked one.  Auxiliary primes, other d, the a-type and F_{q^k} with k > 1
+keep one walk per conjugate.
+
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
 ambiguity of a derivative class never matters.
@@ -338,6 +350,30 @@ class EvalContext:
             out = y if out is None else fld.mul(out, y)
         return out
 
+    def cyclotomic_resultant(self, mult: int) -> int:
+        """The d-type unit at f_K conjugated by mult, times the same at
+        mult n_0, with chi_D(n_0) = -1 and n_0 = 1 mod p^{m+1}: in F_q
+        (k = 1, no auxiliary prime, mult prime to M = f_K p^{m+1}).
+
+        With a = u mult the two norm sets a R_{f_K} and a n_0 R_{f_K} are the
+        two cosets of the chi_D-kernel, so together they run over all of
+        (Z/f_K)^x, and each pair is (1 - A omega)(1 - A / omega),
+        omega = T_p[a mod p^{m+1}].  As prod_{j in (Z/f)^x} (1 - w^j x) =
+        Phi_f(x) for a primitive f-th root w (f > 2), the product is
+        Phi_f(omega) Phi_f(1/omega) = prod_{e | f} (2 - omega^e - omega^-e)^mu(f/e).
+        omega has order p^{m+1}, prime to f, so no factor is 0."""
+        q, t_p, p_part = self.q, self.tables[1], self.p_part
+        a = self._factor_multipliers("d", self.ctx.f_K, ())[0] * mult
+
+        def part(divisors):
+            out = 1
+            for e in divisors:
+                out = out * (2 - t_p[a * e % p_part] - t_p[-a * e % p_part]) % q
+            return out
+
+        plus, minus = _mobius_divisors(self.ctx.f_K)
+        return part(plus) * pow(part(minus), -1, q) % q
+
     def _paired_orbit(self, a: int, d: int, rows) -> list:
         """_paired_product(a * lift({l_i: rho_i}), d) for every
         (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
@@ -373,7 +409,9 @@ class EvalContext:
             poly = [1]
             for gap in gaps[i:i + _LEAF]:
                 B = B * steps[gap] % q
-                poly = [(x - B * y) % q for x, y in zip(poly + [0], [0] + poly)]
+                poly.append(0)
+                for j in range(len(poly) - 1, 0, -1):
+                    poly[j] = (poly[j] - B * poly[j - 1]) % q
             polys.append(poly)
         while len(polys) > 1:
             polys = [poly_mul(*polys[i:i + 2], q, cyclic=n * p_part)
@@ -579,6 +617,16 @@ def _norm_sets(f: int) -> _NormSets:
     return _NormSets(f)
 
 
+@lru_cache(maxsize=2)
+def _mobius_divisors(f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divisors e of f with mu(f/e) = 1, and those with mu(f/e) = -1."""
+    primes = list(factorint(f))
+    out: tuple[list[int], list[int]] = ([], [])
+    for picks in iter_product((0, 1), repeat=len(primes)):
+        out[sum(picks) % 2].append(f // math.prod(compress(primes, picks)))
+    return tuple(out[0]), tuple(out[1])
+
+
 @lru_cache(maxsize=None)
 def _primitive_root(p_power: int) -> int:
     """Smallest primitive root modulo an odd prime power."""
@@ -631,9 +679,18 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     for kp in cls.aux_primes:
         rows.append(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:])
         weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
+    # the epsilon = 0 class in F_q: each conjugate with g[0] = 1 is read from
+    # its partner with g[0] = 0, which elements() lists first, and the
+    # cyclotomic resultant of the two chi_D-cosets
+    cosets = (ev.k == 1 and cls.kind == "d" and cls.param == ctx.f_K and not cls.aux
+              and math.gcd(twist, ev.M) == 1)
     coeffs: dict = {}
     for g in ctx.group.elements():
         t_g = ev.delta_lift(ctx.group.inv(g)) * twist % ev.M
+        if cosets and g[0]:
+            both = ev.dlog(ev.cyclotomic_resultant(t_g), ctx_level)
+            coeffs[g] = (both - coeffs[(0,) + g[1:]]) % pN
+            continue
         orbit = ev.factor_orbit(cls.kind, cls.param, cls.aux, t_g, rows)
         coeffs[g] = ev.dlog(_orbit_value(ev.field, orbit, weights), ctx_level)
     return GroupRingElement(ring, coeffs)

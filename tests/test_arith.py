@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -212,6 +213,54 @@ def test_utility_functions():
     assert crt([1, 2], [3, 5]) == 7
     assert val_p(18, 3, 5) == 2 and val_p(0, 3, 5) == 5
     assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+
+
+def _strong_probable_prime(n, bases):
+    """Miller-Rabin on odd n > 37 with the given bases."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+ALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (least strong pseudoprime to the first k bases, k)
+PSEUDOPRIMES = ((3215031751, 4), (341550071728321, 7), (3825123056546413051, 9))
+
+
+def test_is_prime_below_two_million_matches_sieve():
+    # the sieve is exact; below 2 * 10^6 the twelve-base test agrees with it
+    bound = 2 * 10**6
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
+    assert [n for n in range(bound) if is_prime(n) != sieve[n]] == []
+
+
+@pytest.mark.parametrize("bound,k", PSEUDOPRIMES)
+def test_is_prime_matches_all_bases_around_each_bound(bound, k):
+    # the bound itself fools the first k bases, and is_prime still rejects it
+    assert _strong_probable_prime(bound, ALL_BASES[:k])
+    assert not _strong_probable_prime(bound, ALL_BASES) and not is_prime(bound)
+    rng = random.Random(bound)
+    near = list(range(bound - 2000, bound + 2000, 2))
+    far = [rng.randrange(bound // 2, 2 * bound) | 1 for _ in range(2000)]
+    for n in near + far:
+        assert is_prime(n) == (math.gcd(n, math.prod(ALL_BASES)) == 1
+                               and _strong_probable_prime(n, ALL_BASES)), n
 
 
 # (q, k, p, N) with p^N | q^k - 1, prime fields and extension fields

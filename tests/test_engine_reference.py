@@ -5,10 +5,11 @@ Factor values are compared exactly, element by element, on seeded-random
 multipliers built from Delta x Gamma conjugations, auxiliary-group twists
 and tame-generator powers; derivative-class vectors are compared on small
 expansions at n = 1, l and l_1 l_2, including the residue-degree-4 field
-F_{787^4} at D = 257.  The orbit tables of EvalContext.factor_orbit, the
-one path of evaluate_kappa (the transform for n > 1 in F_q, one paired
-product per cell at n = 1 and in F_{q^k}), are compared at every
-multi-index.
+F_{787^4} at D = 257, and the epsilon = 0 class, whose chi_D-odd
+conjugates come from a cyclotomic resultant, at p = 3, 5, 7 and m = 0, 1.
+The orbit tables of EvalContext.factor_orbit, the walk of evaluate_kappa
+(the transform for n > 1 in F_q, one paired product per cell at n = 1 and
+in F_{q^k}), are compared at every multi-index.
 """
 
 import math
@@ -163,6 +164,49 @@ def test_kappa_vectors_match_reference(D, m, N, r, level, kind, param, w):
         assert new == ref.evaluate_kappa(ctx, cls, ev, level, twist)
         vectors.append(new)
     assert any(not v.is_zero() for v in vectors) == (kind == "a" or param == D)
+
+
+# (p, D, m, N, h-twist): the epsilon = 0 class, whose conjugates with
+# g[0] = 1 come from the cyclotomic resultant of the two chi_D-cosets in F_q.
+# Away from p = 3, m = 0 that resultant's dlog is not 0 for some q.  The last
+# case twists the f_K-component.
+COSET_CASES = [
+    (5, 8, 0, 2, None),
+    (7, 5, 0, 2, None),
+    (3, 257, 1, 2, None),
+    (5, 12, 1, 2, None),
+    (3, 473, 0, 3, {473: 2}),
+]
+
+
+@pytest.mark.parametrize("p,D,m,N,twist", COSET_CASES)
+def test_epsilon_zero_vectors_match_reference(p, D, m, N, twist):
+    ctx = build_field(p, D, m, N)
+    cls = derivative_class(ctx, "d", D, ())
+    gen = evaluation_primes(ctx, 1, level=N)
+    sums = set()
+    for _ in range(2):
+        q = next(gen)
+        ev = EvalContext(ctx, (), q)
+        assert ev.k == 1
+        new = evaluate_kappa(ctx, cls, q, h_twist=twist)
+        assert new == ref.evaluate_kappa(ctx, cls, ev, N, twist)
+        sums |= {(new.coeffs.get(g, 0) + new.coeffs.get((1,) + g[1:], 0)) % p**N
+                 for g in ctx.group.elements() if not g[0]}
+    assert (sums != {0}) == (p > 3 or m > 0)
+
+
+@pytest.mark.parametrize("D", [5, 8, 257, 473, 785])
+def test_epsilon_zero_cosets_cancel_at_p3_level0(D):
+    # Phi_f(zeta_3) Phi_f(zeta_3^-1) = Res(Phi_3, Phi_f) = +-1 (Apostol), so
+    # the reference engine's two conjugates of eta, each walked, sum to 0
+    ctx = build_field(3, D, 0, 3)
+    cls = derivative_class(ctx, "d", D, ())
+    gen = evaluation_primes(ctx, 1, level=3)
+    vectors = [ref.evaluate_kappa(ctx, cls, EvalContext(ctx, (), q), 3).vector()
+               for q in (next(gen) for _ in range(3))]
+    assert all(sum(v) % 27 == 0 for v in vectors)
+    assert any(any(v) for v in vectors)
 
 
 def test_h_twists_change_factor_values_but_not_kappa():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .config import DEFAULT_FIELD_BUDGET
@@ -343,7 +342,6 @@ def _is_irreducible(poly: tuple, q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldCtx:
     """An explicit F_{q^k} with a verified generator of the unit group.
 
@@ -353,11 +351,12 @@ class FieldCtx:
     factorization of q^k - 1.
     """
 
-    q: int
-    k: int
-    modulus: tuple
-    g: object
-    order_factors: tuple
+    def __init__(self, q: int, k: int, modulus: tuple, g: object, order_factors: tuple):
+        self.q = q
+        self.k = k
+        self.modulus = modulus
+        self.g = g
+        self.order_factors = order_factors
 
     @property
     def order(self) -> int:

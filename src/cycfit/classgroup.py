@@ -15,7 +15,6 @@ series slack) -- no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import factorint, is_prime, kronecker, sqrt_mod_prime, crt
@@ -291,15 +290,17 @@ def class_number_band(D: int, h_narrow: int, unit: tuple[int, int, int]) -> dict
 # The narrow class group
 
 
-@dataclass(frozen=True)
 class FormClassGroup:
     """Narrow ideal class group realized on rho-reduction cycles."""
 
-    D: int
-    cycles: tuple[tuple[tuple, ...], ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    unit: tuple[int, int, int]  # fundamental unit (T, U, norm)
+    def __init__(self, D: int, cycles: tuple[tuple[tuple, ...], ...],
+                 table: tuple[tuple[int, ...], ...], identity: int,
+                 unit: tuple[int, int, int]):
+        self.D = D
+        self.cycles = cycles
+        self.table = table
+        self.identity = identity
+        self.unit = unit  # fundamental unit (T, U, norm)
 
     @property
     def h_plus(self) -> int:

@@ -17,12 +17,14 @@ from . import __version__
 from .arith import is_prime
 from .classgroup import class_number_band, narrow_class_group
 from .config import (
+    DEFAULT_DERIVATIVE_CAP,
     DEFAULT_PRIME_SEARCH_BUDGET,
     DEFAULT_SAMPLE_BUDGET,
     DEFAULT_STABILIZATION_WINDOW,
     Conventions,
 )
-from .errors import CycfitError, NegativeArgument, NotPrime, UsageError, exit_code_for
+from .errors import (BudgetExhausted, CycfitError, NegativeArgument, NotPrime, UsageError,
+                     exit_code_for)
 from .fields import build_field, chain_primes, kolyvagin_primes
 from .fitting import diagonal_presentation, fitting_ideal, fitting_of_p_group
 from .groupring import chi_project, scalar_ring
@@ -268,6 +270,11 @@ def cmd_fitting(args) -> int:
 
 def cmd_formal(args) -> int:
     _check_bound("--eps-max", args.eps_max)
+    # x_{nu,q} has 2^epsilon terms; 2^eps > cap exactly when eps >= cap.bit_length(),
+    # tested without building 2^eps
+    if args.eps_max >= DEFAULT_DERIVATIVE_CAP.bit_length():
+        raise BudgetExhausted(f"--eps-max = {args.eps_max}: the divisor lattice of"
+                              f" 2^{args.eps_max} terms exceeds cap {DEFAULT_DERIVATIVE_CAP}")
     reports = [check_combined_identities(eps) for eps in range(args.eps_max + 1)]
     emit({
         "reports": _entries(reports),

@@ -18,8 +18,6 @@ fields, and no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotWellOrdered, ReductionFailure
 
 # coefficient = dict {frozenset(weight labels): int}, a multilinear polynomial
@@ -55,13 +53,13 @@ def _sum_add(total: FormalSum, atom, coeff: Coeff, sign: int = 1) -> None:
         del total[atom]
 
 
-@dataclass
 class CombinedClass:
     """x_{nu,q} = sum over e | nu of w_e kappa(q * nu/e) (tags stripped)."""
 
-    nu: tuple
-    q: object
-    terms: FormalSum  # kappa atoms only
+    def __init__(self, nu: tuple, q: object, terms: FormalSum):
+        self.nu = nu
+        self.q = q
+        self.terms = terms  # kappa atoms only
 
 
 def _subsets(labels: tuple):
@@ -115,12 +113,15 @@ def apply_phi(ell, fc: CombinedClass) -> FormalSum:
     return out
 
 
-@dataclass(frozen=True)
 class CombinedIdentityReport:
-    epsilon: int
-    identity1: bool
-    identity2: bool
-    identity3: bool
+    """The three identities at one epsilon; its report entry is built from
+    vars()."""
+
+    def __init__(self, epsilon: int, identity1: bool, identity2: bool, identity3: bool):
+        self.epsilon = epsilon
+        self.identity1 = identity1
+        self.identity2 = identity2
+        self.identity3 = identity3
 
     @property
     def passed(self) -> bool:

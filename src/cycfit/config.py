@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Fields F_{q^k} are rejected above this size so element arithmetic stays in
 # machine words whenever the platform allows it.  Read by arith.make_field
 # (BudgetExceeded) and by maps, whose annihilation suite skips ell with
@@ -11,7 +9,9 @@ from dataclasses import dataclass
 DEFAULT_FIELD_BUDGET = 2**62
 
 # Hard cap on the number of multi-indices in a derivative-operator expansion.
-# Shared by units.evaluate_kappa, hence the sampler and `cycfit kappa`.
+# Shared by units.evaluate_kappa, hence the sampler and `cycfit kappa`, and by
+# cli.cmd_formal, which refuses `formal --eps-max` whose 2^eps-term divisor
+# lattice exceeds it (eps >= 18).
 DEFAULT_DERIVATIVE_CAP = 200_000
 
 # Matrices above this size are rejected by the minor enumerator (fitting).
@@ -26,7 +26,6 @@ DEFAULT_SAMPLE_BUDGET = 500
 DEFAULT_PRIME_SEARCH_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
 class Conventions:
     """Normalization switches that pin the residue-side conventions.
 
@@ -39,8 +38,9 @@ class Conventions:
         annihilation verdicts and invariance results; +1 is frozen as default.
     """
 
-    flip_sigma: bool = False
-    phi_sign: int = 1
+    def __init__(self, flip_sigma: bool = False, phi_sign: int = 1):
+        self.flip_sigma = flip_sigma
+        self.phi_sign = phi_sign
 
 
 # The frozen conventions; default of fields.AbelianFieldCtx and build_field.

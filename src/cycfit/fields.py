@@ -10,7 +10,6 @@ because the fields are abelian of known conductor); no ideal factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import is_prime, kronecker, make_field, sqrt_mod_prime, val_p
@@ -21,7 +20,6 @@ from .groupring import Character, FiniteAbelianGroup, GroupRing
 from .classgroup import is_fundamental_discriminant
 
 
-@dataclass(frozen=True)
 class AbelianFieldCtx:
     """Context for K real quadratic of fundamental discriminant D > 0.
 
@@ -32,13 +30,13 @@ class AbelianFieldCtx:
     cases, so its order divides p - 1.
     """
 
-    p: int
-    D: int
-    m: int = 0
-    N: int = 0
-    conventions: Conventions = DEFAULT_CONVENTIONS
-
-    def __post_init__(self):
+    def __init__(self, p: int, D: int, m: int = 0, N: int = 0,
+                 conventions: Conventions = DEFAULT_CONVENTIONS):
+        self.p = p
+        self.D = D
+        self.m = m
+        self.N = N
+        self.conventions = conventions
         if self.p < 3 or not is_prime(self.p):
             raise NotPrime(f"p = {self.p} must be an odd prime")
         if not is_fundamental_discriminant(self.D):
@@ -92,16 +90,28 @@ class AbelianFieldCtx:
         return self.chi_d(ell) == 1
 
 
-@dataclass(frozen=True)
 class KolyvaginPrime:
     """An auxiliary prime with its tame data: N_ell = ord_p(ell - 1) and the
     distinguished primitive root s_ell (the canonical generator of F_ell^x,
-    flipped to its inverse under the rejected convention)."""
+    flipped to its inverse under the rejected convention).  Primes with equal
+    data are equal and hash alike."""
 
-    ell: int
-    p: int
-    N_ell: int
-    s_ell: int
+    def __init__(self, ell: int, p: int, N_ell: int, s_ell: int):
+        self.ell = ell
+        self.p = p
+        self.N_ell = N_ell
+        self.s_ell = s_ell
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ell, self.p, self.N_ell, self.s_ell)
+                == (other.ell, other.p, other.N_ell, other.s_ell))
+
+    def __hash__(self):
+        return hash((self.ell, self.p, self.N_ell, self.s_ell))
 
     @staticmethod
     def build(ell: int, p: int, flip_sigma: bool = False) -> "KolyvaginPrime":

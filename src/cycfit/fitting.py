@@ -9,7 +9,6 @@ there are too few relation columns to form a minor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .config import MAX_PRESENTATION_SIZE
 from .errors import BadDecomposition, InsufficientPrecision, MixedAmbient
@@ -22,15 +21,13 @@ from .groupring import (
 )
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Relation matrix over a group ring; rows[i][j] is the i-th coordinate
     of the j-th relation."""
 
-    ring: GroupRing
-    rows: tuple[tuple[GroupRingElement, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, ring: GroupRing, rows: tuple[tuple[GroupRingElement, ...], ...]):
+        self.ring = ring
+        self.rows = rows
         if len(self.rows) < 1:
             raise ValueError("need at least one module generator (n >= 1)")
         if len(self.rows) > MAX_PRESENTATION_SIZE:

@@ -10,7 +10,6 @@ containment are literal comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import val_p
@@ -18,17 +17,27 @@ from .errors import BadDecomposition, MixedAmbient, NotPrime
 from .arith import is_prime
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Delta x Gamma with Delta given by elementary divisors and Gamma cyclic
-    of order p^m.  Elements are exponent tuples, the Gamma coordinate last."""
+    of order p^m.  Elements are exponent tuples, the Gamma coordinate last.
+    Groups with the same divisors are equal and hash alike."""
 
-    delta_divisors: tuple[int, ...]
-    gamma_order: int = 1
-
-    def __post_init__(self):
+    def __init__(self, delta_divisors: tuple[int, ...], gamma_order: int = 1):
+        self.delta_divisors = delta_divisors
+        self.gamma_order = gamma_order
         if any(d < 1 for d in self.delta_divisors) or self.gamma_order < 1:
             raise ValueError("divisors must be positive")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.delta_divisors == other.delta_divisors
+                and self.gamma_order == other.gamma_order)
+
+    def __hash__(self):
+        return hash((self.delta_divisors, self.gamma_order))
 
     @property
     def divisors(self) -> tuple[int, ...]:
@@ -68,19 +77,29 @@ class FiniteAbelianGroup:
         return (0,) * len(self.delta_divisors) + (j % self.gamma_order,)
 
 
-@dataclass(frozen=True)
 class GroupRing:
-    """Descriptor for Z/p^N[G]."""
+    """Descriptor for Z/p^N[G].  Rings built separately from equal data are
+    equal and hash alike, so elements and ideals of both mix freely."""
 
-    group: FiniteAbelianGroup
-    p: int
-    N: int
-
-    def __post_init__(self):
+    def __init__(self, group: FiniteAbelianGroup, p: int, N: int):
+        self.group = group
+        self.p = p
+        self.N = N
         if not is_prime(self.p) or self.p < 3:
             raise NotPrime(f"p = {self.p} must be an odd prime")
         if math.gcd(self.group.delta_order, self.p) != 1:
             raise BadDecomposition("|Delta| must be prime to p")
+
+    def __eq__(self, other) -> bool:
+        # every element operation compares rings, nearly always one object
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.N == other.N and self.group == other.group
+
+    def __hash__(self):
+        return hash((self.group, self.p, self.N))
 
     @property
     def mod(self) -> int:
@@ -190,16 +209,15 @@ class GroupRingElement:
         return self.coeffs.get(ident, 0)
 
 
-@dataclass(frozen=True)
 class Character:
     """Character of Delta with values in (Z/p^N)^x of order dividing p-1."""
 
-    delta_divisors: tuple[int, ...]
-    p: int
-    N: int
-    values: tuple[int, ...]  # value on each elementary-divisor generator
-
-    def __post_init__(self):
+    def __init__(self, delta_divisors: tuple[int, ...], p: int, N: int,
+                 values: tuple[int, ...]):
+        self.delta_divisors = delta_divisors
+        self.p = p
+        self.N = N
+        self.values = values  # value on each elementary-divisor generator
         mod = self.p**self.N
         for d, v in zip(self.delta_divisors, self.values):
             if pow(v, d, mod) != 1 % mod:
@@ -303,12 +321,23 @@ def _reduce_vector(vec, pivots, p: int, N: int):
     return v, not any(v)
 
 
-@dataclass(frozen=True)
 class IdealNF:
-    """Canonical normal form of a finitely generated ideal in Z/p^N[G]."""
+    """Canonical normal form of a finitely generated ideal in Z/p^N[G].  The
+    form is unique, so equal ideals of equal rings are equal and hash alike."""
 
-    ring: GroupRing
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, ring: GroupRing, rows: tuple[tuple[int, ...], ...]):
+        self.ring = ring
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.ring == other.ring
+
+    def __hash__(self):
+        return hash((self.ring, self.rows))
 
     @cached_property
     def _pivots(self):
@@ -339,7 +368,8 @@ class IdealNF:
 
     @cached_property
     def _is_unit(self) -> bool:
-        """Whether 1 lies in the ideal, tested once: the form is immutable."""
+        """Whether 1 lies in the ideal, tested once: nothing changes a form
+        after it is built."""
         one = [0] * self.ring.group.order
         one[self.ring.basis_index[self.ring.group.identity()]] = 1
         return self.contains_vector(one)

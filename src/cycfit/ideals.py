@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 
 from .arith import val_p
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
@@ -35,32 +34,39 @@ from .groupring import IdealNF, chi_project, ideal_join, ideal_normal_form
 from .units import derivative_class, evaluate_kappa
 
 
-@dataclass(frozen=True)
 class Sample:
-    epsilon: int
-    n: int
-    factors: tuple[int, ...]
-    kind: str
-    param: int
-    q: int
-    vector: tuple[int, ...]
-    chi_vector: tuple[int, ...]
-    valuation: int
-    in_fitting: bool | None
+    """One evaluated derivative class; its report entry is vars()."""
+
+    def __init__(self, epsilon: int, n: int, factors: tuple[int, ...], kind: str,
+                 param: int, q: int, vector: tuple[int, ...],
+                 chi_vector: tuple[int, ...], valuation: int, in_fitting: bool | None):
+        self.epsilon = epsilon
+        self.n = n
+        self.factors = factors
+        self.kind = kind
+        self.param = param
+        self.q = q
+        self.vector = vector
+        self.chi_vector = chi_vector
+        self.valuation = valuation
+        self.in_fitting = in_fitting
 
 
-@dataclass
 class CycIdealRun:
-    p: int
-    D: int
-    m: int
-    N: int
-    i: int
-    seed: int
-    ideal: IdealNF
-    samples: list[Sample] = field(default_factory=list)
-    stall: int = 0
-    status: str = "OK"  # OK | PARTIAL | BUG
+    """The sampler's state for one index i; samples=None starts a new list."""
+
+    def __init__(self, p: int, D: int, m: int, N: int, i: int, seed: int, ideal: IdealNF,
+                 samples: list[Sample] | None = None, stall: int = 0, status: str = "OK"):
+        self.p = p
+        self.D = D
+        self.m = m
+        self.N = N
+        self.i = i
+        self.seed = seed
+        self.ideal = ideal
+        self.samples = [] if samples is None else samples
+        self.stall = stall
+        self.status = status  # OK | PARTIAL | BUG
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ of the dlog conjugate vector of the class at q := ell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from .arith import is_prime, make_field, val_p
@@ -47,15 +46,19 @@ def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
 # Annihilation + convention coupling
 
 
-@dataclass(frozen=True)
 class AnnihilationReport:
-    ell: int
-    N_eff: int
-    coupling_ok: bool
-    e: int
-    e_valuation: int
-    class_order: int
-    annihilation_ok: bool
+    """One auxiliary prime's annihilation check; its report entry is built
+    from vars()."""
+
+    def __init__(self, ell: int, N_eff: int, coupling_ok: bool, e: int,
+                 e_valuation: int, class_order: int, annihilation_ok: bool):
+        self.ell = ell
+        self.N_eff = N_eff
+        self.coupling_ok = coupling_ok
+        self.e = e
+        self.e_valuation = e_valuation
+        self.class_order = class_order
+        self.annihilation_ok = annihilation_ok
 
     @property
     def passed(self) -> bool:

@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from itertools import product as iter_product
@@ -89,26 +88,26 @@ from .fields import AbelianFieldCtx, KolyvaginPrime
 from .groupring import GroupRing, GroupRingElement
 
 
-@dataclass(frozen=True)
 class DerivativeOperator:
     """D_n = prod_ell sum_k k*sigma_ell^k, kept factored (never expanded)."""
 
-    primes: tuple[KolyvaginPrime, ...]
+    def __init__(self, primes: tuple[KolyvaginPrime, ...]):
+        self.primes = primes
 
     def expansion_size(self) -> int:
         return math.prod(max(kp.ell - 2, 1) for kp in self.primes) if self.primes else 1
 
 
-@dataclass(frozen=True)
 class DerivativeClass:
     """kappa(n): the class of eta(n)^{D_n} in F_m^x / p^N for the basic
     circular unit eta = (kind, param) at level m and the auxiliary product n
     of the chain: kind "d" with param a divisor > 1 of the conductor, kind
     "a" with param prime to p."""
 
-    kind: str
-    param: int
-    aux_primes: tuple[KolyvaginPrime, ...]
+    def __init__(self, kind: str, param: int, aux_primes: tuple[KolyvaginPrime, ...]):
+        self.kind = kind
+        self.param = param
+        self.aux_primes = aux_primes
 
     @property
     def aux(self) -> tuple[int, ...]:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycfit
 from cycfit import cli, combined
 from cycfit.classgroup import narrow_class_group
 from cycfit.cli import _sanitize, build_parser, main, run_verify
@@ -182,6 +186,8 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["verify", "-D", "abc"], 21, "UsageError"),
     (["nosuch"], 21, "UsageError"),
     (["kappa", "-D", "8", "-q", "4"], 7, "NotPrime"),  # composite q, whatever chi_D(q)
+    # the divisor lattice of 2^99 terms is refused before any work
+    (["formal", "--eps-max", "99"], 10, "BudgetExhausted"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)
@@ -247,3 +253,18 @@ def test_run_verify_inconclusive_paths_do_not_crash():
     assert r["verdicts"]["0"] in ("MATCH", "INCONCLUSIVE")
     if r["verdicts"]["0"] == "INCONCLUSIVE":
         assert r["status"] == "INCONCLUSIVE"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Both cost start-up time on every `cycfit` process (inspect alone pulls
+    # in dis, ast, tokenize and linecache), so the record types are plain
+    # classes; -S keeps site customisations from importing either first.
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cycfit.__file__).parent.parent)!r})\n"
+        "import cycfit.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-# Fields F_{q^k} are rejected above this size so element arithmetic stays in
-# machine words whenever the platform allows it.  Read by arith.make_field
-# (BudgetExceeded) and by maps, whose annihilation suite skips ell with
-# ell^k above it.
+# Prime fields F_q are rejected above this size so element arithmetic stays
+# in machine words whenever the platform allows it.  Read by arith.make_field
+# (BudgetExceeded), its bound on outside input such as `cycfit kappa -q`.
 DEFAULT_FIELD_BUDGET = 2**62
 
 # Hard cap on the number of multi-indices in a derivative-operator expansion.

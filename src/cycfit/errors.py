@@ -21,7 +21,7 @@ class NotFundamental(CycfitError, ValueError):
 
 
 class BudgetExceeded(CycfitError):
-    """A field F_{q^k} would exceed the field budget (config.DEFAULT_FIELD_BUDGET)."""
+    """A prime field F_q would exceed the field budget (config.DEFAULT_FIELD_BUDGET)."""
 
 
 class OrderNotDividing(CycfitError):

@@ -120,7 +120,7 @@ class KolyvaginPrime:
         n_ell = val_p(ell - 1, p, 64)
         if n_ell < 1:
             raise ValueError(f"{ell} is not 1 mod {p}")
-        g = make_field(ell, 1).g
+        g = make_field(ell).g
         s = pow(g, -1, ell) if flip_sigma else g
         return KolyvaginPrime(ell=ell, p=p, N_ell=n_ell, s_ell=s)
 

@@ -2,26 +2,24 @@
 integration test that ties it to the class group oracle.
 
 The reciprocity coordinate phi_bar at ell is computed as the chi-projection
-of the dlog conjugate vector of the class at q := ell.
+of the dlog conjugate vector of the class at q := ell.  The annihilation
+suite runs at the evaluation primes ell = 1 mod f_K * p^N: they split in K
+with residue degree 1 and N_ell >= N, so every check runs at full precision
+and, as p^N > |A|, asks for e * [lambda] = 0 in A exactly.  By Chebotarev
+their classes [lambda] still run over all of A_p: the p-Hilbert class field
+of K meets K(mu_{f_K p^N}) only in K.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import islice
 
-from .arith import is_prime, make_field, val_p
+from .arith import make_field, val_p
 from .classgroup import FormClassGroup, ideal_class_of_prime
-from .config import DEFAULT_FIELD_BUDGET
-from .errors import BudgetExhausted, DividesAux, NegativeArgument, PrecisionTooLow
-from .fields import AbelianFieldCtx, KolyvaginPrime
+from .errors import DividesAux, NegativeArgument, PrecisionTooLow
+from .fields import AbelianFieldCtx, KolyvaginPrime, evaluation_primes
 from .groupring import GroupRingElement, chi_project
 from .units import DerivativeClass, derivative_class, evaluate_kappa
-
-# The annihilation suite's primes: residue degree k <= _SUITE_K_MAX (so that
-# F_{ell^k} arithmetic stays affordable) and ell below _SUITE_SEARCH_BOUND.
-_SUITE_K_MAX = 4
-_SUITE_SEARCH_BOUND = 500_000
 
 
 def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
@@ -80,7 +78,7 @@ def tame_coupling_ok(kp: KolyvaginPrime) -> bool:
     sigma_ell by its inverse breaks this for every ell since p is odd.
     """
     ell, p, n_ell = kp.ell, kp.p, kp.N_ell
-    fld = make_field(ell, 1)
+    fld = make_field(ell)
     idx = (ell - 1) // p**n_ell
     return pow(kp.s_ell, idx, ell) == pow(fld.g, idx, ell)
 
@@ -93,7 +91,9 @@ def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
     p^{N_eff}.
 
     (b) is the residue-side consequence of the divisor of kappa(ell) being
-    supported above ell with coefficient e.
+    supported above ell with coefficient e.  ell must be 1 mod f_K * p^{m+1}
+    (evaluate_kappa at q = ell); at the suite's primes N_eff = N, and
+    p^N > |A| makes (b) the exact e * c = 0 in A.
     """
     p, N = ctx.p, ctx.N
     divisors = oracle.p_part_divisors(p)
@@ -125,39 +125,12 @@ def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
     )
 
 
-def _suite_primes(ctx: AbelianFieldCtx):
-    """The annihilation suite's primes in increasing order: ell = 1 mod p,
-    split in K and prime to the conductor, with residue degree k <=
-    _SUITE_K_MAX modulo f_K * p^{m+1} and ell^k within the field budget.
-
-    An odd ell = 1 mod p is 1 mod 2p, so only those candidates are visited.
-    The cheap tests run first (gcd, residue degree and budget, splitting) and
-    primality last; each is a property of ell alone, so the order of the
-    tests changes neither the primes nor their order."""
-    M = ctx.f_K * ctx.p ** (ctx.m + 1)
-    for ell in range(2 * ctx.p + 1, _SUITE_SEARCH_BOUND, 2 * ctx.p):
-        if math.gcd(ell, M) != 1:
-            continue
-        k = 1
-        t = ell % M
-        while t != 1 and k <= _SUITE_K_MAX:
-            t = t * ell % M
-            k += 1
-        if k > _SUITE_K_MAX or ell**k > DEFAULT_FIELD_BUDGET:
-            continue
-        if ctx.splits_in_K(ell) and is_prime(ell):
-            yield ell
-
-
 def annihilation_suite(ctx: AbelianFieldCtx, oracle: FormClassGroup,
                        count: int) -> list[AnnihilationReport]:
-    """Run annihilation_check at the first `count` primes of _suite_primes."""
+    """Run annihilation_check at the first `count` evaluation primes
+    ell = 1 mod f_K * p^N (fields.evaluation_primes)."""
     if count < 0:
         raise NegativeArgument(f"the number of annihilation primes {count} must be >= 0")
     flip = ctx.conventions.flip_sigma
-    reports = [annihilation_check(ctx, KolyvaginPrime.build(ell, ctx.p, flip), oracle)
-               for ell in islice(_suite_primes(ctx), count)]
-    if len(reports) < count:
-        raise BudgetExhausted(
-            f"found only {len(reports)} admissible primes below {_SUITE_SEARCH_BOUND}")
-    return reports
+    return [annihilation_check(ctx, KolyvaginPrime.build(ell, ctx.p, flip), oracle)
+            for ell in islice(evaluation_primes(ctx), count)]

@@ -4,17 +4,18 @@ and the residue-side evaluation engine.
 A derivative class is one basic circular unit (kind, param) with a chain
 of auxiliary primes; the unit is never expanded as an algebraic number.
 Evaluation reduces it at the distinguished prime above an evaluation prime
-q: every norm is an explicit product of conjugates (1 - zeta^e), with
-zeta_M = g^{(q^k-1)/M} from the generator g of F_{q^k}^x, which fixes one
-embedding of the cyclotomic tower; a Galois element with residue t
-multiplies root indices by t.  The engine is table driven:
+q = 1 mod M = f_K * p^{m+1} * n.  Such q has residue degree 1 in Q(mu_M),
+so it splits completely in F_m(mu_n) and every root of unity the engine
+needs lies in F_q.  zeta_M = g^{(q-1)/M} from the generator g of F_q^x
+fixes one embedding of the cyclotomic tower, and a Galois element with
+residue t multiplies root indices by t.  The engine is table driven:
 zeta_M^e = prod_i T_i[e mod m_i] over the conductor components m_i of M,
 with T_i[j] = zeta_M^{j E_i} and E_i the CRT idempotent of m_i.  Norm
 sets are kept per field in residue form R_d x {+-1} (trivial at the
 auxiliary primes), so each +- pair of conjugates is one factor by the
 cyclotomic identity
 (1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2,
-A = c T_f[a r mod f_K].  In F_q the f_K-component keeps no table: with
+A = c T_f[a r mod f_K].  The f_K-component keeps no table: with
 u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, a product walks R_d in increasing
 r, A_{r'} = A_r u^{r' - r}, with the powers u^gap up to the largest gap of
 R_d (the gaps are kept beside the norm sets).  With no auxiliary prime
@@ -24,16 +25,16 @@ the square of the product over R_d+ = {r in R_d : 2 r < d} times
 u^(-2 sum R_d+).  The chi_D-kernel behind the norm sets is the product of
 per-prime-power characters, each tabulated once.
 
-The epsilon = 0 class (kind "d" at f_K, no auxiliary prime) in F_q walks
-only the conjugates g with g[0] = 0.  The partner g tau (g[0] = 1) has
+The epsilon = 0 class (kind "d" at f_K, no auxiliary prime) walks only the
+conjugates g with g[0] = 0.  The partner g tau (g[0] = 1) has
 the multiplier a n_0 with chi_D(n_0) = -1 and n_0 = 1 mod p^{m+1}, so the
 two norm sets are the two cosets of the chi_D-kernel in (Z/f_K)^x, and the
 product of the two values is Phi_f(omega) Phi_f(1/omega) with
 omega = T_p[a mod p^{m+1}] (+-1 at p = 3, m = 0: Apostol, Proc. AMS 24,
 1970).  The Moebius form of Phi_f reads it with two table entries per
 squarefree divisor of f_K, and the partner's dlog is its dlog minus the
-walked one.  Auxiliary primes, other d, the a-type and F_{q^k} with k > 1
-keep one walk per conjugate.
+walked one.  Auxiliary primes, other d and the a-type keep one walk per
+conjugate.
 
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
@@ -41,9 +42,9 @@ ambiguity of a derivative class never matters.
 
 Every derivative class evaluates its whole auxiliary orbit at once: for
 one conjugate g, EvalContext.factor_orbit gives the unit's value at every
-multi-index (one cell at n = 1).  At n > 1 in F_q (k = 1) the
-multi-indices move only the auxiliary components of the multiplier, so
-those values are P_g(c) for a root c of mu_n and one polynomial
+multi-index (one cell at n = 1).  At n > 1 the multi-indices move only
+the auxiliary components of the multiplier, so those values are P_g(c)
+for a root c of mu_n and one polynomial
 P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
 s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P_g(X) =
 Q(alpha X) Q(X / alpha) for Q(Y) = prod_r (1 - B_r Y), of half the degree.
@@ -54,22 +55,11 @@ folded mod X^n - 1 and multiplied once, cyclically mod X^n - 1, the
 product spread onto one axis per auxiliary prime, and each axis is
 evaluated at all of mu_l by a chirp-z transform over the root table T_l
 that packs each line only up to its last nonzero entry; a multi-index
-reads its value at its residues mod l_i.  A one-cell table
-(n = 1, or one residue per auxiliary prime), and every cell in F_{q^k}
-with k > 1, is one paired product.  Nothing is cached per multiplier:
-every conjugate and twist is evaluated afresh, and an orbit table lives
-only for one conjugate of one evaluate_kappa call (or one side of one
-norm_relation_check).
-
-In F_{q^k} with k > 1 a context needs q split completely in F_m(mu_n)
-(NotSplit otherwise).  Frobenius x -> x^q then fixes c and s and maps the
-pair at r to the pair at r q mod d, so a product over R_d runs over the
-orbits of r -> r q: one pair per orbit representative, and each orbit
-length o folds its product Y_o as Y_o Y_o^q ... Y_o^(q^(o-1)) with
-FieldCtx.frobenius.  The orbit partition depends on (d, q) only.  Root
-tables in F_{q^k} are baby and giant steps (_RootRow), at most one
-multiplication per entry, T_f included: the orbit representatives are not
-in increasing order.
+reads its value at its residues mod l_i.  A one-cell table (n = 1, or one
+residue per auxiliary prime) is one paired product.  Nothing is cached per
+multiplier: every conjugate and twist is evaluated afresh, and an orbit
+table lives only for one conjugate of one evaluate_kappa call (or one side
+of one norm_relation_check).
 """
 
 from __future__ import annotations
@@ -142,10 +132,10 @@ class EvalContext:
     support dividing n at one evaluation prime q.
 
     Conductor components are (f_K, p^{m+1}, l_1, ..., l_r); multipliers are
-    residues modulo the master modulus M = f_K * p^{m+1} * n.  The units'
-    arithmetic happens in F_{q^k} with k the order of q mod M; the final
-    discrete logarithms always happen in the prime field F_q with respect to
-    its own canonical generator, so values at one q are mutually consistent.
+    residues modulo the master modulus M = f_K * p^{m+1} * n.  q must be
+    1 mod M (NotSplit otherwise), so all arithmetic and the discrete
+    logarithms happen in F_q with respect to its canonical generator, and
+    values at one q are mutually consistent.
     """
 
     def __init__(self, ctx: AbelianFieldCtx, aux: tuple[int, ...], q: int):
@@ -157,35 +147,19 @@ class EvalContext:
         self.M = math.prod(self.moduli)
         if math.gcd(q, self.M) != 1:
             raise ConductorClash(f"q = {q} divides the symbol conductor")
-        k = 1
-        t = q % self.M
-        while t != 1:
-            t = t * q % self.M
-            k += 1
-        self.k = k
-        n = math.prod(self.aux)
-        if k > 1 and not splits_completely(ctx, q, n, 0):
-            raise NotSplit(f"q = {q} does not split completely in F_m(mu_{n})")
-        self.field: FieldCtx = make_field(q, k)
-        self.base: FieldCtx = self.field if k == 1 else make_field(q, 1)
+        if not splits_completely(ctx, q, math.prod(self.aux), 0):
+            raise NotSplit(f"q = {q} is not 1 mod M = {self.M}")
+        self.field: FieldCtx = make_field(q)
         self.zeta = root_of_unity(self.field, self.M)
-        fld = self.field
         # CRT idempotents E_i (1 mod m_i, 0 mod the other components) and root
-        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i]:
-        # baby and giant steps in F_{q^k}, full rows in F_q.  In F_q the
-        # f_K-component has no row (tables[0] is None): a product over R_d
-        # walks the powers of w_f = zeta^(E_f) instead (_walk_steps)
+        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i].
+        # The f_K-component has no row (tables[0] is None): a product over
+        # R_d walks the powers of w_f = zeta^(E_f) instead (_walk_steps)
         self.idempotents = [(self.M // mi) * pow(self.M // mi, -1, mi) for mi in self.moduli]
-        steps = [fld.pow(self.zeta, e) for e in self.idempotents]
-        if k > 1:
-            self.tables = [_RootRow(fld, step, mi) for mi, step in zip(self.moduli, steps)]
-        else:
-            self.w_f = steps[0]
-            self.tables = [None] + [_power_row(step, mi, q)
-                                    for mi, step in zip(self.moduli[1:], steps[1:])]
-        # d -> Frobenius orbits of the norm-set residues mod d; depends on
-        # (d, q) only, never on a multiplier or twist
-        self._orbits: dict[int, list] = {}
+        steps = [pow(self.zeta, e, q) for e in self.idempotents]
+        self.w_f = steps[0]
+        self.tables = [None] + [_power_row(step, mi, q)
+                                for mi, step in zip(self.moduli[1:], steps[1:])]
 
     # -- multiplier (Galois residue) helpers --------------------------------
 
@@ -237,15 +211,11 @@ class EvalContext:
         trivial on the f_K-component, +-1 mod p^{m+1}."""
         return ((1, 1), (1, -1))
 
-    def _residues(self, d: int) -> tuple[int, ...]:
-        """The pair residues R_d of norm_set_d(d) in increasing order, or
-        the a-type's one residue 1 for d = 1."""
-        return _norm_sets(self.ctx.f_K)[d] if d > 1 else (1,)
-
     def _walk_steps(self, a: int, d: int,
                     half: bool = False) -> tuple[tuple[int, ...], list[int]]:
-        """(gaps, steps) for k = 1: the gaps r_0 - 0, r_1 - r_0, ... of
-        _residues(d), or with half (d > 2) of its lower half
+        """(gaps, steps): the gaps r_0 - 0, r_1 - r_0, ... of the pair
+        residues R_d of norm_set_d(d) in increasing order (the a-type's one
+        residue 1 for d = 1), or with half (d > 2) of its lower half
         R_d+ = {r in R_d : 2 r < d}, and steps[g] = u^g up to the largest of
         those gaps, u = w_f^(a mod f_K) = steps[1].  Multiplying by
         steps[gap] in turn gives T_f[a r mod f_K] for r = r_0, r_1, ..."""
@@ -262,31 +232,9 @@ class EvalContext:
             steps.append(steps[-1] * u % q)
         return gaps, steps
 
-    def _frobenius_orbits(self, d: int) -> list[tuple[int, list[int]]]:
-        """The residues r of _residues(d) split into orbits of
-        r -> r q mod d, as (length o, one representative per orbit of length
-        o) in increasing o.  Needs q split completely in F_m(mu_n): chi(q) = 1
-        makes R_d q = R_d.  For d = 1 the a-type's one pair is its own orbit."""
-        if d not in self._orbits:
-            reps: dict[int, list[int]] = {}
-            seen = set()
-            for r in self._residues(d):
-                x = start = r % d
-                if x in seen:
-                    continue
-                o = 0
-                while not o or x != start:
-                    seen.add(x)
-                    x = x * self.q % d
-                    o += 1
-                reps.setdefault(o, []).append(r)
-            self._orbits[d] = sorted(reps.items())
-        return self._orbits[d]
-
-    def dlog(self, value, level: int) -> int:
-        """p-part dlog of a value that lies in the prime field."""
-        v = self.field.to_prime_field(value)
-        return dlog_p_part(self.base, v, self.ctx.p, level)
+    def dlog(self, value: int, level: int) -> int:
+        """p-part dlog of a value of F_q."""
+        return dlog_p_part(self.field, value, self.ctx.p, level)
 
     # -- unit evaluation ------------------------------------------------------
 
@@ -295,64 +243,33 @@ class EvalContext:
         1 - zeta^(a t), t the multiplier of the pair: the auxiliary primes
         give the constant c, p^{m+1} gives zeta^(+-b), so each pair is
         1 - A s + A^2 with A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.
-        In F_q, A walks R_d in increasing r by the steps of _walk_steps.
+        A walks R_d in increasing r by the steps of _walk_steps.
 
-        In F_q with no auxiliary prime (c = 1) and d > 2 the walk takes only
+        With no auxiliary prime (c = 1) and d > 2 the walk takes only
         R_d+ = {r in R_d : 2 r < d}: K is real, so chi_D is even and
         R_d = -R_d, while 0 and d/2 are not in R_d.  As a is a multiple of
         f_K/d, u = T_f[a mod f_K] has u^d = 1, so A_{d-r} = A_r^-1.  With
         1 - A^-1 s + A^-2 = (1 - A s + A^2) / A^2 the product is
-        (prod_{r in R_d+} (1 - A_r s + A_r^2))^2 u^(-2 sum R_d+).
-
-        In F_{q^k}, k > 1, Frobenius fixes c and s and maps the pair at r to
-        the pair at r q mod d (a r mod f_K depends on r mod d only), so an
-        orbit of length o contributes Y Y^q ... Y^(q^(o-1)) with Y its
-        representative's pair: the representatives of each length are
-        multiplied into one Y_o, and Y_o is folded with o - 1 Frobenius
-        matrix products."""
-        fld = self.field
-        t_p, p_part = self.tables[1], self.p_part
+        (prod_{r in R_d+} (1 - A_r s + A_r^2))^2 u^(-2 sum R_d+)."""
+        q, t_p, p_part = self.q, self.tables[1], self.p_part
         aux = [table[a % mod] for mod, table in zip(self.moduli[2:], self.tables[2:])]
-        s = fld.add(t_p[a % p_part], t_p[-a % p_part])
-        if self.k == 1:
-            q = self.q
-            half = d > 2 and not aux
-            gaps, steps = self._walk_steps(a, d, half)
-            A = math.prod(aux) % q
-            out = 1
-            for gap in gaps:
-                A = A * steps[gap] % q
-                out = out * (1 - A * (s - A)) % q
-            if half:
-                total = _norm_sets(self.ctx.f_K).halves[d][2]
-                out = out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
-            return out
-        t_f, f = self.tables[0], self.moduli[0]
-        a_f = a % f
-        c = None  # 1 when the context has no auxiliary primes
-        for x in aux:
-            c = x if c is None else fld.mul(c, x)
-        one = fld.one()
-        out = None
-        for o, reps in self._frobenius_orbits(d):
-            y = None
-            for r in reps:
-                A = t_f[a_f * r % f]
-                if c is not None:
-                    A = fld.mul(c, A)
-                pair = fld.sub(one, fld.mul(A, fld.sub(s, A)))
-                y = pair if y is None else fld.mul(y, pair)
-            z = y
-            for _ in range(o - 1):
-                z = fld.frobenius(z)
-                y = fld.mul(y, z)
-            out = y if out is None else fld.mul(out, y)
+        s = (t_p[a % p_part] + t_p[-a % p_part]) % q
+        half = d > 2 and not aux
+        gaps, steps = self._walk_steps(a, d, half)
+        A = math.prod(aux) % q
+        out = 1
+        for gap in gaps:
+            A = A * steps[gap] % q
+            out = out * (1 - A * (s - A)) % q
+        if half:
+            total = _norm_sets(self.ctx.f_K).halves[d][2]
+            out = out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
         return out
 
     def cyclotomic_resultant(self, mult: int) -> int:
         """The d-type unit at f_K conjugated by mult, times the same at
-        mult n_0, with chi_D(n_0) = -1 and n_0 = 1 mod p^{m+1}: in F_q
-        (k = 1, no auxiliary prime, mult prime to M = f_K p^{m+1}).
+        mult n_0, with chi_D(n_0) = -1 and n_0 = 1 mod p^{m+1} (no auxiliary
+        prime, mult prime to M = f_K p^{m+1}).
 
         With a = u mult the two norm sets a R_{f_K} and a n_0 R_{f_K} are the
         two cosets of the chi_D-kernel, so together they run over all of
@@ -377,10 +294,9 @@ class EvalContext:
         """_paired_product(a * lift({l_i: rho_i}), d) for every
         (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
 
-        In F_{q^k} with k > 1, or for one cell (every row one residue, or no
-        auxiliary prime), each cell is one _paired_product.  Otherwise
-        (k = 1, several cells) only the auxiliary components of the
-        multiplier move, so B_r = T_f[a r mod f_K] (walked in full as in
+        For one cell (every row one residue, or no auxiliary prime) the cell
+        is one _paired_product.  Otherwise only the auxiliary components of
+        the multiplier move, so B_r = T_f[a r mod f_K] (walked in full as in
         _walk_steps) and s are fixed and every value is P(c) at the root
         c = prod_i T_i[a rho_i mod l_i] of mu_n, with
         P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  As s =
@@ -395,7 +311,7 @@ class EvalContext:
         (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
         mu_{l_i} by _chirp_axis."""
         ells = self.moduli[2:]
-        if self.k > 1 or all(len(row) == 1 for row in rows):
+        if all(len(row) == 1 for row in rows):
             return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
                     for rho in iter_product(*rows)]
         q, t_p, p_part = self.q, self.tables[1], self.p_part
@@ -450,7 +366,7 @@ class EvalContext:
         if u_den is None:
             return num
         den = self._paired_product(u_den * mult % self.M, d)
-        return self.field.mul(num, self.field.inv(den))
+        return num * pow(den, -1, self.q) % self.q
 
     def factor_orbit(self, kind: str, param: int, aux_subset: tuple[int, ...],
                      mult: int, rows) -> tuple[list, list | None]:
@@ -479,31 +395,6 @@ def _power_row(step: int, size: int, q: int) -> list[int]:
         x = x * step % q
         row.append(x)
     return row
-
-
-class _RootRow:
-    """T[j] = step^j, 0 <= j < size, in F_{q^k} (k > 1), kept as b =
-    ceil(sqrt(size)) baby steps step^j and giant steps step^(b i): set-up
-    takes about 2 sqrt(size) multiplications and an entry at most one."""
-
-    def __init__(self, fld: FieldCtx, step, size: int):
-        b = math.isqrt(size - 1) + 1
-        self.fld, self.b = fld, b
-        self.baby = [fld.one()]
-        for _ in range(b - 1):
-            self.baby.append(fld.mul(self.baby[-1], step))
-        jump = fld.mul(self.baby[-1], step)
-        self.giant = [fld.one()]
-        for _ in range((size - 1) // b):
-            self.giant.append(fld.mul(self.giant[-1], jump))
-
-    def __getitem__(self, j: int):
-        i, r = divmod(j, self.b)
-        if not i:
-            return self.baby[r]
-        if not r:
-            return self.giant[i]
-        return self.fld.mul(self.giant[i], self.baby[r])
 
 
 # Linear factors multiplied directly per leaf of the product tree, below
@@ -638,17 +529,10 @@ def _primitive_root(p_power: int) -> int:
 
 
 def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:
-    """q splits completely in F_m(mu_n) and q = 1 mod p^level."""
-    if (q - 1) % ctx.p**level:
-        return False
-    p_part = ctx.p ** (ctx.m + 1)
-    if q % p_part not in (1, p_part - 1):
-        return False
-    if n > 1 and q % n != 1:
-        return False
-    if ctx.chi_d(q) != 1:
-        return False
-    return True
+    """q = 1 mod f_K * p^max(level, m+1) * n: q has residue degree 1 in
+    Q(mu_{f_K p^{m+1} n}), so it splits completely in F_m(mu_n) and every
+    root of unity the engine needs lies in F_q, and q = 1 mod p^level."""
+    return (q - 1) % (ctx.f_K * ctx.p ** max(level, ctx.m + 1) * n) == 0
 
 
 def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
@@ -657,13 +541,13 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     """The conjugate vector of p-part dlogs of kappa(n) at q.
 
     Returns sum_g dlog(eval(g^{-1} . eta(n)^{D_n})) * g over Z/p^level[G]; the
-    coefficient convention makes the map Galois-equivariant.  Requires q to
-    split completely in F_m(mu_n) with q = 1 mod p^level.
+    coefficient convention makes the map Galois-equivariant.  Requires
+    q = 1 mod f_K * p^max(level, m+1) * n (splits_completely).
     """
     ctx_level = ctx.N if level is None else level
     if not splits_completely(ctx, q, cls.n, ctx_level):
-        raise NotSplit(f"q = {q} does not split completely in F_m(mu_{cls.n})"
-                       f" with q = 1 mod {ctx.p}^{ctx_level}")
+        raise NotSplit(f"q = {q} is not 1 mod f_K p^max(level, m+1) n"
+                       f" (level {ctx_level}, n = {cls.n})")
     op = cls.operator()
     if op.expansion_size() > DEFAULT_DERIVATIVE_CAP:
         raise BudgetExhausted(f"derivative expansion of size {op.expansion_size()}"
@@ -678,10 +562,10 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     for kp in cls.aux_primes:
         rows.append(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:])
         weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
-    # the epsilon = 0 class in F_q: each conjugate with g[0] = 1 is read from
-    # its partner with g[0] = 0, which elements() lists first, and the
+    # the epsilon = 0 class: each conjugate with g[0] = 1 is read from its
+    # partner with g[0] = 0, which elements() lists first, and the
     # cyclotomic resultant of the two chi_D-cosets
-    cosets = (ev.k == 1 and cls.kind == "d" and cls.param == ctx.f_K and not cls.aux
+    cosets = (cls.kind == "d" and cls.param == ctx.f_K and not cls.aux
               and math.gcd(twist, ev.M) == 1)
     coeffs: dict = {}
     for g in ctx.group.elements():
@@ -691,28 +575,28 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
             coeffs[g] = (both - coeffs[(0,) + g[1:]]) % pN
             continue
         orbit = ev.factor_orbit(cls.kind, cls.param, cls.aux, t_g, rows)
-        coeffs[g] = ev.dlog(_orbit_value(ev.field, orbit, weights), ctx_level)
+        coeffs[g] = ev.dlog(_orbit_value(ev.q, orbit, weights), ctx_level)
     return GroupRingElement(ring, coeffs)
 
 
-def _orbit_value(fld: FieldCtx, orbit: tuple[list, list | None], weights: list[int]):
-    """prod_i cell_i^(weights[i]) of a factor_orbit table, numerators over
-    denominators."""
+def _orbit_value(q: int, orbit: tuple[list, list | None], weights: list[int]) -> int:
+    """prod_i cell_i^(weights[i]) in F_q of a factor_orbit table, numerators
+    over denominators."""
     num, den = orbit
-    val = _weighted_product(fld, num, weights)
+    val = _weighted_product(q, num, weights)
     if den is not None:
-        val = fld.mul(val, fld.inv(_weighted_product(fld, den, weights)))
+        val = val * pow(_weighted_product(q, den, weights), -1, q) % q
     return val
 
 
-def _weighted_product(fld: FieldCtx, values: list, weights: list[int]):
-    """prod_i values[i]^(weights[i]) in fld, one pow per distinct weight."""
+def _weighted_product(q: int, values: list[int], weights: list[int]) -> int:
+    """prod_i values[i]^(weights[i]) in F_q, one pow per distinct weight."""
     by_weight: dict = {}
     for weight, val in zip(weights, values):
-        by_weight[weight] = fld.mul(by_weight[weight], val) if weight in by_weight else val
-    total = fld.one()
+        by_weight[weight] = by_weight[weight] * val % q if weight in by_weight else val
+    total = 1
     for weight, val in by_weight.items():
-        total = fld.mul(total, fld.pow(val, weight))
+        total = total * pow(val, weight, q) % q
     return total
 
 
@@ -722,7 +606,7 @@ def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,
 
         N_{F(mu_n)/F(mu_{n/ell})} eta(n)  =  eta(n/ell)^{1 - Frob_ell^{-1}}
 
-    Both sides are expanded in F_{q^k} and compared exactly.  The norm is
+    Both sides are expanded in F_q and compared exactly.  The norm is
     one factor_orbit table of eta(n) over the twists sigma in Gal(Q(mu_ell)/Q)
     (the residues 1 .. ell - 1 at ell, 1 at the other auxiliary primes), its
     cells multiplied together; each side of the quotient on the right is a
@@ -734,12 +618,11 @@ def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,
         raise ValueError(f"ell = {ell} does not divide the auxiliary product")
     sub = tuple(e for e in ells if e != ell)
     ev = EvalContext(ctx, ells, q)
-    fld = ev.field
     rows = [range(1, ell) if e == ell else [1] for e in ells]
-    lhs = _orbit_value(fld, ev.factor_orbit(kind, param, ells, 1, rows), [1] * (ell - 1))
+    lhs = _orbit_value(q, ev.factor_orbit(kind, param, ells, 1, rows), [1] * (ell - 1))
     frob = ev.lift({ctx.f_K: ell % ctx.f_K, ev.p_part: ell % ev.p_part,
                     **{e: ell % e for e in sub}})
     cell = [[1]] * len(ells)
-    rhs = [_orbit_value(fld, ev.factor_orbit(kind, param, sub, mult, cell), [1])
+    rhs = [_orbit_value(q, ev.factor_orbit(kind, param, sub, mult, cell), [1])
            for mult in (1, pow(frob, -1, ev.M))]
-    return lhs == fld.mul(rhs[0], fld.inv(rhs[1]))
+    return lhs == rhs[0] * pow(rhs[1], -1, q) % q

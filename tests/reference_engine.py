@@ -5,7 +5,7 @@ norm-set element is CRT-lifted to a full multiplier modulo the master
 modulus M, and a derivative class sums one discrete logarithm per
 multi-index.  It is slow, and it shares none of the root tables, residue
 norm sets, pairing or dlog folding of ``cycfit.units``; only the
-EvalContext's field, root zeta_M and the Delta x Gamma residue convention
+EvalContext's prime q, root zeta_M and the Delta x Gamma residue convention
 (``delta_lift``) are reused.
 """
 
@@ -34,33 +34,29 @@ def norm_set_d(ev, d: int) -> tuple[int, ...]:
     return tuple(sorted(vals))
 
 
-def term(ev, e: int):
-    """1 - zeta^e in F_{q^k}."""
-    z = ev.field.pow(ev.zeta, e % ev.M)
-    if ev.k == 1:
-        return (1 - z) % ev.q
-    return tuple((a - b) % ev.q for a, b in zip(ev.field.one(), z))
+def term(ev, e: int) -> int:
+    """1 - zeta^e in F_q."""
+    return (1 - pow(ev.zeta, e % ev.M, ev.q)) % ev.q
 
 
-def factor_value(ev, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
-    fld = ev.field
+def factor_value(ev, kind: str, param: int, aux_subset: tuple[int, ...], mult: int) -> int:
+    q = ev.q
     n_sub = math.prod(aux_subset) if aux_subset else 1
     p_m = ev.ctx.p ** ev.ctx.m
     if kind == "d":
         d = param
         u = (ev.M // d) * pow(p_m, -1, d) + ev.M // (n_sub * ev.p_part)
-        out = fld.one()
+        out = 1
         for t in norm_set_d(ev, d):
-            out = fld.mul(out, term(ev, u * t * mult))
+            out = out * term(ev, u * t * mult) % q
         return out
     u_n = 0 if n_sub == 1 else (ev.M // n_sub) * pow(p_m, -1, n_sub)
     u_p = ev.M // ev.p_part
-    num = fld.one()
-    den = fld.one()
+    num = den = 1
     for w in (1, lift(ev, {ev.p_part: ev.p_part - 1})):
-        num = fld.mul(num, term(ev, (u_n + u_p * param) * w * mult))
-        den = fld.mul(den, term(ev, (u_n + u_p) * w * mult))
-    return fld.mul(num, fld.inv(den))
+        num = num * term(ev, (u_n + u_p * param) * w * mult) % q
+        den = den * term(ev, (u_n + u_p) * w * mult) % q
+    return num * pow(den, -1, q) % q
 
 
 def evaluate_kappa(ctx, cls, ev, level: int, h_twist: dict[int, int] | None = None):

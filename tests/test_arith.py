@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycfit.arith import (
-    _find_irreducible,
-    _is_irreducible,
     crt,
     dlog_p_part,
     factorint,
@@ -24,14 +22,6 @@ from cycfit.config import DEFAULT_FIELD_BUDGET
 from cycfit.errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
 
 
-def brute_order(ctx, x):
-    n, cur = 1, x
-    while cur != ctx.one():
-        cur = ctx.mul(cur, x)
-        n += 1
-    return n
-
-
 def test_make_field_7_generator_is_3():
     # brute-force oracle: smallest residue of full order 6 mod 7
     best = None
@@ -44,97 +34,25 @@ def test_make_field_7_generator_is_3():
             best = a
             break
     assert best == 3
-    assert make_field(7, 1).g == 3
-
-
-def test_make_field_25_generator_order():
-    ctx = make_field(5, 2)
-    assert ctx.order == 24
-    assert brute_order(ctx, ctx.g) == 24
-    # modulus is irreducible: no root in F_5
-    c0, c1, _ = ctx.modulus
-    assert all((x * x + c1 * x + c0) % 5 for x in range(5))
+    assert make_field(7).g == 3
 
 
 def test_make_field_rejects_composite():
     with pytest.raises(NotPrime):
-        make_field(4, 1)
+        make_field(4)
 
 
 def test_make_field_budget():
+    # the least prime above the budget is refused before q - 1 is factored
+    q = 2**62 + 135
+    assert q > DEFAULT_FIELD_BUDGET and is_prime(q)
+    assert all(not is_prime(n) for n in range(DEFAULT_FIELD_BUDGET + 1, q))
     with pytest.raises(BudgetExceeded):
-        make_field(13, 128)
-
-
-def _moebius(n):
-    out, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    return -out if n > 1 else out
-
-
-@pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 5, 7) for k in (2, 3, 4)]
-                         + [(2, 5), (2, 6)])
-def test_irreducible_count_matches_gauss(q, k):
-    # Gauss: (1/k) sum_{d | k} mu(d) q^{k/d} monic irreducibles of degree k
-    expected = sum(_moebius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
-    count = sum(_is_irreducible(tail + (1,), q)
-                for tail in itertools.product(range(q), repeat=k))
-    assert count == expected
-
-
-# The moduli `cycfit verify -p 3` builds at D = 5, 8, 257, 473, 1229, 1937:
-# they fix the generator of F_{q^k} and so every reported k > 1 value.
-PINNED_MODULI = {
-    (19, 2): (1, 0, 1), (7, 2): (1, 0, 1), (31, 2): (1, 0, 1),
-    (4729, 2): (11, 0, 1), (12289, 2): (11, 0, 1),
-    (2113, 3): (3, 0, 0, 1), (3433, 3): (2, 0, 0, 1), (16987, 3): (3, 0, 0, 1),
-    (241, 4): (7, 0, 0, 0, 1), (787, 4): (2, 1, 0, 0, 1),
-    (1087, 4): (3, 1, 0, 0, 1), (6661, 4): (2, 0, 0, 0, 1),
-}
-
-
-@pytest.mark.parametrize("q,k", sorted(PINNED_MODULI))
-def test_find_irreducible_pinned_moduli(q, k):
-    assert _find_irreducible(q, k) == PINNED_MODULI[(q, k)]
-
-
-def _ben_or_scan(q, k):
-    """The lexicographically first monic irreducible, all by Ben-Or."""
-    for t in range(q**k):
-        tail = tuple(t // q**i % q for i in range(k))
-        if _is_irreducible(tail + (1,), q):
-            return tail + (1,)
-
-
-def test_find_irreducible_matches_plain_ben_or_scan():
-    # binomial blocks decided in closed form: irreducible (q = 1 mod 4 or
-    # k = 2, 3, 5, 6 with every prime of k dividing q - 1), excluded by
-    # 4 | k with q = 3 mod 4, and excluded by a prime of k not dividing q - 1
-    cases = [(q, k) for q in range(2, 400) if is_prime(q) for k in range(2, 7)
-             if q**k <= DEFAULT_FIELD_BUDGET]
-    assert len(cases) == 390
-    for q, k in cases:
-        assert _find_irreducible(q, k) == _ben_or_scan(q, k), (q, k)
-
-
-@pytest.mark.parametrize("q,k", sorted(PINNED_MODULI))
-def test_frobenius_is_the_q_th_power(q, k):
-    fld = make_field(q, k)
-    rng = random.Random(q * k)
-    elements = [fld.g, fld.one(), fld.zero()]
-    elements += [tuple(rng.randrange(q) for _ in range(k)) for _ in range(20)]
-    for a in elements:
-        assert fld.frobenius(a) == fld.pow(a, q)
+        make_field(q)
 
 
 def test_root_of_unity_examples():
-    F7 = make_field(7, 1)
+    F7 = make_field(7)
     assert root_of_unity(F7, 1) == 1
     z3 = root_of_unity(F7, 3)
     assert z3 == 2 and pow(z3, 3, 7) == 1
@@ -143,15 +61,15 @@ def test_root_of_unity_examples():
 
 
 def test_root_of_unity_compatibility():
-    ctx = make_field(5, 2)  # order 24
-    for M in (1, 2, 3, 4, 6, 8, 12, 24):
-        for Mp in (M * k for k in (1, 2, 3) if 24 % (M * k) == 0):
+    ctx = make_field(73)  # order 72
+    for M in (1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72):
+        for Mp in (M * k for k in (1, 2, 3) if 72 % (M * k) == 0):
             big = root_of_unity(ctx, Mp)
-            assert ctx.pow(big, Mp // M) == root_of_unity(ctx, M)
+            assert pow(big, Mp // M, 73) == root_of_unity(ctx, M)
 
 
 def test_dlog_examples():
-    F7 = make_field(7, 1)
+    F7 = make_field(7)
     assert dlog_p_part(F7, 1, 3, 1) == 0
     assert dlog_p_part(F7, 3, 3, 1) == 1
     # 2 = 3^2 in F_7 (brute force over all residues)
@@ -164,7 +82,7 @@ def test_dlog_examples():
 
 
 def test_dlog_homomorphism_and_kills_powers():
-    ctx = make_field(19, 1)  # 19 - 1 = 2 * 3^2
+    ctx = make_field(19)  # 19 - 1 = 2 * 3^2
     rng = random.Random(7)
     for _ in range(50):
         x = rng.randrange(1, 19)
@@ -177,29 +95,18 @@ def test_dlog_homomorphism_and_kills_powers():
 
 
 def test_dlog_matches_exhaustive_search_small_fields():
-    # q^k <= 10^4: exhaustive discrete log must agree with the p-part value
-    for q, k, p, N in ((19, 1, 3, 2), (7, 2, 3, 1), (13, 2, 7, 1), (5, 2, 3, 1)):
-        ctx = make_field(q, k)
+    # q <= 10^4: exhaustive discrete log must agree with the p-part value
+    for q, p, N in ((19, 3, 2), (7, 3, 1), (29, 7, 1), (31, 5, 1), (109, 3, 3), (8101, 3, 4)):
+        ctx = make_field(q)
         table = {}
-        cur = ctx.one()
-        for j in range(ctx.order):
+        cur = 1
+        for j in range(q - 1):
             table[cur] = j
-            cur = ctx.mul(cur, ctx.g)
+            cur = cur * ctx.g % q
         pN = p**N
-        assert ctx.order % pN == 0
+        assert (q - 1) % pN == 0
         for x, j in list(table.items())[:200]:
             assert dlog_p_part(ctx, x, p, N) == j % pN
-
-
-def test_extension_field_inverse_and_pow():
-    ctx = make_field(5, 2)
-    rng = random.Random(3)
-    for _ in range(20):
-        a = (rng.randrange(5), rng.randrange(5))
-        if ctx.is_zero(a):
-            continue
-        assert ctx.mul(a, ctx.inv(a)) == ctx.one()
-        assert ctx.pow(a, -1) == ctx.inv(a)
 
 
 def test_utility_functions():
@@ -263,21 +170,21 @@ def test_is_prime_matches_all_bases_around_each_bound(bound, k):
                                and _strong_probable_prime(n, ALL_BASES)), n
 
 
-# (q, k, p, N) with p^N | q^k - 1, prime fields and extension fields
-DLOG_FIELDS = ((19, 1, 3, 2), (109, 1, 3, 3), (13879, 1, 3, 3), (7, 2, 3, 1),
-               (5, 2, 3, 1), (13, 2, 7, 1), (787, 4, 3, 1))
+# (q, p, N) with p^N | q - 1
+DLOG_FIELDS = ((19, 3, 2), (109, 3, 3), (13879, 3, 3), (7, 3, 1), (29, 7, 1), (31, 5, 1),
+               (5063797, 3, 4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(DLOG_FIELDS), st.integers(0, 10**9), st.integers(0, 10**9))
 def test_dlog_p_part_is_additive(field, i, j):
-    q, k, p, N = field
-    ctx = make_field(q, k)
-    x, y = ctx.pow(ctx.g, i % ctx.order), ctx.pow(ctx.g, j % ctx.order)
+    q, p, N = field
+    ctx = make_field(q)
+    x, y = pow(ctx.g, i % (q - 1), q), pow(ctx.g, j % (q - 1), q)
     pN = p**N
     dx, dy = dlog_p_part(ctx, x, p, N), dlog_p_part(ctx, y, p, N)
-    assert dlog_p_part(ctx, ctx.mul(x, y), p, N) == (dx + dy) % pN
-    assert dx == i % ctx.order % pN
+    assert dlog_p_part(ctx, x * y % q, p, N) == (dx + dy) % pN
+    assert dx == i % (q - 1) % pN
 
 
 def _divisors(n):
@@ -285,12 +192,12 @@ def _divisors(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(((7, 1), (31, 1), (1543, 1), (5, 2), (7, 2), (3, 3))), st.data())
-def test_root_of_unity_compatible_along_divisor_chains(field, data):
-    ctx = make_field(*field)
-    big = data.draw(st.sampled_from(_divisors(ctx.order)))
+@given(st.sampled_from((7, 31, 73, 1543, 13879)), st.data())
+def test_root_of_unity_compatible_along_divisor_chains(q, data):
+    ctx = make_field(q)
+    big = data.draw(st.sampled_from(_divisors(q - 1)))
     small = data.draw(st.sampled_from(_divisors(big)))
-    assert ctx.pow(root_of_unity(ctx, big), big // small) == root_of_unity(ctx, small)
+    assert pow(root_of_unity(ctx, big), big // small, q) == root_of_unity(ctx, small)
 
 
 # Slot paths at 64 terms (a slot needs 2 bits(q - 1) + 7 bits): 2, 3 and
@@ -350,3 +257,76 @@ def test_poly_mul_cyclic_matches_folded_schoolbook(q, size, shape, data):
     a = data.draw(st.lists(coeff, min_size=len_a, max_size=len_a))
     b = data.draw(st.lists(coeff, min_size=len_b, max_size=len_b))
     assert poly_mul(a, b, q, cyclic=size) == _cyclic_fold(_schoolbook(a, b, q), size, q)
+
+
+def _moebius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _monics(q, j):
+    return [list(tail) + [1] for tail in itertools.product(range(q), repeat=j)]
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 5, 7) for k in (2, 3, 4)]
+                         + [(2, 5), (2, 6)])
+def test_irreducible_count_matches_gauss(q, k):
+    # Gauss: (1/k) sum_{d | k} mu(d) q^{k/d} monic irreducibles of degree k;
+    # the reducible monics are exactly the products of two monics of degrees
+    # j and k - j, 1 <= j <= k/2, so poly_mul must leave that many out
+    expected = sum(_moebius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    reducible = {tuple(poly_mul(a, b, q)) for j in range(1, k // 2 + 1)
+                 for a in _monics(q, j) for b in _monics(q, k - j)}
+    assert q**k - len(reducible) == expected
+
+
+def _mult_order(q, L):
+    k, x = 1, q % L
+    while x != 1:
+        x, k = x * q % L, k + 1
+    return k
+
+
+def _cyclic_pow(a, e, q, L):
+    out, base = [1], a
+    while e:
+        if e & 1:
+            out = poly_mul(out, base, q, cyclic=L)
+        e >>= 1
+        if e:
+            base = poly_mul(base, base, q, cyclic=L)
+    return out + [0] * (L - len(out))
+
+
+# The residue-degree-k primes q of `cycfit verify -p 3` at D = 5, 8, 257,
+# 473, 1229, 1937: q has order k modulo L = 3 D for one of these D
+FROBENIUS_CASES = [(7, 2), (19, 2), (31, 2), (241, 4), (787, 4), (1087, 4), (2113, 3),
+                   (3433, 3), (4729, 2), (6661, 4), (12289, 2), (16987, 3)]
+
+
+@pytest.mark.parametrize("q,k", FROBENIUS_CASES)
+def test_frobenius_is_the_q_th_power(q, k):
+    # in F_q[X]/(X^L - 1), (sum a_i X^i)^q = sum a_i X^{iq mod L}: the q-th
+    # power by cyclic poly_mul is the exponent permutation i -> iq, whose
+    # k-th iterate, and no earlier one, is the identity
+    L = next(3 * D for D in (5, 8, 257, 473, 1229, 1937) if _mult_order(q, 3 * D) == k)
+    frob = [i * q % L for i in range(L)]
+    rng = random.Random(q * k)
+    elements = [[0, 1] + [0] * (L - 2), [1] + [0] * (L - 1), [0] * L]
+    elements += [[rng.randrange(q) for _ in range(L)] for _ in range(3)]
+    for a in elements:
+        image = [0] * L
+        for i, c in enumerate(a):
+            image[frob[i]] = c
+        assert _cyclic_pow(a, q, q, L) == image
+    orbit = list(range(L))
+    for j in range(1, k + 1):
+        orbit = [frob[i] for i in orbit]
+        assert (orbit == list(range(L))) == (j == k)

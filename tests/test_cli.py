@@ -188,6 +188,8 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["kappa", "-D", "8", "-q", "4"], 7, "NotPrime"),  # composite q, whatever chi_D(q)
     # the divisor lattice of 2^99 terms is refused before any work
     (["formal", "--eps-max", "99"], 10, "BudgetExhausted"),
+    # 787 splits in Q(sqrt 257) but has order 4 modulo 257 * 3: residue degree 4
+    (["kappa", "-D", "257", "-q", "787"], 15, "NotSplit"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)

@@ -1,16 +1,13 @@
-import math
-from itertools import islice
+from itertools import count
 
 import pytest
 
 from cycfit.arith import is_prime
 from cycfit.classgroup import narrow_class_group
-from cycfit.config import DEFAULT_FIELD_BUDGET, Conventions
+from cycfit.config import Conventions
 from cycfit.errors import DividesAux, PrecisionTooLow
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
 from cycfit.maps import (
-    _SUITE_K_MAX,
-    _suite_primes,
     annihilation_check,
     annihilation_suite,
     phi_bar,
@@ -77,29 +74,40 @@ def test_annihilation_small_suite_and_flip():
     assert any(not r.passed for r in flipped)
 
 
-def test_annihilation_suite_skips_primes_over_field_budget():
-    # at D = 1937 the admissible ell after 51853 is 53149, whose residue
-    # degree k = 4 gives 53149^4 > 2^62: the suite skips it to 58111 instead
-    # of raising BudgetExceeded inside make_field
-    ctx = build_field(3, 1937, 0, 3)
-    primes = list(islice(_suite_primes(ctx), 10))
-    assert primes == [1087, 6661, 16987, 17389, 36847, 40231, 42019, 46489, 51853, 58111]
-    assert 53149**4 > DEFAULT_FIELD_BUDGET
-    assert pow(53149, 4, 1937 * 3) == 1 and all(pow(53149, k, 1937 * 3) != 1 for k in (1, 2, 3))
+# the first three evaluation primes ell = 1 mod f_K * 27 at N = 3
+@pytest.mark.parametrize("D,primes", [(257, [13879, 83269, 235927]),
+                                      (1937, [732187, 941383, 1045981])], ids=["257", "1937"])
+def test_suite_primes_are_the_first_evaluation_primes(D, primes):
+    ctx = build_field(3, D, 0, 3)
+    reports = annihilation_suite(ctx, narrow_class_group(D), 3)
+    assert [r.ell for r in reports] == primes
+    assert all(r.passed and r.N_eff == 3 for r in reports)
 
 
-# at D = 8 the first suite prime is 2p + 1 = 7, the first candidate the scan visits
+
 @pytest.mark.parametrize("p,D", [(3, 8), (3, 257), (3, 1229), (3, 1937), (5, 257), (7, 577)])
 def test_suite_primes_match_a_scan_of_every_integer(p, D):
+    # every prime ell that splits in K with residue degree 1 in
+    # K(mu_{f_K p^N}), and so N_ell >= N, in ascending order
     ctx = build_field(p, D, 0, 3)
-    M = D * p
     expected = []
-    ell = 2
-    while len(expected) < 10:
-        ell += 1
-        if ell % p != 1 or not is_prime(ell) or not ctx.splits_in_K(ell) or math.gcd(ell, M) != 1:
-            continue
-        k = next((k for k in range(1, _SUITE_K_MAX + 1) if pow(ell, k, M) == 1), None)
-        if k is not None and ell**k <= DEFAULT_FIELD_BUDGET:
+    for ell in count(2):
+        if ell % ctx.f_K == 1 and (ell - 1) % p**3 == 0 and is_prime(ell):
+            assert ctx.splits_in_K(ell)
             expected.append(ell)
-    assert list(islice(_suite_primes(ctx), 10)) == expected
+            if len(expected) == 3:
+                break
+    reports = annihilation_suite(ctx, narrow_class_group(D), 3)
+    assert [r.ell for r in reports] == expected
+    assert all(r.N_eff == 3 for r in reports)
+
+
+@pytest.mark.parametrize("D", [15629, 32009])
+def test_suite_runs_at_full_precision_on_large_conductors(D):
+    # |A_3| = 9 at both, so N = 4; the primes are 1 mod f_K * 81, where a
+    # search by residue degree found too few below its bound
+    oracle = narrow_class_group(D)
+    assert sum(oracle.p_part_divisors(3)) == 2
+    reports = annihilation_suite(build_field(3, D, 0, 4), oracle, 3)
+    assert len(reports) == 3
+    assert all(r.passed and r.N_eff == 4 and r.ell % (D * 81) == 1 for r in reports)

@@ -15,7 +15,7 @@ import pytest
 from cycfit.arith import crt, is_prime, kronecker, val_p
 from cycfit.classgroup import fundamental_discriminants
 from cycfit.config import DEFAULT_DERIVATIVE_CAP
-from cycfit.errors import BudgetExceeded, BudgetExhausted, ConductorClash, NotSplit
+from cycfit.errors import BudgetExhausted, ConductorClash, NotSplit
 from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
                            kolyvagin_primes)
 from cycfit.groupring import chi_project
@@ -103,7 +103,7 @@ def test_engine_matches_exact_cyclotomic_oracle():
         for _ in range(3):
             q = next(gen)
             ev = EvalContext(ctx, (), q)
-            zD = ev.field.pow(ev.zeta, ev.M // D)
+            zD = pow(ev.zeta, ev.M // D, q)
             w = 0
             for x in range(1, D):
                 if math.gcd(x, D) == 1:
@@ -152,7 +152,7 @@ def test_derivative_class_checks(kind, param, chain, error, message):
 
 
 def _context_over(D):
-    """A k = 1 EvalContext over Q(sqrt D) with no auxiliary prime, at the
+    """An EvalContext over Q(sqrt D) with no auxiliary prime, at the
     first odd prime p inert in it and the first prime q = 1 mod p D."""
     p = next(p for p in count(3) if is_prime(p) and kronecker(D, p) == -1)
     q = next(q for q in count(1 + 2 * p * D, 2 * p * D) if is_prime(q))
@@ -270,17 +270,20 @@ def test_kappa_not_split_rejected():
 
 
 def test_splits_completely_at_level_zero():
-    # level 0 asks for no congruence mod p: every q = 2 mod 3 with
-    # chi_257(q) = 1 splits then, and fails at level 1
+    # residue degree 1: q = 1 mod f_K p^max(level, m+1) n.  Level 0 still
+    # asks for q = 1 mod p^{m+1}, so it agrees with level 1 at m = 0.  Every
+    # q here splits in K, but 2, 13 and 787 have residue degree > 1
     ctx = build_field(3, 257, 0, 1)
-    split_at = {2: (True, False), 5: (False, False), 7: (False, False),
-                11: (True, False), 13: (True, True), 19: (False, False),
-                787: (True, True), 1301: (True, False)}
-    for q, (level0, level1) in split_at.items():
-        assert splits_completely(ctx, q, 1, 0) == level0
-        assert splits_completely(ctx, q, 1, 1) == level1
-    assert splits_completely(ctx, 1301, 13, 0)  # 1301 = 1 mod 13
-    assert not splits_completely(ctx, 1301, 7, 0)
+    tower = build_field(3, 257, 1, 2)
+    # q: (level 0, level 1, level 2, level 0 at m = 1)
+    split_at = {2: (False,) * 4, 13: (False,) * 4, 787: (False,) * 4,
+                1543: (True, True, False, False), 13879: (True,) * 4}
+    for q, expected in split_at.items():
+        assert ctx.chi_d(q) == 1
+        assert (splits_completely(ctx, q, 1, 0), splits_completely(ctx, q, 1, 1),
+                splits_completely(ctx, q, 1, 2), splits_completely(tower, q, 1, 0)) == expected
+    assert splits_completely(ctx, 20047, 13, 0)  # 20047 = 1 mod 257 * 3 * 13
+    assert not splits_completely(ctx, 20047, 7, 0)
 
 
 def test_kappa_budget_guards():
@@ -293,13 +296,9 @@ def test_kappa_budget_guards():
     q = next(evaluation_primes(ctx, kp.ell, level=1))
     with pytest.raises(BudgetExhausted):
         evaluate_kappa(ctx, cls, q)
-    # the documented conductor-degree budget conflict: q = 13 needs F_13^128
-    with pytest.raises(BudgetExceeded):
-        evaluate_kappa(ctx, cls_for_13(ctx), 13)
-
-
-def cls_for_13(ctx):
-    return derivative_class(ctx, "d", 257, ())
+    # q = 13 splits in K but has residue degree 128 modulo 257 * 3
+    with pytest.raises(NotSplit):
+        evaluate_kappa(ctx, derivative_class(ctx, "d", 257, ()), 13)
 
 
 @pytest.mark.parametrize("D", [257, 785, 3137])
@@ -373,7 +372,7 @@ def test_one_cell_table_is_one_paired_product(kind, param):
             idx = (rho[0] - 1) * 78 + rho[1] - 1
             assert cell == ([full[0][idx]], None if full[1] is None else [full[1][idx]])
             value = ev.factor_value(kind, param, aux, mult * ev.lift(dict(zip(chain, rho))))
-            assert _orbit_value(ev.field, cell, [1]) == value, (kind, aux, rho)
+            assert _orbit_value(q, cell, [1]) == value, (kind, aux, rho)
 
 
 def test_h_invariance_full_orbit():
@@ -397,14 +396,14 @@ def test_level_one_norm_compatibility():
     ev1 = EvalContext(ctx1, (), q)
     ev0 = EvalContext(ctx0, (), q)
     for e1 in (0, 1):
-        prod = ev1.field.one()
+        prod = 1
         for j in range(3):
-            prod = ev1.field.mul(prod, ev1.factor_value("d", 257, (), ev1.delta_lift((e1, j))))
+            prod = prod * ev1.factor_value("d", 257, (), ev1.delta_lift((e1, j))) % q
         v0 = ev0.factor_value("d", 257, (), ev0.delta_lift((e1, 0)))
         assert prod == v0
-    pa = ev1.field.one()
+    pa = 1
     for j in range(3):
-        pa = ev1.field.mul(pa, ev1.factor_value("a", 2, (), ev1.delta_lift((0, j))))
+        pa = pa * ev1.factor_value("a", 2, (), ev1.delta_lift((0, j))) % q
     assert pa == ev0.factor_value("a", 2, (), 1) == 1
     assert ev1.factor_value("a", 2, (), 1) != 1
 
@@ -434,16 +433,3 @@ def test_tower_projection_compatibility():
     w1 = evaluate_kappa(ctx1, derivative_class(ctx1, "d", 257, (kp1,)), q2)
     w0 = evaluate_kappa(ctx0, derivative_class(ctx0, "d", 257, (kp0,)), q2)
     assert project(w1) == w0.coeffs
-
-
-def test_extension_field_path_matches_prime_field_path():
-    # same class, two different evaluation primes; the k>1 path must agree with
-    # theory the same way the k=1 path does (valuation >= 1 for D=257)
-    ctx = build_field(3, 257, 0, 1)
-    cls = derivative_class(ctx, "d", 257, ())
-    # 787 = 16 mod 257 has order 4; evaluation runs inside F_{787^4}
-    vec = evaluate_kappa(ctx, cls, 787)
-    proj = chi_project(vec, ctx.chi)
-    assert proj.coeffs.get((0,), 0) % 3 == 0 or proj.coeffs == {}
-    ev = EvalContext(ctx, (), 787)
-    assert ev.k == 4

@@ -182,6 +182,17 @@ def val_p(x: int, p: int, cap: int) -> int:
     return v
 
 
+@lru_cache(maxsize=None)
+def primitive_root(n: int) -> int:
+    """Smallest primitive root modulo a prime power n (1 for n = 2)."""
+    phi = n - n // min(factorint(n))
+    factors = factorint(phi)
+    g = 1
+    while math.gcd(g, n) != 1 or any(pow(g, phi // r, n) == 1 for r in factors):
+        g += 1
+    return g
+
+
 def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> list[int]:
     """Product of two nonempty coefficient lists over F_q, entries in [0, q);
     with cyclic=L (len(a), len(b) <= L), the product mod X^L - 1, as
@@ -244,13 +255,12 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
 
 
 class FieldCtx:
-    """F_q with a verified generator g of F_q^x; order_factors is the
-    verified factorization of q - 1.  Elements are plain ints in [0, q)."""
+    """F_q with its smallest generator g of F_q^x.  Elements are plain ints
+    in [0, q)."""
 
-    def __init__(self, q: int, g: int, order_factors: tuple):
+    def __init__(self, q: int, g: int):
         self.q = q
         self.g = g
-        self.order_factors = order_factors
 
 
 @lru_cache(maxsize=None)
@@ -259,11 +269,7 @@ def _make_field_cached(q: int) -> FieldCtx:
         raise NotPrime(f"q = {q} is not prime")
     if q > DEFAULT_FIELD_BUDGET:
         raise BudgetExceeded(f"q = {q} exceeds the field budget {DEFAULT_FIELD_BUDGET}")
-    fac = tuple(sorted(factorint(q - 1).items()))
-    g = 2
-    while any(pow(g, (q - 1) // r, q) == 1 for r, _ in fac):
-        g += 1
-    return FieldCtx(q=q, g=g, order_factors=fac)
+    return FieldCtx(q=q, g=primitive_root(q))
 
 
 def make_field(q: int) -> FieldCtx:

@@ -4,7 +4,10 @@ field, built from indefinite binary quadratic forms.
 The narrow (form) class group is what reduction cycles + Gauss composition
 compute; since only the p-part for odd p is ever consumed downstream, and the
 narrow-vs-wide kernel is a 2-group, this is exactly the class-group data the
-verification needs.
+verification needs.  The group is a multiplication table on the cycles; the
+p-part's elementary divisors are read from the element orders, and the
+fundamental unit comes from the convergent that ends the first period of the
+continued fraction of the generator of O_K.
 
 A second, analytic consistency check brackets the narrow class number with a
 truncated L-series.  That computation is done in scaled-integer fixed point
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import factorint, is_prime, kronecker, sqrt_mod_prime, crt
+from .arith import factorint, is_prime, kronecker, sqrt_mod_prime
 from .errors import BudgetExhausted, NotFundamental, NotSplit
 
 
@@ -49,10 +52,6 @@ def fundamental_discriminants(bound: int):
 # Indefinite binary quadratic forms
 
 
-def _isqrt(n: int) -> int:
-    return math.isqrt(n)
-
-
 def is_reduced(f: tuple, D: int) -> bool:
     """Reduced indefinite form: 0 < b < sqrt(D) and sqrt(D)-b < 2|a| < sqrt(D)+b."""
     a, b, c = f
@@ -69,7 +68,7 @@ def is_reduced(f: tuple, D: int) -> bool:
 def normalize(f: tuple, D: int) -> tuple:
     """Shift b into the normal range for leading coefficient a."""
     a, b, c = f
-    t = _isqrt(D)
+    t = math.isqrt(D)
     two_a = 2 * abs(a)
     if abs(a) > t:
         # symmetric range (-|a|, |a|]
@@ -101,7 +100,7 @@ def reduce_form(f: tuple, D: int) -> tuple:
 
 
 def principal_form(D: int) -> tuple:
-    t = _isqrt(D)
+    t = math.isqrt(D)
     b = t if (t - D) % 2 == 0 else t - 1
     return (1, b, (b * b - D) // 4)
 
@@ -134,7 +133,7 @@ def all_reduced_forms(D: int) -> list[tuple]:
     floor((t + b)/2), so only that interval is scanned for divisors |a| of
     (D - b^2)/4."""
     out = []
-    t = _isqrt(D)
+    t = math.isqrt(D)
     for b in range(1, t + 1):
         if (D - b * b) % 4:
             continue
@@ -154,53 +153,30 @@ def all_reduced_forms(D: int) -> list[tuple]:
 def fundamental_unit(D: int) -> tuple[int, int, int]:
     """Fundamental unit of O_K for K = Q(sqrt(D)), D a fundamental
     discriminant, as (T, U, norm) with eps = (T + U*sqrt(D))/2 and
-    norm = N(eps) in {1, -1}."""
+    norm = N(eps) in {1, -1}.
+
+    Expands the generator omega = (P + sqrt(R))/Q of O_K (trace tr = 1 if
+    D = 1 mod 4, else 0) as a continued fraction, carrying the convergents
+    h/k.  The complete quotient's denominator comes back to Q exactly at the
+    end of each period; at the end of the first, eps = h - k*omega' =
+    (2h - tr*k + k*sqrt(D))/2 and N(eps) = (-1)^(period length).
+    """
     if D % 4 == 1:
-        R, P, Q = D, 1, 2
+        R, P, Q, tr = D, 1, 2, 1
     else:
-        R, P, Q = D // 4, 0, 1
-    t = _isqrt(R)
-    states = {}
-    digits = []
-    i = 0
-    state_list = []
+        R, P, Q, tr = D // 4, 0, 1, 0
+    t = math.isqrt(R)
+    Q0 = Q
+    h, h_prev, k, k_prev, norm = 1, 0, 0, 1, 1
     while True:
-        key = (P, Q)
-        if key in states:
-            start = states[key]
-            break
-        states[key] = i
-        state_list.append(key)
         a = (P + t) // Q
-        digits.append(a)
-        P = a * Q - P
-        Q = (R - P * P) // Q
-        i += 1
-        if i > 10 * (t + 2) ** 2:  # pragma: no cover
-            raise ArithmeticError("continued fraction did not cycle")
-    # unit from the period matrix: eps = C*alpha_s + E, alpha_s = (P_s+sqrt(R))/Q_s,
-    # where [[.,.],[C,E]] is the convergent matrix of the period digits
-    h, h_prev = 1, 0
-    k, k_prev = 0, 1
-    for a in digits[start:]:
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
-    C, E = k, k_prev
-    Ps, Qs = state_list[start]
-    x = C * Ps + E * Qs
-    y = C
-    den = Qs
-    if D % 4 == 1:
-        T2, U2 = 2 * x, 2 * y
-    else:
-        T2, U2 = 2 * x, y
-    if T2 % den or U2 % den:  # pragma: no cover
-        raise ArithmeticError("unit is not integral")
-    T, U = T2 // den, U2 // den
-    norm4 = T * T - D * U * U
-    if norm4 not in (4, -4):  # pragma: no cover
-        raise ArithmeticError(f"fundamental unit has norm {norm4}/4")
-    return T, U, norm4 // 4
+        norm = -norm
+        P = a * Q - P
+        Q = (R - P * P) // Q
+        if Q == Q0:
+            return 2 * h - tr * k, k, norm
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +239,9 @@ def class_number_band(D: int, h_narrow: int, unit: tuple[int, int, int]) -> dict
             S += chi * (_SCALE // n)
     # |sum_{n>X} chi(n)/n| <= 2*B/(X+1), B = sqrt(D)*ln(D) (Polya-Vinogradov)
     ln_d_hi = fixed_ln(D, 1) + _LN_SLACK
-    tail = 2 * (_isqrt(D) + 1) * ln_d_hi // (X + 1) + 1
+    tail = 2 * (math.isqrt(D) + 1) * ln_d_hi // (X + 1) + 1
     err_L = X + tail + _LN_SLACK  # per-term floor rounding + tail + slack
-    sqrtD = _isqrt(D * _SCALE * _SCALE)
+    sqrtD = math.isqrt(D * _SCALE * _SCALE)
     # eps in fixed point: (T + U*sqrt(D))/2
     eps_num = T * _SCALE + U * sqrtD
     ln_eps = fixed_ln(eps_num, 2 * _SCALE)
@@ -291,13 +267,15 @@ def class_number_band(D: int, h_narrow: int, unit: tuple[int, int, int]) -> dict
 
 
 class FormClassGroup:
-    """Narrow ideal class group realized on rho-reduction cycles."""
+    """Narrow ideal class group realized on rho-reduction cycles; index maps
+    every reduced form to its cycle."""
 
-    def __init__(self, D: int, cycles: tuple[tuple[tuple, ...], ...],
+    def __init__(self, D: int, cycles: tuple[tuple[tuple, ...], ...], index: dict,
                  table: tuple[tuple[int, ...], ...], identity: int,
                  unit: tuple[int, int, int]):
         self.D = D
         self.cycles = cycles
+        self.index = index
         self.table = table
         self.identity = identity
         self.unit = unit  # fundamental unit (T, U, norm)
@@ -307,26 +285,10 @@ class FormClassGroup:
         return len(self.cycles)
 
     def cycle_of(self, form: tuple) -> int:
-        red = reduce_form(form, self.D)
-        for idx, cyc in enumerate(self.cycles):
-            if red in cyc:
-                return idx
-        raise ArithmeticError(f"form {form} not in any cycle")  # pragma: no cover
+        return self.index[reduce_form(form, self.D)]
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
-
-    def power(self, x: int, e: int) -> int:
-        if e < 0:
-            e %= self.element_order(x)
-        out = self.identity
-        b = x
-        while e:
-            if e & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return out
 
     def element_order(self, x: int) -> int:
         n, cur = 1, x
@@ -342,33 +304,19 @@ class FormClassGroup:
 
     def p_part_divisors(self, p: int) -> tuple[int, ...]:
         """Elementary divisors (exponents of p), non-increasing, of the
-        p-Sylow subgroup, from the counts #{x : x^{p^j} = e}."""
-        sylow = self.p_sylow_elements(p)
-        counts = [1]
-        j = 1
-        while counts[-1] < len(sylow):
-            cj = sum(1 for x in sylow if self.power(x, p**j) == self.identity)
-            counts.append(cj)
-            j += 1
-        ranks = []
-        for jj in range(1, len(counts)):
-            q, r = divmod(counts[jj], counts[jj - 1])
-            if r:  # pragma: no cover
-                raise ArithmeticError("inconsistent p-group counts")
-            ranks.append(_plog(q, p))
-        divisors = []
-        for idx in range(ranks[0] if ranks else 0):
-            divisors.append(max(jj + 1 for jj in range(len(ranks)) if ranks[jj] > idx))
-        return tuple(sorted(divisors, reverse=True))
-
-    def _p_power_order(self, x: int, p: int) -> int | None:
-        order = n = self.element_order(x)
-        while n % p == 0:
-            n //= p
-        return order if n == 1 else None
-
-    def p_sylow_elements(self, p: int) -> list[int]:
-        return [x for x in range(self.h_plus) if self._p_power_order(x, p) is not None]
+        p-Sylow subgroup, read from the element orders: c_j = #{x : ord x |
+        p^j} = p^{sum_i min(d_i, j)}, so log_p(c_j / c_{j-1}) = #{i : d_i >= j}."""
+        levels = []  # j for every element of order p^j
+        for x in range(self.h_plus):
+            n, j = self.element_order(x), 0
+            while n % p == 0:
+                n //= p
+                j += 1
+            if n == 1:
+                levels.append(j)
+        logs = [_plog(sum(1 for v in levels if v <= j), p) for j in range(max(levels) + 1)]
+        ranks = [hi - lo for lo, hi in zip(logs, logs[1:])]
+        return tuple(sum(1 for r in ranks if r > i) for i in range(ranks[0] if ranks else 0))
 
 
 # narrow_class_group refuses discriminants with more reduced forms than this.
@@ -423,7 +371,8 @@ def narrow_class_group(D: int) -> FormClassGroup:
     )
     ident = index[reduce_form(principal_form(D), D)]
     unit = fundamental_unit(D)
-    return FormClassGroup(D=D, cycles=cycles, table=table, identity=ident, unit=unit)
+    return FormClassGroup(D=D, cycles=cycles, index=index, table=table, identity=ident,
+                          unit=unit)
 
 
 def ideal_class_of_prime(ell: int, D: int, group: FormClassGroup) -> int:
@@ -435,13 +384,7 @@ def ideal_class_of_prime(ell: int, D: int, group: FormClassGroup) -> int:
     if ell == 2 or not is_prime(ell) or D % ell == 0 or kronecker(D, ell) != 1:
         raise NotSplit(f"{ell} does not split in discriminant {D}")
     r = sqrt_mod_prime(D % ell, ell)
-    candidates = []
-    for rl in {r, (ell - r) % ell}:
-        for r4 in range(4):
-            if (r4 * r4 - D) % 4 == 0:
-                b = crt([rl, r4], [ell, 4])
-                if (b * b - D) % (4 * ell) == 0:
-                    candidates.append(b)
-    b = min(candidates)
+    # b = +-r mod ell, and b^2 = D mod 4 iff b = D mod 2
+    b = min(x for x in (r, ell - r, r + ell, 2 * ell - r) if (x - D) % 2 == 0)
     c = (b * b - D) // (4 * ell)
     return group.cycle_of((ell, b, c))

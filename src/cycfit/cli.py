@@ -36,6 +36,11 @@ from .units import derivative_class, evaluate_kappa
 _INT_LIMIT = 2**53
 # Largest epsilon of the formal identity suite; `verify` and the `formal` default.
 _FORMAL_EPS_MAX = 3
+# Largest `formal --eps-max`.  The check at eps rewrites about eps * 2^eps terms
+# (x_{nu,q} and its eps sublattices), so the suite up to E rewrites
+# sum_{e <= E} e * 2^e = (E - 1) * 2^(E + 1) + 2, which may not exceed the cap.
+_FORMAL_EPS_CAP = max(e for e in range(DEFAULT_DERIVATIVE_CAP.bit_length())
+                      if (e - 1) * 2 ** (e + 1) + 2 <= DEFAULT_DERIVATIVE_CAP)
 
 
 def _sanitize(obj):
@@ -270,11 +275,10 @@ def cmd_fitting(args) -> int:
 
 def cmd_formal(args) -> int:
     _check_bound("--eps-max", args.eps_max)
-    # x_{nu,q} has 2^epsilon terms; 2^eps > cap exactly when eps >= cap.bit_length(),
-    # tested without building 2^eps
-    if args.eps_max >= DEFAULT_DERIVATIVE_CAP.bit_length():
-        raise BudgetExhausted(f"--eps-max = {args.eps_max}: the divisor lattice of"
-                              f" 2^{args.eps_max} terms exceeds cap {DEFAULT_DERIVATIVE_CAP}")
+    if args.eps_max > _FORMAL_EPS_CAP:
+        raise BudgetExhausted(f"--eps-max = {args.eps_max} exceeds {_FORMAL_EPS_CAP}: the checks"
+                              f" up to eps rewrite (eps - 1) * 2^(eps + 1) + 2 terms, above"
+                              f" cap {DEFAULT_DERIVATIVE_CAP}")
     reports = [check_combined_identities(eps) for eps in range(args.eps_max + 1)]
     emit({
         "reports": _entries(reports),

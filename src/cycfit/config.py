@@ -9,8 +9,8 @@ DEFAULT_FIELD_BUDGET = 2**62
 
 # Hard cap on the number of multi-indices in a derivative-operator expansion.
 # Shared by units.evaluate_kappa, hence the sampler and `cycfit kappa`, and by
-# cli.cmd_formal, which refuses `formal --eps-max` whose 2^eps-term divisor
-# lattice exceeds it (eps >= 18).
+# cli.cmd_formal, which refuses `formal --eps-max` E when the checks up to E
+# rewrite more terms than this, sum_{e <= E} e * 2^e (E >= 14).
 DEFAULT_DERIVATIVE_CAP = 200_000
 
 # Matrices above this size are rejected by the minor enumerator (fitting).

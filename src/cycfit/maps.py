@@ -4,14 +4,16 @@ integration test that ties it to the class group oracle.
 The reciprocity coordinate phi_bar at ell is computed as the chi-projection
 of the dlog conjugate vector of the class at q := ell.  The annihilation
 suite runs at the evaluation primes ell = 1 mod f_K * p^N: they split in K
-with residue degree 1 and N_ell >= N, so every check runs at full precision
-and, as p^N > |A|, asks for e * [lambda] = 0 in A exactly.  By Chebotarev
-their classes [lambda] still run over all of A_p: the p-Hilbert class field
-of K meets K(mu_{f_K p^N}) only in K.
+with residue degree 1 and N_ell >= N.  annihilation_check refuses any ell
+with N_ell < N (PrecisionTooLow), so e is known mod p^N and, as p^N > |A|,
+the check is exactly class_order | e, where class_order is the p-part of the
+order of [lambda].  By Chebotarev the classes [lambda] still run over all
+of A_p: the p-Hilbert class field of K meets K(mu_{f_K p^N}) only in K.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 
 from .arith import make_field, val_p
@@ -22,8 +24,8 @@ from .groupring import GroupRingElement, chi_project
 from .units import DerivativeClass, derivative_class, evaluate_kappa
 
 
-def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
-            level: int | None = None) -> GroupRingElement:
+def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
+            cls: DerivativeClass) -> GroupRingElement:
     """Reciprocity coordinate at ell applied to kappa(n), in R_{m,N,chi}.
 
     Defined when ell does not divide n (the class is a unit at ell).  The
@@ -32,7 +34,7 @@ def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime, cls: DerivativeClass,
     ell = kp.ell
     if cls.n % ell == 0:
         raise DividesAux(f"ell = {ell} divides the auxiliary product {cls.n}")
-    eff = min(level if level is not None else ctx.N, kp.N_ell, ctx.N)
+    eff = min(kp.N_ell, ctx.N)
     vec = evaluate_kappa(ctx, cls, ell, level=eff)
     proj = chi_project(vec, ctx.chi_at(eff))
     if ctx.conventions.phi_sign == -1:
@@ -86,42 +88,35 @@ def tame_coupling_ok(kp: KolyvaginPrime) -> bool:
 def annihilation_check(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
                        oracle: FormClassGroup) -> AnnihilationReport:
     """PASS iff (a) the tame-generator coupling holds at ell and (b) the
-    reciprocity value e = phi_bar(ell, eta) annihilates the class of the
-    distinguished prime above ell in the p-part of the class group mod
-    p^{N_eff}.
+    reciprocity value e = phi_bar(ell, eta) annihilates the class [lambda]
+    of the distinguished prime above ell in A_p, i.e. class_order | e.
 
     (b) is the residue-side consequence of the divisor of kappa(ell) being
     supported above ell with coefficient e.  ell must be 1 mod f_K * p^{m+1}
-    (evaluate_kappa at q = ell); at the suite's primes N_eff = N, and
-    p^N > |A| makes (b) the exact e * c = 0 in A.
+    (evaluate_kappa at q = ell) and have N_ell >= N, so that e is known mod
+    p^N; as p^N > |A|, e * [lambda] = 0 in A_p is then exact.
     """
     p, N = ctx.p, ctx.N
-    divisors = oracle.p_part_divisors(p)
-    a_order = p ** sum(divisors)
+    a_order = p ** sum(oracle.p_part_divisors(p))
     if p**N <= a_order:
         raise PrecisionTooLow(f"need p^N > |A| = {a_order}")
-    n_eff = min(N, kp.N_ell)
+    if kp.N_ell < N:
+        raise PrecisionTooLow(f"N_ell = {kp.N_ell} at ell = {kp.ell} is below N = {N}")
     coupling = tame_coupling_ok(kp)
     eta = derivative_class(ctx, "d", ctx.f_K, ())
-    e = phi_bar(ctx, kp, eta, level=n_eff).scalar()
-    cls_idx = ideal_class_of_prime(kp.ell, ctx.D, oracle)
-    # project the class to its p-primary component
-    h = oracle.h_plus
-    v = val_p(h, p, 64)
-    u = h // p**v
-    c_p = oracle.power(cls_idx, u * pow(u, -1, p**v)) if v else oracle.identity
-    # e*c in p^{N_eff} * A_p ?
-    target = oracle.power(c_p, e)
-    sub = {oracle.power(y, p**n_eff) for y in oracle.p_sylow_elements(p)}
-    ok = target in sub
+    e = phi_bar(ctx, kp, eta).scalar()
+    # the p-part of the order of [lambda], i.e. the order of its A_p component
+    # (p^N exceeds it, as it divides |A_p|)
+    class_order = math.gcd(oracle.element_order(ideal_class_of_prime(kp.ell, ctx.D, oracle)),
+                           p**N)
     return AnnihilationReport(
         ell=kp.ell,
-        N_eff=n_eff,
+        N_eff=N,
         coupling_ok=coupling,
         e=e,
-        e_valuation=val_p(e, p, n_eff),
-        class_order=oracle.element_order(c_p),
-        annihilation_ok=ok,
+        e_valuation=val_p(e, p, N),
+        class_order=class_order,
+        annihilation_ok=e % class_order == 0,
     )
 
 

@@ -71,7 +71,7 @@ from itertools import compress
 from itertools import product as iter_product
 
 from .arith import (FieldCtx, crt, dlog_p_part, factorint, kronecker, make_field,
-                    poly_mul, root_of_unity)
+                    poly_mul, primitive_root, root_of_unity)
 from .config import DEFAULT_DERIVATIVE_CAP
 from .errors import BudgetExhausted, ConductorClash, NotSplit
 from .fields import AbelianFieldCtx, KolyvaginPrime
@@ -180,7 +180,7 @@ class EvalContext:
             # remaining Delta coordinates and the Gamma coordinate act through
             # (Z/p^{m+1})^x / {+-1}
             exp = 0
-            w0 = _primitive_root(self.p_part)
+            w0 = primitive_root(self.p_part)
             if len(ctx.delta_divisors) > 1:
                 e2 = g[1]
                 exp += e2 * ctx.p**ctx.m
@@ -478,7 +478,7 @@ class _NormSets(dict):
             if r == 2:
                 row = [kronecker(f, crt([x, 1], [m, rest])) if x % 2 else 0 for x in range(m)]
             else:
-                row = [kronecker(f, crt([_primitive_root(m), 1], [m, rest]))] * m
+                row = [kronecker(f, crt([primitive_root(m), 1], [m, rest]))] * m
                 row[0] = 0
                 for x in range(1, (m + 1) // 2):
                     row[x * x % m] = 1
@@ -515,17 +515,6 @@ def _mobius_divisors(f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for picks in iter_product((0, 1), repeat=len(primes)):
         out[sum(picks) % 2].append(f // math.prod(compress(primes, picks)))
     return tuple(out[0]), tuple(out[1])
-
-
-@lru_cache(maxsize=None)
-def _primitive_root(p_power: int) -> int:
-    """Smallest primitive root modulo an odd prime power."""
-    phi = p_power - p_power // min(factorint(p_power))
-    factors = factorint(phi)
-    g = 2
-    while math.gcd(g, p_power) != 1 or any(pow(g, phi // r, p_power) == 1 for r in factors):
-        g += 1
-    return g
 
 
 def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:

@@ -1,8 +1,10 @@
 import math
 import random
+from itertools import count, islice
 
 import pytest
 
+from cycfit.arith import is_prime, kronecker, make_field
 from cycfit.classgroup import (
     all_reduced_forms,
     class_number_band,
@@ -99,7 +101,71 @@ def test_reduce_form_lands_in_cycle():
     assert g.cycle_of(f) == g.identity
     # composing a class with itself three times returns to identity (h=3)
     x = (g.identity + 1) % g.h_plus
-    assert g.power(x, 3) == g.identity
+    assert g.mul(g.mul(x, x), x) == g.identity
+
+
+def test_p_part_divisors_count_the_p_power_torsion():
+    # #{x : x^{p^j} = e} = p^{sum_i min(d_i, j)} for every j, counted with mul;
+    # the pinned conductors have A_3 = (Z/3)^2, Z/9 and Z/27
+    pinned = {32009: (1, 1), 94253: (2,), 222776: (3,)}
+    for D in list(fundamental_discriminants(2000)) + list(pinned):
+        g = narrow_class_group(D)
+        for p in (3, 5, 7):
+            d = g.p_part_divisors(p)
+            if p == 3 and D in pinned:
+                assert d == pinned[D]
+            assert list(d) == sorted(d, reverse=True) and all(d)
+            powers = list(range(g.h_plus))  # x^{p^j}
+            for j in range(1, max(d, default=0) + 2):
+                powers = [_pow(g, y, p) for y in powers]
+                killed = sum(1 for y in powers if y == g.identity)
+                assert killed == p ** sum(min(di, j) for di in d), (D, p, j)
+
+
+def _pow(g, x, e):
+    """x^e by e multiplications."""
+    out = g.identity
+    for _ in range(e):
+        out = g.mul(out, x)
+    return out
+
+
+def _primes_1_mod(modulus, n):
+    """The first n primes q = 1 mod modulus."""
+    return list(islice(filter(is_prime, (k * modulus + 1 for k in count(1))), n))
+
+
+def _class_number_formula_holds(D, h_plus, unit, q):
+    """prod_{chi(b)=-1} (1 - w^b) / prod_{chi(a)=1} (1 - w^a) = eps^{2h} in F_q,
+    q = 1 mod D, with w = g^{(q-1)/D}, sqrt(D) -> the Gauss sum s of chi_D at
+    w, and h = h+ if N(eps) = -1, else h+/2, the wide class number."""
+    T, U, norm = unit
+    h = h_plus if norm == -1 else h_plus // 2
+    w = pow(make_field(q).g, (q - 1) // D, q)
+    s, num, den, x = 0, 1, 1, 1
+    for a in range(D):
+        chi = kronecker(D, a)
+        s += chi * x
+        if chi == -1:
+            num = num * (1 - x) % q
+        elif chi == 1:
+            den = den * (1 - x) % q
+        x = x * w % q
+    eps = (T + U * s) * pow(2, -1, q) % q
+    return num == den * pow(eps, 2 * h, q) % q
+
+
+def test_class_number_formula_certifies_h_and_unit():
+    # the cyclotomic unit of conductor D is eps^{2h} (the class number
+    # formula), a route that shares no code with the form class group
+    for D in list(fundamental_discriminants(2000)) + [32009, 72329]:
+        g = narrow_class_group(D)
+        for q in _primes_1_mod(D, 2):
+            assert _class_number_formula_holds(D, g.h_plus, g.unit, q), (D, q)
+    g = narrow_class_group(257)
+    q1, q2 = _primes_1_mod(257, 2)
+    assert not _class_number_formula_holds(257, 3 * g.h_plus, g.unit, q1)
+    assert not _class_number_formula_holds(257, 3 * g.h_plus, g.unit, q2)
 
 
 def test_composition_discriminant_preserved():

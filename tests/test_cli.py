@@ -190,6 +190,8 @@ def test_kappa_cli_rejects_bad_chains(capsys, D, chain, code, name):
     (["formal", "--eps-max", "99"], 10, "BudgetExhausted"),
     # 787 splits in Q(sqrt 257) but has order 4 modulo 257 * 3: residue degree 4
     (["kappa", "-D", "257", "-q", "787"], 15, "NotSplit"),
+    # the checks up to eps = 14 rewrite 13 * 2^15 + 2 terms, above the cap
+    (["formal", "--eps-max", "14"], 10, "BudgetExhausted"),
 ])
 def test_bad_inputs_exit_with_one_error_line(capsys, argv, code, name):
     got, out, err = run_cli(capsys, argv)

@@ -46,6 +46,16 @@ def test_annihilation_precision_guard():
         annihilation_check(ctx, kp, oracle)
 
 
+def test_annihilation_refuses_primes_below_precision():
+    # 1543 = 1 mod 3 * 257 but not mod 9, so N_ell = 1 < N = 3: e is known
+    # only mod 3, and a pass at that level would say nothing
+    ctx = build_field(3, 257, 0, 3)
+    kp = KolyvaginPrime.build(1543, 3)
+    assert kp.N_ell == 1
+    with pytest.raises(PrecisionTooLow):
+        annihilation_check(ctx, kp, narrow_class_group(257))
+
+
 def test_flip_negates_derivative_values_exactly():
     # a global tame-generator flip multiplies every dlog observable by -1, so
     # ideal and annihilation predicates cannot see it; only the coupling

@@ -48,27 +48,14 @@ class Presentation:
         return len(self.rows[0]) if self.rows else 0
 
 
-def presentation_from_ints(ring: GroupRing, int_rows) -> Presentation:
-    ident = ring.group.identity()
-    rows = tuple(
-        tuple(ring.monomial(ident, c) if isinstance(c, int) else c for c in row)
-        for row in int_rows
-    )
-    return Presentation(ring, rows)
-
-
-def diagonal_presentation(ring: GroupRing, entries) -> Presentation:
+def diagonal_presentation(ring: GroupRing, entries: list[int]) -> Presentation:
     ident = ring.group.identity()
     n = len(entries)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            if i == j:
-                e = entries[i]
-                row.append(ring.monomial(ident, e) if isinstance(e, int) else e)
-            else:
-                row.append(ring.zero())
+            row.append(ring.monomial(ident, entries[i]) if i == j else ring.zero())
         rows.append(tuple(row))
     return Presentation(ring, tuple(rows))
 

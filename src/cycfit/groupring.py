@@ -73,9 +73,6 @@ class FiniteAbelianGroup:
     def inv(self, a: tuple) -> tuple:
         return tuple((-x) % d for x, d in zip(a, self.divisors))
 
-    def gamma_element(self, j: int) -> tuple:
-        return (0,) * len(self.delta_divisors) + (j % self.gamma_order,)
-
 
 class GroupRing:
     """Descriptor for Z/p^N[G].  Rings built separately from equal data are
@@ -126,10 +123,6 @@ class GroupRing:
 
     def monomial(self, g: tuple, c: int = 1) -> "GroupRingElement":
         return GroupRingElement(self, {tuple(g): c % self.mod})
-
-    def gamma_minus_one(self) -> "GroupRingElement":
-        g = self.group.gamma_element(1)
-        return GroupRingElement(self, {g: 1, self.group.identity(): -1})
 
     def from_vector(self, vec) -> "GroupRingElement":
         return GroupRingElement(self, {g: c for g, c in zip(self.basis, vec) if c % self.mod})
@@ -353,11 +346,6 @@ class IdealNF:
         _, ok = _reduce_vector(vec, self._pivots, self.ring.p, self.ring.N)
         return ok
 
-    def contains(self, x: GroupRingElement) -> bool:
-        if x.ring != self.ring:
-            raise MixedAmbient("element lives in a different ring")
-        return self.contains_vector(x.vector())
-
     def contains_ideal(self, other: "IdealNF") -> bool:
         if other.ring != self.ring:
             raise MixedAmbient("ideals live in different rings")
@@ -373,9 +361,6 @@ class IdealNF:
         one = [0] * self.ring.group.order
         one[self.ring.basis_index[self.ring.group.identity()]] = 1
         return self.contains_vector(one)
-
-    def is_zero_ideal(self) -> bool:
-        return not self.rows
 
     def generators(self) -> list[GroupRingElement]:
         return [self.ring.from_vector(r) for r in self.rows]
@@ -399,17 +384,10 @@ class IdealNF:
         return f"Ideal[{len(self.rows)} rows]"
 
 
-def ideal_normal_form(gens, ring: GroupRing | None = None) -> IdealNF:
-    """Normal form of the ideal generated by gens in their common ring."""
-    gens = list(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("need a ring or at least one generator")
-        ring = gens[0].ring
+def ideal_normal_form(gens, ring: GroupRing) -> IdealNF:
+    """Normal form of the ideal generated by gens in ring."""
     rows = []
     for g in gens:
-        if isinstance(g, int):
-            g = ring.monomial(ring.group.identity(), g)
         if g.ring != ring:
             raise MixedAmbient("generators disagree on ring")
         for mono in ring.group.elements():

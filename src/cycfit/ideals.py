@@ -28,7 +28,7 @@ from collections import deque
 
 from .arith import val_p
 from .config import DEFAULT_SAMPLE_BUDGET, DEFAULT_STABILIZATION_WINDOW
-from .errors import BudgetExhausted, NegativeArgument
+from .errors import BudgetExceeded, BudgetExhausted, NegativeArgument
 from .fields import AbelianFieldCtx, evaluation_primes, kolyvagin_primes
 from .groupring import IdealNF, chi_project, ideal_join, ideal_normal_form
 from .units import derivative_class, evaluate_kappa
@@ -105,8 +105,9 @@ def _preferred_chains(ctx: AbelianFieldCtx, i: int) -> list:
     """Well-ordered chains (kp_1, ..., kp_r) of KolyvaginPrime with r <= i,
     breadth-first: each prefix is extended by the _PER_LEVEL smallest
     auxiliary primes that kolyvagin_primes yields for it (l = 1 mod p^N times
-    the prefix product, so no factor repeats).  The order depends on the
-    field alone, never on the class group."""
+    the prefix product, so no factor repeats), fewer when the search runs out
+    of candidates or the next prime exceeds the field budget.  The order
+    depends on the field alone, never on the class group."""
     chains = [()]
     for prefix in chains:  # the list grows while it is walked: breadth first
         if len(prefix) == i:
@@ -115,7 +116,7 @@ def _preferred_chains(ctx: AbelianFieldCtx, i: int) -> list:
         for _ in range(_PER_LEVEL):
             try:
                 chains.append(prefix + (next(gen),))
-            except BudgetExhausted:
+            except (BudgetExhausted, BudgetExceeded):
                 break
     return chains
 

@@ -18,7 +18,7 @@ cyclotomic identity
 A = c T_f[a r mod f_K].  The f_K-component keeps no table: with
 u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, a product walks R_d in increasing
 r, A_{r'} = A_r u^{r' - r}, with the powers u^gap up to the largest gap of
-R_d (the gaps are kept beside the norm sets).  With no auxiliary prime
+R_d (the gaps are cached per (f_K, d)).  With no auxiliary prime
 (c = 1) and d > 2 the walk stops below d/2: K is real, so R_d = -R_d, and
 the pair at d - r is the pair at r divided by A_r^2.  The product is then
 the square of the product over R_d+ = {r in R_d : 2 r < d} times
@@ -202,9 +202,8 @@ class EvalContext:
         """Multipliers realizing Gal(Q(mu_{d p^{m+1} n'})/intersection with
         F_m(mu_{n'})) as adjacent pairs (r, 1), (r, -1): = r mod d (r in the
         chi_D-kernel mod d), = +-1 mod p^{m+1}, = 1 at every auxiliary prime.
-        One pair per factor 1 - zeta^e; the residues r are kept once per
-        field, the pairs are built per call."""
-        return tuple((r, s) for r in _norm_sets(self.ctx.f_K)[d] for s in (1, -1))
+        One pair per factor 1 - zeta^e."""
+        return tuple((r, s) for r in _residues(self.ctx.f_K, d) for s in (1, -1))
 
     def norm_set_a(self) -> tuple[tuple[int, int], ...]:
         """The a-type norm set {1, tau} in the residue form of norm_set_d:
@@ -219,18 +218,9 @@ class EvalContext:
         R_d+ = {r in R_d : 2 r < d}, and steps[g] = u^g up to the largest of
         those gaps, u = w_f^(a mod f_K) = steps[1].  Multiplying by
         steps[gap] in turn gives T_f[a r mod f_K] for r = r_0, r_1, ..."""
-        if d > 1:
-            sets = _norm_sets(self.ctx.f_K)
-            sets[d]  # fills the walks beside the residues
-            gaps, widest = sets.halves[d][:2] if half else sets.gaps[d]
-        else:
-            gaps, widest = (1,), 1
-        q = self.q
-        u = pow(self.w_f, a % self.moduli[0], q)
-        steps = [1, u]
-        for _ in range(widest - 1):
-            steps.append(steps[-1] * u % q)
-        return gaps, steps
+        gaps, widest, _ = _walk(self.ctx.f_K, d, half)
+        u = pow(self.w_f, a % self.moduli[0], self.q)
+        return gaps, _power_row(u, widest + 1, self.q)
 
     def dlog(self, value: int, level: int) -> int:
         """p-part dlog of a value of F_q."""
@@ -262,7 +252,7 @@ class EvalContext:
             A = A * steps[gap] % q
             out = out * (1 - A * (s - A)) % q
         if half:
-            total = _norm_sets(self.ctx.f_K).halves[d][2]
+            total = _walk(self.ctx.f_K, d, True)[2]
             out = out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
         return out
 
@@ -358,19 +348,18 @@ class EvalContext:
         u_p = M // self.p_part
         return u_n + u_p * param, u_n + u_p, 1
 
-    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 5
+    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def factor_value(self, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
-        """One basic unit, conjugated by the multiplier, as a field element."""
-        u, u_den, d = self._factor_multipliers(kind, param, aux_subset)
-        num = self._paired_product(u * mult % self.M, d)
-        if u_den is None:
-            return num
-        den = self._paired_product(u_den * mult % self.M, d)
-        return num * pow(den, -1, self.q) % self.q
+        """One basic unit, conjugated by the multiplier, as a field element:
+        the one cell of factor_orbit at the residue 1 of every auxiliary
+        prime."""
+        orbit = self.factor_orbit(kind, param, aux_subset, mult, [[1]] * len(self.aux))
+        return _orbit_value(self.q, orbit, [1])
 
     def factor_orbit(self, kind: str, param: int, aux_subset: tuple[int, ...],
                      mult: int, rows) -> tuple[list, list | None]:
-        """factor_value at mult * lift({l_i: rho_i}) for every rho in
+        """The basic unit (kind, param) with auxiliary support aux_subset,
+        conjugated by mult * lift({l_i: rho_i}), for every rho in
         rows[0] x ... x rows[r-1] (one row of residues per auxiliary prime of
         the context; no rows and one value at n = 1), row-major, as
         (numerators, denominators); the denominators are None for a d-type
@@ -381,7 +370,7 @@ class EvalContext:
             return num, None
         return num, self._paired_orbit(u_den * mult % self.M, d, rows)
 
-    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 5
+    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def symbol_value(self, cls: DerivativeClass, mult: int):
         """The class's basic unit at its auxiliary product, conjugated by the
         multiplier."""
@@ -454,57 +443,50 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
     return [line[j] for j in picks for line in lines]
 
 
-class _NormSets(dict):
-    """d -> the pair residues R_d of norm_set_d(d) for one conductor f_K,
-    sorted, filled on first use, and beside them gaps[d] = (the gaps of R_d
-    from 0 in increasing order, the largest gap) and, for d > 2,
-    halves[d] = (the same two for R_d+ = {r in R_d : 2 r < d}, the sum of
-    R_d+).  R_d = -R_d, so R_d+ is the first half of R_d.  All three depend
-    on (f_K, d) only.  R_{f_K} is the kernel itself.
-
-    The kernel of chi_D = (f_K | .) comes from chi_D = prod_m chi_m over the
-    prime powers m || f_K, each chi_m a character mod m tabulated once on
-    Z/m: at m = 4 or 8 by kronecker at a lift y = x mod m, y = 1 mod f_K/m;
-    at an odd prime (f_K is squarefree away from 2) by its squares, the
-    non-squares signed by chi_m at a primitive root.  Then one pass over
-    Z/f_K per further component."""
-
-    def __init__(self, f: int):
-        super().__init__()
-        chi = None
-        for r, e in factorint(f).items():
-            m = r**e
-            rest = f // m
-            if r == 2:
-                row = [kronecker(f, crt([x, 1], [m, rest])) if x % 2 else 0 for x in range(m)]
-            else:
-                row = [kronecker(f, crt([primitive_root(m), 1], [m, rest]))] * m
-                row[0] = 0
-                for x in range(1, (m + 1) // 2):
-                    row[x * x % m] = 1
-            chi = row * rest if chi is None else list(map(operator.mul, chi, row * rest))
-        self.f = f
-        self.kernel = list(compress(range(f), map((1).__eq__, chi)))
-        self.gaps: dict[int, tuple[tuple[int, ...], int]] = {}
-        self.halves: dict[int, tuple[tuple[int, ...], int, int]] = {}
-
-    def __missing__(self, d: int):
-        if d == self.f:
-            residues = tuple(self.kernel)
-        else:
-            residues = tuple(sorted({x % d for x in self.kernel}))
-        gaps = tuple(b - a for a, b in zip((0,) + residues, residues))
-        self[d] = residues
-        self.gaps[d] = (gaps, max(gaps))
-        if d > 2:
-            h = len(residues) // 2
-            self.halves[d] = (gaps[:h], max(gaps[:h]), sum(residues[:h]))
-        return residues
-
-
 @lru_cache(maxsize=2)
-def _norm_sets(f: int) -> _NormSets:
-    return _NormSets(f)
+def _kernel(f: int) -> tuple[int, ...]:
+    """The kernel of chi_D = (f | .) in (Z/f)^x, sorted, for the conductor
+    f = f_K.  chi_D = prod_m chi_m over the prime powers m || f, each chi_m a
+    character mod m tabulated once on Z/m: at m = 4 or 8 by kronecker at a
+    lift y = x mod m, y = 1 mod f/m; at an odd prime (f is squarefree away
+    from 2) by its squares, the non-squares signed by chi_m at a primitive
+    root.  Then one pass over Z/f per further component."""
+    chi = None
+    for r, e in factorint(f).items():
+        m = r**e
+        rest = f // m
+        if r == 2:
+            row = [kronecker(f, crt([x, 1], [m, rest])) if x % 2 else 0 for x in range(m)]
+        else:
+            row = [kronecker(f, crt([primitive_root(m), 1], [m, rest]))] * m
+            row[0] = 0
+            for x in range(1, (m + 1) // 2):
+                row[x * x % m] = 1
+        chi = row * rest if chi is None else list(map(operator.mul, chi, row * rest))
+    return tuple(compress(range(f), map((1).__eq__, chi)))
+
+
+def _residues(f: int, d: int) -> tuple[int, ...]:
+    """R_d, the pair residues of norm_set_d(d) for the conductor f = f_K,
+    sorted: the kernel of chi_D at d = f, and all of (Z/d)^x at a proper
+    divisor d, onto which the kernel maps because chi_D is primitive of
+    conductor f."""
+    if d == f:
+        return _kernel(f)
+    return tuple(x for x in range(1, d) if math.gcd(x, d) == 1)
+
+
+@lru_cache(maxsize=4)
+def _walk(f: int, d: int, half: bool) -> tuple[tuple[int, ...], int, int]:
+    """(the gaps from 0 of R_d in increasing order, the largest gap, the
+    sum of R_d) for the conductor f = f_K, or with half (d > 2) the same
+    for R_d+ = {r in R_d : 2 r < d}: R_d = -R_d, so R_d+ is the first half
+    of R_d.  d = 1 walks the a-type's one residue 1."""
+    residues = _residues(f, d) if d > 1 else (1,)
+    if half:
+        residues = residues[:len(residues) // 2]
+    gaps = tuple(b - a for a, b in zip((0,) + residues, residues))
+    return gaps, max(gaps), sum(residues)
 
 
 @lru_cache(maxsize=2)

@@ -272,3 +272,16 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_package_import_loads_no_layer_module():
+    # the package holds only __version__; callers import each layer by name
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(cycfit.__file__).parent.parent)!r})\n"
+        "import cycfit\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cycfit.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -19,8 +19,16 @@ def test_budget_zero_is_partial_with_zero_ideal():
     ctx = build_field(3, 257, 0, 3)
     run = sample_cyclotomic_ideal(ctx, 0, budget=0, window=5)
     assert run.status == "PARTIAL"
-    assert run.ideal.is_zero_ideal()
+    assert run.ideal.rows == ()
     assert run.samples == []
+
+
+def test_chains_stop_at_the_field_budget():
+    # at D = 257, N = 3 the first fourth-level auxiliary prime of every
+    # three-prime prefix lies above the field budget 2^62, so i = 4 lists
+    # the chains of i = 3 (a chain of four would exceed the derivative cap)
+    ctx = build_field(3, 257, 0, 3)
+    assert _preferred_chains(ctx, 4) == _preferred_chains(ctx, 3)
 
 
 def test_stabilized_predicate():

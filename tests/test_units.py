@@ -24,8 +24,10 @@ from cycfit.units import (
     derivative_class,
     evaluate_kappa,
     _chirp_axis,
-    _NormSets,
+    _kernel,
     _orbit_value,
+    _residues,
+    _walk,
     norm_relation_check,
     splits_completely,
 )
@@ -162,18 +164,17 @@ def _context_over(D):
 def test_norm_sets_from_component_tables():
     # both 2-parts (4 || 12, 8 || 24) and odd components of both signs at -1
     # (r = 3 mod 4 at 12, r = 1 mod 4 at 5); 32009 and 39992 lie beyond the
-    # D < 2000 corpus.  The sets keep the residues, norm_set_d pairs them
+    # D < 2000 corpus.  _residues gives R_d, norm_set_d pairs it
     for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009, 39992]:
         direct = [x for x in range(1, D) if math.gcd(x, D) == 1 and kronecker(D, x) == 1]
-        sets = _NormSets(D)
-        assert sets.kernel == direct, D
+        assert _kernel(D) == tuple(direct), D
         ev = _context_over(D)
         for d in (d for d in range(2, D + 1) if D % d == 0):
             residues = tuple(sorted({x % d for x in direct}))
-            assert sets[d] == residues, (D, d)
+            assert _residues(D, d) == residues, (D, d)
             assert ev.norm_set_d(d) == tuple((r, s) for r in residues for s in (1, -1)), (D, d)
             gaps = [b - a for a, b in zip((0,) + residues, residues)]
-            assert sets.gaps[d] == (tuple(gaps), max(gaps)), (D, d)
+            assert _walk(D, d, False) == (tuple(gaps), max(gaps), sum(residues)), (D, d)
             if d > 2:
                 # chi_D is even, so R_d = -R_d, and 0, d/2 are not units mod d:
                 # R_d+ = {r : 2 r < d} is the first half of R_d
@@ -182,10 +183,12 @@ def test_norm_sets_from_component_tables():
                 h = len(residues) // 2
                 assert all(2 * r < d for r in residues[:h]), (D, d)
                 assert all(2 * r > d for r in residues[h:]), (D, d)
-                assert sets.halves[d] == (tuple(gaps[:h]), max(gaps[:h]),
-                                          sum(residues[:h])), (D, d)
+                assert _walk(D, d, True) == (tuple(gaps[:h]), max(gaps[:h]),
+                                             sum(residues[:h])), (D, d)
             else:
-                assert d not in sets.halves
+                # d = 2: the one residue 1, so no half walk (the engine halves
+                # only at d > 2)
+                assert residues == (1,), (D, d)
 
 
 def test_proper_divisor_norm_sets_are_all_units():
@@ -193,9 +196,10 @@ def test_proper_divisor_norm_sets_are_all_units():
     # (Z/d)^x for every proper divisor d
     pairs = 0
     for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009]:
-        sets = _NormSets(D)
+        kernel = _kernel(D)
         for d in (d for d in range(2, D) if D % d == 0):
-            assert sets[d] == tuple(x for x in range(d) if math.gcd(x, d) == 1), (D, d)
+            units = tuple(x for x in range(d) if math.gcd(x, d) == 1)
+            assert _residues(D, d) == units == tuple(sorted({x % d for x in kernel})), (D, d)
             pairs += 1
     assert pairs == 2628
 

@@ -25,16 +25,19 @@ the square of the product over R_d+ = {r in R_d : 2 r < d} times
 u^(-2 sum R_d+).  The chi_D-kernel behind the norm sets is the product of
 per-prime-power characters, each tabulated once.
 
-The epsilon = 0 class (kind "d" at f_K, no auxiliary prime) walks only the
-conjugates g with g[0] = 0.  The partner g tau (g[0] = 1) has
-the multiplier a n_0 with chi_D(n_0) = -1 and n_0 = 1 mod p^{m+1}, so the
-two norm sets are the two cosets of the chi_D-kernel in (Z/f_K)^x, and the
-product of the two values is Phi_f(omega) Phi_f(1/omega) with
-omega = T_p[a mod p^{m+1}] (+-1 at p = 3, m = 0: Apostol, Proc. AMS 24,
-1970).  The Moebius form of Phi_f reads it with two table entries per
-squarefree divisor of f_K, and the partner's dlog is its dlog minus the
-walked one.  Auxiliary primes, other d and the a-type keep one walk per
-conjugate.
+The class at f_K (kind "d", param f_K: every class the sampler draws)
+walks only the conjugates g with g[0] = 0.  The partner g tau (g[0] = 1)
+has the multiplier a n_0 with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1}
+and every auxiliary prime, so at every multi-index the two norm sets are
+the two cosets of the chi_D-kernel in (Z/f_K)^x, and the product of the
+two values is Phi_f(alpha c) Phi_f(c / alpha) with alpha = T_p[a mod p^{m+1}]
+and c = prod_i T_i[a rho_i mod l_i] (c = 1 at n = 1, where the product is
++-1 at p = 3, m = 0: Apostol, Proc. AMS 24, 1970).  The Moebius form of
+Phi_f reads every c^e and alpha^e from the root tables, one row of cells
+per divisor e of f_K with f_K/e squarefree, and the partner's dlog is the
+dlog of that table, weighted as the walked one, minus the walked one's.
+An h-twist not prime to M (no coset to pair), the proper d and the a-type
+keep one walk per conjugate.
 
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
@@ -57,9 +60,10 @@ evaluated at all of mu_l by a chirp-z transform over the root table T_l
 that packs each line only up to its last nonzero entry; a multi-index
 reads its value at its residues mod l_i.  A one-cell table (n = 1, or one
 residue per auxiliary prime) is one paired product.  Nothing is cached per
-multiplier: every conjugate and twist is evaluated afresh, and an orbit
-table lives only for one conjugate of one evaluate_kappa call (or one side
-of one norm_relation_check).
+multiplier: every walked conjugate and twist is evaluated afresh (with its
+own tree and chirps), a partner reads only its walked conjugate's dlog, and
+an orbit table lives only for one conjugate of one evaluate_kappa call (or
+one side of one norm_relation_check).
 """
 
 from __future__ import annotations
@@ -256,29 +260,43 @@ class EvalContext:
             out = out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
         return out
 
-    def cyclotomic_resultant(self, mult: int) -> int:
-        """The d-type unit at f_K conjugated by mult, times the same at
-        mult n_0, with chi_D(n_0) = -1 and n_0 = 1 mod p^{m+1} (no auxiliary
-        prime, mult prime to M = f_K p^{m+1}).
+    def cyclotomic_resultant(self, mult: int, rows) -> tuple[list, list]:
+        """The d-type unit at f_K with the context's auxiliary support,
+        conjugated by mult * lift({l_i: rho_i}), times the same at
+        mult n_0 * lift({l_i: rho_i}), with chi_D(n_0) = -1 and n_0 = 1 modulo
+        p^{m+1} and every l_i, for every rho in rows[0] x ... x rows[r-1],
+        row-major (mult prime to M): a factor_orbit table (numerators,
+        denominators) of the cells of factor_orbit at mult times those at
+        mult n_0.
 
         With a = u mult the two norm sets a R_{f_K} and a n_0 R_{f_K} are the
         two cosets of the chi_D-kernel, so together they run over all of
-        (Z/f_K)^x, and each pair is (1 - A omega)(1 - A / omega),
-        omega = T_p[a mod p^{m+1}].  As prod_{j in (Z/f)^x} (1 - w^j x) =
-        Phi_f(x) for a primitive f-th root w (f > 2), the product is
-        Phi_f(omega) Phi_f(1/omega) = prod_{e | f} (2 - omega^e - omega^-e)^mu(f/e).
-        omega has order p^{m+1}, prime to f, so no factor is 0."""
+        (Z/f_K)^x, and a cell's pairs are (1 - w^j alpha c)(1 - w^j c / alpha)
+        for j in (Z/f_K)^x, w = T_f[a mod f_K], alpha = T_p[a mod p^{m+1}] and
+        c = prod_i T_i[a rho_i mod l_i] (c = 1 at n = 1).  As
+        prod_{j in (Z/f)^x} (1 - w^j x) = Phi_f(x) = prod_{e | f} (1 - x^e)^mu(f/e)
+        (f > 2), the cell is Phi_f(alpha c) Phi_f(c / alpha), and with
+        x = c^e, s_e = alpha^e + alpha^-e each divisor contributes
+        (1 - x alpha^e)(1 - x / alpha^e) = 1 - x (s_e - x), read from the
+        tables T_p and T_i: the divisors with mu(f/e) = 1 to the numerators,
+        those with mu(f/e) = -1 to the denominators.  alpha c has a component
+        of order p^{m+1}, prime to f, so no factor is 0.  At n = 1 (no rows)
+        the one cell is Phi_f(alpha) Phi_f(1 / alpha) =
+        prod_{e | f} (2 - alpha^e - alpha^-e)^mu(f/e)."""
         q, t_p, p_part = self.q, self.tables[1], self.p_part
-        a = self._factor_multipliers("d", self.ctx.f_K, ())[0] * mult
-
-        def part(divisors):
-            out = 1
+        a = self._factor_multipliers("d", self.ctx.f_K, self.aux)[0] * mult
+        parts = []
+        for divisors in _mobius_divisors(self.ctx.f_K):
+            cells = [1] * math.prod(map(len, rows))
             for e in divisors:
-                out = out * (2 - t_p[a * e % p_part] - t_p[-a * e % p_part]) % q
-            return out
-
-        plus, minus = _mobius_divisors(self.ctx.f_K)
-        return part(plus) * pow(part(minus), -1, q) % q
+                ae = a * e
+                s = t_p[ae % p_part] + t_p[-ae % p_part]
+                xs = [1]
+                for ell, table, row in zip(self.aux, self.tables[2:], rows):
+                    xs = [x * table[ae * rho % ell] % q for x in xs for rho in row]
+                cells = [v * (1 - x * (s - x)) % q for v, x in zip(cells, xs)]
+            parts.append(cells)
+        return parts[0], parts[1]
 
     def _paired_orbit(self, a: int, d: int, rows) -> list:
         """_paired_product(a * lift({l_i: rho_i}), d) for every
@@ -533,20 +551,19 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     for kp in cls.aux_primes:
         rows.append(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:])
         weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
-    # the epsilon = 0 class: each conjugate with g[0] = 1 is read from its
+    # the class at f_K: each conjugate with g[0] = 1 is read from its
     # partner with g[0] = 0, which elements() lists first, and the
-    # cyclotomic resultant of the two chi_D-cosets
-    cosets = (cls.kind == "d" and cls.param == ctx.f_K and not cls.aux
-              and math.gcd(twist, ev.M) == 1)
+    # cyclotomic resultant of the two chi_D-cosets at every cell
+    cosets = cls.kind == "d" and cls.param == ctx.f_K and math.gcd(twist, ev.M) == 1
     coeffs: dict = {}
     for g in ctx.group.elements():
         t_g = ev.delta_lift(ctx.group.inv(g)) * twist % ev.M
-        if cosets and g[0]:
-            both = ev.dlog(ev.cyclotomic_resultant(t_g), ctx_level)
-            coeffs[g] = (both - coeffs[(0,) + g[1:]]) % pN
-            continue
-        orbit = ev.factor_orbit(cls.kind, cls.param, cls.aux, t_g, rows)
+        partner = cosets and g[0]
+        orbit = (ev.cyclotomic_resultant(t_g, rows) if partner
+                 else ev.factor_orbit(cls.kind, cls.param, cls.aux, t_g, rows))
         coeffs[g] = ev.dlog(_orbit_value(ev.q, orbit, weights), ctx_level)
+        if partner:
+            coeffs[g] = (coeffs[g] - coeffs[(0,) + g[1:]]) % pN
     return GroupRingElement(ring, coeffs)
 
 

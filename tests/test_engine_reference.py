@@ -4,11 +4,13 @@ pow-per-term reference in reference_engine.py.
 Factor values are compared exactly, element by element, on seeded-random
 multipliers built from Delta x Gamma conjugations, auxiliary-group twists
 and tame-generator powers; derivative-class vectors are compared on small
-expansions at n = 1, l and l_1 l_2, and the epsilon = 0 class, whose
-chi_D-odd conjugates come from a cyclotomic resultant, at p = 3, 5, 7 and
-m = 0, 1.  The orbit tables of EvalContext.factor_orbit, the walk of
-evaluate_kappa (the transform for n > 1, one paired product per cell at
-n = 1), are compared at every multi-index.
+expansions at n = 1, l and l_1 l_2, and the class at f_K, whose
+chi_D-odd conjugates come from a cyclotomic resultant at every cell, at
+p = 3, 5, 7 and m = 0, 1, with and without auxiliary primes.  The orbit
+tables of EvalContext.factor_orbit, the walk of evaluate_kappa (the
+transform for n > 1, one paired product per cell at n = 1), are compared
+at every multi-index, and the resultant's cells against the walked
+conjugates and Phi_f itself.
 """
 
 import math
@@ -97,28 +99,58 @@ def test_extension_context_must_split():
             EvalContext(build_field(3, D, m, m + 1), (), q)
 
 
-# (D, m, N, chain length, evaluation level, kind, param, h-twist exponent).
-# Units of a proper divisor d < f_K come from a subfield where they are
-# rational, so their vectors vanish; the others must come out nonzero.
+def _count_resultants(monkeypatch):
+    """Count the calls of EvalContext.cyclotomic_resultant from now on."""
+    calls = []
+    route = EvalContext.cyclotomic_resultant
+
+    def counted(ev, mult, rows):
+        calls.append(mult)
+        return route(ev, mult, rows)
+
+    monkeypatch.setattr(EvalContext, "cyclotomic_resultant", counted)
+    return calls
+
+
+# (p, D, m, N, chain length, evaluation level, kind, param, h-twist
+# exponent).  Units of a proper divisor d < f_K come from a subfield where
+# they are rational, so their vectors vanish; the others must come out
+# nonzero.  The class at f_K reads its conjugates with g[0] = 1 from
+# Phi_f(alpha c) Phi_f(c / alpha) at every cell: p = 5 and 7 at m = 0, p = 3
+# at m = 1 with a twist, f_K = 785 = 5 * 157 and 1937 = 13 * 149 (divisors
+# of both Moebius signs) and the 2-part conductor 8.
 KAPPA_CASES = [
-    (257, 0, 3, 0, 3, "d", 257, None),
-    (257, 0, 3, 1, 3, "d", 257, 2),
-    (257, 1, 2, 1, 2, "d", 257, 5),
-    (257, 1, 2, 1, 2, "a", 2, 3),
-    (473, 0, 3, 0, 3, "d", 473, None),
-    (473, 0, 3, 0, 3, "d", 43, None),
-    (8, 0, 2, 2, 1, "d", 8, 3),
-    (8, 0, 2, 2, 1, "d", 4, None),
+    (3, 257, 0, 3, 0, 3, "d", 257, None),
+    (3, 257, 0, 3, 1, 3, "d", 257, 2),
+    (3, 257, 1, 2, 1, 2, "d", 257, 5),
+    (3, 257, 1, 2, 1, 2, "a", 2, 3),
+    (3, 473, 0, 3, 0, 3, "d", 473, None),
+    (3, 473, 0, 3, 0, 3, "d", 43, None),
+    (3, 8, 0, 2, 2, 1, "d", 8, 3),
+    (3, 8, 0, 2, 2, 1, "d", 4, None),
+    (5, 8, 0, 2, 1, 1, "d", 8, None),
+    (7, 5, 0, 2, 1, 1, "d", 5, 3),
+    (5, 12, 0, 1, 2, 1, "d", 12, None),
+    (3, 785, 0, 3, 1, 3, "d", 785, 2),
+    (3, 785, 0, 1, 2, 1, "d", 785, None),
+    (3, 1937, 0, 1, 1, 1, "d", 1937, None),
 ]
 
 
-@pytest.mark.parametrize("D,m,N,r,level,kind,param,w", KAPPA_CASES)
-def test_kappa_vectors_match_reference(D, m, N, r, level, kind, param, w):
-    ctx = build_field(3, D, m, N)
+def _case_id(case):
+    """The test id of a KAPPA_CASES row: p = 3 rows are named without p."""
+    return "-".join(map(str, case[1:] if case[0] == 3 else case))
+
+
+@pytest.mark.parametrize("p,D,m,N,r,level,kind,param,w", KAPPA_CASES,
+                         ids=[_case_id(case) for case in KAPPA_CASES])
+def test_kappa_vectors_match_reference(p, D, m, N, r, level, kind, param, w, monkeypatch):
+    ctx = build_field(p, D, m, N)
     kps = _chain(ctx, r, level)
     cls = derivative_class(ctx, kind, param, kps)
     twist = {kps[-1].ell: w} if w else None
     gen = evaluation_primes(ctx, cls.n, level=level)
+    calls = _count_resultants(monkeypatch)
     vectors = []
     for _ in range(2):
         q = next(gen)
@@ -127,6 +159,9 @@ def test_kappa_vectors_match_reference(D, m, N, r, level, kind, param, w):
         assert new == ref.evaluate_kappa(ctx, cls, ev, level, twist)
         vectors.append(new)
     assert any(not v.is_zero() for v in vectors) == (kind == "a" or param == D)
+    # one partner read per walked conjugate at each q, only for the class at f_K
+    partners = len(list(ctx.group.elements())) if kind == "d" and param == D else 0
+    assert len(calls) == partners
 
 
 # (p, D, m, N, h-twist): the epsilon = 0 class, whose conjugates with
@@ -156,6 +191,72 @@ def test_epsilon_zero_vectors_match_reference(p, D, m, N, twist):
         sums |= {(new.coeffs.get(g, 0) + new.coeffs.get((1,) + g[1:], 0)) % p**N
                  for g in ctx.group.elements() if not g[0]}
     assert (sums != {0}) == (p > 3 or m > 0)
+
+
+# (D, m, N, chain length, level, f_K-component of the h-twist): a twist
+# that is not prime to f_K leaves no chi_D-coset to pair, so both
+# conjugates are walked
+@pytest.mark.parametrize("D,m,N,r,level,w", [(473, 0, 3, 1, 3, 11), (785, 0, 3, 1, 3, 5),
+                                             (785, 0, 1, 0, 1, 5)])
+def test_twist_not_prime_to_conductor_walks_both_cosets(D, m, N, r, level, w, monkeypatch):
+    ctx = build_field(3, D, m, N)
+    kps = _chain(ctx, r, level)
+    cls = derivative_class(ctx, "d", D, kps)
+    q = next(evaluation_primes(ctx, cls.n, level=level))
+    ev = EvalContext(ctx, cls.aux, q)
+    calls = _count_resultants(monkeypatch)
+    new = evaluate_kappa(ctx, cls, q, level=level, h_twist={D: w})
+    assert calls == []
+    assert new == ref.evaluate_kappa(ctx, cls, ev, level, {D: w})
+    # a twist prime to f_K at the same prime does take the partner route
+    coprime = evaluate_kappa(ctx, cls, q, level=level, h_twist={D: 2})
+    assert calls
+    assert coprime == ref.evaluate_kappa(ctx, cls, ev, level, {D: 2})
+
+
+def _phi_tilde(x, f, q):
+    """prod_{e | f} (1 - x^e)^mu(f/e) in F_q, by trial division."""
+    num = den = 1
+    for e in (e for e in range(1, f + 1) if f % e == 0):
+        primes = [r for r in range(2, f // e + 1) if f // e % r == 0
+                  and all(r % s for s in range(2, r))]
+        if math.prod(primes) != f // e:
+            continue
+        factor = (1 - pow(x, e, q)) % q
+        if len(primes) % 2:
+            den = den * factor % q
+        else:
+            num = num * factor % q
+    return num * pow(den, -1, q) % q
+
+
+# (D, chain length, level): prime, composite and 2-part conductors
+@pytest.mark.parametrize("D,r,level", [(257, 1, 3), (785, 1, 1), (785, 2, 1), (8, 2, 1)])
+def test_coset_cells_multiply_to_phi_f(D, r, level):
+    # P_g(c) P_{g tau}(c) = Phi_f(alpha c) Phi_f(c / alpha) cell by cell, with
+    # alpha c = zeta_M^(t (1 - E_f)) and c / alpha = zeta_M^(t (1 - E_f - 2 E_p))
+    # for the cell's multiplier t: the sum of the idempotents is 1 mod M
+    ctx = build_field(3, D, 0, 3)
+    kps = _chain(ctx, r, level)
+    ells = tuple(kp.ell for kp in kps)
+    q = next(evaluation_primes(ctx, math.prod(ells), level=level))
+    ev = EvalContext(ctx, ells, q)
+    rows = [[pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1)] for kp in kps]
+    u = ev._factor_multipliers("d", D, ells)[0]
+    e_f, e_p = ev.idempotents[:2]
+    twist = ev.lift({ells[-1]: 2})
+    for g in ctx.group.elements():
+        if g[0]:
+            continue
+        t_g = ev.delta_lift(g) * twist % ev.M
+        t_tau = ev.delta_lift((1,) + g[1:]) * twist % ev.M
+        walked, partner = (ev.factor_orbit("d", D, ells, t, rows)[0] for t in (t_g, t_tau))
+        num, den = ev.cyclotomic_resultant(t_g, rows)
+        for i, rhos in enumerate(iter_product(*rows)):
+            t = u * t_g * ev.lift(dict(zip(ells, rhos))) % ev.M
+            phi = (_phi_tilde(pow(ev.zeta, t * (1 - e_f) % ev.M, q), D, q)
+                   * _phi_tilde(pow(ev.zeta, t * (1 - e_f - 2 * e_p) % ev.M, q), D, q))
+            assert walked[i] * partner[i] % q == phi % q == num[i] * pow(den[i], -1, q) % q
 
 
 @pytest.mark.parametrize("D", [5, 8, 257, 473, 785])

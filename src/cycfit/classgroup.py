@@ -226,8 +226,9 @@ def class_number_band(D: int, h_narrow: int, unit: tuple[int, int, int]) -> dict
     """Bracket the narrow class number by sqrt(D)*L(1,chi_D)/ln(eps+).
 
     eps+ is the totally positive fundamental unit (the square of eps when
-    N(eps) = -1).  Returns the band endpoints in _SCALE units together with
-    the verdict h_lo <= h_narrow <= h_hi.
+    N(eps) = -1).  Returns the integer band endpoints h_lo and h_hi, the
+    verdict ok that h_narrow lies in the band, and whether the band is
+    narrower than one.
     """
     T, U, norm = unit
     X = max(10_000, 120 * D)
@@ -252,9 +253,6 @@ def class_number_band(D: int, h_narrow: int, unit: tuple[int, int, int]) -> dict
     lo_scaled = lo_num // (ln_eps_plus + _LN_SLACK)
     hi_scaled = hi_num // (ln_eps_plus - _LN_SLACK) + 1
     return {
-        "X": X,
-        "h_lo_scaled": lo_scaled,
-        "h_hi_scaled": hi_scaled,
         "h_lo": lo_scaled // _SCALE,
         "h_hi": hi_scaled // _SCALE + 1,
         "ok": lo_scaled <= h_narrow * _SCALE <= hi_scaled,

@@ -245,7 +245,7 @@ def cmd_kappa(args) -> int:
     param = args.D if args.param is None else args.param
     cls = derivative_class(ctx, args.kind, param, aux)
     vec = evaluate_kappa(ctx, cls, args.q)
-    proj = chi_project(vec, ctx.chi)
+    proj = chi_project(vec)
     emit({
         "p": args.p, "D": args.D, "N": args.N, "n_factors": list(args.chain or ()),
         "q": args.q, "kind": args.kind, "param": param,

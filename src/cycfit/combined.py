@@ -8,9 +8,9 @@ derivative classes are encoded as rewrite axioms over a free module:
   (A3)  phi_l kappa(n) -> 0                         when l | n, n well-ordered
 
 Coefficients are multilinear integer polynomials in formal weights w_l; the
-combined elements x_{nu,q} = sum_{e|nu} w_e kappa(q*nu/e) are built with
-their auxiliary-group tensor tags tracked and stripped only after checking
-they are uniform, which is what makes permuting the l-labels safe.
+combined elements x_{nu,q} = sum_{e|nu} w_e kappa(q*nu/e) carry no
+auxiliary-group tensor tags: the tag of every term is e union (nu - e) = nu,
+the same for all terms, so it is left out.
 
 Everything here is label-level symbol pushing: it needs no primes, no
 fields, and no randomness.
@@ -54,11 +54,9 @@ def _sum_add(total: FormalSum, atom, coeff: Coeff, sign: int = 1) -> None:
 
 
 class CombinedClass:
-    """x_{nu,q} = sum over e | nu of w_e kappa(q * nu/e) (tags stripped)."""
+    """x_{nu,q} = sum over e | nu of w_e kappa(q * nu/e)."""
 
-    def __init__(self, nu: tuple, q: object, terms: FormalSum):
-        self.nu = nu
-        self.q = q
+    def __init__(self, terms: FormalSum):
         self.terms = terms  # kappa atoms only
 
 
@@ -69,22 +67,15 @@ def _subsets(labels: tuple):
 
 
 def build_combined(nu: tuple, q) -> CombinedClass:
-    """Expand the divisor-lattice product defining x_{nu,q}.
-
-    The auxiliary tensor tag of each term is e union (nu - e) = nu, checked
-    uniform and then stripped.
-    """
+    """Expand the divisor-lattice product defining x_{nu,q}."""
     if len(set(nu)) != len(nu) or q in nu:
         raise NotWellOrdered("labels of q*nu must be distinct")
     terms: FormalSum = {}
     full = frozenset(nu)
     for e in _subsets(tuple(nu)):
         kappa_arg = frozenset({q} | (full - e))
-        tag = e | (full - e)
-        if tag != full:  # pragma: no cover - structural invariant
-            raise ReductionFailure("tensor tags failed to combine")
         _sum_add(terms, ("kappa", kappa_arg), {frozenset(e): 1})
-    return CombinedClass(nu=tuple(nu), q=q, terms=terms)
+    return CombinedClass(terms)
 
 
 def apply_bracket(s, fc: CombinedClass) -> FormalSum:

@@ -16,7 +16,7 @@ from .arith import is_prime, kronecker, make_field, sqrt_mod_prime, val_p
 from .config import DEFAULT_CONVENTIONS, DEFAULT_PRIME_SEARCH_BUDGET, Conventions
 from .errors import (BudgetExhausted, ConductorClash, InsufficientPrecision, NotFundamental,
                      NotPrime, NotSplit, NotWellOrdered, Ramified, SplitP)
-from .groupring import Character, FiniteAbelianGroup, GroupRing
+from .groupring import FiniteAbelianGroup, GroupRing
 from .classgroup import is_fundamental_discriminant
 
 
@@ -26,8 +26,8 @@ class AbelianFieldCtx:
     F_m is the maximal totally real subfield of K(mu_{p^{m+1}}); for p = 3 and
     m = 0 this is K itself.  Delta = Gal(F_0/Q) is Z/2 for p = 3 and
     Z/2 x Z/((p-1)/2) for p > 3 (the second factor from the real cyclotomic
-    subfield); chi is the quadratic character of the K-component in both
-    cases, so its order divides p - 1.
+    subfield).  The K-coordinate Z/2 comes first, so chi, the quadratic
+    character of K, is the sign of that coordinate (groupring.chi_project).
     """
 
     def __init__(self, p: int, D: int, m: int = 0, N: int = 0,
@@ -66,16 +66,6 @@ class AbelianFieldCtx:
     def ring(self) -> GroupRing:
         """R_{m,N} = Z/p^N[Gal(F_m/Q)]."""
         return GroupRing(self.group, self.p, self.N)
-
-    @cached_property
-    def chi(self) -> Character:
-        return self.chi_at(self.N)
-
-    def chi_at(self, level: int) -> Character:
-        """chi with values in (Z/p^level)^x: -1 on the K-component of Delta,
-        1 on the real cyclotomic one."""
-        values = (self.p**level - 1,) + (1,) * (len(self.delta_divisors) - 1)
-        return Character(self.delta_divisors, self.p, level, values)
 
     @cached_property
     def chi_ring(self) -> GroupRing:

@@ -1,5 +1,6 @@
-"""Group rings Z/p^N[Delta x Gamma], character projections, and canonical
-normal forms for finitely generated ideals in these finite rings.
+"""Group rings Z/p^N[Delta x Gamma], the projection onto the quotient by the
+quadratic character of K, and canonical normal forms for finitely generated
+ideals in these finite rings.
 
 Ideals are represented as additive lattices over Z/p^N spanned by all
 monomial multiples of the generators, reduced to a canonical echelon (Howell)
@@ -202,49 +203,22 @@ class GroupRingElement:
         return self.coeffs.get(ident, 0)
 
 
-class Character:
-    """Character of Delta with values in (Z/p^N)^x of order dividing p-1."""
-
-    def __init__(self, delta_divisors: tuple[int, ...], p: int, N: int,
-                 values: tuple[int, ...]):
-        self.delta_divisors = delta_divisors
-        self.p = p
-        self.N = N
-        self.values = values  # value on each elementary-divisor generator
-        mod = self.p**self.N
-        for d, v in zip(self.delta_divisors, self.values):
-            if pow(v, d, mod) != 1 % mod:
-                raise ValueError(f"chi(generator)^{d} != 1")
-            if pow(v, self.p - 1, mod) != 1 % mod:
-                raise ValueError("character order must divide p - 1")
-
-    def __call__(self, delta: tuple) -> int:
-        mod = self.p**self.N
-        out = 1
-        for e, v in zip(delta, self.values):
-            out = out * pow(v, e, mod) % mod
-        return out
-
-
-def chi_project(x: GroupRingElement, chi: Character) -> GroupRingElement:
+def chi_project(x: GroupRingElement) -> GroupRingElement:
     """Project Z/p^N[Delta x Gamma] onto the chi-quotient Z/p^N[Gamma].
 
-    This is the ring surjection sending delta to chi(delta) and fixing Gamma;
-    no 1/|Delta| scaling (that variant fails to preserve 1 and differs only by
-    a unit, so ideals agree).
+    chi is the quadratic character of K: -1 on the K-coordinate of Delta (the
+    first, Z/2) and 1 on the others.  This is the ring surjection sending g
+    to (-1)^{g[0]} times its Gamma coordinate; no 1/|Delta| scaling (that
+    variant fails to preserve 1 and differs only by a unit, so ideals agree).
     """
     ring = x.ring
-    grp = ring.group
-    if chi.delta_divisors != grp.delta_divisors or (chi.p, chi.N) != (ring.p, ring.N):
-        raise MixedAmbient("character does not match the ring's Delta")
-    t = len(grp.delta_divisors)
-    target = ring.chi_quotient
+    if ring.group.delta_divisors[:1] != (2,):
+        raise MixedAmbient("Delta does not start with the K-coordinate Z/2")
     out: dict = {}
     for g, c in x.coeffs.items():
-        delta, gamma = g[:t], g[t:]
-        key = gamma
-        out[key] = out.get(key, 0) + chi(delta) * c
-    return GroupRingElement(target, out)
+        gamma = g[-1:]
+        out[gamma] = out.get(gamma, 0) + (-c if g[0] else c)
+    return GroupRingElement(ring.chi_quotient, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Monte-Carlo construction of the sampled cyclotomic ideals at level
-(m, N): accumulate chi-projected reciprocity values of the derivative class
-kappa(n) over well-ordered auxiliary products n with at most i factors.
+(m, N): accumulate the chi-projections of the reciprocity values of the
+derivative class kappa(n) over well-ordered auxiliary products n with at most
+i factors.  chi is the quadratic character of K, so the projection
+(groupring.chi_project) takes the sign of the K-coordinate of Delta.
 
 Only the class of the basic unit at the full conductor (d = f_K) is drawn.
 The unit at a proper divisor d | f_K, and the a-type unit, lie in a field
-that does not contain K (chi_D has conductor f_K), so the element of Delta
-on which chi is -1 fixes them and their chi-projection is zero (character
-orthogonality): drawing them would only pad the stall window.
+that does not contain K (chi_D has conductor f_K), so the generator of the
+K-coordinate, on which chi is -1, fixes them and their chi-projection is zero
+(character orthogonality): drawing them would only pad the stall window.
 
 The well-ordered chains of auxiliary primes (KolyvaginPrime tuples, as
 kolyvagin_primes yields them) wait in one round-robin queue, shortest first;
@@ -176,7 +178,7 @@ def sample_cyclotomic_ideal(
         except BudgetExhausted:
             continue
         queue.append((chain, qs, cls))
-        proj = chi_project(vec, ctx.chi)
+        proj = chi_project(vec)
         new_ideal = ideal_join(run.ideal, ideal_normal_form([proj], ctx.chi_ring))
         in_fitt = None
         if oracle_fitting is not None:

@@ -26,17 +26,20 @@ from .units import DerivativeClass, derivative_class, evaluate_kappa
 
 def phi_bar(ctx: AbelianFieldCtx, kp: KolyvaginPrime,
             cls: DerivativeClass) -> GroupRingElement:
-    """Reciprocity coordinate at ell applied to kappa(n), in R_{m,N,chi}.
+    """Reciprocity coordinate at ell applied to kappa(n), in R_{m,eff,chi}
+    with eff = min(N_ell, N).
 
-    Defined when ell does not divide n (the class is a unit at ell).  The
-    overall sign convention is ctx.conventions.phi_sign.
+    The dlog vector is taken at level eff and projected at that level by the
+    sign of the K-coordinate (chi_project).  Defined when ell does not divide
+    n (the class is a unit at ell).  The overall sign convention is
+    ctx.conventions.phi_sign.
     """
     ell = kp.ell
     if cls.n % ell == 0:
         raise DividesAux(f"ell = {ell} divides the auxiliary product {cls.n}")
     eff = min(kp.N_ell, ctx.N)
     vec = evaluate_kappa(ctx, cls, ell, level=eff)
-    proj = chi_project(vec, ctx.chi_at(eff))
+    proj = chi_project(vec)
     if ctx.conventions.phi_sign == -1:
         proj = -proj
     return proj

@@ -9,13 +9,14 @@ from cycfit.fields import (
     is_well_ordered,
     kolyvagin_primes,
 )
+from cycfit.groupring import chi_project
 
 
 def test_build_field_flagship():
     ctx = build_field(3, 257, 0, 3)
     assert ctx.f_K == 257
     assert ctx.delta_divisors == (2,)
-    assert ctx.chi((1,)) == 27 - 1
+    assert chi_project(ctx.ring.monomial((1, 0))).coeffs == {(0,): 27 - 1}
     assert kronecker(257, 3) == -1
 
 

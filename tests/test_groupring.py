@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cycfit.errors import MixedAmbient
 from cycfit.groupring import (
-    Character,
     FiniteAbelianGroup,
     GroupRing,
     chi_project,
@@ -23,15 +22,18 @@ def z2_ring(p=3, N=2):
     return GroupRing(FiniteAbelianGroup((2,), 1), p, N)
 
 
-def quadratic_chi(p=3, N=2):
-    mod = p**N
-    return Character((2,), p, N, (mod - 1,))
+def sign_sum(x):
+    """sum_g (-1)^{g[0]} c_g * gamma_g, written out coordinate by coordinate."""
+    out = {}
+    for g, c in x.coeffs.items():
+        out[(g[-1],)] = out.get((g[-1],), 0) + (-1) ** g[0] * c
+    return {k: v % x.ring.mod for k, v in out.items() if v % x.ring.mod}
 
 
 def test_chi_project_identity():
     ring = z2_ring()
     one = ring.one()
-    out = chi_project(one, quadratic_chi())
+    out = chi_project(one)
     assert out.coeffs == {(0,): 1}
 
 
@@ -39,34 +41,46 @@ def test_chi_project_kills_norm_element():
     ring = z2_ring(3, 2)  # Z/9[Z/2]
     sigma = (1, 0)
     x = ring.one() + ring.monomial(sigma)
-    assert chi_project(x, quadratic_chi(3, 2)).is_zero()
+    assert chi_project(x).is_zero()
 
 
 def test_chi_project_one_minus_sigma_is_two():
     ring = z2_ring(3, 2)
     x = ring.one() - ring.monomial((1, 0))
-    out = chi_project(x, quadratic_chi(3, 2))
+    out = chi_project(x)
     assert out.coeffs == {(0,): 2}
 
 
 def test_chi_project_is_ring_hom():
     ring = z2_ring(3, 3)
-    chi = quadratic_chi(3, 3)
     rng = random.Random(11)
     for _ in range(30):
         x = ring.element({g: rng.randrange(27) for g in ring.group.elements()})
         y = ring.element({g: rng.randrange(27) for g in ring.group.elements()})
-        assert chi_project(x * y, chi) == chi_project(x, chi) * chi_project(y, chi)
-        assert chi_project(x + y, chi) == chi_project(x, chi) + chi_project(y, chi)
+        assert chi_project(x * y) == chi_project(x) * chi_project(y)
+        assert chi_project(x + y) == chi_project(x) + chi_project(y)
 
 
-def test_trivial_character_is_coefficient_sum():
-    ring = z2_ring(3, 2)
-    chi0 = Character((2,), 3, 2, (1,))
-    rng = random.Random(5)
-    x = ring.element({g: rng.randrange(9) for g in ring.group.elements()})
-    total = sum(x.coeffs.values()) % 9
-    assert chi_project(x, chi0).coeffs.get((0,), 0) == total
+@pytest.mark.parametrize("delta,gamma,p,N", [
+    ((2, 2), 1, 5, 2),  # p = 5: chi is trivial on the second coordinate
+    ((2,), 3, 3, 2),  # m = 1: the Gamma coordinate is kept
+    ((2, 3), 7, 7, 2),
+])
+def test_chi_project_is_sign_of_k_coordinate(delta, gamma, p, N):
+    ring = GroupRing(FiniteAbelianGroup(delta, gamma), p, N)
+    rng = random.Random(7)
+    for _ in range(10):
+        x = ring.element({g: rng.randrange(ring.mod) for g in ring.group.elements()})
+        out = chi_project(x)
+        assert out.ring == GroupRing(FiniteAbelianGroup((), gamma), p, N)
+        assert out.coeffs == sign_sum(x)
+
+
+@pytest.mark.parametrize("delta", [(), (3,)])
+def test_chi_project_needs_k_coordinate_first(delta):
+    ring = GroupRing(FiniteAbelianGroup(delta, 1), 5, 1)
+    with pytest.raises(MixedAmbient):
+        chi_project(ring.one())
 
 
 def gamma_ring(p=3, N=2, m=1):

@@ -11,7 +11,7 @@ from cycfit.errors import (BadDecomposition, InsufficientPrecision, MixedAmbient
                            NotPrime, Ramified, SplitP)
 from cycfit.fields import AbelianFieldCtx, KolyvaginPrime, build_field
 from cycfit.fitting import Presentation
-from cycfit.groupring import Character, FiniteAbelianGroup, GroupRing, IdealNF
+from cycfit.groupring import FiniteAbelianGroup, GroupRing, IdealNF
 from cycfit.ideals import CycIdealRun, sample_cyclotomic_ideal
 from cycfit.maps import annihilation_suite
 
@@ -90,8 +90,6 @@ def test_runs_start_with_their_own_sample_list():
     (lambda: FiniteAbelianGroup((2,), 0), ValueError),
     (lambda: GroupRing(FiniteAbelianGroup((2,)), 4, 1), NotPrime),
     (lambda: GroupRing(FiniteAbelianGroup((3,)), 3, 1), BadDecomposition),
-    (lambda: Character((2,), 3, 2, (2,)), ValueError),  # 2^2 != 1 mod 9
-    (lambda: Character((6,), 3, 2, (2,)), ValueError),  # 2 has order 6 mod 9, not | p - 1
     (lambda: AbelianFieldCtx(9, 257, 0, 1), NotPrime),
     (lambda: AbelianFieldCtx(3, 9, 0, 1), NotFundamental),
     (lambda: AbelianFieldCtx(3, 257, 1, 1), InsufficientPrecision),

@@ -251,7 +251,7 @@ def test_kappa_chi_valuation_reflects_class_number():
     gen = evaluation_primes(ctx, 1)
     vals = []
     for _ in range(8):
-        v = chi_project(evaluate_kappa(ctx, cls, next(gen)), ctx.chi)
+        v = chi_project(evaluate_kappa(ctx, cls, next(gen)))
         vals.append(val_p(v.coeffs.get((0,), 0), 3, 3))
     assert all(v >= 1 for v in vals)
     assert min(vals) == 1
@@ -260,7 +260,7 @@ def test_kappa_chi_valuation_reflects_class_number():
     cls5 = derivative_class(ctx5, "d", 5, ())
     gen5 = evaluation_primes(ctx5, 1)
     vals5 = [
-        val_p(chi_project(evaluate_kappa(ctx5, cls5, next(gen5)), ctx5.chi).coeffs.get((0,), 0), 3, 2)
+        val_p(chi_project(evaluate_kappa(ctx5, cls5, next(gen5))).coeffs.get((0,), 0), 3, 2)
         for _ in range(8)
     ]
     assert 0 in vals5

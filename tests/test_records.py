@@ -90,6 +90,8 @@ def test_runs_start_with_their_own_sample_list():
     (lambda: FiniteAbelianGroup((2,), 0), ValueError),
     (lambda: GroupRing(FiniteAbelianGroup((2,)), 4, 1), NotPrime),
     (lambda: GroupRing(FiniteAbelianGroup((3,)), 3, 1), BadDecomposition),
+    (lambda: KolyvaginPrime.build(91, 3), ValueError),  # 91 = 7 * 13
+    (lambda: KolyvaginPrime.build(11, 3), ValueError),  # 11 is not 1 mod 3
     (lambda: AbelianFieldCtx(9, 257, 0, 1), NotPrime),
     (lambda: AbelianFieldCtx(3, 9, 0, 1), NotFundamental),
     (lambda: AbelianFieldCtx(3, 257, 1, 1), InsufficientPrecision),

@@ -67,11 +67,6 @@ class AbelianFieldCtx:
         """R_{m,N} = Z/p^N[Gal(F_m/Q)]."""
         return GroupRing(self.group, self.p, self.N)
 
-    @cached_property
-    def chi_ring(self) -> GroupRing:
-        """R_{m,N,chi}, the chi-quotient: Z/p^N[Gamma]."""
-        return self.ring.chi_quotient
-
     def chi_d(self, t: int) -> int:
         """The quadratic character mod the conductor, chi_D = (D|.)."""
         return kronecker(self.D, t)

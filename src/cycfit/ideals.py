@@ -150,7 +150,7 @@ def sample_cyclotomic_ideal(
             raise NegativeArgument(f"the {name} = {value} must be >= 0")
     run = CycIdealRun(
         p=ctx.p, D=ctx.D, m=ctx.m, N=ctx.N, i=i, seed=seed,
-        ideal=base_run.ideal if base_run else IdealNF(ctx.chi_ring, ()),
+        ideal=base_run.ideal if base_run else IdealNF(ctx.ring.chi_quotient, ()),
         samples=list(base_run.samples) if base_run else [],
     )
     if base_run and base_run.status == "BUG":  # pragma: no cover
@@ -179,7 +179,7 @@ def sample_cyclotomic_ideal(
             continue
         queue.append((chain, qs, cls))
         proj = chi_project(vec)
-        new_ideal = ideal_join(run.ideal, ideal_normal_form([proj], ctx.chi_ring))
+        new_ideal = ideal_join(run.ideal, ideal_normal_form([proj], ctx.ring.chi_quotient))
         in_fitt = None
         if oracle_fitting is not None:
             in_fitt = oracle_fitting.contains_vector(proj.vector())

@@ -11,33 +11,39 @@ fixes one embedding of the cyclotomic tower, and a Galois element with
 residue t multiplies root indices by t.  The engine is table driven:
 zeta_M^e = prod_i T_i[e mod m_i] over the conductor components m_i of M,
 with T_i[j] = zeta_M^{j E_i} and E_i the CRT idempotent of m_i.  Norm
-sets are kept per field in residue form R_d x {+-1} (trivial at the
-auxiliary primes), so each +- pair of conjugates is one factor by the
-cyclotomic identity
+sets are in residue form R_d x {+-1} (trivial at the auxiliary primes),
+R_d the chi_D-kernel reduced mod d, so each +- pair of conjugates is one
+factor by the cyclotomic identity
 (1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2,
-A = c T_f[a r mod f_K].  The f_K-component keeps no table: with
-u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, a product walks R_d in increasing
-r, A_{r'} = A_r u^{r' - r}, with the powers u^gap up to the largest gap of
-R_d (the gaps are cached per (f_K, d)).  With no auxiliary prime
-(c = 1) and d > 2 the walk stops below d/2: K is real, so R_d = -R_d, and
-the pair at d - r is the pair at r divided by A_r^2.  The product is then
-the square of the product over R_d+ = {r in R_d : 2 r < d} times
-u^(-2 sum R_d+).  The chi_D-kernel behind the norm sets is the product of
-per-prime-power characters, each tabulated once.
+A = c T_f[a r mod f_K].  The f_K-component keeps no table: the class at
+f_K walks R = R_{f_K}, the chi_D-kernel itself, in increasing r with
+u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, A_{r'} = A_r u^{r' - r}, and the
+powers u^gap up to the largest gap of R (the gaps are cached per f_K).
+With no auxiliary prime (c = 1) the walk stops below f_K/2: K is real, so
+R = -R, and the pair at f_K - r is the pair at r divided by A_r^2.  The
+product is then the square of the product over R+ = {r in R : 2 r < f_K}
+times u^(-2 sum R+).  The chi_D-kernel is the product of per-prime-power
+characters, each tabulated once.
 
-The class at f_K (kind "d", param f_K: every class the sampler draws)
-walks only the conjugates g with g[0] = 0.  The partner g tau (g[0] = 1)
-has the multiplier a n_0 with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1}
-and every auxiliary prime, so at every multi-index the two norm sets are
-the two cosets of the chi_D-kernel in (Z/f_K)^x, and the product of the
-two values is Phi_f(alpha c) Phi_f(c / alpha) with alpha = T_p[a mod p^{m+1}]
-and c = prod_i T_i[a rho_i mod l_i] (c = 1 at n = 1, where the product is
-+-1 at p = 3, m = 0: Apostol, Proc. AMS 24, 1970).  The Moebius form of
-Phi_f reads every c^e and alpha^e from the root tables, one row of cells
-per divisor e of f_K with f_K/e squarefree, and the partner's dlog is the
-dlog of that table, weighted as the walked one, minus the walked one's.
-An h-twist not prime to M (no coset to pair), the proper d and the a-type
-keep one walk per conjugate.
+Every other class is read from the Moebius form
+Phi_d(x) = prod_{e | d} (1 - x^e)^mu(d/e) without a walk
+(EvalContext._mobius_table): its pairs run over all of (Z/d)^x against a
+root of order d, so each cell is Phi_d(alpha c) Phi_d(c / alpha) with
+alpha = T_p[a mod p^{m+1}] and c = prod_i T_i[a rho_i mod l_i] (c = 1 at
+n = 1), every c^e and alpha^e read from the root tables, one row of cells
+per divisor e of d with d/e squarefree.  That covers a unit at a proper
+divisor 1 < d < f_K (chi_D is primitive of conductor f_K, so its norm set
+is all of (Z/d)^x), the a-type (d = 1, where the form is the one pair
+1 - x, a numerator row over a denominator row), and the partner g tau
+(g[0] = 1) of a walked conjugate g of the class at f_K (kind "d", param
+f_K: every class the sampler draws).  The partner has the multiplier a n_0
+with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and every auxiliary prime,
+so at every multi-index the two norm sets are the two cosets of the
+chi_D-kernel, and the product of the two values is Phi_f(alpha c)
+Phi_f(c / alpha) (+-1 at n = 1, p = 3, m = 0: Apostol, Proc. AMS 24, 1970);
+the partner's dlog is the dlog of that table, weighted as the walked one,
+minus the walked one's.  An h-twist not prime to M has no coset to pair
+and walks both conjugates.
 
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
@@ -45,8 +51,9 @@ ambiguity of a derivative class never matters.
 
 Every derivative class evaluates its whole auxiliary orbit at once: for
 one conjugate g, EvalContext.factor_orbit gives the unit's value at every
-multi-index (one cell at n = 1).  At n > 1 the multi-indices move only
-the auxiliary components of the multiplier, so those values are P_g(c)
+multi-index (one cell at n = 1).  A walked conjugate at n > 1 has
+multi-indices that move only the auxiliary components of the multiplier,
+so its values are P_g(c)
 for a root c of mu_n and one polynomial
 P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
 s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P_g(X) =
@@ -157,8 +164,8 @@ class EvalContext:
         self.zeta = root_of_unity(self.field, self.M)
         # CRT idempotents E_i (1 mod m_i, 0 mod the other components) and root
         # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i].
-        # The f_K-component has no row (tables[0] is None): a product over
-        # R_d walks the powers of w_f = zeta^(E_f) instead (_walk_steps)
+        # The f_K-component has no row (tables[0] is None): the walk over the
+        # chi_D-kernel steps by powers of w_f = zeta^(E_f) instead (_walk_steps)
         self.idempotents = [(self.M // mi) * pow(self.M // mi, -1, mi) for mi in self.moduli]
         steps = [pow(self.zeta, e, q) for e in self.idempotents]
         self.w_f = steps[0]
@@ -207,22 +214,21 @@ class EvalContext:
         F_m(mu_{n'})) as adjacent pairs (r, 1), (r, -1): = r mod d (r in the
         chi_D-kernel mod d), = +-1 mod p^{m+1}, = 1 at every auxiliary prime.
         One pair per factor 1 - zeta^e."""
-        return tuple((r, s) for r in _residues(self.ctx.f_K, d) for s in (1, -1))
+        residues = sorted({x % d for x in _kernel(self.ctx.f_K)})
+        return tuple((r, s) for r in residues for s in (1, -1))
 
     def norm_set_a(self) -> tuple[tuple[int, int], ...]:
         """The a-type norm set {1, tau} in the residue form of norm_set_d:
         trivial on the f_K-component, +-1 mod p^{m+1}."""
         return ((1, 1), (1, -1))
 
-    def _walk_steps(self, a: int, d: int,
-                    half: bool = False) -> tuple[tuple[int, ...], list[int]]:
-        """(gaps, steps): the gaps r_0 - 0, r_1 - r_0, ... of the pair
-        residues R_d of norm_set_d(d) in increasing order (the a-type's one
-        residue 1 for d = 1), or with half (d > 2) of its lower half
-        R_d+ = {r in R_d : 2 r < d}, and steps[g] = u^g up to the largest of
+    def _walk_steps(self, a: int, half: bool = False) -> tuple[tuple[int, ...], list[int]]:
+        """(gaps, steps): the gaps r_0 - 0, r_1 - r_0, ... of the
+        chi_D-kernel R in increasing order, or with half of its lower half
+        R+ = {r in R : 2 r < f_K}, and steps[g] = u^g up to the largest of
         those gaps, u = w_f^(a mod f_K) = steps[1].  Multiplying by
         steps[gap] in turn gives T_f[a r mod f_K] for r = r_0, r_1, ..."""
-        gaps, widest, _ = _walk(self.ctx.f_K, d, half)
+        gaps, widest, _ = _walk(self.ctx.f_K, half)
         u = pow(self.w_f, a % self.moduli[0], self.q)
         return gaps, _power_row(u, widest + 1, self.q)
 
@@ -232,61 +238,56 @@ class EvalContext:
 
     # -- unit evaluation ------------------------------------------------------
 
-    def _paired_product(self, a: int, d: int):
-        """prod over (r, +-1) in norm_set_d(d) (norm_set_a() at d = 1) of
-        1 - zeta^(a t), t the multiplier of the pair: the auxiliary primes
-        give the constant c, p^{m+1} gives zeta^(+-b), so each pair is
-        1 - A s + A^2 with A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.
-        A walks R_d in increasing r by the steps of _walk_steps.
+    def _paired_product(self, a: int):
+        """prod over (r, +-1) in norm_set_d(f_K) of 1 - zeta^(a t), t the
+        multiplier of the pair: the auxiliary primes give the constant c,
+        p^{m+1} gives zeta^(+-b), so each pair is 1 - A s + A^2 with
+        A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.  A walks the
+        chi_D-kernel R in increasing r by the steps of _walk_steps.
 
-        With no auxiliary prime (c = 1) and d > 2 the walk takes only
-        R_d+ = {r in R_d : 2 r < d}: K is real, so chi_D is even and
-        R_d = -R_d, while 0 and d/2 are not in R_d.  As a is a multiple of
-        f_K/d, u = T_f[a mod f_K] has u^d = 1, so A_{d-r} = A_r^-1.  With
-        1 - A^-1 s + A^-2 = (1 - A s + A^2) / A^2 the product is
-        (prod_{r in R_d+} (1 - A_r s + A_r^2))^2 u^(-2 sum R_d+)."""
+        With no auxiliary prime (c = 1) the walk takes only
+        R+ = {r in R : 2 r < f_K}: K is real, so chi_D is even and R = -R,
+        while 0 and f_K/2 are not in R (f_K >= 5).  As u = T_f[a mod f_K] has
+        u^f_K = 1, A_{f_K-r} = A_r^-1.  With 1 - A^-1 s + A^-2 =
+        (1 - A s + A^2) / A^2 the product is
+        (prod_{r in R+} (1 - A_r s + A_r^2))^2 u^(-2 sum R+)."""
         q, t_p, p_part = self.q, self.tables[1], self.p_part
         aux = [table[a % mod] for mod, table in zip(self.moduli[2:], self.tables[2:])]
         s = (t_p[a % p_part] + t_p[-a % p_part]) % q
-        half = d > 2 and not aux
-        gaps, steps = self._walk_steps(a, d, half)
+        half = not aux
+        gaps, steps = self._walk_steps(a, half)
         A = math.prod(aux) % q
         out = 1
         for gap in gaps:
             A = A * steps[gap] % q
             out = out * (1 - A * (s - A)) % q
         if half:
-            total = _walk(self.ctx.f_K, d, True)[2]
+            total = _walk(self.ctx.f_K, True)[2]
             out = out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
         return out
 
-    def cyclotomic_resultant(self, mult: int, rows) -> tuple[list, list]:
-        """The d-type unit at f_K with the context's auxiliary support,
-        conjugated by mult * lift({l_i: rho_i}), times the same at
-        mult n_0 * lift({l_i: rho_i}), with chi_D(n_0) = -1 and n_0 = 1 modulo
-        p^{m+1} and every l_i, for every rho in rows[0] x ... x rows[r-1],
-        row-major (mult prime to M): a factor_orbit table (numerators,
-        denominators) of the cells of factor_orbit at mult times those at
-        mult n_0.
+    def _mobius_table(self, a: int, d: int, rows) -> tuple[list, list]:
+        """prod_{e | d} (1 - c^e (s_e - c^e))^mu(d/e) for every
+        rho in rows[0] x ... x rows[r-1], row-major, as a factor_orbit table:
+        the divisors with mu(d/e) = 1 give the numerators, those with
+        mu(d/e) = -1 the denominators.  Here s_e = alpha^e + alpha^-e with
+        alpha = T_p[a mod p^{m+1}], and c = prod_i T_i[a rho_i mod l_i]
+        (c = 1 at n = 1, where there are no rows and one cell).
 
-        With a = u mult the two norm sets a R_{f_K} and a n_0 R_{f_K} are the
-        two cosets of the chi_D-kernel, so together they run over all of
-        (Z/f_K)^x, and a cell's pairs are (1 - w^j alpha c)(1 - w^j c / alpha)
-        for j in (Z/f_K)^x, w = T_f[a mod f_K], alpha = T_p[a mod p^{m+1}] and
-        c = prod_i T_i[a rho_i mod l_i] (c = 1 at n = 1).  As
-        prod_{j in (Z/f)^x} (1 - w^j x) = Phi_f(x) = prod_{e | f} (1 - x^e)^mu(f/e)
-        (f > 2), the cell is Phi_f(alpha c) Phi_f(c / alpha), and with
-        x = c^e, s_e = alpha^e + alpha^-e each divisor contributes
+        With x = c^e each divisor contributes
         (1 - x alpha^e)(1 - x / alpha^e) = 1 - x (s_e - x), read from the
-        tables T_p and T_i: the divisors with mu(f/e) = 1 to the numerators,
-        those with mu(f/e) = -1 to the denominators.  alpha c has a component
-        of order p^{m+1}, prime to f, so no factor is 0.  At n = 1 (no rows)
-        the one cell is Phi_f(alpha) Phi_f(1 / alpha) =
-        prod_{e | f} (2 - alpha^e - alpha^-e)^mu(f/e)."""
+        tables T_p and T_i, so the cell is Phi_d(alpha c) Phi_d(c / alpha)
+        for Phi_d(x) = prod_{e | d} (1 - x^e)^mu(d/e) (1 - x at d = 1).  For
+        w of exact order d > 1, prod_{j in (Z/d)^x} (1 - w^j x) = Phi_d(x), so
+        when w = T_f[a mod f_K] has order d the cell is the product of the
+        pairs (1 - w^j alpha c)(1 - w^j c / alpha) over all of (Z/d)^x.  The
+        table reads no f_K-component of a: any w of order d gives it.  At d = 1
+        the numerator is the one pair (1 - alpha c)(1 - c / alpha) and the
+        denominators are 1.  alpha c has a component of order p^{m+1}, prime
+        to d, so no factor is 0."""
         q, t_p, p_part = self.q, self.tables[1], self.p_part
-        a = self._factor_multipliers("d", self.ctx.f_K, self.aux)[0] * mult
         parts = []
-        for divisors in _mobius_divisors(self.ctx.f_K):
+        for divisors in _mobius_divisors(d):
             cells = [1] * math.prod(map(len, rows))
             for e in divisors:
                 ae = a * e
@@ -298,8 +299,22 @@ class EvalContext:
             parts.append(cells)
         return parts[0], parts[1]
 
-    def _paired_orbit(self, a: int, d: int, rows) -> list:
-        """_paired_product(a * lift({l_i: rho_i}), d) for every
+    def cyclotomic_resultant(self, mult: int, rows) -> tuple[list, list]:
+        """The d-type unit at f_K with the context's auxiliary support,
+        conjugated by mult * lift({l_i: rho_i}), times the same at
+        mult n_0 * lift({l_i: rho_i}), with chi_D(n_0) = -1 and n_0 = 1 modulo
+        p^{m+1} and every l_i, for every rho in rows[0] x ... x rows[r-1],
+        row-major (mult prime to M): the _mobius_table at d = f_K.
+
+        With a = u mult the two norm sets a R and a n_0 R are the two cosets
+        of the chi_D-kernel R, so together they run over all of (Z/f_K)^x
+        against w = T_f[a mod f_K] of order f_K.  At n = 1 the one cell is
+        Phi_f(alpha) Phi_f(1 / alpha) = prod_{e | f} (2 - alpha^e - alpha^-e)^mu(f/e)."""
+        a = self._factor_multipliers("d", self.ctx.f_K, self.aux)[0] * mult
+        return self._mobius_table(a, self.ctx.f_K, rows)
+
+    def _paired_orbit(self, a: int, rows) -> list:
+        """_paired_product(a * lift({l_i: rho_i})) for every
         (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
 
         For one cell (every row one residue, or no auxiliary prime) the cell
@@ -307,9 +322,9 @@ class EvalContext:
         the multiplier move, so B_r = T_f[a r mod f_K] (walked in full as in
         _walk_steps) and s are fixed and every value is P(c) at the root
         c = prod_i T_i[a rho_i mod l_i] of mu_n, with
-        P(X) = prod_{r in R_d} (1 - B_r s X + B_r^2 X^2).  As s =
+        P(X) = prod_{r in R} (1 - B_r s X + B_r^2 X^2).  As s =
         alpha + 1/alpha with alpha = T_p[a mod p^{m+1}] in F_q, P(X) =
-        Q(alpha X) Q(X / alpha) with Q(Y) = prod_{r in R_d} (1 - B_r Y).  Q
+        Q(alpha X) Q(X / alpha) with Q(Y) = prod_{r in R} (1 - B_r Y).  Q
         comes from a product tree of exact Kronecker products over linear
         leaves; alpha^t depends on t mod p^{m+1} only, so every node is a
         cyclic poly_mul mod X^(n p^{m+1}) - 1, folded on the big integer.
@@ -320,11 +335,11 @@ class EvalContext:
         mu_{l_i} by _chirp_axis."""
         ells = self.moduli[2:]
         if all(len(row) == 1 for row in rows):
-            return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M, d)
+            return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M)
                     for rho in iter_product(*rows)]
         q, t_p, p_part = self.q, self.tables[1], self.p_part
         n = math.prod(ells)
-        gaps, steps = self._walk_steps(a, d)
+        gaps, steps = self._walk_steps(a)
         B = 1
         polys = []
         for i in range(0, len(gaps), _LEAF):
@@ -352,9 +367,9 @@ class EvalContext:
         return cells
 
     def _factor_multipliers(self, kind: str, param: int, aux_subset: tuple[int, ...]):
-        """(u, u_den, d): the factor at multiplier t is paired(u t, d) /
-        paired(u_den t, d), without the denominator when u_den is None
-        (d-type); d = 1 selects the a-type norm set."""
+        """(u, u_den, d): the factor at multiplier t is the unit at d (the
+        chi_D-kernel walk at d = f_K, _mobius_table below it) at u t, over
+        the same at u_den t when u_den is not None (a-type, d = 1)."""
         n_sub = math.prod(aux_subset) if aux_subset else 1
         M = self.M
         p_m = self.ctx.p**self.ctx.m
@@ -380,13 +395,20 @@ class EvalContext:
         conjugated by mult * lift({l_i: rho_i}), for every rho in
         rows[0] x ... x rows[r-1] (one row of residues per auxiliary prime of
         the context; no rows and one value at n = 1), row-major, as
-        (numerators, denominators); the denominators are None for a d-type
-        factor."""
+        (numerators, denominators).  The class at f_K walks the
+        chi_D-kernel (_paired_orbit), and its denominators are None.  Every
+        other class is a _mobius_table: a proper divisor d at u mult, which
+        needs mult prime to M (else w = T_f[a mod f_K] may have order below
+        d, and ValueError is raised), and the a-type as the numerators at
+        d = 1 of u mult over those of u_den mult."""
         u, u_den, d = self._factor_multipliers(kind, param, aux_subset)
-        num = self._paired_orbit(u * mult % self.M, d, rows)
+        if d == self.ctx.f_K:
+            return self._paired_orbit(u * mult % self.M, rows), None
         if u_den is None:
-            return num, None
-        return num, self._paired_orbit(u_den * mult % self.M, d, rows)
+            if math.gcd(mult, self.M) != 1:
+                raise ValueError(f"multiplier {mult} is not prime to M = {self.M}")
+            return self._mobius_table(u * mult, d, rows)
+        return tuple(self._mobius_table(t * mult, 1, rows)[0] for t in (u, u_den))
 
     # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def symbol_value(self, cls: DerivativeClass, mult: int):
@@ -484,23 +506,13 @@ def _kernel(f: int) -> tuple[int, ...]:
     return tuple(compress(range(f), map((1).__eq__, chi)))
 
 
-def _residues(f: int, d: int) -> tuple[int, ...]:
-    """R_d, the pair residues of norm_set_d(d) for the conductor f = f_K,
-    sorted: the kernel of chi_D at d = f, and all of (Z/d)^x at a proper
-    divisor d, onto which the kernel maps because chi_D is primitive of
-    conductor f."""
-    if d == f:
-        return _kernel(f)
-    return tuple(x for x in range(1, d) if math.gcd(x, d) == 1)
-
-
 @lru_cache(maxsize=4)
-def _walk(f: int, d: int, half: bool) -> tuple[tuple[int, ...], int, int]:
-    """(the gaps from 0 of R_d in increasing order, the largest gap, the
-    sum of R_d) for the conductor f = f_K, or with half (d > 2) the same
-    for R_d+ = {r in R_d : 2 r < d}: R_d = -R_d, so R_d+ is the first half
-    of R_d.  d = 1 walks the a-type's one residue 1."""
-    residues = _residues(f, d) if d > 1 else (1,)
+def _walk(f: int, half: bool) -> tuple[tuple[int, ...], int, int]:
+    """(the gaps from 0 of the chi_D-kernel R in increasing order, the
+    largest gap, the sum of R) for the conductor f = f_K, or with half the
+    same for R+ = {r in R : 2 r < f}: R = -R, so R+ is the first half
+    of R."""
+    residues = _kernel(f)
     if half:
         residues = residues[:len(residues) // 2]
     gaps = tuple(b - a for a, b in zip((0,) + residues, residues))
@@ -508,12 +520,12 @@ def _walk(f: int, d: int, half: bool) -> tuple[tuple[int, ...], int, int]:
 
 
 @lru_cache(maxsize=2)
-def _mobius_divisors(f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The divisors e of f with mu(f/e) = 1, and those with mu(f/e) = -1."""
-    primes = list(factorint(f))
+def _mobius_divisors(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divisors e of d with mu(d/e) = 1, and those with mu(d/e) = -1."""
+    primes = list(factorint(d))
     out: tuple[list[int], list[int]] = ([], [])
     for picks in iter_product((0, 1), repeat=len(primes)):
-        out[sum(picks) % 2].append(f // math.prod(compress(primes, picks)))
+        out[sum(picks) % 2].append(d // math.prod(compress(primes, picks)))
     return tuple(out[0]), tuple(out[1])
 
 

@@ -7,10 +7,11 @@ and tame-generator powers; derivative-class vectors are compared on small
 expansions at n = 1, l and l_1 l_2, and the class at f_K, whose
 chi_D-odd conjugates come from a cyclotomic resultant at every cell, at
 p = 3, 5, 7 and m = 0, 1, with and without auxiliary primes.  The orbit
-tables of EvalContext.factor_orbit, the walk of evaluate_kappa (the
-transform for n > 1, one paired product per cell at n = 1), are compared
-at every multi-index, and the resultant's cells against the walked
-conjugates and Phi_f itself.
+tables of EvalContext.factor_orbit (for the class at f_K the walk of
+evaluate_kappa: the transform for n > 1, one paired product per cell at
+n = 1; a Moebius table for every other class) are compared at every
+multi-index, and the resultant's cells against the walked conjugates and
+Phi_f itself.
 """
 
 import math
@@ -289,9 +290,11 @@ def test_h_twists_change_factor_values_but_not_kappa():
 # (D, m, N, chain length, level, h-twist exponent): chains of one and two
 # primes; D = 785 has deg P = 2 |R_785| = 624 above l = 109 and above
 # 7 * 43, so its fold wraps; m = 1 has p^{m+1} = 9 and six conjugates.
-# deg Q = |R_d| exceeds n p^{m+1} at D = 1937, l = 61 (888 > 183) and at
+# deg Q = |R_D| exceeds n p^{m+1} at D = 1937, l = 61 (888 > 183) and at
 # D = 785, m = 1, l = 7 (312 > 63), so the nodes of the tree for Q fold
-# too; 7 is 1 mod 3 but not mod 9.
+# too; 7 is 1 mod 3 but not mod 9.  1016 = 8 * 127 has the composite
+# proper divisors 254 and 508, whose Moebius tables have divisors of both
+# signs.
 ORBIT_CASES = [
     (257, 0, 3, 1, 3, None),
     (785, 0, 3, 1, 3, 2),
@@ -300,6 +303,7 @@ ORBIT_CASES = [
     (785, 0, 1, 2, 1, None),
     (1937, 0, 1, 1, 1, None),
     (785, 1, 2, 1, 1, 2),
+    (1016, 0, 1, 1, 1, None),
 ]
 
 
@@ -317,19 +321,41 @@ def test_factor_orbits_match_reference(D, m, N, r, level, w):
         assert len(ev.norm_set_d(D)) // 2 > math.prod(ells) * ev.p_part
     rows = [[pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1)] for kp in kps]
     twist = ev.lift({ells[-1]: w}) if w else 1
-    divisor = min(d for d in range(2, D + 1) if D % d == 0)
+    # the class at f_K walks the chi_D-kernel; every proper divisor and the
+    # a-type are Moebius tables
+    classes = [("d", d) for d in range(2, D + 1) if D % d == 0] + [("a", 2)]
     cosets = set()
     for g in ctx.group.elements():
         t_g = ev.delta_lift(g) * twist % ev.M
         cosets.add(ctx.chi_d(t_g % ctx.f_K))
-        for kind, param in (("d", D), ("d", divisor), ("a", 2)):
+        for kind, param in classes:
             num, den = ev.factor_orbit(kind, param, ells, t_g, rows)
-            assert (den is None) == (kind == "d")
+            assert (den is None) == ((kind, param) == ("d", D))
             for i, rhos in enumerate(iter_product(*rows)):
                 mult = t_g * ev.lift(dict(zip(ells, rhos))) % ev.M
                 got = num[i] if den is None else num[i] * pow(den[i], -1, q) % q
                 assert got == ref.factor_value(ev, kind, param, ells, mult)
     assert cosets == {1, -1}
+
+
+def test_proper_divisor_needs_multiplier_prime_to_conductor():
+    # the Moebius table reads Phi_d, which is the product over the norm set
+    # only when w = T_f[a mod f_K] has order d: at D = 473 = 11 * 43 the
+    # multiplier 43 mod f_K leaves w of order 1 at d = 43, so the table
+    # differs from the walk there; factor_orbit rejects every multiplier
+    # not prime to M, and 2 mod f_K agrees with the reference
+    ctx = build_field(3, 473, 0, 3)
+    q = next(evaluation_primes(ctx, 1, level=3))
+    ev = EvalContext(ctx, (), q)
+    u = ev._factor_multipliers("d", 43, ())[0]
+    bad = ev.lift({473: 43})
+    num, den = ev._mobius_table(u * bad, 43, [])
+    assert num[0] * pow(den[0], -1, q) % q != ref.factor_value(ev, "d", 43, (), bad)
+    for w in (43, 11):
+        with pytest.raises(ValueError):
+            ev.factor_orbit("d", 43, (), ev.lift({473: w}), [])
+    good = ev.lift({473: 2})
+    assert ev.factor_value("d", 43, (), good) == ref.factor_value(ev, "d", 43, (), good)
 
 
 @pytest.mark.parametrize("D,m,N,r,level,w", ORBIT_CASES[:3])

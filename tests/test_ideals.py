@@ -34,10 +34,10 @@ def test_chains_stop_at_the_field_budget():
 def test_stabilized_predicate():
     ctx = build_field(3, 257, 0, 3)
     empty = CycIdealRun(p=3, D=257, m=0, N=3, i=0, seed=0,
-                        ideal=IdealNF(ctx.chi_ring, ()))
+                        ideal=IdealNF(ctx.ring.chi_quotient, ()))
     assert not stabilized(empty, 5)
     unit = CycIdealRun(p=3, D=257, m=0, N=3, i=0, seed=0,
-                       ideal=IdealNF(ctx.chi_ring, ((1,),)))
+                       ideal=IdealNF(ctx.ring.chi_quotient, ((1,),)))
     assert stabilized(unit, 5)
 
 

@@ -26,7 +26,6 @@ from cycfit.units import (
     _chirp_axis,
     _kernel,
     _orbit_value,
-    _residues,
     _walk,
     norm_relation_check,
     splits_completely,
@@ -164,31 +163,28 @@ def _context_over(D):
 def test_norm_sets_from_component_tables():
     # both 2-parts (4 || 12, 8 || 24) and odd components of both signs at -1
     # (r = 3 mod 4 at 12, r = 1 mod 4 at 5); 32009 and 39992 lie beyond the
-    # D < 2000 corpus.  _residues gives R_d, norm_set_d pairs it
+    # D < 2000 corpus.  norm_set_d pairs R_d, the kernel reduced mod d; the
+    # kernel itself is walked, in full or in its lower half
     for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009, 39992]:
         direct = [x for x in range(1, D) if math.gcd(x, D) == 1 and kronecker(D, x) == 1]
         assert _kernel(D) == tuple(direct), D
         ev = _context_over(D)
         for d in (d for d in range(2, D + 1) if D % d == 0):
             residues = tuple(sorted({x % d for x in direct}))
-            assert _residues(D, d) == residues, (D, d)
             assert ev.norm_set_d(d) == tuple((r, s) for r in residues for s in (1, -1)), (D, d)
-            gaps = [b - a for a, b in zip((0,) + residues, residues)]
-            assert _walk(D, d, False) == (tuple(gaps), max(gaps), sum(residues)), (D, d)
             if d > 2:
-                # chi_D is even, so R_d = -R_d, and 0, d/2 are not units mod d:
-                # R_d+ = {r : 2 r < d} is the first half of R_d
+                # chi_D is even, so R_d = -R_d, and 0, d/2 are not units mod d
                 assert residues == tuple(sorted(d - r for r in residues)), (D, d)
                 assert 0 not in residues and d / 2 not in residues, (D, d)
-                h = len(residues) // 2
-                assert all(2 * r < d for r in residues[:h]), (D, d)
-                assert all(2 * r > d for r in residues[h:]), (D, d)
-                assert _walk(D, d, True) == (tuple(gaps[:h]), max(gaps[:h]),
-                                             sum(residues[:h])), (D, d)
             else:
-                # d = 2: the one residue 1, so no half walk (the engine halves
-                # only at d > 2)
+                # d = 2: the one residue 1
                 assert residues == (1,), (D, d)
+        # R+ = {r : 2 r < D} is the first half of the kernel R
+        gaps = [b - a for a, b in zip([0] + direct, direct)]
+        h = len(direct) // 2
+        assert all(2 * r < D for r in direct[:h]) and all(2 * r > D for r in direct[h:]), D
+        assert _walk(D, False) == (tuple(gaps), max(gaps), sum(direct)), D
+        assert _walk(D, True) == (tuple(gaps[:h]), max(gaps[:h]), sum(direct[:h])), D
 
 
 def test_proper_divisor_norm_sets_are_all_units():
@@ -196,10 +192,10 @@ def test_proper_divisor_norm_sets_are_all_units():
     # (Z/d)^x for every proper divisor d
     pairs = 0
     for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009]:
-        kernel = _kernel(D)
+        ev = _context_over(D)
         for d in (d for d in range(2, D) if D % d == 0):
             units = tuple(x for x in range(d) if math.gcd(x, d) == 1)
-            assert _residues(D, d) == units == tuple(sorted({x % d for x in kernel})), (D, d)
+            assert ev.norm_set_d(d) == tuple((r, s) for r in units for s in (1, -1)), (D, d)
             pairs += 1
     assert pairs == 2628
 
@@ -361,8 +357,9 @@ def test_a_type_norm_relation_at_level_one(D, chain):
 
 @pytest.mark.parametrize("kind,param", [("d", 257), ("a", 2)])
 def test_one_cell_table_is_one_paired_product(kind, param):
-    # rows of one residue each give one cell, evaluated as one paired product;
-    # it equals factor_value and the same cell of the full transform table
+    # rows of one residue each give one cell: one paired product for the
+    # class at f_K, one Moebius cell at d = 1 for the a-type; it equals
+    # factor_value and the same cell of the full table
     ctx = build_field(3, 257, 0, 1)
     chain = (13, 79)
     q = next(evaluation_primes(ctx, math.prod(chain), level=1))

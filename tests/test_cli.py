@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import cycfit
 from cycfit import cli, combined
 from cycfit.classgroup import narrow_class_group
 from cycfit.cli import _sanitize, build_parser, main, run_verify
+from test_acceptance import corpus_discriminants
 
 
 def run_cli(capsys, argv):
@@ -64,6 +66,92 @@ def test_reports_are_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
     assert out1 == out2
+
+
+# sha256 of stdout and the exit code of each command line, and one digest
+# over the criterion-2 reports of the corpus in ascending D (each report
+# hashed as its stdout line).  A change that alters any report must
+# re-record this table.
+PINNED_REPORTS = [
+    ("verify -p 3 -D 5 --quiet", 0,
+     "8cb6d7847eac6e8fe0176e0a4b292d7e2f126ac46de73c03017a6f93235c3a9c"),
+    ("verify -p 3 -D 8 --quiet", 0,
+     "cfe08ab4277c088aa203302bb8947800f8e47a1e0a5dcc24ecade972f4f784bc"),
+    ("verify -p 3 -D 257 --quiet", 0,
+     "c9c04c554382748f5c28893fa163aca26be01feb7310b16ed7a72cf161b9b1f8"),
+    ("verify -p 3 -D 473 --quiet", 0,
+     "0ca71c372aa2f86c3d3a6c3a0feec07c137f354a27abf60f31e43d275d054685"),
+    ("verify -p 3 -D 785 --quiet", 0,
+     "61ecfb82c7fe52697c9c1ea2e3dc31e94fcc005eed54bd5c2a74d5afcf40a7e2"),
+    ("verify -p 3 -D 1229 --quiet", 0,
+     "73fda1da82ae5ab2c7563a36f21c3282a493c4afd698d079c38a6739fa3166e3"),
+    ("verify -p 3 -D 1937 --quiet", 0,
+     "0531a0d31a1572b6c88fbcc0bb415cecda953c2715ad72631dafbb123315a3f9"),
+    ("verify -p 3 -D 3137 --quiet", 0,
+     "5914344fafe62abe60d83d728679f87780362ac5f2cb9bc3c8ed426a138418b5"),
+    ("verify -p 3 -D 4409 --quiet", 0,
+     "7d254f16578f88c9fdbfb528afcf41c0b102af0bf48baa713691d564802e2611"),
+    ("verify -p 3 -D 257 --flip-sigma --quiet", 3,
+     "acb149d03c93d9fe443f6aae2a1a5d4b0bebfe18c4f93e0a44fd5f821d9d9abc"),
+    ("verify -p 5 -D 8 --quiet", 0,
+     "115285c2f7156556bceb62c65fdd53f25d74b12badf38ebc23135b3cbe33086f"),
+    ("verify -p 7 -D 5 --quiet", 0,
+     "1080e4a9ce10b4eee451fc9e75172aa2e18be810ee995f4732fce48195b9ba54"),
+    ("ideal -D 257 -N 3 -i 1", 0,
+     "bb27ebfac81682a033c4adcfa5f3edf3d1fd9ac76e68ffb906b2592b9f8d7f1c"),
+    ("ideal -D 257 -N 3 -i 4", 0,
+     "ed9f64388058bf90e4e069dad7144bb8897c7d098a739c688cc666460600fe0a"),
+    ("classgroup -D 257", 0,
+     "ecd338a6317f5785ce33ca7fb051bb43319901a9654279d8c63b7b4bb97a9ad1"),
+    ("primes -D 257 -N 1 --count 10", 0,
+     "ca4185abed71dddb4c2fd2fcbe2bd74c9d4489b2d5cccad1e1fd3219638050a1"),
+    ("formal --eps-max 3", 0,
+     "a34b19e275d71992b1a1e6587daaedc442a3a96e3766c538ca17bc0decb60b91"),
+    ("fitting -p 3 -N 5 2 1", 0,
+     "0d13527609b052d438c53faf6aa3911ddf5fc530d842c9269ed59dba0efe5293"),
+    ("kappa -D 257 -q 1543 --kind a --param 0", 17,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("kappa -D 257 -N 3 -q 13879", 0,
+     "8dd085a952c0d69484df1e1f3e0415130e09f8cd956ac81e3c54aa85ab00e516"),
+    ("kappa -D 8 -q 4", 7,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("kappa -D 257 -N 1 -q 20047 --chain 13", 0,
+     "5d9687b7e2d6c727a2cf142a768294b466de6035e5de77748bacdcfa26d9f999"),
+    ("kappa -D 257 -N 1 -q 11085439 --chain 13 79", 0,
+     "cb2d5e8bb36e0501990e2ae3c91701c3bcaae14bdd61c189aee0bf438a0c30b6"),
+    ("kappa -p 5 -D 8 -N 2 -q 401", 0,
+     "cc98274e54e867cff762b41c791d81c07cfb0b0627026746e8153652fd12a3f8"),
+    ("kappa -p 7 -D 5 -N 2 -q 491", 0,
+     "24e3a93e75e09429f152742b7d75be686a383143bbbcea16cbf35e5b82dfc4a4"),
+    ("kappa -D 257 -q 787", 15,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("kappa -D 473 -N 3 -q 127711 --kind d --param 43", 0,
+     "b8b7282706bcd4b6823a88144cebc7b09e464e15d071bfc918da2289b7be5404"),
+    ("kappa -D 785 -N 1 -q 32971 --chain 7 --kind d --param 157", 0,
+     "5dd8a9c27ebb85846c7259574b8024f54b7507d5dbebe159c707efe313bcfd33"),
+    ("kappa -D 257 -N 1 -q 11085439 --chain 13 79 --kind a --param 2", 0,
+     "63865d45fa7671a210f30a7d3ea71ba4717d70dc005124f0297f85021f10a008"),
+    ("kappa -p 5 -D 8 -N 1 -q 8681 --chain 31", 0,
+     "0ef3e858a34905491da96047891c680cab82ff33cc973c66b92943731e1293b9"),
+    ("kappa -p 7 -D 5 -N 1 -q 6091 --chain 29", 0,
+     "1130bc15c602af519ea51b87ac2da288e2652aca2e341be3204a2246347e233c"),
+]
+PINNED_CORPUS = "7b2ffa30a2e192b65bc442eec992f0cd6c5ffdf2185bfff7513c00bb2f6e9e91"
+
+
+def test_reports_match_pinned_digests(capsys):
+    got = []
+    for argv, _, _ in PINNED_REPORTS:
+        code, out, _ = run_cli(capsys, argv.split())
+        got.append((argv, code, hashlib.sha256(out.encode()).hexdigest()))
+    digest = hashlib.sha256()
+    for D in sorted(corpus_discriminants()):
+        report = run_verify(3, D, i_max=2, budget=500, window=50, seed=0,
+                            anni_count=0, quiet=True)
+        digest.update(json.dumps(_sanitize(report), sort_keys=True,
+                                 separators=(",", ":")).encode() + b"\n")
+    assert [row for row, want in zip(got, PINNED_REPORTS) if row != want] == []
+    assert digest.hexdigest() == PINNED_CORPUS
 
 
 def test_classgroup_command(capsys):

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .arith import val_p
+from .arith import is_prime, val_p
 from .errors import BadDecomposition, MixedAmbient, NotPrime
-from .arith import is_prime
 
 
 class FiniteAbelianGroup:

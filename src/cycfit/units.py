@@ -51,10 +51,11 @@ ambiguity of a derivative class never matters.
 
 Every derivative class evaluates its whole auxiliary orbit at once: for
 one conjugate g, EvalContext.factor_orbit gives the unit's value at every
-multi-index (one cell at n = 1).  A walked conjugate at n > 1 has
+multi-index (one cell at n = 1).  An EvalContext evaluates units of its
+own auxiliary support only; the unit eta(n/l) of norm_relation_check is
+read in a context of its own.  A walked conjugate at n > 1 has
 multi-indices that move only the auxiliary components of the multiplier,
-so its values are P_g(c)
-for a root c of mu_n and one polynomial
+so its values are P_g(c) for a root c of mu_n and one polynomial
 P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
 s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P_g(X) =
 Q(alpha X) Q(X / alpha) for Q(Y) = prod_r (1 - B_r Y), of half the degree.
@@ -65,8 +66,9 @@ folded mod X^n - 1 and multiplied once, cyclically mod X^n - 1, the
 product spread onto one axis per auxiliary prime, and each axis is
 evaluated at all of mu_l by a chirp-z transform over the root table T_l
 that packs each line only up to its last nonzero entry; a multi-index
-reads its value at its residues mod l_i.  A one-cell table (n = 1, or one
-residue per auxiliary prime) is one paired product.  Nothing is cached per
+reads its value at its residues mod l_i.  At n = 1 the one cell is one
+paired product; one residue per auxiliary prime at n > 1 is one cell of
+the same transform (a chirp with one pick).  Nothing is cached per
 multiplier: every walked conjugate and twist is evaluated afresh (with its
 own tree and chirps), a partner reads only its walked conjugate's dlog, and
 an orbit table lives only for one conjugate of one evaluate_kappa call (or
@@ -139,8 +141,8 @@ def derivative_class(ctx: AbelianFieldCtx, kind: str, param: int,
 
 
 class EvalContext:
-    """Shared state for evaluating basic circular units with auxiliary
-    support dividing n at one evaluation prime q.
+    """Shared state for evaluating basic circular units with the auxiliary
+    support n = l_1 ... l_r at one evaluation prime q.
 
     Conductor components are (f_K, p^{m+1}, l_1, ..., l_r); multipliers are
     residues modulo the master modulus M = f_K * p^{m+1} * n.  q must be
@@ -154,11 +156,12 @@ class EvalContext:
         self.aux = tuple(aux)
         self.q = q
         self.p_part = ctx.p ** (ctx.m + 1)
+        self.n = math.prod(self.aux)
         self.moduli = [ctx.f_K, self.p_part] + list(self.aux)
         self.M = math.prod(self.moduli)
         if math.gcd(q, self.M) != 1:
             raise ConductorClash(f"q = {q} divides the symbol conductor")
-        if not splits_completely(ctx, q, math.prod(self.aux), 0):
+        if not splits_completely(ctx, q, self.n, 0):
             raise NotSplit(f"q = {q} is not 1 mod M = {self.M}")
         self.field: FieldCtx = make_field(q)
         self.zeta = root_of_unity(self.field, self.M)
@@ -240,31 +243,25 @@ class EvalContext:
 
     def _paired_product(self, a: int):
         """prod over (r, +-1) in norm_set_d(f_K) of 1 - zeta^(a t), t the
-        multiplier of the pair: the auxiliary primes give the constant c,
-        p^{m+1} gives zeta^(+-b), so each pair is 1 - A s + A^2 with
-        A = c * T_f[a r mod f_K] and s = zeta^b + zeta^-b.  A walks the
-        chi_D-kernel R in increasing r by the steps of _walk_steps.
+        multiplier of the pair, at n = 1: p^{m+1} gives zeta^(+-b), so each
+        pair is 1 - A s + A^2 with A = T_f[a r mod f_K] and
+        s = zeta^b + zeta^-b.
 
-        With no auxiliary prime (c = 1) the walk takes only
-        R+ = {r in R : 2 r < f_K}: K is real, so chi_D is even and R = -R,
-        while 0 and f_K/2 are not in R (f_K >= 5).  As u = T_f[a mod f_K] has
+        The walk takes only R+ = {r in R : 2 r < f_K} in increasing r by the
+        steps of _walk_steps: K is real, so chi_D is even and R = -R, while
+        0 and f_K/2 are not in R (f_K >= 5).  As u = T_f[a mod f_K] has
         u^f_K = 1, A_{f_K-r} = A_r^-1.  With 1 - A^-1 s + A^-2 =
         (1 - A s + A^2) / A^2 the product is
         (prod_{r in R+} (1 - A_r s + A_r^2))^2 u^(-2 sum R+)."""
         q, t_p, p_part = self.q, self.tables[1], self.p_part
-        aux = [table[a % mod] for mod, table in zip(self.moduli[2:], self.tables[2:])]
         s = (t_p[a % p_part] + t_p[-a % p_part]) % q
-        half = not aux
-        gaps, steps = self._walk_steps(a, half)
-        A = math.prod(aux) % q
-        out = 1
+        gaps, steps = self._walk_steps(a, True)
+        A = out = 1
         for gap in gaps:
             A = A * steps[gap] % q
             out = out * (1 - A * (s - A)) % q
-        if half:
-            total = _walk(self.ctx.f_K, True)[2]
-            out = out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
-        return out
+        total = _walk(self.ctx.f_K, True)[2]
+        return out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
 
     def _mobius_table(self, a: int, d: int, rows) -> tuple[list, list]:
         """prod_{e | d} (1 - c^e (s_e - c^e))^mu(d/e) for every
@@ -310,17 +307,18 @@ class EvalContext:
         of the chi_D-kernel R, so together they run over all of (Z/f_K)^x
         against w = T_f[a mod f_K] of order f_K.  At n = 1 the one cell is
         Phi_f(alpha) Phi_f(1 / alpha) = prod_{e | f} (2 - alpha^e - alpha^-e)^mu(f/e)."""
-        a = self._factor_multipliers("d", self.ctx.f_K, self.aux)[0] * mult
+        a = self._factor_multipliers("d", self.ctx.f_K)[0] * mult
         return self._mobius_table(a, self.ctx.f_K, rows)
 
     def _paired_orbit(self, a: int, rows) -> list:
-        """_paired_product(a * lift({l_i: rho_i})) for every
+        """The paired product over norm_set_d(f_K) of 1 - zeta^(a t), t the
+        multiplier of the pair, conjugated by lift({l_i: rho_i}) for every
         (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
 
-        For one cell (every row one residue, or no auxiliary prime) the cell
-        is one _paired_product.  Otherwise only the auxiliary components of
-        the multiplier move, so B_r = T_f[a r mod f_K] (walked in full as in
-        _walk_steps) and s are fixed and every value is P(c) at the root
+        At n = 1 the one cell is _paired_product(a).  Otherwise only the
+        auxiliary components of the multiplier move, so B_r =
+        T_f[a r mod f_K] (walked in full as in _walk_steps) and s are fixed
+        and every value is P(c) at the root
         c = prod_i T_i[a rho_i mod l_i] of mu_n, with
         P(X) = prod_{r in R} (1 - B_r s X + B_r^2 X^2).  As s =
         alpha + 1/alpha with alpha = T_p[a mod p^{m+1}] in F_q, P(X) =
@@ -332,13 +330,11 @@ class EvalContext:
         alpha^n != 1), the halves are multiplied once, cyclically mod
         X^n - 1, the coefficient of X^t goes to the cell
         (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
-        mu_{l_i} by _chirp_axis."""
-        ells = self.moduli[2:]
-        if all(len(row) == 1 for row in rows):
-            return [self._paired_product(a * self.lift(dict(zip(ells, rho))) % self.M)
-                    for rho in iter_product(*rows)]
-        q, t_p, p_part = self.q, self.tables[1], self.p_part
-        n = math.prod(ells)
+        mu_{l_i} by _chirp_axis, which keeps the row's picks (one for a
+        one-cell table)."""
+        if self.n == 1:
+            return [self._paired_product(a)]
+        q, t_p, p_part, n, ells = self.q, self.tables[1], self.p_part, self.n, self.aux
         gaps, steps = self._walk_steps(a)
         B = 1
         polys = []
@@ -366,32 +362,30 @@ class EvalContext:
             cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
         return cells
 
-    def _factor_multipliers(self, kind: str, param: int, aux_subset: tuple[int, ...]):
-        """(u, u_den, d): the factor at multiplier t is the unit at d (the
-        chi_D-kernel walk at d = f_K, _mobius_table below it) at u t, over
-        the same at u_den t when u_den is not None (a-type, d = 1)."""
-        n_sub = math.prod(aux_subset) if aux_subset else 1
-        M = self.M
+    def _factor_multipliers(self, kind: str, param: int):
+        """(u, u_den, d): the unit (kind, param) with the context's
+        auxiliary support at multiplier t is the unit at d (the chi_D-kernel
+        walk at d = f_K, _mobius_table below it) at u t, over the same at
+        u_den t when u_den is not None (a-type, d = 1)."""
+        M, n = self.M, self.n
         p_m = self.ctx.p**self.ctx.m
         if kind == "d":
-            u = (M // param) * pow(p_m, -1, param) + M // (n_sub * self.p_part)
-            return u, None, param
-        # kind == "a"
-        u_n = 0 if n_sub == 1 else (M // n_sub) * pow(p_m, -1, n_sub)
+            return (M // param) * pow(p_m, -1, param) + self.ctx.f_K, None, param
+        # kind == "a"; u_n = 0 at n = 1, as pow(p_m, -1, 1) = 0
+        u_n = (M // n) * pow(p_m, -1, n)
         u_p = M // self.p_part
         return u_n + u_p * param, u_n + u_p, 1
 
     # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
-    def factor_value(self, kind: str, param: int, aux_subset: tuple[int, ...], mult: int):
+    def factor_value(self, kind: str, param: int, mult: int):
         """One basic unit, conjugated by the multiplier, as a field element:
         the one cell of factor_orbit at the residue 1 of every auxiliary
         prime."""
-        orbit = self.factor_orbit(kind, param, aux_subset, mult, [[1]] * len(self.aux))
+        orbit = self.factor_orbit(kind, param, mult, [[1]] * len(self.aux))
         return _orbit_value(self.q, orbit, [1])
 
-    def factor_orbit(self, kind: str, param: int, aux_subset: tuple[int, ...],
-                     mult: int, rows) -> tuple[list, list | None]:
-        """The basic unit (kind, param) with auxiliary support aux_subset,
+    def factor_orbit(self, kind: str, param: int, mult: int, rows) -> tuple[list, list | None]:
+        """The basic unit (kind, param) with the context's auxiliary support,
         conjugated by mult * lift({l_i: rho_i}), for every rho in
         rows[0] x ... x rows[r-1] (one row of residues per auxiliary prime of
         the context; no rows and one value at n = 1), row-major, as
@@ -401,7 +395,7 @@ class EvalContext:
         needs mult prime to M (else w = T_f[a mod f_K] may have order below
         d, and ValueError is raised), and the a-type as the numerators at
         d = 1 of u mult over those of u_den mult."""
-        u, u_den, d = self._factor_multipliers(kind, param, aux_subset)
+        u, u_den, d = self._factor_multipliers(kind, param)
         if d == self.ctx.f_K:
             return self._paired_orbit(u * mult % self.M, rows), None
         if u_den is None:
@@ -412,9 +406,9 @@ class EvalContext:
 
     # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def symbol_value(self, cls: DerivativeClass, mult: int):
-        """The class's basic unit at its auxiliary product, conjugated by the
-        multiplier."""
-        return self.factor_value(cls.kind, cls.param, cls.aux, mult)
+        """The class's basic unit, conjugated by the multiplier, in a context
+        of the class's auxiliary support."""
+        return self.factor_value(cls.kind, cls.param, mult)
 
 
 def _power_row(step: int, size: int, q: int) -> list[int]:
@@ -572,7 +566,7 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
         t_g = ev.delta_lift(ctx.group.inv(g)) * twist % ev.M
         partner = cosets and g[0]
         orbit = (ev.cyclotomic_resultant(t_g, rows) if partner
-                 else ev.factor_orbit(cls.kind, cls.param, cls.aux, t_g, rows))
+                 else ev.factor_orbit(cls.kind, cls.param, t_g, rows))
         coeffs[g] = ev.dlog(_orbit_value(ev.q, orbit, weights), ctx_level)
         if partner:
             coeffs[g] = (coeffs[g] - coeffs[(0,) + g[1:]]) % pN
@@ -609,20 +603,20 @@ def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,
     Both sides are expanded in F_q and compared exactly.  The norm is
     one factor_orbit table of eta(n) over the twists sigma in Gal(Q(mu_ell)/Q)
     (the residues 1 .. ell - 1 at ell, 1 at the other auxiliary primes), its
-    cells multiplied together; each side of the quotient on the right is a
-    one-cell table of eta(n/ell).
+    cells multiplied together.  Each side of the quotient on the right is a
+    one-cell table of eta(n/ell) in its own context, where q = 1 mod M
+    gives q = 1 mod M / ell, and Frob_ell is the residue ell, prime to
+    M / ell.
     """
     cls = derivative_class(ctx, kind, param, aux_primes)
     ells = cls.aux
     if ell not in ells:
         raise ValueError(f"ell = {ell} does not divide the auxiliary product")
-    sub = tuple(e for e in ells if e != ell)
     ev = EvalContext(ctx, ells, q)
     rows = [range(1, ell) if e == ell else [1] for e in ells]
-    lhs = _orbit_value(q, ev.factor_orbit(kind, param, ells, 1, rows), [1] * (ell - 1))
-    frob = ev.lift({ctx.f_K: ell % ctx.f_K, ev.p_part: ell % ev.p_part,
-                    **{e: ell % e for e in sub}})
-    cell = [[1]] * len(ells)
-    rhs = [_orbit_value(q, ev.factor_orbit(kind, param, sub, mult, cell), [1])
-           for mult in (1, pow(frob, -1, ev.M))]
+    lhs = _orbit_value(q, ev.factor_orbit(kind, param, 1, rows), [1] * (ell - 1))
+    sub = EvalContext(ctx, tuple(e for e in ells if e != ell), q)
+    cell = [[1]] * len(sub.aux)
+    rhs = [_orbit_value(q, sub.factor_orbit(kind, param, mult, cell), [1])
+           for mult in (1, pow(ell, -1, sub.M))]
     return lhs == rhs[0] * pow(rhs[1], -1, q) % q

@@ -8,8 +8,8 @@ expansions at n = 1, l and l_1 l_2, and the class at f_K, whose
 chi_D-odd conjugates come from a cyclotomic resultant at every cell, at
 p = 3, 5, 7 and m = 0, 1, with and without auxiliary primes.  The orbit
 tables of EvalContext.factor_orbit (for the class at f_K the walk of
-evaluate_kappa: the transform for n > 1, one paired product per cell at
-n = 1; a Moebius table for every other class) are compared at every
+evaluate_kappa: the transform for n > 1, one paired product at n = 1; a
+Moebius table for every other class) are compared at every
 multi-index, and the resultant's cells against the walked conjugates and
 Phi_f itself.
 """
@@ -50,16 +50,20 @@ def _random_multipliers(ev, kps, rng, count):
 
 
 def _assert_factors_match(ev, kps, rng, count, a_params=(2, 4, 5)):
+    """Each support's unit in a context of its own against the reference in
+    the full context, whose root zeta_M has zeta_M^(M / M') = zeta_M'."""
     f = ev.ctx.f_K
     divisors = [d for d in range(2, f + 1) if f % d == 0]
     ells = tuple(kp.ell for kp in kps)
-    subsets = {ells, ells[:1], ()}
+    subs = [EvalContext(ev.ctx, aux, ev.q) for aux in dict.fromkeys((ells, ells[:1], ()))]
+    assert all(pow(ev.zeta, ev.M // sub.M, ev.q) == sub.zeta for sub in subs)
     for mult in _random_multipliers(ev, kps, rng, count):
-        for aux in subsets:
+        for sub in subs:
+            t = mult % sub.M
             for d in divisors:
-                assert ev.factor_value("d", d, aux, mult) == ref.factor_value(ev, "d", d, aux, mult)
+                assert sub.factor_value("d", d, t) == ref.factor_value(ev, "d", d, sub.aux, mult)
             for a in a_params:
-                assert ev.factor_value("a", a, aux, mult) == ref.factor_value(ev, "a", a, aux, mult)
+                assert sub.factor_value("a", a, t) == ref.factor_value(ev, "a", a, sub.aux, mult)
 
 
 @pytest.mark.parametrize("D", [5, 8, 44, 257, 473, 785, 1937])
@@ -75,8 +79,9 @@ def test_factor_values_match_reference(D, m, r):
     _assert_factors_match(ev, kps, rng, 3 if D < 1000 else 1)
 
 
-# n = 1 in F_q walks R_d+ only for d > 2 (d = 4, 8 are the 2-parts);
-# (D, p) with p inert in Q(sqrt(D))
+# n = 1: the class at d = f_K takes the half walk over R+, every proper
+# divisor is a Moebius table (d = 4, 8 are the 2-parts); (D, p) with p
+# inert in Q(sqrt(D))
 @pytest.mark.parametrize("D,p", [(8, 3), (44, 3), (8, 5), (12, 5), (12, 7), (24, 7),
                                  (40, 7)])
 @pytest.mark.parametrize("m", [0, 1])
@@ -87,7 +92,7 @@ def test_half_walk_matches_reference(D, p, m):
     ev = EvalContext(ctx, (), q)
     for mult in _random_multipliers(ev, (), rng, 4):
         for d in (d for d in range(2, D + 1) if D % d == 0):
-            assert ev.factor_value("d", d, (), mult) == ref.factor_value(ev, "d", d, (), mult)
+            assert ev.factor_value("d", d, mult) == ref.factor_value(ev, "d", d, (), mult)
 
 
 def test_extension_context_must_split():
@@ -243,7 +248,7 @@ def test_coset_cells_multiply_to_phi_f(D, r, level):
     q = next(evaluation_primes(ctx, math.prod(ells), level=level))
     ev = EvalContext(ctx, ells, q)
     rows = [[pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1)] for kp in kps]
-    u = ev._factor_multipliers("d", D, ells)[0]
+    u = ev._factor_multipliers("d", D)[0]
     e_f, e_p = ev.idempotents[:2]
     twist = ev.lift({ells[-1]: 2})
     for g in ctx.group.elements():
@@ -251,7 +256,7 @@ def test_coset_cells_multiply_to_phi_f(D, r, level):
             continue
         t_g = ev.delta_lift(g) * twist % ev.M
         t_tau = ev.delta_lift((1,) + g[1:]) * twist % ev.M
-        walked, partner = (ev.factor_orbit("d", D, ells, t, rows)[0] for t in (t_g, t_tau))
+        walked, partner = (ev.factor_orbit("d", D, t, rows)[0] for t in (t_g, t_tau))
         num, den = ev.cyclotomic_resultant(t_g, rows)
         for i, rhos in enumerate(iter_product(*rows)):
             t = u * t_g * ev.lift(dict(zip(ells, rhos))) % ev.M
@@ -280,7 +285,7 @@ def test_h_twists_change_factor_values_but_not_kappa():
     kp = KolyvaginPrime.build(379, 3)
     q = next(evaluation_primes(ctx, kp.ell))
     ev = EvalContext(ctx, (kp.ell,), q)
-    values = {ev.factor_value("d", 257, (kp.ell,), ev.lift({kp.ell: w})) for w in range(1, 6)}
+    values = {ev.factor_value("d", 257, ev.lift({kp.ell: w})) for w in range(1, 6)}
     assert len(values) == 5
     cls = derivative_class(ctx, "d", 257, (kp,))
     base = evaluate_kappa(ctx, cls, q)
@@ -329,7 +334,7 @@ def test_factor_orbits_match_reference(D, m, N, r, level, w):
         t_g = ev.delta_lift(g) * twist % ev.M
         cosets.add(ctx.chi_d(t_g % ctx.f_K))
         for kind, param in classes:
-            num, den = ev.factor_orbit(kind, param, ells, t_g, rows)
+            num, den = ev.factor_orbit(kind, param, t_g, rows)
             assert (den is None) == ((kind, param) == ("d", D))
             for i, rhos in enumerate(iter_product(*rows)):
                 mult = t_g * ev.lift(dict(zip(ells, rhos))) % ev.M
@@ -347,15 +352,15 @@ def test_proper_divisor_needs_multiplier_prime_to_conductor():
     ctx = build_field(3, 473, 0, 3)
     q = next(evaluation_primes(ctx, 1, level=3))
     ev = EvalContext(ctx, (), q)
-    u = ev._factor_multipliers("d", 43, ())[0]
+    u = ev._factor_multipliers("d", 43)[0]
     bad = ev.lift({473: 43})
     num, den = ev._mobius_table(u * bad, 43, [])
     assert num[0] * pow(den[0], -1, q) % q != ref.factor_value(ev, "d", 43, (), bad)
     for w in (43, 11):
         with pytest.raises(ValueError):
-            ev.factor_orbit("d", 43, (), ev.lift({473: w}), [])
+            ev.factor_orbit("d", 43, ev.lift({473: w}), [])
     good = ev.lift({473: 2})
-    assert ev.factor_value("d", 43, (), good) == ref.factor_value(ev, "d", 43, (), good)
+    assert ev.factor_value("d", 43, good) == ref.factor_value(ev, "d", 43, (), good)
 
 
 @pytest.mark.parametrize("D,m,N,r,level,w", ORBIT_CASES[:3])

@@ -111,8 +111,8 @@ def test_engine_matches_exact_cyclotomic_oracle():
                     w = (w + kronecker(D, x) * pow(zD, x, q)) % q
             assert w * w % q == D % q
             inv2 = pow(2, -1, q)
-            assert ev.factor_value("d", D, (), 1) == (T + U * w) * inv2 % q
-            assert ev.factor_value("d", D, (), ev.delta_lift((1, 0))) == (T - U * w) * inv2 % q
+            assert ev.factor_value("d", D, 1) == (T + U * w) * inv2 % q
+            assert ev.factor_value("d", D, ev.delta_lift((1, 0))) == (T - U * w) * inv2 % q
 
 
 def test_eta_257_frozen_exact_value():
@@ -311,7 +311,7 @@ def test_kappa_conjugates_at_n_1(D):
     ev = EvalContext(ctx, (), q)
     grp = ctx.group
     for g in grp.elements():
-        unit = ev.factor_value("d", D, (), ev.delta_lift(grp.inv(g)))
+        unit = ev.factor_value("d", D, ev.delta_lift(grp.inv(g)))
         assert vec.coeffs.get(g, 0) == ev.dlog(unit, ctx.N), (D, g)
     one, tau = grp.elements()
     assert (vec.coeffs.get(one, 0) + vec.coeffs.get(tau, 0)) % 27 == 0
@@ -348,31 +348,34 @@ def test_a_type_norm_relation_at_level_one(D, chain):
     ctx = build_field(3, D, 1, 2)
     kps = chain_primes(ctx, chain)
     q = next(evaluation_primes(ctx, math.prod(chain)))
-    ev = EvalContext(ctx, chain, q)
-    assert ev.factor_value("a", 2, chain, 1) != 1
-    assert ev.factor_value("a", 2, chain[1:], 1) != 1
+    assert EvalContext(ctx, chain, q).factor_value("a", 2, 1) != 1
+    assert EvalContext(ctx, chain[1:], q).factor_value("a", 2, 1) != 1
     for ell in chain:
         assert norm_relation_check(ctx, "a", 2, kps, ell, q), (D, chain, ell)
 
 
 @pytest.mark.parametrize("kind,param", [("d", 257), ("a", 2)])
-def test_one_cell_table_is_one_paired_product(kind, param):
-    # rows of one residue each give one cell: one paired product for the
-    # class at f_K, one Moebius cell at d = 1 for the a-type; it equals
-    # factor_value and the same cell of the full table
+def test_one_cell_tables_are_cells_of_the_full_table(kind, param):
+    # rows of one residue each give one cell: the transform with one chirp
+    # pick per axis for the class at f_K, one Moebius cell at d = 1 for the
+    # a-type; it equals factor_value and the same cell of the full table,
+    # for one and two auxiliary primes, each in its own context
     ctx = build_field(3, 257, 0, 1)
     chain = (13, 79)
     q = next(evaluation_primes(ctx, math.prod(chain), level=1))
-    ev = EvalContext(ctx, chain, q)
     _, tau = ctx.group.elements()
-    mult = ev.delta_lift(tau)
-    for aux in (chain, chain[:1], ()):
-        full = ev.factor_orbit(kind, param, aux, mult, [range(1, 13), range(1, 79)])
+    for aux in (chain, chain[:1]):
+        ev = EvalContext(ctx, aux, q)
+        mult = ev.delta_lift(tau)
+        full = ev.factor_orbit(kind, param, mult, [range(1, ell) for ell in aux])
         for rho in ((1, 1), (5, 1), (2, 40), (12, 78)):
-            cell = ev.factor_orbit(kind, param, aux, mult, [[rho[0]], [rho[1]]])
-            idx = (rho[0] - 1) * 78 + rho[1] - 1
+            rho = rho[:len(aux)]
+            cell = ev.factor_orbit(kind, param, mult, [[r] for r in rho])
+            idx = 0
+            for ell, r in zip(aux, rho):
+                idx = idx * (ell - 1) + r - 1
             assert cell == ([full[0][idx]], None if full[1] is None else [full[1][idx]])
-            value = ev.factor_value(kind, param, aux, mult * ev.lift(dict(zip(chain, rho))))
+            value = ev.factor_value(kind, param, mult * ev.lift(dict(zip(aux, rho))))
             assert _orbit_value(q, cell, [1]) == value, (kind, aux, rho)
 
 
@@ -399,14 +402,14 @@ def test_level_one_norm_compatibility():
     for e1 in (0, 1):
         prod = 1
         for j in range(3):
-            prod = prod * ev1.factor_value("d", 257, (), ev1.delta_lift((e1, j))) % q
-        v0 = ev0.factor_value("d", 257, (), ev0.delta_lift((e1, 0)))
+            prod = prod * ev1.factor_value("d", 257, ev1.delta_lift((e1, j))) % q
+        v0 = ev0.factor_value("d", 257, ev0.delta_lift((e1, 0)))
         assert prod == v0
     pa = 1
     for j in range(3):
-        pa = pa * ev1.factor_value("a", 2, (), ev1.delta_lift((0, j))) % q
-    assert pa == ev0.factor_value("a", 2, (), 1) == 1
-    assert ev1.factor_value("a", 2, (), 1) != 1
+        pa = pa * ev1.factor_value("a", 2, ev1.delta_lift((0, j))) % q
+    assert pa == ev0.factor_value("a", 2, 1) == 1
+    assert ev1.factor_value("a", 2, 1) != 1
 
 
 def test_tower_projection_compatibility():

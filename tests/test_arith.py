@@ -14,12 +14,14 @@ from cycfit.arith import (
     kronecker,
     make_field,
     poly_mul,
+    primitive_root,
     root_of_unity,
     sqrt_mod_prime,
     val_p,
 )
 from cycfit.config import DEFAULT_FIELD_BUDGET
 from cycfit.errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
+from cycfit.fields import build_field, evaluation_primes
 
 
 def test_make_field_7_generator_is_3():
@@ -35,6 +37,26 @@ def test_make_field_7_generator_is_3():
             break
     assert best == 3
     assert make_field(7).g == 3
+
+
+def _order(a, q):
+    n, cur = 1, a
+    while cur != 1:
+        cur = cur * a % q
+        n += 1
+    return n
+
+
+def test_make_field_generator_is_the_smallest_of_full_order():
+    # brute-force orders at every prime q < 1000
+    for q in filter(is_prime, range(2, 1000)):
+        want = next(a for a in range(1, q) if _order(a, q) == q - 1)
+        assert make_field(q).g == want, q
+    # and primitive_root, which factors q itself, at evaluation primes of a
+    # one-component and a four-component conductor (3080 = 8 * 5 * 7 * 11)
+    for D, N in ((257, 3), (3080, 2)):
+        qs = list(itertools.islice(evaluation_primes(build_field(3, D, 0, N)), 20))
+        assert [make_field(q).g for q in qs] == [primitive_root(q) for q in qs], D
 
 
 def test_make_field_rejects_composite():

@@ -91,6 +91,10 @@ PINNED_REPORTS = [
      "5914344fafe62abe60d83d728679f87780362ac5f2cb9bc3c8ed426a138418b5"),
     ("verify -p 3 -D 4409 --quiet", 0,
      "7d254f16578f88c9fdbfb528afcf41c0b102af0bf48baa713691d564802e2611"),
+    ("verify -p 3 -D 3080 --quiet", 0,
+     "b2aca2fe241d258576f6c7a0bdca23daf19edc2aed52859962ab8881ef7aa29f"),
+    ("verify -p 3 -D 32045 --quiet", 0,
+     "cec652ded18c0cfd140af82c1b658e591cf747d55203f42b791006faad90dcce"),
     ("verify -p 3 -D 257 --flip-sigma --quiet", 3,
      "acb149d03c93d9fe443f6aae2a1a5d4b0bebfe18c4f93e0a44fd5f821d9d9abc"),
     ("verify -p 5 -D 8 --quiet", 0,

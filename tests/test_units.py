@@ -163,9 +163,10 @@ def _context_over(D):
 def test_norm_sets_from_component_tables():
     # both 2-parts (4 || 12, 8 || 24) and odd components of both signs at -1
     # (r = 3 mod 4 at 12, r = 1 mod 4 at 5); 32009 and 39992 lie beyond the
-    # D < 2000 corpus.  norm_set_d pairs R_d, the kernel reduced mod d; the
-    # kernel itself is walked, in full or in its lower half
-    for D in list(fundamental_discriminants(2000)) + [3137, 4409, 32009, 39992]:
+    # D < 2000 corpus, and 3080 = 8 * 5 * 7 * 11, 32045 = 5 * 13 * 17 * 29
+    # have four components.  norm_set_d pairs R_d, the kernel reduced mod d;
+    # the kernel itself is walked, in full or in its lower half
+    for D in list(fundamental_discriminants(2000)) + [3080, 3137, 4409, 32009, 32045, 39992]:
         direct = [x for x in range(1, D) if math.gcd(x, D) == 1 and kronecker(D, x) == 1]
         assert _kernel(D) == tuple(direct), D
         ev = _context_over(D)

@@ -184,8 +184,14 @@ def val_p(x: int, p: int, cap: int) -> int:
 
 @lru_cache(maxsize=None)
 def primitive_root(n: int) -> int:
-    """Smallest primitive root modulo a prime power n (1 for n = 2)."""
-    phi = n - n // min(factorint(n))
+    """Smallest primitive root modulo a prime power n (1 for n = 2); n is
+    factored to find phi(n)."""
+    return _smallest_generator(n, n - n // min(factorint(n)))
+
+
+def _smallest_generator(n: int, phi: int) -> int:
+    """Smallest g prime to n of order phi modulo n, for n with a cyclic unit
+    group of order phi."""
     factors = factorint(phi)
     g = 1
     while math.gcd(g, n) != 1 or any(pow(g, phi // r, n) == 1 for r in factors):
@@ -269,12 +275,13 @@ def _make_field_cached(q: int) -> FieldCtx:
         raise NotPrime(f"q = {q} is not prime")
     if q > DEFAULT_FIELD_BUDGET:
         raise BudgetExceeded(f"q = {q} exceeds the field budget {DEFAULT_FIELD_BUDGET}")
-    return FieldCtx(q=q, g=primitive_root(q))
+    return FieldCtx(q=q, g=_smallest_generator(q, q - 1))
 
 
 def make_field(q: int) -> FieldCtx:
-    """F_q with its smallest generator; BudgetExceeded when q exceeds the
-    field budget."""
+    """F_q with its smallest generator; NotPrime for a composite q and
+    BudgetExceeded when q exceeds the field budget.  q is proven prime once,
+    here, so the generator search reads phi(q) = q - 1 without factoring q."""
     return _make_field_cached(q)
 
 

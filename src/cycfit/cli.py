@@ -2,8 +2,9 @@
 progress on stderr, deterministic reports, CI-friendly exit codes.
 
 Exit codes: 0 = all MATCH/PASS; 2 = INCONCLUSIVE present (needs more
-budget); 3 = BUG-class failure (a sample escaped the oracle Fitting ideal or
-an exact identity failed); 4+ = input errors (see errors.EXIT_CODES).
+budget); 3 = BUG-class failure (a sample escaped the oracle Fitting ideal,
+the oracle's two Fitting routes disagree, or an exact identity failed);
+4+ = input errors (see errors.EXIT_CODES).
 """
 
 from __future__ import annotations
@@ -112,12 +113,9 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     say(f"[oracle] h+ = {oracle.h_plus}, p-part divisors {divisors}")
     N_used = N if N is not None else auto_precision(divisors)
     ctx = build_field(p, D, 0, N_used, conventions)
-    ring = scalar_ring(p, N_used)
-    fitts = {i: fitting_of_p_group(p, N_used, divisors, i) for i in range(i_max + 1)}
-    diag = diagonal_presentation(ring, [p**d for d in divisors] or [1])
-    cross = {i: fitting_ideal(diag, i) == fitts[i] for i in fitts}
+    fitts, cross = _oracle_fittings(p, N_used, divisors, i_max)
     say(f"[fitting] N = {N_used}, ideals "
-        + ", ".join(f"Fitt_{i}=p^{fitts[i].principal_valuation()}" for i in fitts))
+        + ", ".join(f"Fitt_{i}=p^{f.principal_valuation()}" for i, f in enumerate(fitts)))
     runs = {}
     verdicts = {}
     base = None
@@ -145,7 +143,8 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     formal = _formal_reports()
     anni_ok = all(r.passed for r in anni)
     formal_ok = all(r.passed for r in formal)
-    if any(v == "BUG" for v in verdicts.values()) or not anni_ok or not formal_ok:
+    if (any(v == "BUG" for v in verdicts.values()) or not anni_ok or not formal_ok
+            or not all(cross)):
         status = "BUG"
     elif any(v == "INCONCLUSIVE" for v in verdicts.values()):
         status = "INCONCLUSIVE"
@@ -164,14 +163,26 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
             "p_part_divisors": list(divisors),
             "fundamental_unit": _unit_desc(oracle.unit),
         },
-        "fitting": {str(i): _ideal_desc(f) for i, f in fitts.items()},
-        "fitting_minor_cross_check": {str(i): bool(v) for i, v in cross.items()},
+        "fitting": {str(i): _ideal_desc(f) for i, f in enumerate(fitts)},
+        "fitting_minor_cross_check": {str(i): v for i, v in enumerate(cross)},
         "cyclotomic": {str(i): runs[i].to_dict() for i in runs},
         "verdicts": {str(i): verdicts[i] for i in verdicts},
         "annihilation": _entries(anni),
         "formal_identities": _entries(formal),
         "status": status,
     }
+
+
+@functools.cache
+def _oracle_fittings(p: int, N: int, divisors: tuple[int, ...], i_max: int) -> tuple:
+    """(Fitt_0, ..., Fitt_{i_max}) over Z/p^N of the p-group with the given
+    elementary divisors, and per index whether the minors of its diagonal
+    presentation give the same ideal.  They depend on no field, so each key
+    is computed once per process, on first use; an InsufficientPrecision is
+    not cached and is raised again on every call."""
+    fitts = tuple(fitting_of_p_group(p, N, divisors, i) for i in range(i_max + 1))
+    diag = diagonal_presentation(scalar_ring(p, N), [p**d for d in divisors] or [1])
+    return fitts, tuple(fitting_ideal(diag, i) == f for i, f in enumerate(fitts))
 
 
 @functools.cache

@@ -23,7 +23,8 @@ With no auxiliary prime (c = 1) the walk stops below f_K/2: K is real, so
 R = -R, and the pair at f_K - r is the pair at r divided by A_r^2.  The
 product is then the square of the product over R+ = {r in R : 2 r < f_K}
 times u^(-2 sum R+).  The chi_D-kernel is the product of per-prime-power
-characters, each tabulated once.
+characters, each tabulated once as a bytes row of its values mod 3 and
+multiplied into the others bytewise (_kernel).
 
 Every other class is read from the Moebius form
 Phi_d(x) = prod_{e | d} (1 - x^e)^mu(d/e) without a walk
@@ -477,27 +478,45 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
     return [line[j] for j in picks for line in lines]
 
 
+# bytes.translate tables over the codes 0 (non-unit), 1 (+1) and 2 (-1) of a
+# character's values mod 3: the product a b mod 3 (2 * 2 = 4 = 1) of two
+# codes packed into one byte a + 3 b, and the indicator of +1
+_MUL3 = bytes(a * b % 3 for b in range(3) for a in range(3)) + bytes(247)
+_ONES = bytes(x == 1 for x in range(256))
+
+
 @lru_cache(maxsize=2)
 def _kernel(f: int) -> tuple[int, ...]:
     """The kernel of chi_D = (f | .) in (Z/f)^x, sorted, for the conductor
     f = f_K.  chi_D = prod_m chi_m over the prime powers m || f, each chi_m a
-    character mod m tabulated once on Z/m: at m = 4 or 8 by kronecker at a
-    lift y = x mod m, y = 1 mod f/m; at an odd prime (f is squarefree away
-    from 2) by its squares, the non-squares signed by chi_m at a primitive
-    root.  Then one pass over Z/f per further component."""
+    bytes row over Z/m of its values mod 3 (0, 1, or 2 for -1): at m = 4 or
+    8 by kronecker at a lift y = x mod m, y = 1 mod f/m; at an odd prime (f
+    is squarefree away from 2) by its squares, the non-squares signed by one
+    kronecker at the smallest of them.  Each row is repeated to length f
+    and multiplied into the product bytewise, mod 3, by one bytes.translate
+    of the two rows packed into one integer; the kernel is where the
+    product is 1."""
     chi = None
     for r, e in factorint(f).items():
         m = r**e
         rest = f // m
         if r == 2:
-            row = [kronecker(f, crt([x, 1], [m, rest])) if x % 2 else 0 for x in range(m)]
+            row = bytes(kronecker(f, crt([x, 1], [m, rest])) % 3 if x % 2 else 0
+                        for x in range(m))
         else:
-            row = [kronecker(f, crt([primitive_root(m), 1], [m, rest]))] * m
+            row = bytearray(b"\2") * m
             row[0] = 0
             for x in range(1, (m + 1) // 2):
                 row[x * x % m] = 1
-        chi = row * rest if chi is None else list(map(operator.mul, chi, row * rest))
-    return tuple(compress(range(f), map((1).__eq__, chi)))
+            sign = kronecker(f, crt([row.index(2), 1], [m, rest])) % 3
+            row = row.replace(b"\2", bytes((sign,)))
+        row = bytes(row) * rest
+        if chi is not None:
+            # both rows in one integer, byte a + 3 b at each x (at most 8: no carry)
+            packed = int.from_bytes(chi, "little") + 3 * int.from_bytes(row, "little")
+            row = packed.to_bytes(f, "little").translate(_MUL3)
+        chi = row
+    return tuple(compress(range(f), chi.translate(_ONES)))
 
 
 @lru_cache(maxsize=4)
@@ -509,7 +528,7 @@ def _walk(f: int, half: bool) -> tuple[tuple[int, ...], int, int]:
     residues = _kernel(f)
     if half:
         residues = residues[:len(residues) // 2]
-    gaps = tuple(b - a for a, b in zip((0,) + residues, residues))
+    gaps = tuple(map(operator.sub, residues, (0,) + residues))
     return gaps, max(gaps), sum(residues)
 
 

@@ -10,6 +10,8 @@ import cycfit
 from cycfit import cli, combined
 from cycfit.classgroup import narrow_class_group
 from cycfit.cli import _sanitize, build_parser, main, run_verify
+from cycfit.errors import InsufficientPrecision
+from cycfit.groupring import principal_ideal
 from test_acceptance import corpus_discriminants
 
 
@@ -324,6 +326,46 @@ def test_verify_runs_the_formal_suite_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 2 * first  # `formal` computes afresh
     fresh = json.loads(out)["reports"]
     assert reports[0]["formal_identities"] == reports[1]["formal_identities"] == fresh
+
+
+def test_verify_computes_the_oracle_fitting_side_once_per_key(monkeypatch):
+    calls = []
+    minors = cli.fitting_ideal
+    monkeypatch.setattr(cli, "fitting_ideal",
+                        lambda pres, i: calls.append(i) or minors(pres, i))
+    cli._oracle_fittings.cache_clear()
+    # D = 5 and D = 8 share divisors () and N = 2; D = 257 has (1,) and N = 3
+    reports = {D: run_verify(3, D, anni_count=0, quiet=True) for D in (5, 8)}
+    assert calls == [0, 1, 2]
+    reports[257] = run_verify(3, 257, anni_count=0, quiet=True)
+    assert calls == [0, 1, 2] * 2
+    # an explicit N below the p-part's needs raises again on every call
+    for _ in range(2):
+        with pytest.raises(InsufficientPrecision):
+            run_verify(3, 257, N=1, anni_count=0, quiet=True)
+    cli._oracle_fittings.cache_clear()
+    for D, report in reports.items():
+        fresh = run_verify(3, D, i_max=2, anni_count=0, quiet=True)
+        for key in ("fitting", "fitting_minor_cross_check"):
+            assert report[key] == fresh[key], (D, key)
+    assert calls == [0, 1, 2] * 4
+
+
+def test_verify_is_a_bug_when_the_oracle_fitting_routes_disagree(capsys, monkeypatch):
+    # the minors of the diagonal presentation give the zero ideal, so the
+    # cross-check fails at every index while every sample still matches
+    monkeypatch.setattr(cli, "fitting_ideal",
+                        lambda pres, i: principal_ideal(pres.ring.p, pres.ring.N, pres.ring.N))
+    cli._oracle_fittings.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, ["verify", "-p", "3", "-D", "257", "--quiet"])
+    finally:
+        # no later run may read an entry built from the broken route
+        cli._oracle_fittings.cache_clear()
+    report = json.loads(out)
+    assert code == 3 and report["status"] == "BUG"
+    assert report["fitting_minor_cross_check"] == {"0": False, "1": False, "2": False}
+    assert report["verdicts"] == {"0": "MATCH", "1": "MATCH", "2": "MATCH"}
 
 
 def test_sanitize_big_integers():

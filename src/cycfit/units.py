@@ -510,7 +510,7 @@ def _kernel(f: int) -> tuple[int, ...]:
                 row[x * x % m] = 1
             sign = kronecker(f, crt([row.index(2), 1], [m, rest])) % 3
             row = row.replace(b"\2", bytes((sign,)))
-        row = bytes(row) * rest
+        row *= rest
         if chi is not None:
             # both rows in one integer, byte a + 3 b at each x (at most 8: no carry)
             packed = int.from_bytes(chi, "little") + 3 * int.from_bytes(row, "little")

@@ -85,6 +85,8 @@ PINNED_REPORTS = [
      "0ca71c372aa2f86c3d3a6c3a0feec07c137f354a27abf60f31e43d275d054685"),
     ("verify -p 3 -D 785 --quiet", 0,
      "61ecfb82c7fe52697c9c1ea2e3dc31e94fcc005eed54bd5c2a74d5afcf40a7e2"),
+    ("verify -p 3 -D 761 --quiet", 0,
+     "36eb83643b00ffcd8409f6d1b5c6c50a27570274238a744e73071b50eaa32abc"),
     ("verify -p 3 -D 1229 --quiet", 0,
      "73fda1da82ae5ab2c7563a36f21c3282a493c4afd698d079c38a6739fa3166e3"),
     ("verify -p 3 -D 1937 --quiet", 0,

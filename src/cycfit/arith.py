@@ -51,6 +51,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def proven_prime(n: int) -> bool:
+    """is_prime(n), remembered for the last 64 numbers asked.  The prime
+    searches of fields prove their candidates here, so that make_field reads
+    back the proof of a prime just found instead of proving it again; any
+    other n is proven afresh."""
+    return is_prime(n)
+
+
 def _pollard_rho(n: int) -> int:
     """One nontrivial factor of composite n (deterministic seed sweep)."""
     if n % 2 == 0:
@@ -189,12 +198,22 @@ def primitive_root(n: int) -> int:
     return _smallest_generator(n, n - n // min(factorint(n)))
 
 
-def _smallest_generator(n: int, phi: int) -> int:
+def _smallest_generator(n: int, phi: int, known: tuple[int, ...] = ()) -> int:
     """Smallest g prime to n of order phi modulo n, for n with a cyclic unit
-    group of order phi."""
-    factors = factorint(phi)
+    group of order phi.  The primes in `known` are divided out of phi, and
+    only the cofactor is factored.  The primes are tried in increasing
+    order, so half of all candidates fall at the first power."""
+    factors = set()
+    rest = phi
+    for r in known:
+        if rest % r == 0:
+            factors.add(r)
+            while rest % r == 0:
+                rest //= r
+    factors.update(factorint(rest))
+    exponents = [phi // r for r in sorted(factors)]
     g = 1
-    while math.gcd(g, n) != 1 or any(pow(g, phi // r, n) == 1 for r in factors):
+    while math.gcd(g, n) != 1 or any(pow(g, e, n) == 1 for e in exponents):
         g += 1
     return g
 
@@ -261,8 +280,8 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
 
 
 class FieldCtx:
-    """F_q with its smallest generator g of F_q^x.  Elements are plain ints
-    in [0, q)."""
+    """F_q with its smallest generator g of F_q^x, set by make_field.
+    Elements are plain ints in [0, q)."""
 
     def __init__(self, q: int, g: int):
         self.q = q
@@ -271,18 +290,28 @@ class FieldCtx:
 
 @lru_cache(maxsize=None)
 def _make_field_cached(q: int) -> FieldCtx:
-    if q < 2 or not is_prime(q):
+    if q < 2 or not proven_prime(q):
         raise NotPrime(f"q = {q} is not prime")
     if q > DEFAULT_FIELD_BUDGET:
         raise BudgetExceeded(f"q = {q} exceeds the field budget {DEFAULT_FIELD_BUDGET}")
-    return FieldCtx(q=q, g=_smallest_generator(q, q - 1))
+    return FieldCtx(q=q, g=0)
 
 
-def make_field(q: int) -> FieldCtx:
+def make_field(q: int, *, known: tuple[int, ...] = ()) -> FieldCtx:
     """F_q with its smallest generator; NotPrime for a composite q and
-    BudgetExceeded when q exceeds the field budget.  q is proven prime once,
-    here, so the generator search reads phi(q) = q - 1 without factoring q."""
-    return _make_field_cached(q)
+    BudgetExceeded when q exceeds the field budget.  q is proven prime once:
+    a prime that a search of fields has just yielded keeps that search's
+    proof (proven_prime), any other q is proven here.  The generator is
+    found on the first call for q from phi(q) = q - 1, without factoring q;
+    `known` lists primes the caller knows to divide q - 1 (those of an
+    evaluation prime's search step), so only the cofactor of q - 1 is
+    factored.  The generator does not depend on them.  `known` is
+    keyword-only: bench/spans.py reads a second positional argument as the
+    degree of an extension field."""
+    field = _make_field_cached(q)
+    if not field.g:
+        field.g = _smallest_generator(q, q - 1, known)
+    return field
 
 
 def root_of_unity(ctx: FieldCtx, M: int) -> int:
@@ -311,19 +340,27 @@ def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
     if (q - 1) % pN != 0:
         raise OrderNotDividing(f"p^N = {pN} does not divide q - 1")
     y = pow(x, (q - 1) // pN, q)
-    z = pow(ctx.g, (q - 1) // pN, q)
-    # table of the order-p subgroup generated by z^{p^{N-1}}
-    zp = pow(z, pN // p, q)
-    table = {}
-    cur = 1
-    for j in range(p):
-        table[cur] = j
-        cur = cur * zp % q
+    z_inv, table = _dlog_base(q, ctx.g, p, N)
     d = 0
-    z_inv = pow(z, -1, q)
     for i in range(N):
         w = pow(y * pow(z_inv, d, q) % q, pN // p ** (i + 1), q)
         if w not in table:  # pragma: no cover - subgroup membership is forced
             raise ArithmeticError("dlog digit outside subgroup")
         d += table[w] * p**i
     return d % pN
+
+
+@lru_cache(maxsize=16)
+def _dlog_base(q: int, g: int, p: int, N: int) -> tuple[int, dict[int, int]]:
+    """(z^-1, {z^(j p^(N-1)): j for j < p}) for z = g^((q-1)/p^N): the base
+    of dlog_p_part and the table of its order-p subgroup, built once per
+    (q, p, N)."""
+    pN = p**N
+    z = pow(g, (q - 1) // pN, q)
+    zp = pow(z, pN // p, q)
+    table = {}
+    cur = 1
+    for j in range(p):
+        table[cur] = j
+        cur = cur * zp % q
+    return pow(z, -1, q), table

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .arith import is_prime, kronecker, make_field, sqrt_mod_prime, val_p
+from .arith import is_prime, kronecker, make_field, proven_prime, sqrt_mod_prime, val_p
 from .config import DEFAULT_CONVENTIONS, DEFAULT_PRIME_SEARCH_BUDGET, Conventions
 from .errors import (BudgetExhausted, ConductorClash, InsufficientPrecision, NotFundamental,
                      NotPrime, NotSplit, NotWellOrdered, Ramified, SplitP)
@@ -100,7 +100,7 @@ class KolyvaginPrime:
 
     @staticmethod
     def build(ell: int, p: int, flip_sigma: bool = False) -> "KolyvaginPrime":
-        if not is_prime(ell):
+        if not proven_prime(ell):
             raise ValueError(f"{ell} is not prime")
         n_ell = val_p(ell - 1, p, 64)
         if n_ell < 1:
@@ -173,7 +173,7 @@ def kolyvagin_primes(ctx: AbelianFieldCtx, extra_modulus: int = 1,
         examined += 1
         ell = cand
         cand += step
-        if ell <= 2 or not is_prime(ell):
+        if ell <= 2 or not proven_prime(ell):
             continue
         if ctx.D % ell == 0:
             continue
@@ -190,11 +190,14 @@ def evaluation_primes(ctx: AbelianFieldCtx, n: int = 1, level: int | None = None
 
     Such q split completely in the whole cyclotomic layer containing
     F_m(mu_n), so every root of unity the evaluation engine needs already
-    lives in F_q (residue degree one)."""
+    lives in F_q (residue degree one).  Each candidate is proven by
+    arith.proven_prime, so make_field(q) keeps this proof of a yielded q;
+    the engine hands make_field the primes of f_K p^(m+1) n, which divide
+    q - 1, so its generator search factors only the cofactor."""
     level = ctx.N if level is None else level
     step = ctx.f_K * ctx.p**level * n
     q = 1 + step
     while True:
-        if is_prime(q):
+        if proven_prime(q):
             yield q
         q += step

@@ -137,9 +137,10 @@ def sample_cyclotomic_ideal(
 
     Keeps one round-robin queue of well-ordered chains with epsilon(n) <= i,
     shortest first so no branch starves.  Each step pops a chain, draws its
-    next evaluation prime in ascending order, joins the normal form and
-    pushes the chain back; a chain whose derivative expansion exceeds the cap
-    is dropped.  Deterministic for fixed (ctx, i, budget, seed).  base_run (a
+    next evaluation prime in ascending order, and pushes the chain back; a
+    sample outside the ideal joins its normal form, one inside it (tested on
+    the ideal's Howell rows) only counts towards the stall.  A chain whose
+    derivative expansion exceeds the cap is dropped.  Deterministic for fixed (ctx, i, budget, seed).  base_run (a
     run at a smaller i) seeds the ideal and provenance, making monotonicity
     structural.
     """
@@ -179,10 +180,10 @@ def sample_cyclotomic_ideal(
             continue
         queue.append((chain, qs, cls))
         proj = chi_project(vec)
-        new_ideal = ideal_join(run.ideal, ideal_normal_form([proj], ctx.ring.chi_quotient))
+        chi_vector = proj.vector()
         in_fitt = None
         if oracle_fitting is not None:
-            in_fitt = oracle_fitting.contains_vector(proj.vector())
+            in_fitt = oracle_fitting.contains_vector(chi_vector)
         run.samples.append(Sample(
             epsilon=len(chain),
             n=cls.n,
@@ -191,18 +192,20 @@ def sample_cyclotomic_ideal(
             param=ctx.f_K,
             q=q,
             vector=vec.vector(),
-            chi_vector=proj.vector(),
-            valuation=min((val_p(c, ctx.p, ctx.N) for c in proj.vector()), default=ctx.N),
+            chi_vector=chi_vector,
+            valuation=min((val_p(c, ctx.p, ctx.N) for c in chi_vector), default=ctx.N),
             in_fitting=in_fitt,
         ))
         taken += 1
         if in_fitt is False:
             run.status = "BUG"
             return run
-        if new_ideal == run.ideal:
+        # x in I exactly when (x) + I = I: a sample already in the ideal
+        # stalls without a normal form of its own
+        if run.ideal.contains_vector(chi_vector):
             run.stall += 1
         else:
-            run.ideal = new_ideal
+            run.ideal = ideal_join(run.ideal, ideal_normal_form([proj], ctx.ring.chi_quotient))
             run.stall = 0
     if not stabilized(run, window) and run.status == "OK":
         run.status = "PARTIAL"

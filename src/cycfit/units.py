@@ -69,17 +69,35 @@ evaluated at all of mu_l by a chirp-z transform over the root table T_l
 that packs each line only up to its last nonzero entry; a multi-index
 reads its value at its residues mod l_i.  At n = 1 the one cell is one
 paired product; one residue per auxiliary prime at n > 1 is one cell of
-the same transform (a chirp with one pick).  Nothing is cached per
-multiplier: every walked conjugate and twist is evaluated afresh (with its
-own tree and chirps), a partner reads only its walked conjugate's dlog, and
-an orbit table lives only for one conjugate of one evaluate_kappa call (or
-one side of one norm_relation_check).
+the same transform (a chirp with one pick).
+
+Work is split by what fixes it, so that a sample pays only for its own
+arithmetic in F_q.  Per auxiliary support (one chain at one level of the
+field), in bounded functools caches: the conductor components, their CRT
+idempotents, the primes of M and the lift of every g of Delta x Gamma
+(_support), the unit multipliers (_unit_multipliers), the sigma_l rows with
+the cells grouped by weight (_multi_indices, the only cache of a chain's
+weights) and the chirp exponents of each l (_chirp_exponents).  Per
+evaluation prime q: one primality proof, the search's
+(arith.proven_prime), the generator of F_q^x from the primes of M and the
+factors of the cofactor of q - 1 (arith.make_field), zeta_M and the root
+tables (the EvalContext), and the dlog base with its order-p table
+(arith._dlog_base).  Per sample: the walk, the product tree and the
+chirps, the Moebius table of the partner, the weighted products and the
+dlog digits.  The caches hold residues, index tables and F_q tables, never
+a unit value, a cell or a dlog: every walked conjugate is evaluated afresh
+(with its own tree and chirps), a partner reads only its walked conjugate's
+dlog, and an orbit table lives only for one conjugate of one evaluate_kappa
+call (or one side of one norm_relation_check).  An h-twist multiplies the
+cached lifts at every call and is never part of a cache key, so the
+H-invariance of criterion 5 stays a test.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from functools import lru_cache
 from itertools import compress
 from itertools import product as iter_product
@@ -89,7 +107,7 @@ from .arith import (FieldCtx, crt, dlog_p_part, factorint, kronecker, make_field
 from .config import DEFAULT_DERIVATIVE_CAP
 from .errors import BudgetExhausted, ConductorClash, NotSplit
 from .fields import AbelianFieldCtx, KolyvaginPrime
-from .groupring import GroupRing, GroupRingElement
+from .groupring import FiniteAbelianGroup, GroupRing, GroupRingElement
 
 
 class DerivativeOperator:
@@ -158,19 +176,19 @@ class EvalContext:
         self.q = q
         self.p_part = ctx.p ** (ctx.m + 1)
         self.n = math.prod(self.aux)
-        self.moduli = [ctx.f_K, self.p_part] + list(self.aux)
-        self.M = math.prod(self.moduli)
+        self.M = ctx.f_K * self.p_part * self.n
         if math.gcd(q, self.M) != 1:
             raise ConductorClash(f"q = {q} divides the symbol conductor")
         if not splits_completely(ctx, q, self.n, 0):
             raise NotSplit(f"q = {q} is not 1 mod M = {self.M}")
-        self.field: FieldCtx = make_field(q)
+        self.support = _support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
+        self.moduli = self.support.moduli
+        self.idempotents = self.support.idempotents
+        self.field: FieldCtx = make_field(q, known=self.support.primes)
         self.zeta = root_of_unity(self.field, self.M)
-        # CRT idempotents E_i (1 mod m_i, 0 mod the other components) and root
-        # tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i].
+        # root tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i].
         # The f_K-component has no row (tables[0] is None): the walk over the
         # chi_D-kernel steps by powers of w_f = zeta^(E_f) instead (_walk_steps)
-        self.idempotents = [(self.M // mi) * pow(self.M // mi, -1, mi) for mi in self.moduli]
         steps = [pow(self.zeta, e, q) for e in self.idempotents]
         self.w_f = steps[0]
         self.tables = [None] + [_power_row(step, mi, q)
@@ -186,30 +204,7 @@ class EvalContext:
 
     def delta_lift(self, g: tuple) -> int:
         """Residue acting on the tower as the group element g of Delta x Gamma."""
-        ctx = self.ctx
-        comp: dict[int, int] = {}
-        e1 = g[0]
-        if e1 % 2:
-            comp[ctx.f_K] = self._nonresidue()
-        if len(g) > 1:
-            # remaining Delta coordinates and the Gamma coordinate act through
-            # (Z/p^{m+1})^x / {+-1}
-            exp = 0
-            w0 = primitive_root(self.p_part)
-            if len(ctx.delta_divisors) > 1:
-                e2 = g[1]
-                exp += e2 * ctx.p**ctx.m
-            j = g[-1]
-            exp += j * ((ctx.p - 1) // 2)
-            if exp:
-                comp[self.p_part] = pow(w0, exp, self.p_part)
-        return self.lift(comp)
-
-    def _nonresidue(self) -> int:
-        x = 2
-        while self.ctx.chi_d(x) != -1:
-            x += 1
-        return x
+        return self.support.lifts[g]
 
     # -- norm sets -----------------------------------------------------------
 
@@ -368,14 +363,7 @@ class EvalContext:
         auxiliary support at multiplier t is the unit at d (the chi_D-kernel
         walk at d = f_K, _mobius_table below it) at u t, over the same at
         u_den t when u_den is not None (a-type, d = 1)."""
-        M, n = self.M, self.n
-        p_m = self.ctx.p**self.ctx.m
-        if kind == "d":
-            return (M // param) * pow(p_m, -1, param) + self.ctx.f_K, None, param
-        # kind == "a"; u_n = 0 at n = 1, as pow(p_m, -1, 1) = 0
-        u_n = (M // n) * pow(p_m, -1, n)
-        u_p = M // self.p_part
-        return u_n + u_p * param, u_n + u_p, 1
+        return _unit_multipliers(kind, param, self.ctx.p, self.ctx.m, self.ctx.f_K, self.aux)
 
     # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def factor_value(self, kind: str, param: int, mult: int):
@@ -383,7 +371,7 @@ class EvalContext:
         the one cell of factor_orbit at the residue 1 of every auxiliary
         prime."""
         orbit = self.factor_orbit(kind, param, mult, [[1]] * len(self.aux))
-        return _orbit_value(self.q, orbit, [1])
+        return _orbit_value(self.q, orbit, _ONE_CELL)
 
     def factor_orbit(self, kind: str, param: int, mult: int, rows) -> tuple[list, list | None]:
         """The basic unit (kind, param) with the context's auxiliary support,
@@ -410,6 +398,93 @@ class EvalContext:
         """The class's basic unit, conjugated by the multiplier, in a context
         of the class's auxiliary support."""
         return self.factor_value(cls.kind, cls.param, mult)
+
+
+class _Support:
+    """What one auxiliary support n = l_1 ... l_r fixes at the level (p, m)
+    of the field of conductor f, at every evaluation prime: the conductor
+    components m_i of M = f p^(m+1) n, their CRT idempotents E_i (1 mod m_i,
+    0 mod the other components), the primes of M (they divide q - 1 at
+    every evaluation prime q), the residue lifts[g] acting on the tower as
+    each g of Delta x Gamma, and conjugates, the pairs (g, lifts[g^-1]) in
+    the order of group.elements()."""
+
+    def __init__(self, group: FiniteAbelianGroup, p: int, m: int, f: int,
+                 aux: tuple[int, ...]):
+        p_part = p ** (m + 1)
+        self.moduli = (f, p_part) + aux
+        M = math.prod(self.moduli)
+        self.idempotents = tuple((M // mi) * pow(M // mi, -1, mi) for mi in self.moduli)
+        self.primes = tuple(factorint(M))
+        # the K-coordinate acts through a non-residue of chi_D at f; the other
+        # Delta coordinate and the Gamma coordinate act through
+        # (Z/p^{m+1})^x / {+-1}, generated by w0; every other component is 1
+        nonresidue = 2
+        while kronecker(f, nonresidue) != -1:
+            nonresidue += 1
+        w0 = primitive_root(p_part)
+        rest = sum(self.idempotents[2:])
+        self.lifts = {}
+        for g in group.elements():
+            exp = g[-1] * ((p - 1) // 2)
+            if len(group.delta_divisors) > 1:
+                exp += g[1] * p**m
+            e_f, e_p = self.idempotents[:2]
+            self.lifts[g] = ((nonresidue if g[0] % 2 else 1) * e_f
+                             + pow(w0, exp, p_part) * e_p + rest) % M
+        self.conjugates = tuple((g, self.lifts[group.inv(g)]) for g in group.elements())
+
+
+@lru_cache(maxsize=64)
+def _support(group: FiniteAbelianGroup, p: int, m: int, f: int,
+             aux: tuple[int, ...]) -> _Support:
+    return _Support(group, p, m, f, aux)
+
+
+@lru_cache(maxsize=64)
+def _unit_multipliers(kind: str, param: int, p: int, m: int, f: int,
+                      aux: tuple[int, ...]) -> tuple[int, int | None, int]:
+    """EvalContext._factor_multipliers of the unit (kind, param) with the
+    support aux at the level (p, m) of the field of conductor f."""
+    n = math.prod(aux)
+    p_part = p ** (m + 1)
+    M = f * p_part * n
+    p_m = p**m
+    if kind == "d":
+        return (M // param) * pow(p_m, -1, param) + f, None, param
+    # kind == "a"; u_n = 0 at n = 1, as pow(p_m, -1, 1) = 0
+    u_n = (M // n) * pow(p_m, -1, n)
+    u_p = M // p_part
+    return u_n + u_p * param, u_n + u_p, 1
+
+
+@lru_cache(maxsize=8)
+def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int):
+    """(rows, groups) for the multi-indices (k_1, ..., k_r),
+    1 <= k_i <= l_i - 2, in row-major order: rows[i] holds the residues
+    sigma_l^k of the i-th auxiliary prime, and groups the cells by their
+    weight prod_i k_i mod p^N (_group_weights).  This is the only cache of
+    a whole chain's weights."""
+    rows, weights = [], [1]
+    for kp in aux_primes:
+        rows.append(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:]))
+        weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
+    return tuple(rows), _group_weights(weights)
+
+
+def _group_weights(weights) -> tuple[tuple[int, array], ...]:
+    """The cell indices grouped by weight, as (weight, indices) pairs by
+    decreasing weight, the indices packed in machine words; cells of weight
+    0 are left out (x^0 = 1)."""
+    groups: dict = {}
+    for i, w in enumerate(weights):
+        if w:
+            groups.setdefault(w, []).append(i)
+    return tuple((w, array("L", groups[w])) for w in sorted(groups, reverse=True))
+
+
+# the groups of a one-cell table at weight 1
+_ONE_CELL = ((1, (0,)),)
 
 
 def _power_row(step: int, size: int, q: int) -> list[int]:
@@ -460,9 +535,8 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
             top -= 1
     shift = ell - 1 - top
     stride = top + ell
-    binom = [s * (s - 1) // 2 % ell for s in range(ell)]
-    chirp = [table[c] for c in binom]
-    damp = [table[-c % ell] for c in binom]
+    read_chirp, read_damp = _chirp_exponents(ell)
+    chirp, damp = read_chirp(table), read_damp(table)
     pad = [0] * (ell - 1)
     packed = []
     for start in range(0, len(cells), ell):
@@ -476,6 +550,16 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
                                                  wrap + conv[base:base + ell - 1 - shift], damp)]
              for base in range(0, len(packed), stride)]
     return [line[j] for j in picks for line in lines]
+
+
+@lru_cache(maxsize=16)
+def _chirp_exponents(ell: int) -> tuple[operator.itemgetter, operator.itemgetter]:
+    """Readers of the chirp b_s = w^C(s, 2) and its inverse, s < l, from a
+    root table T_l, for the prime l: item getters at C(s, 2) and -C(s, 2)
+    mod l."""
+    residues = list(range(ell))  # one int object per residue, shared by both
+    binom = [residues[s * (s - 1) // 2 % ell] for s in range(ell)]
+    return operator.itemgetter(*binom), operator.itemgetter(*(residues[-c] for c in binom))
 
 
 # bytes.translate tables over the codes 0 (non-unit), 1 (+1) and 2 (-1) of a
@@ -571,45 +655,54 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     ring = ctx.ring if ctx_level == ctx.N else GroupRing(ctx.group, ctx.p, ctx_level)
     twist = ev.lift(h_twist) if h_twist else 1
     # the multi-indices (k_1, ..., k_r) in row-major order: residues
-    # sigma_l^k per auxiliary prime and weights prod_i k_i (one cell at n = 1)
-    rows, weights = [], [1]
-    for kp in cls.aux_primes:
-        rows.append(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:])
-        weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
+    # sigma_l^k per auxiliary prime and the cells grouped by weight
+    # prod_i k_i (one cell at n = 1)
+    rows, groups = _multi_indices(cls.aux_primes, pN)
     # the class at f_K: each conjugate with g[0] = 1 is read from its
     # partner with g[0] = 0, which elements() lists first, and the
     # cyclotomic resultant of the two chi_D-cosets at every cell
     cosets = cls.kind == "d" and cls.param == ctx.f_K and math.gcd(twist, ev.M) == 1
     coeffs: dict = {}
-    for g in ctx.group.elements():
-        t_g = ev.delta_lift(ctx.group.inv(g)) * twist % ev.M
+    for g, lift in ev.support.conjugates:
+        t_g = lift * twist % ev.M
         partner = cosets and g[0]
         orbit = (ev.cyclotomic_resultant(t_g, rows) if partner
                  else ev.factor_orbit(cls.kind, cls.param, t_g, rows))
-        coeffs[g] = ev.dlog(_orbit_value(ev.q, orbit, weights), ctx_level)
+        coeffs[g] = ev.dlog(_orbit_value(ev.q, orbit, groups), ctx_level)
         if partner:
             coeffs[g] = (coeffs[g] - coeffs[(0,) + g[1:]]) % pN
     return GroupRingElement(ring, coeffs)
 
 
-def _orbit_value(q: int, orbit: tuple[list, list | None], weights: list[int]) -> int:
-    """prod_i cell_i^(weights[i]) in F_q of a factor_orbit table, numerators
-    over denominators."""
+def _orbit_value(q: int, orbit: tuple[list, list | None], groups) -> int:
+    """prod_i cell_i^(weight_i) in F_q of a factor_orbit table, numerators
+    over denominators, for the cells grouped by weight (_group_weights)."""
     num, den = orbit
-    val = _weighted_product(q, num, weights)
+    val = _weighted_product(q, num, groups)
     if den is not None:
-        val = val * pow(_weighted_product(q, den, weights), -1, q) % q
+        val = val * pow(_weighted_product(q, den, groups), -1, q) % q
     return val
 
 
-def _weighted_product(q: int, values: list[int], weights: list[int]) -> int:
-    """prod_i values[i]^(weights[i]) in F_q, one pow per distinct weight."""
-    by_weight: dict = {}
-    for weight, val in zip(weights, values):
-        by_weight[weight] = by_weight[weight] * val % q if weight in by_weight else val
-    total = 1
-    for weight, val in by_weight.items():
-        total = total * pow(val, weight, q) % q
+# Cells multiplied as integers before each reduction mod q
+_CHUNK = 32
+
+
+def _weighted_product(q: int, values: list[int], groups) -> int:
+    """prod_i values[i]^(weight_i) in F_q over the (weight, indices) groups
+    of _group_weights, by decreasing weight w_1 > w_2 > ... > w_k > 0: with
+    P_j the product of the first j classes, the value is
+    prod_j P_j^(w_j - w_{j+1}), w_{k+1} = 0, one pow to a small exponent per
+    class.  Each class is multiplied in C, _CHUNK cells at a time."""
+    total = acc = 1
+    for (weight, cells), (lower, _) in zip(groups, groups[1:] + ((0, ()),)):
+        if len(cells) == 1:
+            acc = acc * values[cells[0]] % q
+        else:
+            picked = operator.itemgetter(*cells)(values)
+            for start in range(0, len(picked), _CHUNK):
+                acc = acc * math.prod(picked[start:start + _CHUNK]) % q
+        total = total * pow(acc, weight - lower, q) % q
     return total
 
 
@@ -633,9 +726,9 @@ def norm_relation_check(ctx: AbelianFieldCtx, kind: str, param: int,
         raise ValueError(f"ell = {ell} does not divide the auxiliary product")
     ev = EvalContext(ctx, ells, q)
     rows = [range(1, ell) if e == ell else [1] for e in ells]
-    lhs = _orbit_value(q, ev.factor_orbit(kind, param, 1, rows), [1] * (ell - 1))
+    lhs = _orbit_value(q, ev.factor_orbit(kind, param, 1, rows), ((1, tuple(range(ell - 1))),))
     sub = EvalContext(ctx, tuple(e for e in ells if e != ell), q)
     cell = [[1]] * len(sub.aux)
-    rhs = [_orbit_value(q, sub.factor_orbit(kind, param, mult, cell), [1])
+    rhs = [_orbit_value(q, sub.factor_orbit(kind, param, mult, cell), _ONE_CELL)
            for mult in (1, pow(ell, -1, sub.M))]
     return lhs == rhs[0] * pow(rhs[1], -1, q) % q

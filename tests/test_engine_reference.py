@@ -14,6 +14,7 @@ multi-index, and the resultant's cells against the walked conjugates and
 Phi_f itself.
 """
 
+import itertools
 import math
 import random
 from itertools import product as iter_product
@@ -21,9 +22,10 @@ from itertools import product as iter_product
 import pytest
 
 import reference_engine as ref
+from cycfit.arith import factorint, primitive_root
 from cycfit.errors import NotSplit
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
-from cycfit.units import EvalContext, derivative_class, evaluate_kappa
+from cycfit.units import EvalContext, _multi_indices, derivative_class, evaluate_kappa
 
 
 def _chain(ctx, r, level):
@@ -290,6 +292,77 @@ def test_h_twists_change_factor_values_but_not_kappa():
     cls = derivative_class(ctx, "d", 257, (kp,))
     base = evaluate_kappa(ctx, cls, q)
     assert evaluate_kappa(ctx, cls, q, h_twist={kp.ell: 7}) == base
+    # twists are applied per call and never cached: at one class and one q,
+    # a chi_D-residue (2) and a non-residue (3) at f_K, which swaps the two
+    # conjugates, each give the reference engine's vector, in either order
+    ctx = build_field(3, 257, 0, 1)
+    kp = next(kolyvagin_primes(ctx))
+    cls = derivative_class(ctx, "d", 257, (kp,))
+    q = next(evaluation_primes(ctx, kp.ell))
+    ev = EvalContext(ctx, (kp.ell,), q)
+    vectors = []
+    for w in (2, 3, 2):
+        vec = evaluate_kappa(ctx, cls, q, h_twist={257: w})
+        assert vec == ref.evaluate_kappa(ctx, cls, ev, 1, {257: w}), w
+        vectors.append(vec)
+    assert vectors[0] == vectors[2] != vectors[1]
+
+
+def _fresh_lift(ev, g):
+    """The residue acting as g, from its components: a chi_D-non-residue
+    at f_K when g[0] = 1, the power of the primitive root mod p^{m+1} given
+    by the other coordinates, 1 at every auxiliary prime."""
+    ctx = ev.ctx
+    comp = {}
+    if g[0]:
+        comp[ctx.f_K] = next(x for x in itertools.count(2) if ctx.chi_d(x) == -1)
+    exp = g[-1] * (ctx.p - 1) // 2
+    if len(ctx.delta_divisors) > 1:
+        exp += g[1] * ctx.p**ctx.m
+    comp[ev.p_part] = pow(primitive_root(ev.p_part), exp, ev.p_part)
+    return ref.lift(ev, comp)
+
+
+# (p, D, m, chain length): the per-chain state at p = 3, 5, 7 and levels
+# m = 0, 1, 2, and for a chain of two primes
+CHAIN_STATE_CASES = [(p, D, m, 1) for p, D in ((3, 257), (5, 8), (7, 5)) for m in (0, 1, 2)]
+CHAIN_STATE_CASES.append((3, 8, 0, 2))
+
+
+@pytest.mark.parametrize("p,D,m,r", CHAIN_STATE_CASES)
+def test_chain_state_matches_fresh_recomputation(p, D, m, r):
+    # what an auxiliary support keeps for all its evaluation primes, read
+    # after evaluations with and without h-twists: lifts, unit multipliers,
+    # sigma_l rows, and the multi-index weights with their grouping
+    N = m + 1
+    ctx = build_field(p, D, m, N)
+    kps = _chain(ctx, r, 1)
+    ells = tuple(kp.ell for kp in kps)
+    cls = derivative_class(ctx, "d", D, kps)
+    gen = evaluation_primes(ctx, cls.n)
+    qs = [next(gen), next(gen)]
+    for q, twist in zip(qs, (None, {D: 2, ells[0]: 3})):
+        evaluate_kappa(ctx, cls, q, h_twist=twist)
+    ev = EvalContext(ctx, ells, qs[1])
+    pN, M, n = p**N, ev.M, cls.n
+    for g in ctx.group.elements():
+        assert ev.delta_lift(g) == _fresh_lift(ev, g)
+    assert ev.support.conjugates == tuple(
+        (g, _fresh_lift(ev, ctx.group.inv(g))) for g in ctx.group.elements())
+    assert sorted(ev.support.primes) == sorted(factorint(M))
+    p_m = p**m
+    for d in (d for d in range(2, D + 1) if D % d == 0):
+        assert ev._factor_multipliers("d", d) == ((M // d) * pow(p_m, -1, d) + D, None, d)
+    u_n, u_p = (M // n) * pow(p_m, -1, n), M // ev.p_part
+    assert ev._factor_multipliers("a", 2) == (u_n + 2 * u_p, u_n + u_p, 1)
+    rows, groups = _multi_indices(kps, pN)
+    assert rows == tuple(tuple(pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1))
+                         for kp in kps)
+    weights = [math.prod(ks) % pN
+               for ks in iter_product(*(range(1, kp.ell - 1) for kp in kps))]
+    assert sorted(i for _, cells in groups for i in cells) == [i for i, w in enumerate(weights) if w]
+    assert all(weights[i] == w for w, cells in groups for i in cells)
+    assert len({w for w, _ in groups}) == len(groups)
 
 
 # (D, m, N, chain length, level, h-twist exponent): chains of one and two

@@ -225,3 +225,25 @@ def test_cached_unit_check_agrees_with_membership(data):
     nf = ideal_normal_form([ring.from_vector(v) for v in vectors], ring)
     assert nf.is_unit_ideal() == nf.contains_vector(ring.one().vector())
     assert nf.is_unit_ideal() == nf.contains_vector(ring.one().vector())  # cached
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_membership_decides_the_join(data):
+    # x lies in I exactly when joining the ideal (x) leaves I unchanged, in
+    # Z/3^N[Gamma_m] at m = 1 and 2; x is drawn at random or from I itself
+    N = data.draw(st.integers(1, 3))
+    ring = GroupRing(FiniteAbelianGroup((), data.draw(st.sampled_from([3, 9]))), 3, N)
+    width = ring.group.order
+    vector = st.lists(st.integers(0, ring.mod - 1), min_size=width, max_size=width)
+    gens = [ring.from_vector(v) for v in data.draw(st.lists(vector, max_size=3))]
+    ideal = ideal_normal_form(gens, ring)
+    if ideal.rows and data.draw(st.booleans()):
+        x = [0] * width
+        for row in ideal.rows:
+            c = data.draw(st.integers(0, ring.mod - 1))
+            x = [(a + c * b) % ring.mod for a, b in zip(x, row)]
+    else:
+        x = data.draw(vector)
+    joined = ideal_join(ideal, ideal_normal_form([ring.from_vector(x)], ring))
+    assert ideal.contains_vector(x) == (joined == ideal)

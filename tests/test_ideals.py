@@ -51,6 +51,15 @@ def test_flagship_i0_run():
     assert all(s.in_fitting for s in run.samples)
 
 
+def test_tower_c0_at_m1_is_pinned():
+    # ROADMAP item 6's C_0(1) = (1 + 2 gamma^2, gamma + 2 gamma^2, 3 gamma^2)
+    # over Z/9[Gamma_1], which is not principal: the two samples that grow
+    # it are followed by a window of samples already inside it
+    run = sample_cyclotomic_ideal(build_field(3, 257, 1, 2), 0)
+    assert run.ideal.rows == ((1, 0, 2), (0, 1, 2), (0, 0, 3))
+    assert (len(run.samples), run.stall, run.status) == (52, 50, "OK")
+
+
 def test_determinism_and_transcript():
     ctx = build_field(3, 257, 0, 3)
     r1 = sample_cyclotomic_ideal(ctx, 0, budget=40, seed=7, window=8)

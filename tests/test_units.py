@@ -8,14 +8,14 @@ shares no arithmetic with the F_q engine.
 """
 
 import math
-from itertools import count
+from itertools import count, islice
 
 import pytest
 
-from cycfit.arith import crt, is_prime, kronecker, val_p
+from cycfit.arith import _smallest_generator, crt, is_prime, kronecker, val_p
 from cycfit.classgroup import fundamental_discriminants
-from cycfit.config import DEFAULT_DERIVATIVE_CAP
-from cycfit.errors import BudgetExhausted, ConductorClash, NotSplit
+from cycfit.config import DEFAULT_DERIVATIVE_CAP, DEFAULT_FIELD_BUDGET
+from cycfit.errors import BudgetExceeded, BudgetExhausted, ConductorClash, NotPrime, NotSplit
 from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
                            kolyvagin_primes)
 from cycfit.groupring import chi_project
@@ -302,6 +302,39 @@ def test_kappa_budget_guards():
         evaluate_kappa(ctx, derivative_class(ctx, "d", 257, ()), 13)
 
 
+# (p, D): the generator a search's prime gets from the known primes of
+# f_K p^(m+1) n, at one- to four-component conductors and at p = 5 and 7
+@pytest.mark.parametrize("p,D", [(3, 5), (3, 8), (3, 257), (3, 1937), (3, 3080), (3, 32045),
+                                 (5, 8), (7, 5)])
+def test_search_generator_matches_full_factorization(p, D):
+    ctx = build_field(p, D, 0, 3)
+    for chain in ((), (next(kolyvagin_primes(ctx)).ell,)):
+        qs = list(islice(evaluation_primes(ctx, math.prod(chain)), 200))
+        ev = EvalContext(ctx, chain, qs[0])
+        assert ev.field.g == _smallest_generator(qs[0], qs[0] - 1)
+        for q in qs:
+            assert (_smallest_generator(q, q - 1, ev.support.primes)
+                    == _smallest_generator(q, q - 1)), q
+
+
+def test_outside_primes_keep_their_checks():
+    # a q from outside the search is proven prime and held to the field
+    # budget, also right after the search has seen it
+    ctx = build_field(3, 257, 0, 3)
+    kp = next(kolyvagin_primes(ctx))
+    for cls in (derivative_class(ctx, "d", 257, ()), derivative_class(ctx, "d", 257, (kp,))):
+        step = 257 * 27 * cls.n
+        search = evaluation_primes(ctx, cls.n)
+        first = next(search)
+        composite = next(q for q in range(1 + step, first, step) if not is_prime(q))
+        with pytest.raises(NotPrime):
+            evaluate_kappa(ctx, cls, composite)
+        huge = next(q for q in count((DEFAULT_FIELD_BUDGET // step + 1) * step + 1, step)
+                    if is_prime(q))
+        with pytest.raises(BudgetExceeded):
+            evaluate_kappa(ctx, cls, huge)
+
+
 @pytest.mark.parametrize("D", [257, 785, 3137])
 def test_kappa_conjugates_at_n_1(D):
     # coefficient g of kappa(1) is the dlog of the unit conjugated by g^-1,
@@ -377,7 +410,7 @@ def test_one_cell_tables_are_cells_of_the_full_table(kind, param):
                 idx = idx * (ell - 1) + r - 1
             assert cell == ([full[0][idx]], None if full[1] is None else [full[1][idx]])
             value = ev.factor_value(kind, param, mult * ev.lift(dict(zip(aux, rho))))
-            assert _orbit_value(q, cell, [1]) == value, (kind, aux, rho)
+            assert _orbit_value(q, cell, ((1, (0,)),)) == value, (kind, aux, rho)
 
 
 def test_h_invariance_full_orbit():

@@ -140,9 +140,9 @@ def sample_cyclotomic_ideal(
     next evaluation prime in ascending order, and pushes the chain back; a
     sample outside the ideal joins its normal form, one inside it (tested on
     the ideal's Howell rows) only counts towards the stall.  A chain whose
-    derivative expansion exceeds the cap is dropped.  Deterministic for fixed (ctx, i, budget, seed).  base_run (a
-    run at a smaller i) seeds the ideal and provenance, making monotonicity
-    structural.
+    derivative expansion exceeds the cap is dropped.  Deterministic for
+    fixed (ctx, i, budget, seed).  base_run (a run at a smaller i) seeds the
+    ideal and provenance, making monotonicity structural.
     """
     if i < 0:
         raise NegativeArgument(f"the ideal index i = {i} must be >= 0")

@@ -360,7 +360,8 @@ def test_chain_state_matches_fresh_recomputation(p, D, m, r):
                          for kp in kps)
     weights = [math.prod(ks) % pN
                for ks in iter_product(*(range(1, kp.ell - 1) for kp in kps))]
-    assert sorted(i for _, cells in groups for i in cells) == [i for i, w in enumerate(weights) if w]
+    assert (sorted(i for _, cells in groups for i in cells)
+            == [i for i, w in enumerate(weights) if w])
     assert all(weights[i] == w for w, cells in groups for i in cells)
     assert len({w for w, _ in groups}) == len(groups)
 

@@ -407,7 +407,7 @@ class _Support:
     0 mod the other components), the primes of M (they divide q - 1 at
     every evaluation prime q), the residue lifts[g] acting on the tower as
     each g of Delta x Gamma, and conjugates, the pairs (g, lifts[g^-1]) in
-    the order of group.elements()."""
+    the order of group.elements().  Built once per support by _support."""
 
     def __init__(self, group: FiniteAbelianGroup, p: int, m: int, f: int,
                  aux: tuple[int, ...]):
@@ -423,22 +423,19 @@ class _Support:
         while kronecker(f, nonresidue) != -1:
             nonresidue += 1
         w0 = primitive_root(p_part)
+        e_f, e_p = self.idempotents[:2]
         rest = sum(self.idempotents[2:])
         self.lifts = {}
         for g in group.elements():
             exp = g[-1] * ((p - 1) // 2)
             if len(group.delta_divisors) > 1:
                 exp += g[1] * p**m
-            e_f, e_p = self.idempotents[:2]
             self.lifts[g] = ((nonresidue if g[0] % 2 else 1) * e_f
                              + pow(w0, exp, p_part) * e_p + rest) % M
         self.conjugates = tuple((g, self.lifts[group.inv(g)]) for g in group.elements())
 
 
-@lru_cache(maxsize=64)
-def _support(group: FiniteAbelianGroup, p: int, m: int, f: int,
-             aux: tuple[int, ...]) -> _Support:
-    return _Support(group, p, m, f, aux)
+_support = lru_cache(maxsize=64)(_Support)
 
 
 @lru_cache(maxsize=64)

@@ -22,7 +22,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # is proven for n below the bound (Jaeschke, Math. Comp. 61, 1993; each
 # bound is the least strong pseudoprime to its bases).  All twelve bases
 # are proven below 318665857834031151167461.
-_MR_BASES = ((3215031751, 4), (341550071728321, 7), (3825123056546413051, 9))
+_MR_BASES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+             (341550071728321, 7), (3825123056546413051, 9))
 
 
 def is_prime(n: int) -> bool:
@@ -201,8 +202,18 @@ def primitive_root(n: int) -> int:
 def _smallest_generator(n: int, phi: int, known: tuple[int, ...] = ()) -> int:
     """Smallest g prime to n of order phi modulo n, for n with a cyclic unit
     group of order phi.  The primes in `known` are divided out of phi, and
-    only the cofactor is factored.  The primes are tried in increasing
-    order, so half of all candidates fall at the first power."""
+    only the cofactor is factored.
+
+    g has order phi exactly when chi_r(g) = g^(phi/r) != 1 for every prime
+    r | phi.  The r are tried in increasing order, so half of all candidates
+    fall at the first, and chi_r(g) is found only when r is reached.  Each
+    chi_r is multiplicative, so a composite candidate's value is the product
+    of the values at its smallest prime factor and its cofactor, both below
+    it (found now if that candidate fell at an earlier r): only a prime
+    candidate c pays a pow.  For a prime n (phi = n - 1), chi_2(c) is the
+    Legendre symbol (c | n), read by quadratic reciprocity from n mod 8
+    (c = 2) or from (n | c) by Euler's criterion modulo c, a pow of c-sized
+    numbers."""
     factors = set()
     rest = phi
     for r in known:
@@ -211,11 +222,53 @@ def _smallest_generator(n: int, phi: int, known: tuple[int, ...] = ()) -> int:
             while rest % r == 0:
                 rest //= r
     factors.update(factorint(rest))
+    if not factors:
+        return 1
     exponents = [phi // r for r in sorted(factors)]
+    half = phi // 2 if phi == n - 1 else 0  # the exponent of chi_2 for a prime n
+    # chars[i][c] = chi_(r_i)(c) mod n, for the candidates c reached so far
+    chars: list[dict[int, int]] = [{} for _ in exponents]
+    primes: list[int] = []  # the prime candidates so far
+    split: dict[int, int] = {}  # the smallest prime factor of each composite one
+
+    def at_prime(c: int, e: int) -> int:
+        if e != half:
+            return pow(c, e, n)
+        if c == 2:
+            square = n % 8 in (1, 7)
+        else:
+            square = (pow(n % c, (c - 1) // 2, c) == 1) != (c % 4 == 3 == n % 4)
+        return 1 if square else n - 1
+
+    def chi(values: dict[int, int], e: int, c: int) -> int:
+        v = values.get(c)
+        if v is None:
+            f = split.get(c, c)
+            v = values[c] = (at_prime(c, e) if f == c
+                             else chi(values, e, f) * chi(values, e, c // f) % n)
+        return v
+
     g = 1
-    while math.gcd(g, n) != 1 or any(pow(g, e, n) == 1 for e in exponents):
+    while True:
         g += 1
-    return g
+        f = g
+        for r in primes:
+            if r * r > g:
+                break
+            if g % r == 0:
+                f = split[g] = r
+                break
+        if f == g:
+            primes.append(g)
+        if math.gcd(g, n) != 1:
+            continue
+        for values, e in zip(chars, exponents):
+            v = values[g] = (at_prime(g, e) if f == g
+                             else chi(values, e, f) * chi(values, e, g // f) % n)
+            if v == 1:
+                break
+        else:
+            return g
 
 
 def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> list[int]:
@@ -288,7 +341,13 @@ class FieldCtx:
         self.g = g
 
 
-@lru_cache(maxsize=None)
+# Prime fields kept: an evaluation prime is used by one sample, and a few
+# hundred cover the primes read again (auxiliary primes, the re-draws of a
+# sampler run at i >= 1 and the annihilation suite's primes).
+_FIELDS_KEPT = 256
+
+
+@lru_cache(maxsize=_FIELDS_KEPT)
 def _make_field_cached(q: int) -> FieldCtx:
     if q < 2 or not proven_prime(q):
         raise NotPrime(f"q = {q} is not prime")
@@ -331,7 +390,8 @@ def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
 
     Returns d with x^{(q-1)/p^N} = (g^{(q-1)/p^N})^d; kills p^N-th powers
     and is additive in x.  Pohlig-Hellman digit lifting inside the cyclic
-    p^N-subgroup (p^N is always small here).
+    p^N-subgroup (p^N is always small here); 0 at once when
+    x^{(q-1)/p^N} = 1.
     """
     if x == 0:
         raise ZeroElement("dlog of 0")
@@ -340,6 +400,8 @@ def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
     if (q - 1) % pN != 0:
         raise OrderNotDividing(f"p^N = {pN} does not divide q - 1")
     y = pow(x, (q - 1) // pN, q)
+    if y == 1:
+        return 0
     z_inv, table = _dlog_base(q, ctx.g, p, N)
     d = 0
     for i in range(N):

@@ -76,21 +76,28 @@ arithmetic in F_q.  Per auxiliary support (one chain at one level of the
 field), in bounded functools caches: the conductor components, their CRT
 idempotents, the primes of M and the lift of every g of Delta x Gamma
 (_support), the unit multipliers (_unit_multipliers), the sigma_l rows with
-the cells grouped by weight (_multi_indices, the only cache of a chain's
+the cells grouped by weight (_multi_indices, the only builder of a chain's
 weights) and the chirp exponents of each l (_chirp_exponents).  Per
-evaluation prime q: one primality proof, the search's
-(arith.proven_prime), the generator of F_q^x from the primes of M and the
-factors of the cofactor of q - 1 (arith.make_field), zeta_M and the root
-tables (the EvalContext), and the dlog base with its order-p table
-(arith._dlog_base).  Per sample: the walk, the product tree and the
-chirps, the Moebius table of the partner, the weighted products and the
-dlog digits.  The caches hold residues, index tables and F_q tables, never
-a unit value, a cell or a dlog: every walked conjugate is evaluated afresh
-(with its own tree and chirps), a partner reads only its walked conjugate's
-dlog, and an orbit table lives only for one conjugate of one evaluate_kappa
-call (or one side of one norm_relation_check).  An h-twist multiplies the
-cached lifts at every call and is never part of a cache key, so the
-H-invariance of criterion 5 stays a test.
+derivative class and level, one _ChainEvaluator (_chain_evaluator, keyed on
+the field, the class and the level, never on a multiplier or a twist)
+holds the expansion-size check, the support, each conjugate's lift and
+multiplier with the conjugate its partner reads, the rows and weight groups
+(referenced, not copied) and the ring, so evaluate_kappa at a new q is one
+cache lookup and one call.  Per evaluation prime q: one primality proof,
+the search's (arith.proven_prime), the generator of F_q^x from the primes
+of M and the factors of the cofactor of q - 1 by a character test
+(arith.make_field), zeta_M and the root tables (the EvalContext), and the
+dlog base with its order-p table (arith._dlog_base).  Per sample: the walk,
+the product tree and the chirps, the Moebius table of the partner (one
+scalar cell at n = 1), the weighted products (at n = 1 the one cell is read
+directly) and the dlog digits (none when the value's p-part is 1).  The
+caches hold residues, index tables and F_q tables, never a unit value, a
+cell or a dlog: every walked conjugate is evaluated afresh (with its own
+tree and chirps), a partner reads only its walked conjugate's dlog, and an
+orbit table lives only for one conjugate of one evaluate_kappa call (or one
+side of one norm_relation_check).  An h-twist multiplies the cached lifts at
+every call and is never part of a cache key, so the H-invariance of
+criterion 5 stays a test.
 """
 
 from __future__ import annotations
@@ -130,14 +137,8 @@ class DerivativeClass:
         self.kind = kind
         self.param = param
         self.aux_primes = aux_primes
-
-    @property
-    def aux(self) -> tuple[int, ...]:
-        return tuple(kp.ell for kp in self.aux_primes)
-
-    @property
-    def n(self) -> int:
-        return math.prod(self.aux)
+        self.aux = tuple(kp.ell for kp in aux_primes)
+        self.n = math.prod(self.aux)
 
     def operator(self) -> DerivativeOperator:
         return DerivativeOperator(self.aux_primes)
@@ -167,10 +168,13 @@ class EvalContext:
     residues modulo the master modulus M = f_K * p^{m+1} * n.  q must be
     1 mod M (NotSplit otherwise), so all arithmetic and the discrete
     logarithms happen in F_q with respect to its canonical generator, and
-    values at one q are mutually consistent.
+    values at one q are mutually consistent.  `support` is the _support of
+    aux when the caller holds it (a _ChainEvaluator); it is looked up
+    otherwise.
     """
 
-    def __init__(self, ctx: AbelianFieldCtx, aux: tuple[int, ...], q: int):
+    def __init__(self, ctx: AbelianFieldCtx, aux: tuple[int, ...], q: int,
+                 support: _Support | None = None):
         self.ctx = ctx
         self.aux = tuple(aux)
         self.q = q
@@ -179,9 +183,9 @@ class EvalContext:
         self.M = ctx.f_K * self.p_part * self.n
         if math.gcd(q, self.M) != 1:
             raise ConductorClash(f"q = {q} divides the symbol conductor")
-        if not splits_completely(ctx, q, self.n, 0):
+        if (q - 1) % self.M:
             raise NotSplit(f"q = {q} is not 1 mod M = {self.M}")
-        self.support = _support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
+        self.support = support or _support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
         self.moduli = self.support.moduli
         self.idempotents = self.support.idempotents
         self.field: FieldCtx = make_field(q, known=self.support.primes)
@@ -277,10 +281,17 @@ class EvalContext:
         table reads no f_K-component of a: any w of order d gives it.  At d = 1
         the numerator is the one pair (1 - alpha c)(1 - c / alpha) and the
         denominators are 1.  alpha c has a component of order p^{m+1}, prime
-        to d, so no factor is 0."""
+        to d, so no factor is 0.  With no rows the one cell has c = 1, and
+        each divisor contributes 2 - s_e."""
         q, t_p, p_part = self.q, self.tables[1], self.p_part
         parts = []
         for divisors in _mobius_divisors(d):
+            if not rows:
+                cell = 1
+                for e in divisors:
+                    cell = cell * (2 - t_p[a * e % p_part] - t_p[-a * e % p_part]) % q
+                parts.append([cell])
+                continue
             cells = [1] * math.prod(map(len, rows))
             for e in divisors:
                 ae = a * e
@@ -460,8 +471,8 @@ def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int):
     """(rows, groups) for the multi-indices (k_1, ..., k_r),
     1 <= k_i <= l_i - 2, in row-major order: rows[i] holds the residues
     sigma_l^k of the i-th auxiliary prime, and groups the cells by their
-    weight prod_i k_i mod p^N (_group_weights).  This is the only cache of
-    a whole chain's weights."""
+    weight prod_i k_i mod p^N (_group_weights).  Nothing else builds a
+    chain's weights; a _ChainEvaluator keeps a reference to them."""
     rows, weights = [], [1]
     for kp in aux_primes:
         rows.append(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:]))
@@ -630,6 +641,72 @@ def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:
     return (q - 1) % (ctx.f_K * ctx.p ** max(level, ctx.m + 1) * n) == 0
 
 
+class _ChainEvaluator:
+    """What one derivative class (kind, param, aux_primes) at one level of
+    the field ctx fixes in evaluate_kappa, at every evaluation prime: the
+    expansion-size check (BudgetExhausted), the _Support of the chain, the
+    unit multipliers, the ring Z/p^level[G], the _multi_indices rows and
+    weight groups (referenced, not copied) and each conjugate's multiplier
+    u * lift, with the conjugate whose dlog its partner reads when the class
+    is the one at f_K.  Built once per chain and level by _chain_evaluator;
+    a call at q does only the F_q work (see evaluate_kappa)."""
+
+    def __init__(self, ctx: AbelianFieldCtx, kind: str, param: int,
+                 aux_primes: tuple[KolyvaginPrime, ...], level: int):
+        size = DerivativeOperator(aux_primes).expansion_size()
+        if size > DEFAULT_DERIVATIVE_CAP:
+            raise BudgetExhausted(f"derivative expansion of size {size}"
+                                  f" exceeds cap {DEFAULT_DERIVATIVE_CAP}")
+        self.ctx = ctx
+        self.kind = kind
+        self.param = param
+        self.level = level
+        self.aux = tuple(kp.ell for kp in aux_primes)
+        self.support = _support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
+        self.M = math.prod(self.support.moduli)
+        self.ring = ctx.ring if level == ctx.N else GroupRing(ctx.group, ctx.p, level)
+        self.rows, self.groups = _multi_indices(aux_primes, ctx.p**level)
+        self.one_cell = not self.aux
+        u = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)[0]
+        # the class at f_K: each conjugate with g[0] = 1 is read from its
+        # partner with g[0] = 0, which elements() lists first, and the
+        # cyclotomic resultant of the two chi_D-cosets at every cell
+        self.paired = kind == "d" and param == ctx.f_K
+        self.conjugates = tuple((g, lift, u * lift % self.M,
+                                 (0,) + g[1:] if self.paired and g[0] else None)
+                                for g, lift in self.support.conjugates)
+
+    def __call__(self, q: int, h_twist: dict[int, int] | None) -> GroupRingElement:
+        """kappa(n) at q, for q = 1 mod f_K p^max(level, m+1) n."""
+        ev = EvalContext(self.ctx, self.aux, q, self.support)
+        M, rows, level = self.M, self.rows, self.level
+        twist = ev.lift(h_twist) if h_twist else 1
+        # a twist not prime to M has no coset to pair: both conjugates walk
+        cosets = math.gcd(twist, M) == 1
+        coeffs: dict = {}
+        for g, lift, a, partner in self.conjugates:
+            if partner and cosets:
+                orbit = ev.cyclotomic_resultant(lift * twist % M, rows)
+            elif self.paired:
+                orbit = ev._paired_orbit(a * twist % M, rows), None
+            else:
+                orbit = ev.factor_orbit(self.kind, self.param, lift * twist % M, rows)
+            if self.one_cell:
+                num, den = orbit
+                value = num[0] if den is None else num[0] * pow(den[0], -1, q) % q
+            else:
+                value = _orbit_value(q, orbit, self.groups)
+            coeffs[g] = ev.dlog(value, level)
+            if partner and cosets:
+                coeffs[g] -= coeffs[partner]
+        return GroupRingElement(self.ring, coeffs)
+
+
+# Chains kept, as many as _multi_indices keeps weights: a sampler run at
+# i <= 1 visits at most 1 + 6 chains (ideals._PER_LEVEL)
+_chain_evaluator = lru_cache(maxsize=8)(_ChainEvaluator)
+
+
 def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
                    level: int | None = None,
                    h_twist: dict[int, int] | None = None) -> GroupRingElement:
@@ -637,38 +714,15 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
 
     Returns sum_g dlog(eval(g^{-1} . eta(n)^{D_n})) * g over Z/p^level[G]; the
     coefficient convention makes the map Galois-equivariant.  Requires
-    q = 1 mod f_K * p^max(level, m+1) * n (splits_completely).
+    q = 1 mod f_K * p^max(level, m+1) * n (splits_completely).  What the
+    class and the level fix is read from the chain's _ChainEvaluator; the h-twist
+    multiplies its lifts at every call.
     """
     ctx_level = ctx.N if level is None else level
     if not splits_completely(ctx, q, cls.n, ctx_level):
         raise NotSplit(f"q = {q} is not 1 mod f_K p^max(level, m+1) n"
                        f" (level {ctx_level}, n = {cls.n})")
-    op = cls.operator()
-    if op.expansion_size() > DEFAULT_DERIVATIVE_CAP:
-        raise BudgetExhausted(f"derivative expansion of size {op.expansion_size()}"
-                              f" exceeds cap {DEFAULT_DERIVATIVE_CAP}")
-    ev = EvalContext(ctx, cls.aux, q)
-    pN = ctx.p**ctx_level
-    ring = ctx.ring if ctx_level == ctx.N else GroupRing(ctx.group, ctx.p, ctx_level)
-    twist = ev.lift(h_twist) if h_twist else 1
-    # the multi-indices (k_1, ..., k_r) in row-major order: residues
-    # sigma_l^k per auxiliary prime and the cells grouped by weight
-    # prod_i k_i (one cell at n = 1)
-    rows, groups = _multi_indices(cls.aux_primes, pN)
-    # the class at f_K: each conjugate with g[0] = 1 is read from its
-    # partner with g[0] = 0, which elements() lists first, and the
-    # cyclotomic resultant of the two chi_D-cosets at every cell
-    cosets = cls.kind == "d" and cls.param == ctx.f_K and math.gcd(twist, ev.M) == 1
-    coeffs: dict = {}
-    for g, lift in ev.support.conjugates:
-        t_g = lift * twist % ev.M
-        partner = cosets and g[0]
-        orbit = (ev.cyclotomic_resultant(t_g, rows) if partner
-                 else ev.factor_orbit(cls.kind, cls.param, t_g, rows))
-        coeffs[g] = ev.dlog(_orbit_value(ev.q, orbit, groups), ctx_level)
-        if partner:
-            coeffs[g] = (coeffs[g] - coeffs[(0,) + g[1:]]) % pN
-    return GroupRingElement(ring, coeffs)
+    return _chain_evaluator(ctx, cls.kind, cls.param, cls.aux_primes, ctx_level)(q, h_twist)
 
 
 def _orbit_value(q: int, orbit: tuple[list, list | None], groups) -> int:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycfit.arith import (
+    _make_field_cached,
+    _smallest_generator,
     crt,
     dlog_p_part,
     factorint,
@@ -21,7 +23,7 @@ from cycfit.arith import (
 )
 from cycfit.config import DEFAULT_FIELD_BUDGET
 from cycfit.errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
-from cycfit.fields import build_field, evaluation_primes
+from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
 
 
 def test_make_field_7_generator_is_3():
@@ -57,6 +59,69 @@ def test_make_field_generator_is_the_smallest_of_full_order():
     for D, N in ((257, 3), (3080, 2)):
         qs = list(itertools.islice(evaluation_primes(build_field(3, D, 0, N)), 20))
         assert [make_field(q).g for q in qs] == [primitive_root(q) for q in qs], D
+
+
+def _generator_by_definition(q):
+    """The least g of order q - 1 modulo the prime q: g^((q-1)/r) != 1 for
+    every prime r | q - 1, with q - 1 factored by trial division."""
+    primes, rest, r = [], q - 1, 2
+    while r * r <= rest:
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1 if r == 2 else 2
+    if rest > 1:
+        primes.append(rest)
+    return next(g for g in range(1, q) if all(pow(g, (q - 1) // r, q) != 1 for r in primes))
+
+
+def test_smallest_generator_matches_its_definition():
+    # every prime below 30 000, and 200 evaluation primes at each of three
+    # conductors with the primes of f_K p^(m+1) handed over as known; the
+    # winners include composites, whose character values are products
+    winners = set()
+    for q in filter(is_prime, range(2, 30000)):
+        g = _generator_by_definition(q)
+        assert _smallest_generator(q, q - 1) == g, q
+        winners.add(g)
+    for D in (257, 785, 1937):
+        known = tuple(factorint(3 * D))
+        for q in itertools.islice(evaluation_primes(build_field(3, D, 0, 3)), 200):
+            g = _generator_by_definition(q)
+            assert _smallest_generator(q, q - 1, known) == g, q
+            winners.add(g)
+    assert {6, 10, 12} <= winners
+    # prime powers take no Legendre symbol: the least g prime to n of order phi(n)
+    for n in (4, 9, 25, 27, 49, 81, 121, 125, 169, 243, 343, 729, 2187):
+        phi = n - n // min(factorint(n))
+        want = next(g for g in range(1, n) if math.gcd(g, n) == 1
+                    and all(pow(g, phi // r, n) != 1 for r in factorint(phi)))
+        assert primitive_root(n) == _smallest_generator(n, phi) == want, n
+
+
+def test_kolyvagin_generators_are_the_smallest():
+    # s_ell is the least generator of F_ell^x, or its inverse under the
+    # rejected convention
+    for D in (257, 785, 1937):
+        for kp in itertools.islice(kolyvagin_primes(build_field(3, D, 0, 3)), 20):
+            g = _generator_by_definition(kp.ell)
+            assert kp.s_ell == g, kp.ell
+            assert KolyvaginPrime.build(kp.ell, 3, flip_sigma=True).s_ell == pow(g, -1, kp.ell)
+
+
+def test_make_field_cache_keeps_its_bound():
+    # a walk over 300 primes fills the cache of fields to its bound and no
+    # further; the first prime, evicted, comes back with the same generator
+    qs = list(itertools.islice(evaluation_primes(build_field(3, 257, 0, 3)), 300))
+    _make_field_cached.cache_clear()
+    first = make_field(qs[0]).g
+    for q in qs:
+        make_field(q)
+    info = _make_field_cached.cache_info()
+    assert info.maxsize < len(qs) and info.currsize == info.maxsize
+    assert make_field(qs[0]).g == first
+    assert _make_field_cached.cache_info().misses == info.misses + 1
 
 
 def test_make_field_rejects_composite():
@@ -165,7 +230,8 @@ def _strong_probable_prime(n, bases):
 
 ALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # (least strong pseudoprime to the first k bases, k)
-PSEUDOPRIMES = ((3215031751, 4), (341550071728321, 7), (3825123056546413051, 9))
+PSEUDOPRIMES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                (341550071728321, 7), (3825123056546413051, 9))
 
 
 def test_is_prime_below_two_million_matches_sieve():

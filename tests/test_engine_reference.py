@@ -25,7 +25,8 @@ import reference_engine as ref
 from cycfit.arith import factorint, primitive_root
 from cycfit.errors import NotSplit
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
-from cycfit.units import EvalContext, _multi_indices, derivative_class, evaluate_kappa
+from cycfit.units import (EvalContext, _chain_evaluator, _multi_indices, derivative_class,
+                          evaluate_kappa)
 
 
 def _chain(ctx, r, level):
@@ -306,6 +307,28 @@ def test_h_twists_change_factor_values_but_not_kappa():
         assert vec == ref.evaluate_kappa(ctx, cls, ev, 1, {257: w}), w
         vectors.append(vec)
     assert vectors[0] == vectors[2] != vectors[1]
+
+
+def test_h_twists_with_a_warm_chain_evaluator():
+    # the twist guard above, after an untwisted call has built the chain's
+    # evaluator: each twisted call reads that evaluator from the cache,
+    # applies its own twist, and matches the reference; the untwisted
+    # vector is unchanged afterwards
+    ctx = build_field(3, 257, 0, 1)
+    kp = next(kolyvagin_primes(ctx))
+    cls = derivative_class(ctx, "d", 257, (kp,))
+    q = next(evaluation_primes(ctx, kp.ell))
+    ev = EvalContext(ctx, (kp.ell,), q)
+    base = evaluate_kappa(ctx, cls, q)
+    hits = _chain_evaluator.cache_info().hits
+    vectors = []
+    for w in (2, 3, 2):
+        vec = evaluate_kappa(ctx, cls, q, h_twist={257: w})
+        assert vec == ref.evaluate_kappa(ctx, cls, ev, 1, {257: w}), w
+        vectors.append(vec)
+    assert _chain_evaluator.cache_info().hits == hits + 3
+    assert vectors[0] == vectors[2] != vectors[1]
+    assert evaluate_kappa(ctx, cls, q) == base
 
 
 def _fresh_lift(ev, g):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
@@ -189,3 +190,33 @@ def test_proper_fitting_ideal_of_a_z9_field_is_matched(D):
     assert rep["verdicts"] == {"0": "MATCH", "1": "MATCH", "2": "MATCH"}
     assert rep["cyclotomic"]["0"]["ideal_valuation"] == 2
     assert rep["fitting"]["0"]["p_valuation"] == 2
+
+
+def _clear_caches():
+    """Empty every functools cache of the package, as a fresh process has them."""
+    for name, module in list(sys.modules.items()):
+        if name == "cycfit" or name.startswith("cycfit."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+# (p, D, m, N): sampler runs at i <= 1 at p = 3 and 5, m = 0 and 1
+CACHED_RUNS = [(3, 257, 0, 3), (3, 257, 1, 2), (3, 761, 0, 3), (3, 761, 1, 2), (5, 8, 0, 2)]
+
+
+@pytest.mark.parametrize("p,D,m,N", CACHED_RUNS)
+def test_cached_chain_evaluators_match_fresh_evaluation(p, D, m, N):
+    # each sample was drawn through the evaluator its chain built once
+    # (units._chain_evaluator); evaluated again with every cache emptied, it
+    # gives the same vector
+    ctx = build_field(p, D, m, N)
+    run = None
+    for i in (0, 1):
+        run = sample_cyclotomic_ideal(ctx, i, budget=12, window=6, base_run=run)
+    # the p = 3 runs reach chains of one prime; Q(sqrt 8) has no 5-part
+    assert any(sample.epsilon for sample in run.samples) == (p == 3)
+    for sample in run.samples:
+        _clear_caches()
+        cls = derivative_class(ctx, "d", D, chain_primes(ctx, sample.factors))
+        assert evaluate_kappa(ctx, cls, sample.q).vector() == sample.vector, sample.q

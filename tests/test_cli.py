@@ -143,6 +143,12 @@ PINNED_REPORTS = [
      "0ef3e858a34905491da96047891c680cab82ff33cc973c66b92943731e1293b9"),
     ("kappa -p 7 -D 5 -N 1 -q 6091 --chain 29", 0,
      "1130bc15c602af519ea51b87ac2da288e2652aca2e341be3204a2246347e233c"),
+    ("kappa -D 785 -N 3 -q 23102551 --chain 109", 0,
+     "00296acbe7396a325f73e3bb13cea6459340962562a2d9ae76ee1801081c9248"),
+    ("kappa -D 1937 -N 3 -q 57005911 --chain 109", 0,
+     "5cf45700ccadf0066b6386f28532a74b77e3414275532d0f5e700d9fd21df83d"),
+    ("kappa -D 3080 -N 3 -q 9064441 --chain 109", 0,
+     "6fd8396de9062ae85e3db4c96cb37562b420b2464ca9b0402c62245ee1953234"),
 ]
 PINNED_CORPUS = "7b2ffa30a2e192b65bc442eec992f0cd6c5ffdf2185bfff7513c00bb2f6e9e91"
 

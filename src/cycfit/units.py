@@ -34,17 +34,28 @@ alpha = T_p[a mod p^{m+1}] and c = prod_i T_i[a rho_i mod l_i] (c = 1 at
 n = 1), every c^e and alpha^e read from the root tables, one row of cells
 per divisor e of d with d/e squarefree.  That covers a unit at a proper
 divisor 1 < d < f_K (chi_D is primitive of conductor f_K, so its norm set
-is all of (Z/d)^x), the a-type (d = 1, where the form is the one pair
-1 - x, a numerator row over a denominator row), and the partner g tau
-(g[0] = 1) of a walked conjugate g of the class at f_K (kind "d", param
-f_K: every class the sampler draws).  The partner has the multiplier a n_0
-with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and every auxiliary prime,
-so at every multi-index the two norm sets are the two cosets of the
-chi_D-kernel, and the product of the two values is Phi_f(alpha c)
-Phi_f(c / alpha) (+-1 at n = 1, p = 3, m = 0: Apostol, Proc. AMS 24, 1970);
-the partner's dlog is the dlog of that table, weighted as the walked one,
-minus the walked one's.  An h-twist not prime to M has no coset to pair
-and walks both conjugates.
+is all of (Z/d)^x) and the a-type (d = 1, where the form is the one pair
+1 - x, a numerator row over a denominator row).
+
+The partner g tau (g[0] = 1) of a walked conjugate g of the class at f_K
+(kind "d", param f_K: every class the sampler draws) has the multiplier
+a n_0 with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and every auxiliary
+prime, so at every multi-index the two norm sets are the two cosets of the
+chi_D-kernel, and the product of the two values is the same form at
+d = f_K, prod_{e | f_K} h_e(c^e)^mu(f_K/e) with h_e(x) = 1 - x (s_e - x)
+and s_e = alpha^e + alpha^-e.  The partner's dlog is the dlog of that
+product, weighted as the walked one, minus the walked one's, and the
+product is taken by class (EvalContext.cyclotomic_resultant,
+_partner_rows): h_e depends on e only through +-e mod p^{m+1}, c^e is a
+rotation of the cells along each sigma_l, and when every chain prime has
+N_l >= max(level, m+1) the rotation only shifts the weights, so up to a
+p^level-th power the product is prod_C W(h_C(c))^(sum_{e in C} mu(f_K/e))
+over the classes C, W the weighted product over the cells (exactly so at
+n = 1).  At p^{m+1} = 3 every divisor lies in one class, whose sum is 0:
+the partner has no row, and coeff(g tau) = -coeff(g) (at n = 1 the
+resultant of Phi_3 and Phi_f is +-1: Apostol, Proc. AMS 24, 1970).  A
+shallower chain keeps one row per divisor, read at c^e.  An h-twist not
+prime to M has no coset to pair and walks both conjugates.
 
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
@@ -81,16 +92,17 @@ weights) and the chirp exponents of each l (_chirp_exponents).  Per
 derivative class and level, one _ChainEvaluator (_chain_evaluator, keyed on
 the field, the class and the level, never on a multiplier or a twist)
 holds the expansion-size check, the support, each conjugate's lift and
-multiplier with the conjugate its partner reads, the rows and weight groups
-(referenced, not copied) and the ring, so evaluate_kappa at a new q is one
+multiplier with the conjugate its partner reads, the partner's rows, the
+rows and weight groups (referenced, not copied) and the ring, so evaluate_kappa at a new q is one
 cache lookup and one call.  Per evaluation prime q: one primality proof,
 the search's (arith.proven_prime), the generator of F_q^x from the primes
 of M and the factors of the cofactor of q - 1 by a character test
 (arith.make_field), zeta_M and the root tables (the EvalContext), and the
 dlog base with its order-p table (arith._dlog_base).  Per sample: the walk,
-the product tree and the chirps, the Moebius table of the partner (one
-scalar cell at n = 1), the weighted products (at n = 1 the one cell is read
-directly) and the dlog digits (none when the value's p-part is 1).  The
+the product tree and the chirps, the partner's rows by class (none at
+p^{m+1} = 3), the weighted products (at n = 1 the one cell is read
+directly) and the dlog digits (none when the value's p-part is 1, and none
+for a partner without rows).  The
 caches hold residues, index tables and F_q tables, never a unit value, a
 cell or a dlog: every walked conjugate is evaluated afresh (with its own
 tree and chirps), a partner reads only its walked conjugate's dlog, and an
@@ -303,19 +315,43 @@ class EvalContext:
             parts.append(cells)
         return parts[0], parts[1]
 
-    def cyclotomic_resultant(self, mult: int, rows) -> tuple[list, list]:
-        """The d-type unit at f_K with the context's auxiliary support,
-        conjugated by mult * lift({l_i: rho_i}), times the same at
-        mult n_0 * lift({l_i: rho_i}), with chi_D(n_0) = -1 and n_0 = 1 modulo
-        p^{m+1} and every l_i, for every rho in rows[0] x ... x rows[r-1],
-        row-major (mult prime to M): the _mobius_table at d = f_K.
+    def cyclotomic_resultant(self, mult: int, rows, groups, partner_rows) -> int:
+        """The weighted product prod_rho (P_g(c) P_{g tau}(c))^(w_rho), up to a
+        p^level-th power, of the d-type unit at f_K with the context's
+        auxiliary support conjugated by mult * lift({l_i: rho_i}) (P_g) and
+        by mult n_0 * lift({l_i: rho_i}) (P_{g tau}), with chi_D(n_0) = -1
+        and n_0 = 1 modulo p^{m+1} and every l_i, over rho in
+        rows[0] x ... x rows[r-1] and the (weight, indices) groups of the
+        cells (mult prime to M).
 
         With a = u mult the two norm sets a R and a n_0 R are the two cosets
         of the chi_D-kernel R, so together they run over all of (Z/f_K)^x
-        against w = T_f[a mod f_K] of order f_K.  At n = 1 the one cell is
-        Phi_f(alpha) Phi_f(1 / alpha) = prod_{e | f} (2 - alpha^e - alpha^-e)^mu(f/e)."""
+        against w = T_f[a mod f_K] of order f_K, and each cell is
+        Phi_f(alpha c) Phi_f(c / alpha) = prod_{e | f} h_e(c^e)^mu(f/e), with
+        h_e(x) = 1 - x (s_e - x), s_e = alpha^e + alpha^-e and alpha, c as in
+        _mobius_table.  partner_rows (_partner_rows) lists that product as
+        (e, power, exponent) triples: each is the row h_e read at
+        x = c^power over the cells, weighted by the groups and raised to the
+        exponent.  No triple (p^{m+1} = 3, where the divisors cancel in one
+        class) gives 1."""
         a = self._factor_multipliers("d", self.ctx.f_K)[0] * mult
-        return self._mobius_table(a, self.ctx.f_K, rows)
+        q, t_p, p_part = self.q, self.tables[1], self.p_part
+        roots: dict = {}
+        num = den = 1
+        for e, power, exponent in partner_rows:
+            xs = roots.get(power)
+            if xs is None:
+                xs = [1]
+                for ell, table, row in zip(self.aux, self.tables[2:], rows):
+                    xs = [x * table[a * power * rho % ell] % q for x in xs for rho in row]
+                roots[power] = xs
+            s = t_p[a * e % p_part] + t_p[-a * e % p_part]
+            value = _weighted_product(q, [(1 - x * (s - x)) % q for x in xs], groups)
+            if exponent > 0:
+                num = num * pow(value, exponent, q) % q
+            else:
+                den = den * pow(value, -exponent, q) % q
+        return num if den == 1 else num * pow(den, -1, q) % q
 
     def _paired_orbit(self, a: int, rows) -> list:
         """The paired product over norm_set_d(f_K) of 1 - zeta^(a t), t the
@@ -634,6 +670,30 @@ def _mobius_divisors(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(out[0]), tuple(out[1])
 
 
+def _partner_rows(f: int, p_part: int, classed: bool) -> tuple[tuple[int, int, int], ...]:
+    """The rows of EvalContext.cyclotomic_resultant at the conductor f, as
+    (e, power, exponent) triples: h_e read at x = c^power and raised to the
+    sum of mu(f/e) over the divisors e of f with the same key; keys whose
+    sum is 0 are left out.
+
+    Classed, the key is the class of +-e mod p^{m+1} = p_part, read at
+    x = c: h_e depends on e only through s_e.  That needs every chain prime
+    to have N_l >= max(level, m+1).  Then c -> c^e rotates each axis along
+    sigma_l, which shifts the weights k -> k - j mod p^level (e = sigma_l^j),
+    and each correction prod_{c in mu_l, c != 1} h_e(c y) = h_e(y^l) / h_e(y)
+    (alpha^l = alpha) is a rotation of the other axes that cancels in turn,
+    so up to a p^level-th power the weighted product of h_e(c^e) is that of
+    h_e(c).  At n = 1 (one cell, c = 1) this is exact.  At p_part = 3 every
+    e is +-1 mod 3, and the one class sums to sum_{e | f} mu(f/e) = 0: no
+    row.  Unclassed, the key is e itself, read at x = c^e."""
+    sums: dict = {}
+    for mu, divisors in zip((1, -1), _mobius_divisors(f)):
+        for e in divisors:
+            key = (min(e % p_part, -e % p_part), 1) if classed else (e, e)
+            sums[key] = sums.get(key, 0) + mu
+    return tuple(key + (total,) for key, total in sums.items() if total)
+
+
 def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:
     """q = 1 mod f_K * p^max(level, m+1) * n: q has residue degree 1 in
     Q(mu_{f_K p^{m+1} n}), so it splits completely in F_m(mu_n) and every
@@ -647,8 +707,8 @@ class _ChainEvaluator:
     expansion-size check (BudgetExhausted), the _Support of the chain, the
     unit multipliers, the ring Z/p^level[G], the _multi_indices rows and
     weight groups (referenced, not copied) and each conjugate's multiplier
-    u * lift, with the conjugate whose dlog its partner reads when the class
-    is the one at f_K.  Built once per chain and level by _chain_evaluator;
+    u * lift, with the conjugate whose dlog its partner reads and the
+    partner's rows (_partner_rows) when the class is the one at f_K.  Built once per chain and level by _chain_evaluator;
     a call at q does only the F_q work (see evaluate_kappa)."""
 
     def __init__(self, ctx: AbelianFieldCtx, kind: str, param: int,
@@ -672,6 +732,8 @@ class _ChainEvaluator:
         # partner with g[0] = 0, which elements() lists first, and the
         # cyclotomic resultant of the two chi_D-cosets at every cell
         self.paired = kind == "d" and param == ctx.f_K
+        classed = all(kp.N_ell >= max(level, ctx.m + 1) for kp in aux_primes)
+        self.partner_rows = _partner_rows(ctx.f_K, ctx.p ** (ctx.m + 1), classed)
         self.conjugates = tuple((g, lift, u * lift % self.M,
                                  (0,) + g[1:] if self.paired and g[0] else None)
                                 for g, lift in self.support.conjugates)
@@ -686,8 +748,11 @@ class _ChainEvaluator:
         coeffs: dict = {}
         for g, lift, a, partner in self.conjugates:
             if partner and cosets:
-                orbit = ev.cyclotomic_resultant(lift * twist % M, rows)
-            elif self.paired:
+                value = ev.cyclotomic_resultant(lift * twist % M, rows, self.groups,
+                                                self.partner_rows)
+                coeffs[g] = (ev.dlog(value, level) if value != 1 else 0) - coeffs[partner]
+                continue
+            if self.paired:
                 orbit = ev._paired_orbit(a * twist % M, rows), None
             else:
                 orbit = ev.factor_orbit(self.kind, self.param, lift * twist % M, rows)
@@ -697,8 +762,6 @@ class _ChainEvaluator:
             else:
                 value = _orbit_value(q, orbit, self.groups)
             coeffs[g] = ev.dlog(value, level)
-            if partner and cosets:
-                coeffs[g] -= coeffs[partner]
         return GroupRingElement(self.ring, coeffs)
 
 

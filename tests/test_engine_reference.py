@@ -10,8 +10,10 @@ p = 3, 5, 7 and m = 0, 1, with and without auxiliary primes.  The orbit
 tables of EvalContext.factor_orbit (for the class at f_K the walk of
 evaluate_kappa: the transform for n > 1, one paired product at n = 1; a
 Moebius table for every other class) are compared at every
-multi-index, and the resultant's cells against the walked conjugates and
-Phi_f itself.
+multi-index, and the Moebius table of f_K against the walked conjugates
+and Phi_f itself.  The partner's product by classes of divisors is
+compared with the per-divisor table where the chain allows it, and each
+divisor stays its own row where it does not.
 """
 
 import itertools
@@ -24,9 +26,10 @@ import pytest
 import reference_engine as ref
 from cycfit.arith import factorint, primitive_root
 from cycfit.errors import NotSplit
-from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
-from cycfit.units import (EvalContext, _chain_evaluator, _multi_indices, derivative_class,
-                          evaluate_kappa)
+from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
+                           kolyvagin_primes)
+from cycfit.units import (EvalContext, _chain_evaluator, _multi_indices, _orbit_value,
+                          _partner_rows, derivative_class, evaluate_kappa)
 
 
 def _chain(ctx, r, level):
@@ -109,13 +112,14 @@ def test_extension_context_must_split():
 
 
 def _count_resultants(monkeypatch):
-    """Count the calls of EvalContext.cyclotomic_resultant from now on."""
+    """Count the calls of EvalContext.cyclotomic_resultant, the partner
+    route's one entry point, from now on."""
     calls = []
     route = EvalContext.cyclotomic_resultant
 
-    def counted(ev, mult, rows):
+    def counted(ev, mult, *args):
         calls.append(mult)
-        return route(ev, mult, rows)
+        return route(ev, mult, *args)
 
     monkeypatch.setattr(EvalContext, "cyclotomic_resultant", counted)
     return calls
@@ -260,7 +264,7 @@ def test_coset_cells_multiply_to_phi_f(D, r, level):
         t_g = ev.delta_lift(g) * twist % ev.M
         t_tau = ev.delta_lift((1,) + g[1:]) * twist % ev.M
         walked, partner = (ev.factor_orbit("d", D, t, rows)[0] for t in (t_g, t_tau))
-        num, den = ev.cyclotomic_resultant(t_g, rows)
+        num, den = ev._mobius_table(u * t_g, D, rows)
         for i, rhos in enumerate(iter_product(*rows)):
             t = u * t_g * ev.lift(dict(zip(ells, rhos))) % ev.M
             phi = (_phi_tilde(pow(ev.zeta, t * (1 - e_f) % ev.M, q), D, q)
@@ -279,6 +283,109 @@ def test_epsilon_zero_cosets_cancel_at_p3_level0(D):
                for q in (next(gen) for _ in range(3))]
     assert all(sum(v) % 27 == 0 for v in vectors)
     assert any(any(v) for v in vectors)
+    # every divisor of f is +-1 mod 3, so the partner route has no row
+    assert _partner_rows(D, 3, True) == ()
+
+
+# (D, chain, N): chains of one prime at level N = 3 and two chains of two
+# primes; each chi_D-coset pair of conjugates, both walked, sums to 0 mod
+# p^N at every multi-index weighting, so the partner route has no row there
+CHAIN_COSET_CASES = [(257, (379,), 3), (473, (379,), 3), (785, (109,), 3),
+                     (3080, (109,), 3), (8, (7, 127), 1), (473, (19, 2053), 2)]
+
+
+@pytest.mark.parametrize("D,chain,N", CHAIN_COSET_CASES,
+                         ids=["-".join(map(str, (D,) + chain + (N,)))
+                              for D, chain, N in CHAIN_COSET_CASES])
+def test_chain_cosets_cancel_at_p3_level0(D, chain, N):
+    ctx = build_field(3, D, 0, N)
+    kps = chain_primes(ctx, chain)
+    cls = derivative_class(ctx, "d", D, kps)
+    assert _chain_evaluator(ctx, "d", D, kps, N).partner_rows == ()
+    gen = evaluation_primes(ctx, cls.n, level=N)
+    rows, groups = _multi_indices(kps, 3**N)
+    tau = {g: (1 - g[0],) + g[1:] for g in ctx.group.elements()}
+    vectors = []
+    for q in (next(gen) for _ in range(2)):
+        ev = EvalContext(ctx, cls.aux, q)
+        if cls.n < 10**4:
+            # the reference walks every conjugate at every multi-index
+            walked = ref.evaluate_kappa(ctx, cls, ev, N).coeffs
+        else:
+            # 19 * 2053 multi-indices are beyond the reference; the engine
+            # walks each conjugate's own chi_D-coset (factor_orbit)
+            walked = {g: ev.dlog(_orbit_value(q, ev.factor_orbit("d", D, t, rows), groups), N)
+                      for g, t in ev.support.conjugates}
+        assert all((walked.get(g, 0) + walked.get(tau[g], 0)) % 3**N == 0 for g in tau)
+        new = evaluate_kappa(ctx, cls, q)
+        assert {g: c for g, c in walked.items() if c % 3**N} == new.coeffs
+        vectors.append(new.vector())
+    assert any(any(v) for v in vectors)
+
+
+# (p, D): at m = 1 and 2 the first chain prime at level 1 (13, 31, 29) has
+# N_l = 1 < m + 1, so alpha^l != alpha and the rotation c -> c^e of an axis
+# changes the row: each Moebius divisor of the partner is its own row, read
+# at c^e, and the class-keyed product differs from it at some conjugate
+@pytest.mark.parametrize("p,D", [(3, 257), (5, 8), (7, 5)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_shallow_chains_key_each_divisor(p, D, m):
+    ctx = build_field(p, D, m, m + 1)
+    kps = _chain(ctx, 1, 1)
+    assert kps[0].N_ell < m + 1
+    cls = derivative_class(ctx, "d", D, kps)
+    per_divisor = _partner_rows(D, p ** (m + 1), False)
+    assert _chain_evaluator(ctx, "d", D, kps, 1).partner_rows == per_divisor
+    assert all(power == e and abs(exponent) == 1 for e, power, exponent in per_divisor)
+    rows, groups = _multi_indices(kps, p)
+    gen = evaluation_primes(ctx, cls.n, level=m + 1)
+    differs = False
+    for q in (next(gen) for _ in range(2)):
+        ev = EvalContext(ctx, cls.aux, q)
+        assert evaluate_kappa(ctx, cls, q, level=1) == ref.evaluate_kappa(ctx, cls, ev, 1)
+        for g, lift in ev.support.conjugates:
+            dlogs = {ev.dlog(ev.cyclotomic_resultant(lift, rows, groups,
+                                                     _partner_rows(D, p ** (m + 1), classed)), 1)
+                     for classed in (False, True)}
+            differs |= len(dlogs) > 1
+    assert differs
+
+
+# (p, D, m, N, chain length, level): chains with N_l >= max(level, m + 1)
+# at p = 5 and 7, and at p = 3, m = 1 (p^{m+1} = 9); 785 = 5 * 157 puts
+# 1 and 157 (= 4 mod 9) against 5 and 785 (= 4 and 2 mod 9), so its four
+# divisors make three classes, one of them with exponent -2
+CLASSED_CASES = [(5, 8, 0, 2, 1, 1), (5, 12, 0, 1, 2, 1), (7, 5, 0, 2, 1, 2),
+                 (3, 257, 1, 2, 1, 2), (3, 785, 1, 2, 1, 2), (3, 785, 1, 2, 0, 2)]
+
+
+@pytest.mark.parametrize("p,D,m,N,r,level", CLASSED_CASES)
+def test_class_keyed_rows_match_the_per_divisor_table(p, D, m, N, r, level):
+    # the weighted product of the Moebius table (_mobius_table, one row per
+    # divisor at c^e) equals the per-divisor rows exactly, and the class-keyed
+    # rows up to a p^level-th power, so their dlogs agree
+    ctx = build_field(p, D, m, N)
+    kps = _chain(ctx, r, level)
+    assert all(kp.N_ell >= max(level, m + 1) for kp in kps)
+    ells = tuple(kp.ell for kp in kps)
+    classed = _partner_rows(D, p ** (m + 1), True)
+    assert _chain_evaluator(ctx, "d", D, kps, level).partner_rows == classed
+    assert all(power == 1 for _, power, _ in classed)
+    assert 0 < len(classed) <= len(_partner_rows(D, p ** (m + 1), False))
+    rows, groups = _multi_indices(kps, p**level)
+    gen = evaluation_primes(ctx, math.prod(ells), level=max(level, m + 1))
+    dlogs = []
+    for q in (next(gen) for _ in range(2)):
+        ev = EvalContext(ctx, ells, q)
+        u = ev._factor_multipliers("d", D)[0]
+        for g, lift in ev.support.conjugates:
+            table = _orbit_value(q, ev._mobius_table(u * lift, D, rows), groups)
+            assert table == ev.cyclotomic_resultant(lift, rows, groups,
+                                                    _partner_rows(D, p ** (m + 1), False))
+            value = ev.cyclotomic_resultant(lift, rows, groups, classed)
+            dlogs.append(ev.dlog(table, level))
+            assert ev.dlog(value, level) == dlogs[-1]
+    assert any(dlogs)
 
 
 def test_h_twists_change_factor_values_but_not_kappa():

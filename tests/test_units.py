@@ -3,7 +3,7 @@
 The heavyweight oracle here computes the quadratic basic circular unit
 exactly in Z[zeta_M] (cyclic-convolution arithmetic on integer vectors, trace
 formulas, Gauss-sum resolution of sqrt(D)) and compares the residue engine
-against it at several evaluation primes, conjugate by conjugate.  That路
+against it at several evaluation primes, conjugate by conjugate.  That
 shares no arithmetic with the F_q engine.
 """
 

@@ -316,13 +316,13 @@ class EvalContext:
         return parts[0], parts[1]
 
     def cyclotomic_resultant(self, mult: int, rows, groups, partner_rows) -> int:
-        """The weighted product prod_rho (P_g(c) P_{g tau}(c))^(w_rho), up to a
-        p^level-th power, of the d-type unit at f_K with the context's
-        auxiliary support conjugated by mult * lift({l_i: rho_i}) (P_g) and
-        by mult n_0 * lift({l_i: rho_i}) (P_{g tau}), with chi_D(n_0) = -1
-        and n_0 = 1 modulo p^{m+1} and every l_i, over rho in
-        rows[0] x ... x rows[r-1] and the (weight, indices) groups of the
-        cells (mult prime to M).
+        """The weighted product prod_rho (P_g(c) P_{g tau}(c))^(w_rho) of the
+        d-type unit at f_K with the context's auxiliary support conjugated by
+        mult * lift({l_i: rho_i}) (P_g) and by mult n_0 * lift({l_i: rho_i})
+        (P_{g tau}), with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and
+        every l_i, over rho in rows[0] x ... x rows[r-1] and the (weight,
+        indices) groups of the cells (mult prime to M): exact with one row
+        per divisor, up to a p^level-th power with rows by class.
 
         With a = u mult the two norm sets a R and a n_0 R are the two cosets
         of the chi_D-kernel R, so together they run over all of (Z/f_K)^x
@@ -336,22 +336,16 @@ class EvalContext:
         class) gives 1."""
         a = self._factor_multipliers("d", self.ctx.f_K)[0] * mult
         q, t_p, p_part = self.q, self.tables[1], self.p_part
-        roots: dict = {}
-        num = den = 1
+        out = 1
         for e, power, exponent in partner_rows:
-            xs = roots.get(power)
-            if xs is None:
-                xs = [1]
-                for ell, table, row in zip(self.aux, self.tables[2:], rows):
-                    xs = [x * table[a * power * rho % ell] % q for x in xs for rho in row]
-                roots[power] = xs
+            ap = a * power
+            xs = [1]
+            for ell, table, row in zip(self.aux, self.tables[2:], rows):
+                xs = [x * table[ap * rho % ell] % q for x in xs for rho in row]
             s = t_p[a * e % p_part] + t_p[-a * e % p_part]
             value = _weighted_product(q, [(1 - x * (s - x)) % q for x in xs], groups)
-            if exponent > 0:
-                num = num * pow(value, exponent, q) % q
-            else:
-                den = den * pow(value, -exponent, q) % q
-        return num if den == 1 else num * pow(den, -1, q) % q
+            out = out * pow(value, exponent, q) % q
+        return out
 
     def _paired_orbit(self, a: int, rows) -> list:
         """The paired product over norm_set_d(f_K) of 1 - zeta^(a t), t the

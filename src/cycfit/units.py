@@ -90,26 +90,26 @@ idempotents, the primes of M and the lift of every g of Delta x Gamma
 the cells grouped by weight (_multi_indices, the only builder of a chain's
 weights) and the chirp exponents of each l (_chirp_exponents).  Per
 derivative class and level, one _ChainEvaluator (_chain_evaluator, keyed on
-the field, the class and the level, never on a multiplier or a twist)
-holds the expansion-size check, the support, each conjugate's lift and
-multiplier with the conjugate its partner reads, the partner's rows, the
-rows and weight groups (referenced, not copied) and the ring, so evaluate_kappa at a new q is one
-cache lookup and one call.  Per evaluation prime q: one primality proof,
-the search's (arith.proven_prime), the generator of F_q^x from the primes
-of M and the factors of the cofactor of q - 1 by a character test
-(arith.make_field), zeta_M and the root tables (the EvalContext), and the
-dlog base with its order-p table (arith._dlog_base).  Per sample: the walk,
-the product tree and the chirps, the partner's rows by class (none at
-p^{m+1} = 3), the weighted products (at n = 1 the one cell is read
-directly) and the dlog digits (none when the value's p-part is 1, and none
-for a partner without rows).  The
-caches hold residues, index tables and F_q tables, never a unit value, a
-cell or a dlog: every walked conjugate is evaluated afresh (with its own
-tree and chirps), a partner reads only its walked conjugate's dlog, and an
-orbit table lives only for one conjugate of one evaluate_kappa call (or one
-side of one norm_relation_check).  An h-twist multiplies the cached lifts at
-every call and is never part of a cache key, so the H-invariance of
-criterion 5 stays a test.
+the field, the class and the level, never on a multiplier or a twist) holds
+the expansion-size check, the support, each conjugate's lift and multiplier
+with the conjugate its partner reads, the partner's rows, the rows and
+weight groups (referenced, not copied) and the ring, so evaluate_kappa at a
+new q is one cache lookup and one call.  Per evaluation prime q: one
+primality proof, the search's (arith.proven_prime), the generator of F_q^x
+from the primes of M and the factors of the cofactor of q - 1 by a
+character test (arith.make_field), zeta_M and the root tables (the
+EvalContext), and the dlog base with its order-p table (arith._dlog_base).
+Per sample: the walk, the product tree and the chirps, the partner's rows
+by class (none at p^{m+1} = 3), the weighted products (at n = 1 the one
+cell is read directly) and the dlog digits (none when the value's p-part is
+1, and none for a partner without rows).  The caches hold residues, index
+tables and F_q tables, never a unit value, a cell or a dlog: every walked
+conjugate is evaluated afresh (with its own tree and chirps), a partner
+reads only its walked conjugate's dlog, and an orbit table lives only for
+one conjugate of one evaluate_kappa call (or one side of one
+norm_relation_check).  An h-twist multiplies the cached lifts at every call
+and is never part of a cache key, so the H-invariance of criterion 5 stays
+a test.
 """
 
 from __future__ import annotations
@@ -702,8 +702,9 @@ class _ChainEvaluator:
     unit multipliers, the ring Z/p^level[G], the _multi_indices rows and
     weight groups (referenced, not copied) and each conjugate's multiplier
     u * lift, with the conjugate whose dlog its partner reads and the
-    partner's rows (_partner_rows) when the class is the one at f_K.  Built once per chain and level by _chain_evaluator;
-    a call at q does only the F_q work (see evaluate_kappa)."""
+    partner's rows (_partner_rows) when the class is the one at f_K.  Built
+    once per chain and level by _chain_evaluator; a call at q does only the
+    F_q work (see evaluate_kappa)."""
 
     def __init__(self, ctx: AbelianFieldCtx, kind: str, param: int,
                  aux_primes: tuple[KolyvaginPrime, ...], level: int):

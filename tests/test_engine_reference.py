@@ -340,7 +340,7 @@ def test_shallow_chains_key_each_divisor(p, D, m):
     for q in (next(gen) for _ in range(2)):
         ev = EvalContext(ctx, cls.aux, q)
         assert evaluate_kappa(ctx, cls, q, level=1) == ref.evaluate_kappa(ctx, cls, ev, 1)
-        for g, lift in ev.support.conjugates:
+        for _, lift in ev.support.conjugates:
             dlogs = {ev.dlog(ev.cyclotomic_resultant(lift, rows, groups,
                                                      _partner_rows(D, p ** (m + 1), classed)), 1)
                      for classed in (False, True)}
@@ -352,9 +352,9 @@ def test_shallow_chains_key_each_divisor(p, D, m):
 
 
 # (p, D, m, N, chain length, level): chains with N_l >= max(level, m + 1)
-# at p = 5 and 7, and at p = 3, m = 1 (p^{m+1} = 9); 785 = 5 * 157 puts
-# 1 and 157 (= 4 mod 9) against 5 and 785 (= 4 and 2 mod 9), so its four
-# divisors make three classes, one of them with exponent -2
+# at p = 5 and 7, and at p = 3, m = 1 (p^{m+1} = 9); at 785 = 5 * 157 the
+# divisors 157 = 4 and 5 = -4 mod 9 share one class of exponent -2, so the
+# four divisors make three rows
 CLASSED_CASES = [(5, 8, 0, 2, 1, 1), (5, 12, 0, 1, 2, 1), (7, 5, 0, 2, 1, 2),
                  (3, 257, 1, 2, 1, 2), (3, 785, 1, 2, 1, 2), (3, 785, 1, 2, 0, 2)]
 
@@ -378,7 +378,7 @@ def test_class_keyed_rows_match_the_per_divisor_table(p, D, m, N, r, level):
     for q in (next(gen) for _ in range(2)):
         ev = EvalContext(ctx, ells, q)
         u = ev._factor_multipliers("d", D)[0]
-        for g, lift in ev.support.conjugates:
+        for _, lift in ev.support.conjugates:
             table = _orbit_value(q, ev._mobius_table(u * lift, D, rows), groups)
             assert table == ev.cyclotomic_resultant(lift, rows, groups,
                                                     _partner_rows(D, p ** (m + 1), False))

@@ -149,6 +149,8 @@ PINNED_REPORTS = [
      "5cf45700ccadf0066b6386f28532a74b77e3414275532d0f5e700d9fd21df83d"),
     ("kappa -D 3080 -N 3 -q 9064441 --chain 109", 0,
      "6fd8396de9062ae85e3db4c96cb37562b420b2464ca9b0402c62245ee1953234"),
+    ("kappa -p 5 -D 12 -N 1 -q 3053821 --chain 11 661", 0,
+     "9409f50cde83be87350cdbca5a7e957dd6cfcfc354c62ba4980f74e96ff5c522"),
 ]
 PINNED_CORPUS = "7b2ffa30a2e192b65bc442eec992f0cd6c5ffdf2185bfff7513c00bb2f6e9e91"
 

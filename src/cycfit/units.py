@@ -28,34 +28,35 @@ multiplied into the others bytewise (_kernel).
 
 Every other class is read from the Moebius form
 Phi_d(x) = prod_{e | d} (1 - x^e)^mu(d/e) without a walk
-(EvalContext._mobius_table): its pairs run over all of (Z/d)^x against a
-root of order d, so each cell is Phi_d(alpha c) Phi_d(c / alpha) with
+(EvalContext._mobius_table, the one builder of its rows): its pairs run
+over all of (Z/d)^x against a root of order d, so each cell is
+Phi_d(alpha c) Phi_d(c / alpha) = prod_{e | d} h_e(c^e)^mu(d/e) with
+h_e(x) = 1 - x (s_e - x), s_e = alpha^e + alpha^-e,
 alpha = T_p[a mod p^{m+1}] and c = prod_i T_i[a rho_i mod l_i] (c = 1 at
 n = 1), every c^e and alpha^e read from the root tables, one row of cells
-per divisor e of d with d/e squarefree.  That covers a unit at a proper
-divisor 1 < d < f_K (chi_D is primitive of conductor f_K, so its norm set
-is all of (Z/d)^x) and the a-type (d = 1, where the form is the one pair
-1 - x, a numerator row over a denominator row).
+per term of _mobius_rows.  The form serves three classes: a unit at a
+proper divisor 1 < d < f_K (chi_D is primitive of conductor f_K, so its
+norm set is all of (Z/d)^x), the a-type (d = 1, where the form is the one
+pair 1 - x, a numerator row over a denominator row), and the partner below.
 
 The partner g tau (g[0] = 1) of a walked conjugate g of the class at f_K
 (kind "d", param f_K: every class the sampler draws) has the multiplier
 a n_0 with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and every auxiliary
 prime, so at every multi-index the two norm sets are the two cosets of the
-chi_D-kernel, and the product of the two values is the same form at
-d = f_K, prod_{e | f_K} h_e(c^e)^mu(f_K/e) with h_e(x) = 1 - x (s_e - x)
-and s_e = alpha^e + alpha^-e.  The partner's dlog is the dlog of that
-product, weighted as the walked one, minus the walked one's, and the
-product is taken by class (EvalContext.cyclotomic_resultant,
-_partner_rows): h_e depends on e only through +-e mod p^{m+1}, c^e is a
-rotation of the cells along each sigma_l, and when every chain prime has
-N_l >= max(level, m+1) the rotation only shifts the weights, so up to a
-p^level-th power the product is prod_C W(h_C(c))^(sum_{e in C} mu(f_K/e))
-over the classes C, W the weighted product over the cells (exactly so at
-n = 1).  At p^{m+1} = 3 every divisor lies in one class, whose sum is 0:
-the partner has no row, and coeff(g tau) = -coeff(g) (at n = 1 the
-resultant of Phi_3 and Phi_f is +-1: Apostol, Proc. AMS 24, 1970).  A
-shallower chain keeps one row per divisor, read at c^e.  An h-twist not
-prime to M has no coset to pair and walks both conjugates.
+chi_D-kernel, and the product of the two values is the form at d = f_K,
+read at the walked conjugate's a.  The partner's dlog is the dlog of that
+table, weighted as the walked one, minus the walked one's, and its terms
+are taken by class (_mobius_rows): h_e depends on e only through
++-e mod p^{m+1}, c^e is a rotation of the cells along each sigma_l, and
+when every chain prime has N_l >= max(level, m+1) the rotation only shifts
+the weights, so up to a p^level-th power the product is
+prod_C W(h_C(c))^(sum_{e in C} mu(f_K/e)) over the classes C, W the
+weighted product over the cells (exactly so at n = 1).  At p^{m+1} = 3
+every divisor lies in one class, whose sum is 0: the partner has no term,
+builds no table, and coeff(g tau) = -coeff(g) (at n = 1 the resultant of
+Phi_3 and Phi_f is +-1: Apostol, Proc. AMS 24, 1970).  A shallower chain
+keeps one term per divisor, read at c^e.  An h-twist not prime to M has no
+coset to pair and walks both conjugates.
 
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
@@ -86,30 +87,30 @@ Work is split by what fixes it, so that a sample pays only for its own
 arithmetic in F_q.  Per auxiliary support (one chain at one level of the
 field), in bounded functools caches: the conductor components, their CRT
 idempotents, the primes of M and the lift of every g of Delta x Gamma
-(_support), the unit multipliers (_unit_multipliers), the sigma_l rows with
-the cells grouped by weight (_multi_indices, the only builder of a chain's
-weights) and the chirp exponents of each l (_chirp_exponents).  Per
-derivative class and level, one _ChainEvaluator (_chain_evaluator, keyed on
-the field, the class and the level, never on a multiplier or a twist) holds
-the expansion-size check, the support, each conjugate's lift and multiplier
-with the conjugate its partner reads, the partner's rows, the rows and
-weight groups (referenced, not copied) and the ring, so evaluate_kappa at a
-new q is one cache lookup and one call.  Per evaluation prime q: one
-primality proof, the search's (arith.proven_prime), the generator of F_q^x
-from the primes of M and the factors of the cofactor of q - 1 by a
-character test (arith.make_field), zeta_M and the root tables (the
-EvalContext), and the dlog base with its order-p table (arith._dlog_base).
-Per sample: the walk, the product tree and the chirps, the partner's rows
-by class (none at p^{m+1} = 3), the weighted products (at n = 1 the one
-cell is read directly) and the dlog digits (none when the value's p-part is
-1, and none for a partner without rows).  The caches hold residues, index
-tables and F_q tables, never a unit value, a cell or a dlog: every walked
-conjugate is evaluated afresh (with its own tree and chirps), a partner
-reads only its walked conjugate's dlog, and an orbit table lives only for
-one conjugate of one evaluate_kappa call (or one side of one
-norm_relation_check).  An h-twist multiplies the cached lifts at every call
-and is never part of a cache key, so the H-invariance of criterion 5 stays
-a test.
+(_support), the sigma_l rows with the cells grouped by weight
+(_multi_indices, the only builder of a chain's weights) and the chirp
+exponents of each l (_chirp_exponents).  Per conductor: the walk gaps
+(_walk) and the Moebius terms (_mobius_rows).  Per derivative class and
+level, one _ChainEvaluator (_chain_evaluator, keyed on the field, the class
+and the level, never on a multiplier or a twist) holds the expansion-size
+check, the support, each conjugate's lift and multiplier with the conjugate
+its partner reads, the partner's terms, the rows and weight groups
+(referenced, not copied) and the ring, so evaluate_kappa at a new q is one
+cache lookup and one call.  Per evaluation prime q: one primality proof,
+the search's (arith.proven_prime), the generator of F_q^x from the primes
+of M and the factors of the cofactor of q - 1 by a character test
+(arith.make_field), zeta_M and the root tables (the EvalContext), and the
+dlog base with its order-p table (arith._dlog_base).  Per sample: the walk,
+the product tree and the chirps, the partner's table (none at
+p^{m+1} = 3), the weighted products and the dlog digits (none when the
+value's p-part is 1, and none for a partner without terms).  The caches
+hold residues, index tables and F_q tables, never a unit value, a cell or a
+dlog: every walked conjugate is evaluated afresh (with its own tree and
+chirps), a partner reads only its walked conjugate's dlog, and an orbit
+table lives only for one conjugate of one evaluate_kappa call (or one side
+of one norm_relation_check).  An h-twist multiplies the cached lifts at
+every call and is never part of a cache key, so the H-invariance of
+criterion 5 stays a test.
 """
 
 from __future__ import annotations
@@ -275,77 +276,41 @@ class EvalContext:
         total = _walk(self.ctx.f_K, True)[2]
         return out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
 
-    def _mobius_table(self, a: int, d: int, rows) -> tuple[list, list]:
-        """prod_{e | d} (1 - c^e (s_e - c^e))^mu(d/e) for every
-        rho in rows[0] x ... x rows[r-1], row-major, as a factor_orbit table:
-        the divisors with mu(d/e) = 1 give the numerators, those with
-        mu(d/e) = -1 the denominators.  Here s_e = alpha^e + alpha^-e with
+    def _mobius_table(self, a: int, terms, rows) -> tuple[list, list]:
+        """prod h_e(c^power)^exponent over the (e, power, exponent) terms of
+        _mobius_rows, for every rho in rows[0] x ... x rows[r-1], row-major,
+        as a factor_orbit table: each row h_e is multiplied |exponent| times
+        into the numerators (exponent > 0) or the denominators (exponent < 0).
+        Here h_e(x) = 1 - x (s_e - x), s_e = alpha^e + alpha^-e with
         alpha = T_p[a mod p^{m+1}], and c = prod_i T_i[a rho_i mod l_i]
-        (c = 1 at n = 1, where there are no rows and one cell).
+        (c = 1 at n = 1, where there are no rows and one cell, and each term
+        contributes 2 - s_e).
 
-        With x = c^e each divisor contributes
-        (1 - x alpha^e)(1 - x / alpha^e) = 1 - x (s_e - x), read from the
-        tables T_p and T_i, so the cell is Phi_d(alpha c) Phi_d(c / alpha)
-        for Phi_d(x) = prod_{e | d} (1 - x^e)^mu(d/e) (1 - x at d = 1).  For
-        w of exact order d > 1, prod_{j in (Z/d)^x} (1 - w^j x) = Phi_d(x), so
+        h_e(x) = (1 - x alpha^e)(1 - x / alpha^e), read from the tables T_p
+        and T_i, so the per-divisor terms of d (power e) give
+        Phi_d(alpha c) Phi_d(c / alpha) for
+        Phi_d(x) = prod_{e | d} (1 - x^e)^mu(d/e) (1 - x at d = 1).  For w of
+        exact order d > 1, prod_{j in (Z/d)^x} (1 - w^j x) = Phi_d(x), so
         when w = T_f[a mod f_K] has order d the cell is the product of the
         pairs (1 - w^j alpha c)(1 - w^j c / alpha) over all of (Z/d)^x.  The
-        table reads no f_K-component of a: any w of order d gives it.  At d = 1
-        the numerator is the one pair (1 - alpha c)(1 - c / alpha) and the
-        denominators are 1.  alpha c has a component of order p^{m+1}, prime
-        to d, so no factor is 0.  With no rows the one cell has c = 1, and
-        each divisor contributes 2 - s_e."""
+        table reads no f_K-component of a: any w of order d gives it.  At
+        d = 1 the numerator is the one pair (1 - alpha c)(1 - c / alpha) and
+        the denominators are 1.  alpha c has a component of order p^{m+1},
+        prime to d, so no factor is 0."""
         q, t_p, p_part = self.q, self.tables[1], self.p_part
-        parts = []
-        for divisors in _mobius_divisors(d):
-            if not rows:
-                cell = 1
-                for e in divisors:
-                    cell = cell * (2 - t_p[a * e % p_part] - t_p[-a * e % p_part]) % q
-                parts.append([cell])
-                continue
-            cells = [1] * math.prod(map(len, rows))
-            for e in divisors:
-                ae = a * e
-                s = t_p[ae % p_part] + t_p[-ae % p_part]
-                xs = [1]
-                for ell, table, row in zip(self.aux, self.tables[2:], rows):
-                    xs = [x * table[ae * rho % ell] % q for x in xs for rho in row]
-                cells = [v * (1 - x * (s - x)) % q for v, x in zip(cells, xs)]
-            parts.append(cells)
-        return parts[0], parts[1]
-
-    def cyclotomic_resultant(self, mult: int, rows, groups, partner_rows) -> int:
-        """The weighted product prod_rho (P_g(c) P_{g tau}(c))^(w_rho) of the
-        d-type unit at f_K with the context's auxiliary support conjugated by
-        mult * lift({l_i: rho_i}) (P_g) and by mult n_0 * lift({l_i: rho_i})
-        (P_{g tau}), with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and
-        every l_i, over rho in rows[0] x ... x rows[r-1] and the (weight,
-        indices) groups of the cells (mult prime to M): exact with one row
-        per divisor, up to a p^level-th power with rows by class.
-
-        With a = u mult the two norm sets a R and a n_0 R are the two cosets
-        of the chi_D-kernel R, so together they run over all of (Z/f_K)^x
-        against w = T_f[a mod f_K] of order f_K, and each cell is
-        Phi_f(alpha c) Phi_f(c / alpha) = prod_{e | f} h_e(c^e)^mu(f/e), with
-        h_e(x) = 1 - x (s_e - x), s_e = alpha^e + alpha^-e and alpha, c as in
-        _mobius_table.  partner_rows (_partner_rows) lists that product as
-        (e, power, exponent) triples: each is the row h_e read at
-        x = c^power over the cells, weighted by the groups and raised to the
-        exponent.  No triple (p^{m+1} = 3, where the divisors cancel in one
-        class) gives 1."""
-        a = self._factor_multipliers("d", self.ctx.f_K)[0] * mult
-        q, t_p, p_part = self.q, self.tables[1], self.p_part
-        out = 1
-        for e, power, exponent in partner_rows:
-            ap = a * power
+        ones = [1] * math.prod(map(len, rows))
+        parts = [ones, ones]  # each term replaces its side, never writes into it
+        for e, power, exponent in terms:
+            ae, ap = a * e, a * power
+            s = t_p[ae % p_part] + t_p[-ae % p_part]
             xs = [1]
             for ell, table, row in zip(self.aux, self.tables[2:], rows):
                 xs = [x * table[ap * rho % ell] % q for x in xs for rho in row]
-            s = t_p[a * e % p_part] + t_p[-a * e % p_part]
-            value = _weighted_product(q, [(1 - x * (s - x)) % q for x in xs], groups)
-            out = out * pow(value, exponent, q) % q
-        return out
+            cells = parts[exponent < 0]
+            for _ in range(abs(exponent)):
+                cells = [v * (1 - x * (s - x)) % q for v, x in zip(cells, xs)]
+            parts[exponent < 0] = cells
+        return parts[0], parts[1]
 
     def _paired_orbit(self, a: int, rows) -> list:
         """The paired product over norm_set_d(f_K) of 1 - zeta^(a t), t the
@@ -399,13 +364,6 @@ class EvalContext:
             cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
         return cells
 
-    def _factor_multipliers(self, kind: str, param: int):
-        """(u, u_den, d): the unit (kind, param) with the context's
-        auxiliary support at multiplier t is the unit at d (the chi_D-kernel
-        walk at d = f_K, _mobius_table below it) at u t, over the same at
-        u_den t when u_den is not None (a-type, d = 1)."""
-        return _unit_multipliers(kind, param, self.ctx.p, self.ctx.m, self.ctx.f_K, self.aux)
-
     # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def factor_value(self, kind: str, param: int, mult: int):
         """One basic unit, conjugated by the multiplier, as a field element:
@@ -425,14 +383,16 @@ class EvalContext:
         needs mult prime to M (else w = T_f[a mod f_K] may have order below
         d, and ValueError is raised), and the a-type as the numerators at
         d = 1 of u mult over those of u_den mult."""
-        u, u_den, d = self._factor_multipliers(kind, param)
-        if d == self.ctx.f_K:
+        ctx = self.ctx
+        u, u_den, d = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)
+        if d == ctx.f_K:
             return self._paired_orbit(u * mult % self.M, rows), None
+        terms = _mobius_rows(d, self.p_part, False)
         if u_den is None:
             if math.gcd(mult, self.M) != 1:
                 raise ValueError(f"multiplier {mult} is not prime to M = {self.M}")
-            return self._mobius_table(u * mult, d, rows)
-        return tuple(self._mobius_table(t * mult, 1, rows)[0] for t in (u, u_den))
+            return self._mobius_table(u * mult, terms, rows)
+        return tuple(self._mobius_table(t * mult, terms, rows)[0] for t in (u, u_den))
 
     # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def symbol_value(self, cls: DerivativeClass, mult: int):
@@ -479,11 +439,12 @@ class _Support:
 _support = lru_cache(maxsize=64)(_Support)
 
 
-@lru_cache(maxsize=64)
 def _unit_multipliers(kind: str, param: int, p: int, m: int, f: int,
                       aux: tuple[int, ...]) -> tuple[int, int | None, int]:
-    """EvalContext._factor_multipliers of the unit (kind, param) with the
-    support aux at the level (p, m) of the field of conductor f."""
+    """(u, u_den, d): the unit (kind, param) with the support aux at the
+    level (p, m) of the field of conductor f, at multiplier t, is the unit at
+    d (the chi_D-kernel walk at d = f, EvalContext._mobius_table below it) at
+    u t, over the same at u_den t when u_den is not None (a-type, d = 1)."""
     n = math.prod(aux)
     p_part = p ** (m + 1)
     M = f * p_part * n
@@ -654,37 +615,31 @@ def _walk(f: int, half: bool) -> tuple[tuple[int, ...], int, int]:
     return gaps, max(gaps), sum(residues)
 
 
-@lru_cache(maxsize=2)
-def _mobius_divisors(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The divisors e of d with mu(d/e) = 1, and those with mu(d/e) = -1."""
+@lru_cache(maxsize=4)
+def _mobius_rows(d: int, p_part: int, classed: bool) -> tuple[tuple[int, int, int], ...]:
+    """The terms of EvalContext._mobius_table for Phi_d, as (e, power,
+    exponent) triples: h_e read at x = c^power and raised to the sum of
+    mu(d/e) over the divisors e of d with the same key; keys whose sum is 0
+    are left out.
+
+    Unclassed, the key is e itself, read at x = c^e: one term (e, e, mu(d/e))
+    per divisor e with d/e squarefree.  Classed, the key is the class of
+    +-e mod p^{m+1} = p_part, read at x = c: h_e depends on e only through
+    s_e.  That needs every chain prime to have N_l >= max(level, m+1).  Then
+    c -> c^e rotates each axis along sigma_l, which shifts the weights
+    k -> k - j mod p^level (e = sigma_l^j), and each correction
+    prod_{c in mu_l, c != 1} h_e(c y) = h_e(y^l) / h_e(y) (alpha^l = alpha)
+    is a rotation of the other axes that cancels in turn, so up to a
+    p^level-th power the weighted product of h_e(c^e) is that of h_e(c).  At
+    n = 1 (one cell, c = 1) this is exact.  At p_part = 3 every e is +-1
+    mod 3, and for d > 1 the one class sums to sum_{e | d} mu(d/e) = 0: no
+    term."""
     primes = list(factorint(d))
-    out: tuple[list[int], list[int]] = ([], [])
-    for picks in iter_product((0, 1), repeat=len(primes)):
-        out[sum(picks) % 2].append(d // math.prod(compress(primes, picks)))
-    return tuple(out[0]), tuple(out[1])
-
-
-def _partner_rows(f: int, p_part: int, classed: bool) -> tuple[tuple[int, int, int], ...]:
-    """The rows of EvalContext.cyclotomic_resultant at the conductor f, as
-    (e, power, exponent) triples: h_e read at x = c^power and raised to the
-    sum of mu(f/e) over the divisors e of f with the same key; keys whose
-    sum is 0 are left out.
-
-    Classed, the key is the class of +-e mod p^{m+1} = p_part, read at
-    x = c: h_e depends on e only through s_e.  That needs every chain prime
-    to have N_l >= max(level, m+1).  Then c -> c^e rotates each axis along
-    sigma_l, which shifts the weights k -> k - j mod p^level (e = sigma_l^j),
-    and each correction prod_{c in mu_l, c != 1} h_e(c y) = h_e(y^l) / h_e(y)
-    (alpha^l = alpha) is a rotation of the other axes that cancels in turn,
-    so up to a p^level-th power the weighted product of h_e(c^e) is that of
-    h_e(c).  At n = 1 (one cell, c = 1) this is exact.  At p_part = 3 every
-    e is +-1 mod 3, and the one class sums to sum_{e | f} mu(f/e) = 0: no
-    row.  Unclassed, the key is e itself, read at x = c^e."""
     sums: dict = {}
-    for mu, divisors in zip((1, -1), _mobius_divisors(f)):
-        for e in divisors:
-            key = (min(e % p_part, -e % p_part), 1) if classed else (e, e)
-            sums[key] = sums.get(key, 0) + mu
+    for picks in iter_product((0, 1), repeat=len(primes)):
+        e = d // math.prod(compress(primes, picks))
+        key = (min(e % p_part, -e % p_part), 1) if classed else (e, e)
+        sums[key] = sums.get(key, 0) + (-1) ** sum(picks)
     return tuple(key + (total,) for key, total in sums.items() if total)
 
 
@@ -699,12 +654,12 @@ class _ChainEvaluator:
     """What one derivative class (kind, param, aux_primes) at one level of
     the field ctx fixes in evaluate_kappa, at every evaluation prime: the
     expansion-size check (BudgetExhausted), the _Support of the chain, the
-    unit multipliers, the ring Z/p^level[G], the _multi_indices rows and
-    weight groups (referenced, not copied) and each conjugate's multiplier
-    u * lift, with the conjugate whose dlog its partner reads and the
-    partner's rows (_partner_rows) when the class is the one at f_K.  Built
-    once per chain and level by _chain_evaluator; a call at q does only the
-    F_q work (see evaluate_kappa)."""
+    ring Z/p^level[G], the _multi_indices rows and weight groups
+    (referenced, not copied) and each conjugate's multiplier a = u * lift,
+    with the conjugate whose dlog its partner reads and the partner's
+    _mobius_rows terms of Phi_f (by class or per divisor) when the class is
+    the one at f_K.  Built once per chain and level by _chain_evaluator; a
+    call at q does only the F_q work (see evaluate_kappa)."""
 
     def __init__(self, ctx: AbelianFieldCtx, kind: str, param: int,
                  aux_primes: tuple[KolyvaginPrime, ...], level: int):
@@ -721,14 +676,13 @@ class _ChainEvaluator:
         self.M = math.prod(self.support.moduli)
         self.ring = ctx.ring if level == ctx.N else GroupRing(ctx.group, ctx.p, level)
         self.rows, self.groups = _multi_indices(aux_primes, ctx.p**level)
-        self.one_cell = not self.aux
         u = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)[0]
         # the class at f_K: each conjugate with g[0] = 1 is read from its
         # partner with g[0] = 0, which elements() lists first, and the
-        # cyclotomic resultant of the two chi_D-cosets at every cell
+        # Moebius table of Phi_f, the product of the two chi_D-cosets
         self.paired = kind == "d" and param == ctx.f_K
         classed = all(kp.N_ell >= max(level, ctx.m + 1) for kp in aux_primes)
-        self.partner_rows = _partner_rows(ctx.f_K, ctx.p ** (ctx.m + 1), classed)
+        self.partner_rows = _mobius_rows(ctx.f_K, ctx.p ** (ctx.m + 1), classed)
         self.conjugates = tuple((g, lift, u * lift % self.M,
                                  (0,) + g[1:] if self.paired and g[0] else None)
                                 for g, lift in self.support.conjugates)
@@ -743,20 +697,16 @@ class _ChainEvaluator:
         coeffs: dict = {}
         for g, lift, a, partner in self.conjugates:
             if partner and cosets:
-                value = ev.cyclotomic_resultant(lift * twist % M, rows, self.groups,
-                                                self.partner_rows)
-                coeffs[g] = (ev.dlog(value, level) if value != 1 else 0) - coeffs[partner]
+                coeffs[g] = -coeffs[partner]
+                if self.partner_rows:
+                    table = ev._mobius_table(a * twist % M, self.partner_rows, rows)
+                    coeffs[g] += ev.dlog(_orbit_value(q, table, self.groups), level)
                 continue
             if self.paired:
                 orbit = ev._paired_orbit(a * twist % M, rows), None
             else:
                 orbit = ev.factor_orbit(self.kind, self.param, lift * twist % M, rows)
-            if self.one_cell:
-                num, den = orbit
-                value = num[0] if den is None else num[0] * pow(den[0], -1, q) % q
-            else:
-                value = _orbit_value(q, orbit, self.groups)
-            coeffs[g] = ev.dlog(value, level)
+            coeffs[g] = ev.dlog(_orbit_value(q, orbit, self.groups), level)
         return GroupRingElement(self.ring, coeffs)
 
 

@@ -5,15 +5,17 @@ Factor values are compared exactly, element by element, on seeded-random
 multipliers built from Delta x Gamma conjugations, auxiliary-group twists
 and tame-generator powers; derivative-class vectors are compared on small
 expansions at n = 1, l and l_1 l_2, and the class at f_K, whose
-chi_D-odd conjugates come from a cyclotomic resultant at every cell, at
-p = 3, 5, 7 and m = 0, 1, with and without auxiliary primes.  The orbit
+chi_D-odd conjugates come from the Moebius table of Phi_f at every cell,
+at p = 3, 5, 7 and m = 0, 1, with and without auxiliary primes.  The orbit
 tables of EvalContext.factor_orbit (for the class at f_K the walk of
 evaluate_kappa: the transform for n > 1, one paired product at n = 1; a
-Moebius table for every other class) are compared at every
-multi-index, and the Moebius table of f_K against the walked conjugates
-and Phi_f itself.  The partner's product by classes of divisors is
-compared with the per-divisor table where the chain allows it, and each
-divisor stays its own row where it does not.
+Moebius table for every other class) are compared at every multi-index,
+and the Moebius table of f_K against the product of the two walked
+chi_D-cosets and Phi_f itself.  The walks and the partner's tables are
+counted per evaluation prime.  The partner's terms by classes of divisors
+are compared with the walked cosets where the chain allows it, each
+divisor stays its own term where it does not, and the terms themselves
+(_mobius_rows) are checked against Moebius sums by trial division.
 """
 
 import itertools
@@ -28,8 +30,9 @@ from cycfit.arith import factorint, primitive_root
 from cycfit.errors import NotSplit
 from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
                            kolyvagin_primes)
-from cycfit.units import (EvalContext, _chain_evaluator, _multi_indices, _orbit_value,
-                          _partner_rows, derivative_class, evaluate_kappa)
+from cycfit.units import (EvalContext, _chain_evaluator, _mobius_rows, _multi_indices,
+                          _orbit_value, _unit_multipliers, _weighted_product,
+                          derivative_class, evaluate_kappa)
 
 
 def _chain(ctx, r, level):
@@ -111,18 +114,30 @@ def test_extension_context_must_split():
             EvalContext(build_field(3, D, m, m + 1), (), q)
 
 
-def _count_resultants(monkeypatch):
-    """Count the calls of EvalContext.cyclotomic_resultant, the partner
-    route's one entry point, from now on."""
-    calls = []
-    route = EvalContext.cyclotomic_resultant
+def _count_orbit_reads(monkeypatch):
+    """Record, from now on, the multiplier of every chi_D-kernel walk
+    (EvalContext._paired_orbit) and the terms of every Moebius table
+    (EvalContext._mobius_table)."""
+    walks, tables = [], []
+    walk, table = EvalContext._paired_orbit, EvalContext._mobius_table
 
-    def counted(ev, mult, *args):
-        calls.append(mult)
-        return route(ev, mult, *args)
+    def walked(ev, a, rows):
+        walks.append(a)
+        return walk(ev, a, rows)
 
-    monkeypatch.setattr(EvalContext, "cyclotomic_resultant", counted)
-    return calls
+    def tabled(ev, a, terms, rows):
+        tables.append(terms)
+        return table(ev, a, terms, rows)
+
+    monkeypatch.setattr(EvalContext, "_paired_orbit", walked)
+    monkeypatch.setattr(EvalContext, "_mobius_table", tabled)
+    return walks, tables
+
+
+def _unit_multiplier(ev, kind, param):
+    """u of the unit (kind, param) with the context's auxiliary support."""
+    ctx = ev.ctx
+    return _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, ev.aux)[0]
 
 
 # (p, D, m, N, chain length, evaluation level, kind, param, h-twist
@@ -163,7 +178,7 @@ def test_kappa_vectors_match_reference(p, D, m, N, r, level, kind, param, w, mon
     cls = derivative_class(ctx, kind, param, kps)
     twist = {kps[-1].ell: w} if w else None
     gen = evaluation_primes(ctx, cls.n, level=level)
-    calls = _count_resultants(monkeypatch)
+    walks, tables = _count_orbit_reads(monkeypatch)
     vectors = []
     for _ in range(2):
         q = next(gen)
@@ -172,9 +187,20 @@ def test_kappa_vectors_match_reference(p, D, m, N, r, level, kind, param, w, mon
         assert new == ref.evaluate_kappa(ctx, cls, ev, level, twist)
         vectors.append(new)
     assert any(not v.is_zero() for v in vectors) == (kind == "a" or param == D)
-    # one partner read per walked conjugate at each q, only for the class at f_K
-    partners = len(list(ctx.group.elements())) if kind == "d" and param == D else 0
-    assert len(calls) == partners
+    order = len(list(ctx.group.elements()))
+    if kind == "d" and param == D:
+        # at each of the two q half of the conjugates walk the chi_D-kernel,
+        # and each partner reads one Moebius table of Phi_f, none at
+        # p^{m+1} = 3
+        partner_rows = _chain_evaluator(ctx, kind, param, kps, level).partner_rows
+        assert len(walks) == order
+        assert tables == [partner_rows] * (order if partner_rows else 0)
+        assert partner_rows or p ** (m + 1) == 3
+    else:
+        # every conjugate reads the table of its own divisor (two at d = 1)
+        terms = _mobius_rows(param if kind == "d" else 1, p ** (m + 1), False)
+        assert walks == []
+        assert tables == [terms] * (2 * order * (2 if kind == "a" else 1))
 
 
 # (p, D, m, N, h-twist): the epsilon = 0 class, whose conjugates with
@@ -217,13 +243,16 @@ def test_twist_not_prime_to_conductor_walks_both_cosets(D, m, N, r, level, w, mo
     cls = derivative_class(ctx, "d", D, kps)
     q = next(evaluation_primes(ctx, cls.n, level=level))
     ev = EvalContext(ctx, cls.aux, q)
-    calls = _count_resultants(monkeypatch)
+    order = len(list(ctx.group.elements()))
+    walks, tables = _count_orbit_reads(monkeypatch)
     new = evaluate_kappa(ctx, cls, q, level=level, h_twist={D: w})
-    assert calls == []
+    assert len(walks) == order
     assert new == ref.evaluate_kappa(ctx, cls, ev, level, {D: w})
-    # a twist prime to f_K at the same prime does take the partner route
+    # a twist prime to f_K at the same prime does take the partner route,
+    # which at p^{m+1} = 3 builds no table
     coprime = evaluate_kappa(ctx, cls, q, level=level, h_twist={D: 2})
-    assert calls
+    assert len(walks) == order + order // 2
+    assert tables == []
     assert coprime == ref.evaluate_kappa(ctx, cls, ev, level, {D: 2})
 
 
@@ -255,7 +284,7 @@ def test_coset_cells_multiply_to_phi_f(D, r, level):
     q = next(evaluation_primes(ctx, math.prod(ells), level=level))
     ev = EvalContext(ctx, ells, q)
     rows = [[pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1)] for kp in kps]
-    u = ev._factor_multipliers("d", D)[0]
+    u = _unit_multiplier(ev, "d", D)
     e_f, e_p = ev.idempotents[:2]
     twist = ev.lift({ells[-1]: 2})
     for g in ctx.group.elements():
@@ -264,7 +293,7 @@ def test_coset_cells_multiply_to_phi_f(D, r, level):
         t_g = ev.delta_lift(g) * twist % ev.M
         t_tau = ev.delta_lift((1,) + g[1:]) * twist % ev.M
         walked, partner = (ev.factor_orbit("d", D, t, rows)[0] for t in (t_g, t_tau))
-        num, den = ev._mobius_table(u * t_g, D, rows)
+        num, den = ev._mobius_table(u * t_g, _mobius_rows(D, 3, False), rows)
         for i, rhos in enumerate(iter_product(*rows)):
             t = u * t_g * ev.lift(dict(zip(ells, rhos))) % ev.M
             phi = (_phi_tilde(pow(ev.zeta, t * (1 - e_f) % ev.M, q), D, q)
@@ -283,13 +312,42 @@ def test_epsilon_zero_cosets_cancel_at_p3_level0(D):
                for q in (next(gen) for _ in range(3))]
     assert all(sum(v) % 27 == 0 for v in vectors)
     assert any(any(v) for v in vectors)
-    # every divisor of f is +-1 mod 3, so the partner route has no row
-    assert _partner_rows(D, 3, True) == ()
+    # every divisor of f is +-1 mod 3, so the partner route has no term
+    assert _mobius_rows(D, 3, True) == ()
+
+
+def _mobius(n):
+    """mu(n) by trial division."""
+    out, r = 1, 2
+    while r * r <= n:
+        if n % r == 0:
+            n //= r
+            if n % r == 0:
+                return 0
+            out = -out
+        r += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p_part", [3, 5, 7, 9, 25])
+def test_mobius_rows_are_the_divisor_sums(p_part):
+    for d in range(1, 2000):
+        mus = {e: _mobius(d // e) for e in range(1, d + 1) if d % e == 0}
+        unclassed = _mobius_rows(d, p_part, False)
+        assert sorted(unclassed) == sorted((e, e, mu) for e, mu in mus.items() if mu)
+        sums = {}
+        for e, mu in mus.items():
+            key = min(e % p_part, -e % p_part)
+            sums[key] = sums.get(key, 0) + mu
+        classed = _mobius_rows(d, p_part, True)
+        assert sorted(classed) == sorted((key, 1, x) for key, x in sums.items() if x)
+        if p_part == 3 and d > 1 and d % 3:
+            assert classed == ()
 
 
 # (D, chain, N): chains of one prime at level N = 3 and two chains of two
 # primes; each chi_D-coset pair of conjugates, both walked, sums to 0 mod
-# p^N at every multi-index weighting, so the partner route has no row there
+# p^N at every multi-index weighting, so the partner route has no term there
 CHAIN_COSET_CASES = [(257, (379,), 3), (473, (379,), 3), (785, (109,), 3),
                      (3080, (109,), 3), (8, (7, 127), 1), (473, (19, 2053), 2)]
 
@@ -325,7 +383,7 @@ def test_chain_cosets_cancel_at_p3_level0(D, chain, N):
 
 # (p, D): at m = 1 and 2 the first chain prime at level 1 (13, 31, 29) has
 # N_l = 1 < m + 1, so alpha^l != alpha and the rotation c -> c^e of an axis
-# changes the row: each Moebius divisor of the partner is its own row, read
+# changes the row: each Moebius divisor of the partner is its own term, read
 # at c^e, and the class-keyed product differs from it at some conjugate
 @pytest.mark.parametrize("p,D", [(3, 257), (5, 8), (7, 5)])
 @pytest.mark.parametrize("m", [1, 2])
@@ -335,55 +393,61 @@ def test_shallow_chains_key_each_divisor(p, D, m):
     assert kps[0].N_ell < m + 1
     cls = derivative_class(ctx, "d", D, kps)
     rows, groups = _multi_indices(kps, p)
+    evaluator = _chain_evaluator(ctx, "d", D, kps, 1)
     gen = evaluation_primes(ctx, cls.n, level=m + 1)
     differs = False
     for q in (next(gen) for _ in range(2)):
         ev = EvalContext(ctx, cls.aux, q)
         assert evaluate_kappa(ctx, cls, q, level=1) == ref.evaluate_kappa(ctx, cls, ev, 1)
-        for _, lift in ev.support.conjugates:
-            dlogs = {ev.dlog(ev.cyclotomic_resultant(lift, rows, groups,
-                                                     _partner_rows(D, p ** (m + 1), classed)), 1)
-                     for classed in (False, True)}
+        for _, _, a, _ in evaluator.conjugates:
+            dlogs = {ev.dlog(_orbit_value(q, ev._mobius_table(
+                a, _mobius_rows(D, p ** (m + 1), classed), rows), groups), 1)
+                for classed in (False, True)}
             differs |= len(dlogs) > 1
     assert differs
-    per_divisor = _partner_rows(D, p ** (m + 1), False)
-    assert _chain_evaluator(ctx, "d", D, kps, 1).partner_rows == per_divisor
+    per_divisor = _mobius_rows(D, p ** (m + 1), False)
+    assert evaluator.partner_rows == per_divisor
     assert all(power == e and abs(exponent) == 1 for e, power, exponent in per_divisor)
 
 
 # (p, D, m, N, chain length, level): chains with N_l >= max(level, m + 1)
 # at p = 5 and 7, and at p = 3, m = 1 (p^{m+1} = 9); at 785 = 5 * 157 the
 # divisors 157 = 4 and 5 = -4 mod 9 share one class of exponent -2, so the
-# four divisors make three rows
+# four divisors make three terms
 CLASSED_CASES = [(5, 8, 0, 2, 1, 1), (5, 12, 0, 1, 2, 1), (7, 5, 0, 2, 1, 2),
                  (3, 257, 1, 2, 1, 2), (3, 785, 1, 2, 1, 2), (3, 785, 1, 2, 0, 2)]
 
 
 @pytest.mark.parametrize("p,D,m,N,r,level", CLASSED_CASES)
 def test_class_keyed_rows_match_the_per_divisor_table(p, D, m, N, r, level):
-    # the weighted product of the Moebius table (_mobius_table, one row per
-    # divisor at c^e) equals the per-divisor rows exactly, and the class-keyed
-    # rows up to a p^level-th power, so their dlogs agree
+    # the per-divisor Moebius table of Phi_f equals, cell by cell, the
+    # product of the two walked chi_D-cosets (as in
+    # test_coset_cells_multiply_to_phi_f), and the class-keyed table equals
+    # their weighted product up to a p^level-th power, so the dlogs agree
     ctx = build_field(p, D, m, N)
     kps = _chain(ctx, r, level)
     assert all(kp.N_ell >= max(level, m + 1) for kp in kps)
     ells = tuple(kp.ell for kp in kps)
-    classed = _partner_rows(D, p ** (m + 1), True)
+    classed = _mobius_rows(D, p ** (m + 1), True)
     assert _chain_evaluator(ctx, "d", D, kps, level).partner_rows == classed
     assert all(power == 1 for _, power, _ in classed)
-    assert 0 < len(classed) <= len(_partner_rows(D, p ** (m + 1), False))
+    assert 0 < len(classed) <= len(_mobius_rows(D, p ** (m + 1), False))
     rows, groups = _multi_indices(kps, p**level)
     gen = evaluation_primes(ctx, math.prod(ells), level=max(level, m + 1))
     dlogs = []
     for q in (next(gen) for _ in range(2)):
         ev = EvalContext(ctx, ells, q)
-        u = ev._factor_multipliers("d", D)[0]
-        for _, lift in ev.support.conjugates:
-            table = _orbit_value(q, ev._mobius_table(u * lift, D, rows), groups)
-            assert table == ev.cyclotomic_resultant(lift, rows, groups,
-                                                    _partner_rows(D, p ** (m + 1), False))
-            value = ev.cyclotomic_resultant(lift, rows, groups, classed)
-            dlogs.append(ev.dlog(table, level))
+        u = _unit_multiplier(ev, "d", D)
+        for g in ctx.group.elements():
+            if g[0]:
+                continue
+            t_g, t_tau = (ev.delta_lift(h) for h in (g, (1,) + g[1:]))
+            walked, partner = (ev.factor_orbit("d", D, t, rows)[0] for t in (t_g, t_tau))
+            cosets = [x * y % q for x, y in zip(walked, partner)]
+            num, den = ev._mobius_table(u * t_g, _mobius_rows(D, p ** (m + 1), False), rows)
+            assert cosets == [x * pow(y, -1, q) % q for x, y in zip(num, den)]
+            dlogs.append(ev.dlog(_weighted_product(q, cosets, groups), level))
+            value = _orbit_value(q, ev._mobius_table(u * t_g, classed, rows), groups)
             assert ev.dlog(value, level) == dlogs[-1]
     assert any(dlogs)
 
@@ -482,9 +546,10 @@ def test_chain_state_matches_fresh_recomputation(p, D, m, r):
     assert sorted(ev.support.primes) == sorted(factorint(M))
     p_m = p**m
     for d in (d for d in range(2, D + 1) if D % d == 0):
-        assert ev._factor_multipliers("d", d) == ((M // d) * pow(p_m, -1, d) + D, None, d)
+        assert _unit_multipliers("d", d, p, m, D, ells) == (
+            (M // d) * pow(p_m, -1, d) + D, None, d)
     u_n, u_p = (M // n) * pow(p_m, -1, n), M // ev.p_part
-    assert ev._factor_multipliers("a", 2) == (u_n + 2 * u_p, u_n + u_p, 1)
+    assert _unit_multipliers("a", 2, p, m, D, ells) == (u_n + 2 * u_p, u_n + u_p, 1)
     rows, groups = _multi_indices(kps, pN)
     assert rows == tuple(tuple(pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1))
                          for kp in kps)
@@ -556,9 +621,9 @@ def test_proper_divisor_needs_multiplier_prime_to_conductor():
     ctx = build_field(3, 473, 0, 3)
     q = next(evaluation_primes(ctx, 1, level=3))
     ev = EvalContext(ctx, (), q)
-    u = ev._factor_multipliers("d", 43)[0]
+    u = _unit_multiplier(ev, "d", 43)
     bad = ev.lift({473: 43})
-    num, den = ev._mobius_table(u * bad, 43, [])
+    num, den = ev._mobius_table(u * bad, _mobius_rows(43, 3, False), [])
     assert num[0] * pow(den[0], -1, q) % q != ref.factor_value(ev, "d", 43, (), bad)
     for w in (43, 11):
         with pytest.raises(ValueError):

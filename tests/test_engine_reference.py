@@ -195,7 +195,7 @@ def test_kappa_vectors_match_reference(p, D, m, N, r, level, kind, param, w, mon
         partner_rows = _chain_evaluator(ctx, kind, param, kps, level).partner_rows
         assert len(walks) == order
         assert tables == [partner_rows] * (order if partner_rows else 0)
-        assert partner_rows or p ** (m + 1) == 3
+        assert p ** (m + 1) > 3 or partner_rows == ()
     else:
         # every conjugate reads the table of its own divisor (two at d = 1)
         terms = _mobius_rows(param if kind == "d" else 1, p ** (m + 1), False)

@@ -99,6 +99,8 @@ PINNED_REPORTS = [
      "b2aca2fe241d258576f6c7a0bdca23daf19edc2aed52859962ab8881ef7aa29f"),
     ("verify -p 3 -D 32045 --quiet", 0,
      "cec652ded18c0cfd140af82c1b658e591cf747d55203f42b791006faad90dcce"),
+    ("verify -p 3 -D 32009 --i-max 0 --quiet", 0,
+     "13c31c34d1042e8b23db476430272847830fc64d68f4d6d31fa29cc0695e5e76"),
     ("verify -p 3 -D 257 --flip-sigma --quiet", 3,
      "acb149d03c93d9fe443f6aae2a1a5d4b0bebfe18c4f93e0a44fd5f821d9d9abc"),
     ("verify -p 5 -D 8 --quiet", 0,

@@ -4,10 +4,11 @@ field, built from indefinite binary quadratic forms.
 The narrow (form) class group is what reduction cycles + Gauss composition
 compute; since only the p-part for odd p is ever consumed downstream, and the
 narrow-vs-wide kernel is a 2-group, this is exactly the class-group data the
-verification needs.  The group is a multiplication table on the cycles; the
-p-part's elementary divisors are read from the element orders, and the
-fundamental unit comes from the convergent that ends the first period of the
-continued fraction of the generator of O_K.
+verification needs.  The group lives on the cycles: a product composes the
+first forms of two cycles and reduces.  The p-part's elementary divisors are
+read from the element orders, and the fundamental unit comes from the
+convergent that ends the first period of the continued fraction of the
+generator of O_K.
 
 A second, analytic consistency check brackets the narrow class number with a
 truncated L-series.  That computation is done in scaled-integer fixed point
@@ -269,12 +270,10 @@ class FormClassGroup:
     every reduced form to its cycle."""
 
     def __init__(self, D: int, cycles: tuple[tuple[tuple, ...], ...], index: dict,
-                 table: tuple[tuple[int, ...], ...], identity: int,
-                 unit: tuple[int, int, int]):
+                 identity: int, unit: tuple[int, int, int]):
         self.D = D
         self.cycles = cycles
         self.index = index
-        self.table = table
         self.identity = identity
         self.unit = unit  # fundamental unit (T, U, norm)
 
@@ -286,7 +285,7 @@ class FormClassGroup:
         return self.index[reduce_form(form, self.D)]
 
     def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
+        return self.index[compose(self.cycles[x][0], self.cycles[y][0], self.D)]
 
     def element_order(self, x: int) -> int:
         n, cur = 1, x
@@ -362,15 +361,9 @@ def narrow_class_group(D: int) -> FormClassGroup:
     for idx, cyc in enumerate(cycles):
         for f in cyc:
             index[f] = idx
-    h = len(cycles)
-    reps = [cyc[0] for cyc in cycles]
-    table = tuple(
-        tuple(index[compose(reps[i], reps[j], D)] for j in range(h)) for i in range(h)
-    )
     ident = index[reduce_form(principal_form(D), D)]
     unit = fundamental_unit(D)
-    return FormClassGroup(D=D, cycles=cycles, index=index, table=table, identity=ident,
-                          unit=unit)
+    return FormClassGroup(D=D, cycles=cycles, index=index, identity=ident, unit=unit)
 
 
 def ideal_class_of_prime(ell: int, D: int, group: FormClassGroup) -> int:

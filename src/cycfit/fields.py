@@ -144,7 +144,8 @@ def chain_primes(ctx: AbelianFieldCtx, chain) -> tuple[KolyvaginPrime, ...]:
 
 def build_field(p: int, d: int, m: int, N: int,
                 conventions: Conventions = DEFAULT_CONVENTIONS) -> AbelianFieldCtx:
-    """Validated field context (errors: NotFundamental, Ramified, SplitP)."""
+    """Validated field context (errors: NotPrime, NotFundamental,
+    InsufficientPrecision, Ramified, SplitP)."""
     return AbelianFieldCtx(p=p, D=d, m=m, N=N, conventions=conventions)
 
 

@@ -219,12 +219,9 @@ class EvalContext:
         return sum(components.get(mod, 1) * e
                    for mod, e in zip(self.moduli, self.idempotents)) % self.M
 
-    def delta_lift(self, g: tuple) -> int:
-        """Residue acting on the tower as the group element g of Delta x Gamma."""
-        return self.support.lifts[g]
-
     # -- norm sets -----------------------------------------------------------
 
+    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def norm_set_d(self, d: int) -> tuple[tuple[int, int], ...]:
         """Multipliers realizing Gal(Q(mu_{d p^{m+1} n'})/intersection with
         F_m(mu_{n'})) as adjacent pairs (r, 1), (r, -1): = r mod d (r in the
@@ -233,6 +230,7 @@ class EvalContext:
         residues = sorted({x % d for x in _kernel(self.ctx.f_K)})
         return tuple((r, s) for r in residues for s in (1, -1))
 
+    # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def norm_set_a(self) -> tuple[tuple[int, int], ...]:
         """The a-type norm set {1, tau} in the residue form of norm_set_d:
         trivial on the f_K-component, +-1 mod p^{m+1}."""

@@ -6,7 +6,7 @@ modulus M, and a derivative class sums one discrete logarithm per
 multi-index.  It is slow, and it shares none of the root tables, residue
 norm sets, pairing or dlog folding of ``cycfit.units``; only the
 EvalContext's prime q, root zeta_M and the Delta x Gamma residue convention
-(``delta_lift``) are reused.
+(``support.lifts``) are reused.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def evaluate_kappa(ctx, cls, ev, level: int, h_twist: dict[int, int] | None = No
     ranges = [range(1, kp.ell - 1) for kp in cls.aux_primes]
     coeffs = {}
     for g in ctx.group.elements():
-        t_g = ev.delta_lift(ctx.group.inv(g)) * twist % ev.M
+        t_g = ev.support.lifts[ctx.group.inv(g)] * twist % ev.M
         total = 0
         for k_vec in iter_product(*ranges):
             weight = 1

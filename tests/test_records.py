@@ -100,6 +100,7 @@ def test_runs_start_with_their_own_sample_list():
     (lambda: Presentation(_ring(), ()), ValueError),
     (lambda: Presentation(_ring(), ((_ring().one(),), ())), ValueError),  # ragged
     (lambda: Presentation(_ring(), ((_ring(N=3).one(),),)), MixedAmbient),
+    (lambda: narrow_class_group(15), ValueError),  # 15 = 3 mod 4 is no discriminant
 ])
 def test_constructor_checks_still_raise(build, error):
     with pytest.raises(error):

@@ -112,7 +112,7 @@ def test_engine_matches_exact_cyclotomic_oracle():
             assert w * w % q == D % q
             inv2 = pow(2, -1, q)
             assert ev.factor_value("d", D, 1) == (T + U * w) * inv2 % q
-            assert ev.factor_value("d", D, ev.delta_lift((1, 0))) == (T - U * w) * inv2 % q
+            assert ev.factor_value("d", D, ev.support.lifts[(1, 0)]) == (T - U * w) * inv2 % q
 
 
 def test_eta_257_frozen_exact_value():
@@ -345,7 +345,7 @@ def test_kappa_conjugates_at_n_1(D):
     ev = EvalContext(ctx, (), q)
     grp = ctx.group
     for g in grp.elements():
-        unit = ev.factor_value("d", D, ev.delta_lift(grp.inv(g)))
+        unit = ev.factor_value("d", D, ev.support.lifts[grp.inv(g)])
         assert vec.coeffs.get(g, 0) == ev.dlog(unit, ctx.N), (D, g)
     one, tau = grp.elements()
     assert (vec.coeffs.get(one, 0) + vec.coeffs.get(tau, 0)) % 27 == 0
@@ -400,7 +400,7 @@ def test_one_cell_tables_are_cells_of_the_full_table(kind, param):
     _, tau = ctx.group.elements()
     for aux in (chain, chain[:1]):
         ev = EvalContext(ctx, aux, q)
-        mult = ev.delta_lift(tau)
+        mult = ev.support.lifts[tau]
         full = ev.factor_orbit(kind, param, mult, [range(1, ell) for ell in aux])
         for rho in ((1, 1), (5, 1), (2, 40), (12, 78)):
             rho = rho[:len(aux)]
@@ -436,12 +436,12 @@ def test_level_one_norm_compatibility():
     for e1 in (0, 1):
         prod = 1
         for j in range(3):
-            prod = prod * ev1.factor_value("d", 257, ev1.delta_lift((e1, j))) % q
-        v0 = ev0.factor_value("d", 257, ev0.delta_lift((e1, 0)))
+            prod = prod * ev1.factor_value("d", 257, ev1.support.lifts[(e1, j)]) % q
+        v0 = ev0.factor_value("d", 257, ev0.support.lifts[(e1, 0)])
         assert prod == v0
     pa = 1
     for j in range(3):
-        pa = pa * ev1.factor_value("a", 2, ev1.delta_lift((0, j))) % q
+        pa = pa * ev1.factor_value("a", 2, ev1.support.lifts[(0, j)]) % q
     assert pa == ev0.factor_value("a", 2, 1) == 1
     assert ev1.factor_value("a", 2, 1) != 1
 

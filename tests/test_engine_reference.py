@@ -143,15 +143,18 @@ def _unit_multiplier(ev, kind, param):
 # (p, D, m, N, chain length, evaluation level, kind, param, h-twist
 # exponent).  Units of a proper divisor d < f_K come from a subfield where
 # they are rational, and the a-type unit is 1 at p^{m+1} = 3, so their
-# vectors vanish; the others must come out nonzero.  The class at f_K reads its conjugates with g[0] = 1 from
-# Phi_f(alpha c) Phi_f(c / alpha) at every cell: p = 5 and 7 at m = 0, p = 3
-# at m = 1 with a twist, f_K = 785 = 5 * 157 and 1937 = 13 * 149 (divisors
-# of both Moebius signs) and the 2-part conductor 8.
+# vectors vanish; the others must come out nonzero.  The class at f_K reads
+# its conjugates with g[0] = 1 from Phi_f(alpha c) Phi_f(c / alpha) at every
+# cell: p = 5 and 7 at m = 0, p = 3 at m = 1 with a twist, f_K = 785 =
+# 5 * 157 and 1937 = 13 * 149 (divisors of both Moebius signs) and the 2-part
+# conductor 8.
 KAPPA_CASES = [
     (3, 257, 0, 3, 0, 3, "d", 257, None),
     (3, 257, 0, 3, 1, 3, "d", 257, 2),
+    (3, 257, 0, 3, 1, 3, "d", 257, None),
     (3, 257, 1, 2, 1, 2, "d", 257, 5),
     (3, 257, 1, 2, 1, 2, "a", 2, 3),
+    (3, 257, 1, 2, 1, 2, "a", 2, 5),
     (3, 257, 0, 3, 1, 3, "a", 2, None),
     (3, 473, 0, 3, 0, 3, "d", 473, None),
     (3, 473, 0, 3, 0, 3, "d", 43, None),

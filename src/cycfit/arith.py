@@ -281,33 +281,30 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
     (at most min(len) terms below (q-1)^2 each), so one big-integer
     multiplication carries no slot into the next.  The cyclic product is
     folded on that integer, low L slots plus the rest: residue t mod L
-    still collects at most min(len) terms, so the slots stay exact.  For
-    slots of at most 16 bytes (at 64 terms, every q < 2^60) the
+    still collects at most min(len) terms, so the slots stay exact.  The
     coefficients of both lists go through one array('Q') as little-endian
-    64-bit words, moved between words and slots by one strided bytearray
-    copy per slot byte, and the product is unpacked the same way into one
-    or two words per slot; only the final % q runs per coefficient.  Wider
-    slots pack and unpack each coefficient with int.to_bytes /
-    int.from_bytes.
+    64-bit words (every q the engine meets is below
+    config.DEFAULT_FIELD_BUDGET = 2^62; a coefficient of 2^64 or more
+    raises OverflowError), moved into the slots by one strided bytearray
+    copy per word byte.  For slots of at most 16 bytes (at 64 terms, every
+    q < 2^60) the product is unpacked the same way into one or two words
+    per slot; only the final % q runs per coefficient.  Wider slots unpack
+    each coefficient with int.from_bytes.
     """
     terms = min(len(a), len(b))
     width = (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
     size = len(a) + len(b) - 1
-    if width > 16:
-        x, y = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
-                for v in (a, b))
-    else:
-        words = array("Q", a)
-        words.extend(b)
-        if sys.byteorder == "big":
-            words.byteswap()
-        raw = words.tobytes()
-        slots = bytearray(width * len(words))
-        for k in range(min(width, 8)):
-            slots[k::width] = raw[k::8]
-        view = memoryview(slots)
-        x = int.from_bytes(view[:width * len(a)], "little")
-        y = int.from_bytes(view[width * len(a):], "little")
+    words = array("Q", a)
+    words.extend(b)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    slots = bytearray(width * len(words))
+    for k in range(min(width, 8)):
+        slots[k::width] = raw[k::8]
+    view = memoryview(slots)
+    x = int.from_bytes(view[:width * len(a)], "little")
+    y = int.from_bytes(view[width * len(a):], "little")
     z = x * y
     if cyclic is not None and size > cyclic:
         bits = 8 * width * cyclic

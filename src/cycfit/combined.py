@@ -53,21 +53,15 @@ def _sum_add(total: FormalSum, atom, coeff: Coeff, sign: int = 1) -> None:
         del total[atom]
 
 
-class CombinedClass:
-    """x_{nu,q} = sum over e | nu of w_e kappa(q * nu/e)."""
-
-    def __init__(self, terms: FormalSum):
-        self.terms = terms  # kappa atoms only
-
-
 def _subsets(labels: tuple):
     n = len(labels)
     for mask in range(1 << n):
         yield frozenset(labels[i] for i in range(n) if mask >> i & 1)
 
 
-def build_combined(nu: tuple, q) -> CombinedClass:
-    """Expand the divisor-lattice product defining x_{nu,q}."""
+def build_combined(nu: tuple, q) -> FormalSum:
+    """Expand the divisor-lattice product defining
+    x_{nu,q} = sum over e | nu of w_e kappa(q * nu/e), as kappa atoms."""
     if len(set(nu)) != len(nu) or q in nu:
         raise NotWellOrdered("labels of q*nu must be distinct")
     terms: FormalSum = {}
@@ -75,13 +69,13 @@ def build_combined(nu: tuple, q) -> CombinedClass:
     for e in _subsets(tuple(nu)):
         kappa_arg = frozenset({q} | (full - e))
         _sum_add(terms, ("kappa", kappa_arg), {frozenset(e): 1})
-    return CombinedClass(terms)
+    return terms
 
 
-def apply_bracket(s, fc: CombinedClass) -> FormalSum:
+def apply_bracket(s, x: FormalSum) -> FormalSum:
     """[x]^s, reduced by (A1)/(A2)."""
     out: FormalSum = {}
-    for atom, coeff in fc.terms.items():
+    for atom, coeff in x.items():
         _kind, arg = atom[0], atom[-1]
         if s not in arg:
             continue  # A1
@@ -89,14 +83,14 @@ def apply_bracket(s, fc: CombinedClass) -> FormalSum:
     return out
 
 
-def apply_phi(ell, fc: CombinedClass) -> FormalSum:
+def apply_phi(ell, x: FormalSum) -> FormalSum:
     """phi^ell(x), reduced by (A3) when the argument is divisible by ell.
 
     Divisors of a well-ordered product are well-ordered (the chain moduli
     only shrink), so A3 applies to every kappa whose argument contains ell.
     """
     out: FormalSum = {}
-    for atom, coeff in fc.terms.items():
+    for atom, coeff in x.items():
         arg = atom[-1]
         if ell in arg:
             continue  # A3
@@ -119,6 +113,14 @@ class CombinedIdentityReport:
         return self.identity1 and self.identity2 and self.identity3
 
 
+def _equal(lhs: FormalSum, rhs: FormalSum, weight: frozenset = frozenset()) -> bool:
+    """lhs - w * rhs is the empty sum, w the weight monomial (1 by default)."""
+    diff = dict(lhs)
+    for atom, coeff in rhs.items():
+        _sum_add(diff, atom, _coeff_scale(coeff, weight), sign=-1)
+    return not diff
+
+
 def check_combined_identities(epsilon: int) -> CombinedIdentityReport:
     """Check the three structural identities of the combined elements for a
     well-ordered shape with epsilon(nu) = epsilon and symbolic weights:
@@ -138,18 +140,7 @@ def check_combined_identities(epsilon: int) -> CombinedIdentityReport:
     for ell in nu:
         sub_nu = tuple(l for l in nu if l != ell)
         x_sub = build_combined(sub_nu, q)
-        lhs2 = apply_bracket(ell, x)
-        rhs2 = apply_phi(ell, x_sub)
-        diff2 = dict(lhs2)
-        for atom, coeff in rhs2.items():
-            _sum_add(diff2, atom, coeff, sign=-1)
-        if diff2:
-            ok2 = False
-        lhs3 = apply_phi(ell, x)
-        rhs3_raw = apply_phi(ell, x_sub)
-        diff3 = dict(lhs3)
-        for atom, coeff in rhs3_raw.items():
-            _sum_add(diff3, atom, _coeff_scale(coeff, frozenset({ell})), sign=-1)
-        if diff3:
-            ok3 = False
+        rhs = apply_phi(ell, x_sub)
+        ok2 &= _equal(apply_bracket(ell, x), rhs)
+        ok3 &= _equal(apply_phi(ell, x), rhs, frozenset({ell}))
     return CombinedIdentityReport(epsilon=epsilon, identity1=ok1, identity2=ok2, identity3=ok3)

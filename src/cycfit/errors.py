@@ -60,7 +60,8 @@ class BudgetExhausted(CycfitError):
 class ConductorClash(CycfitError, ValueError):
     """A parameter is incompatible with the conductor: q divides the symbol
     conductor, d does not divide f_K, a or the auxiliary product is not prime
-    to p f_K, or an extra modulus is not a positive integer prime to p f_K."""
+    to p f_K, an h-twist of evaluate_kappa is not prime to the master modulus
+    M, or an extra modulus is not a positive integer prime to p f_K."""
 
 
 class NotSplit(CycfitError):

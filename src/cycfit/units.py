@@ -55,8 +55,9 @@ weighted product over the cells (exactly so at n = 1).  At p^{m+1} = 3
 every divisor lies in one class, whose sum is 0: the partner has no term,
 builds no table, and coeff(g tau) = -coeff(g) (at n = 1 the resultant of
 Phi_3 and Phi_f is +-1: Apostol, Proc. AMS 24, 1970).  A shallower chain
-keeps one term per divisor, read at c^e.  An h-twist not prime to M has no
-coset to pair and walks both conjugates.
+keeps one term per divisor, read at c^e.  An h-twist is a Galois element,
+so it must be prime to M (ConductorClash otherwise), and every partner
+has its coset.
 
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
@@ -84,33 +85,32 @@ paired product; one residue per auxiliary prime at n > 1 is one cell of
 the same transform (a chirp with one pick).
 
 Work is split by what fixes it, so that a sample pays only for its own
-arithmetic in F_q.  Per auxiliary support (one chain at one level of the
-field), in bounded functools caches: the conductor components, their CRT
-idempotents, the primes of M and the lift of every g of Delta x Gamma
-(_support), the sigma_l rows with the cells grouped by weight
-(_multi_indices, the only builder of a chain's weights) and the chirp
-exponents of each l (_chirp_exponents).  Per conductor: the walk gaps
-(_walk) and the Moebius terms (_mobius_rows).  Per derivative class and
-level, one _ChainEvaluator (_chain_evaluator, keyed on the field, the class
-and the level, never on a multiplier or a twist) holds the expansion-size
-check, the support, each conjugate's lift and multiplier with the conjugate
-its partner reads, the partner's terms, the rows and weight groups
-(referenced, not copied) and the ring, so evaluate_kappa at a new q is one
-cache lookup and one call.  Per evaluation prime q: one primality proof,
-the search's (arith.proven_prime), the generator of F_q^x from the primes
-of M and the factors of the cofactor of q - 1 by a character test
+arithmetic in F_q.  This module keeps four functools caches.  Per
+derivative class and level, one _ChainEvaluator (_chain_evaluator, keyed on
+the field, the class and the level, never on a multiplier or a twist) is
+the one holder of what a chain fixes: the expansion-size check, its
+_Support (M, the conductor components, their CRT idempotents, the primes of
+M and the lift of every g of Delta x Gamma), the sigma_l rows with the
+cells grouped by weight (_multi_indices, the only builder of a chain's
+weights), each conjugate's lift with the conjugate its partner reads, the
+unit's multiplier, the partner's terms (_mobius_rows) and the ring, so
+evaluate_kappa at a new q is one cache lookup and one call.  An EvalContext
+built outside an evaluator builds a support of its own.  Per conductor: the
+chi_D-kernel (_kernel) and the walk gaps (_walk); per auxiliary prime, the
+chirp exponents (_chirp_exponents).  Per evaluation prime q: one primality
+proof, the search's (arith.proven_prime), the generator of F_q^x from the
+primes of M and the factors of the cofactor of q - 1 by a character test
 (arith.make_field), zeta_M and the root tables (the EvalContext), and the
 dlog base with its order-p table (arith._dlog_base).  Per sample: the walk,
-the product tree and the chirps, the partner's table (none at
-p^{m+1} = 3), the weighted products and the dlog digits (none when the
-value's p-part is 1, and none for a partner without terms).  The caches
-hold residues, index tables and F_q tables, never a unit value, a cell or a
-dlog: every walked conjugate is evaluated afresh (with its own tree and
-chirps), a partner reads only its walked conjugate's dlog, and an orbit
-table lives only for one conjugate of one evaluate_kappa call (or one side
-of one norm_relation_check).  An h-twist multiplies the cached lifts at
-every call and is never part of a cache key, so the H-invariance of
-criterion 5 stays a test.
+the product tree and the chirps, the partner's table (none at p^{m+1} = 3),
+the weighted products and the dlog digits (none when the value's p-part is
+1, and none for a partner without terms).  The caches hold residues, index
+tables and F_q tables, never a unit value, a cell or a dlog: every walked
+conjugate is evaluated afresh (with its own tree and chirps), a partner
+reads only its walked conjugate's dlog, and an orbit table lives only for
+one conjugate of one evaluate_kappa call (or one side of one
+norm_relation_check).  An h-twist multiplies the lifts at every call and is
+never part of a cache key, so the H-invariance of criterion 5 stays a test.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ class EvalContext:
     residues modulo the master modulus M = f_K * p^{m+1} * n.  q must be
     1 mod M (NotSplit otherwise), so all arithmetic and the discrete
     logarithms happen in F_q with respect to its canonical generator, and
-    values at one q are mutually consistent.  `support` is the _support of
-    aux when the caller holds it (a _ChainEvaluator); it is looked up
-    otherwise.
+    values at one q are mutually consistent.  `support` is the _Support of
+    aux when the caller holds it (a _ChainEvaluator); the context builds
+    its own otherwise.
     """
 
     def __init__(self, ctx: AbelianFieldCtx, aux: tuple[int, ...], q: int,
@@ -193,12 +193,12 @@ class EvalContext:
         self.q = q
         self.p_part = ctx.p ** (ctx.m + 1)
         self.n = math.prod(self.aux)
-        self.M = ctx.f_K * self.p_part * self.n
+        self.support = support or _Support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
+        self.M = self.support.M
         if math.gcd(q, self.M) != 1:
             raise ConductorClash(f"q = {q} divides the symbol conductor")
         if (q - 1) % self.M:
             raise NotSplit(f"q = {q} is not 1 mod M = {self.M}")
-        self.support = support or _support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
         self.moduli = self.support.moduli
         self.idempotents = self.support.idempotents
         self.field: FieldCtx = make_field(q, known=self.support.primes)
@@ -380,7 +380,9 @@ class EvalContext:
         other class is a _mobius_table: a proper divisor d at u mult, which
         needs mult prime to M (else w = T_f[a mod f_K] may have order below
         d, and ValueError is raised), and the a-type as the numerators at
-        d = 1 of u mult over those of u_den mult."""
+        d = 1 of u mult over those of u_den mult.  This is the one place
+        that picks the builder of a conjugate; _ChainEvaluator reads every
+        conjugate but a partner through it."""
         ctx = self.ctx
         u, u_den, d = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)
         if d == ctx.f_K:
@@ -401,18 +403,20 @@ class EvalContext:
 
 class _Support:
     """What one auxiliary support n = l_1 ... l_r fixes at the level (p, m)
-    of the field of conductor f, at every evaluation prime: the conductor
-    components m_i of M = f p^(m+1) n, their CRT idempotents E_i (1 mod m_i,
-    0 mod the other components), the primes of M (they divide q - 1 at
-    every evaluation prime q), the residue lifts[g] acting on the tower as
-    each g of Delta x Gamma, and conjugates, the pairs (g, lifts[g^-1]) in
-    the order of group.elements().  Built once per support by _support."""
+    of the field of conductor f, at every evaluation prime: the master
+    modulus M = f p^(m+1) n, its conductor components m_i, their CRT
+    idempotents E_i (1 mod m_i, 0 mod the other components), the primes of
+    M (they divide q - 1 at every evaluation prime q), the residue lifts[g]
+    acting on the tower as each g of Delta x Gamma, and conjugates, the
+    pairs (g, lifts[g^-1]) in the order of group.elements().  Built once
+    per chain by its _ChainEvaluator, and by each EvalContext made without
+    one."""
 
     def __init__(self, group: FiniteAbelianGroup, p: int, m: int, f: int,
                  aux: tuple[int, ...]):
         p_part = p ** (m + 1)
         self.moduli = (f, p_part) + aux
-        M = math.prod(self.moduli)
+        self.M = M = math.prod(self.moduli)
         self.idempotents = tuple((M // mi) * pow(M // mi, -1, mi) for mi in self.moduli)
         self.primes = tuple(factorint(M))
         # the K-coordinate acts through a non-residue of chi_D at f; the other
@@ -434,8 +438,6 @@ class _Support:
         self.conjugates = tuple((g, self.lifts[group.inv(g)]) for g in group.elements())
 
 
-_support = lru_cache(maxsize=64)(_Support)
-
 
 def _unit_multipliers(kind: str, param: int, p: int, m: int, f: int,
                       aux: tuple[int, ...]) -> tuple[int, int | None, int]:
@@ -455,13 +457,12 @@ def _unit_multipliers(kind: str, param: int, p: int, m: int, f: int,
     return u_n + u_p * param, u_n + u_p, 1
 
 
-@lru_cache(maxsize=8)
 def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int):
     """(rows, groups) for the multi-indices (k_1, ..., k_r),
     1 <= k_i <= l_i - 2, in row-major order: rows[i] holds the residues
     sigma_l^k of the i-th auxiliary prime, and groups the cells by their
     weight prod_i k_i mod p^N (_group_weights).  Nothing else builds a
-    chain's weights; a _ChainEvaluator keeps a reference to them."""
+    chain's weights; each _ChainEvaluator builds them once and keeps them."""
     rows, weights = [], [1]
     for kp in aux_primes:
         rows.append(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:]))
@@ -613,7 +614,6 @@ def _walk(f: int, half: bool) -> tuple[tuple[int, ...], int, int]:
     return gaps, max(gaps), sum(residues)
 
 
-@lru_cache(maxsize=4)
 def _mobius_rows(d: int, p_part: int, classed: bool) -> tuple[tuple[int, int, int], ...]:
     """The terms of EvalContext._mobius_table for Phi_d, as (e, power,
     exponent) triples: h_e read at x = c^power and raised to the sum of
@@ -651,13 +651,13 @@ def splits_completely(ctx: AbelianFieldCtx, q: int, n: int, level: int) -> bool:
 class _ChainEvaluator:
     """What one derivative class (kind, param, aux_primes) at one level of
     the field ctx fixes in evaluate_kappa, at every evaluation prime: the
-    expansion-size check (BudgetExhausted), the _Support of the chain, the
-    ring Z/p^level[G], the _multi_indices rows and weight groups
-    (referenced, not copied) and each conjugate's multiplier a = u * lift,
-    with the conjugate whose dlog its partner reads and the partner's
-    _mobius_rows terms of Phi_f (by class or per divisor) when the class is
-    the one at f_K.  Built once per chain and level by _chain_evaluator; a
-    call at q does only the F_q work (see evaluate_kappa)."""
+    expansion-size check (BudgetExhausted), the chain's _Support, the ring
+    Z/p^level[G], the _multi_indices rows and weight groups, the unit's
+    multiplier u and each conjugate's lift, with the conjugate whose dlog
+    its partner reads and the partner's _mobius_rows terms of Phi_f (by
+    class or per divisor) when the class is the one at f_K.  Built once per
+    chain and level by _chain_evaluator; a call at q does only the F_q work
+    (see evaluate_kappa)."""
 
     def __init__(self, ctx: AbelianFieldCtx, kind: str, param: int,
                  aux_primes: tuple[KolyvaginPrime, ...], level: int):
@@ -670,46 +670,42 @@ class _ChainEvaluator:
         self.param = param
         self.level = level
         self.aux = tuple(kp.ell for kp in aux_primes)
-        self.support = _support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
-        self.M = math.prod(self.support.moduli)
+        self.support = _Support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
         self.ring = ctx.ring if level == ctx.N else GroupRing(ctx.group, ctx.p, level)
         self.rows, self.groups = _multi_indices(aux_primes, ctx.p**level)
-        u = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)[0]
+        self.u = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)[0]
         # the class at f_K: each conjugate with g[0] = 1 is read from its
         # partner with g[0] = 0, which elements() lists first, and the
         # Moebius table of Phi_f, the product of the two chi_D-cosets
-        self.paired = kind == "d" and param == ctx.f_K
+        paired = kind == "d" and param == ctx.f_K
         classed = all(kp.N_ell >= max(level, ctx.m + 1) for kp in aux_primes)
         self.partner_rows = _mobius_rows(ctx.f_K, ctx.p ** (ctx.m + 1), classed)
-        self.conjugates = tuple((g, lift, u * lift % self.M,
-                                 (0,) + g[1:] if self.paired and g[0] else None)
+        self.conjugates = tuple((g, lift, (0,) + g[1:] if paired and g[0] else None)
                                 for g, lift in self.support.conjugates)
 
     def __call__(self, q: int, h_twist: dict[int, int] | None) -> GroupRingElement:
         """kappa(n) at q, for q = 1 mod f_K p^max(level, m+1) n."""
         ev = EvalContext(self.ctx, self.aux, q, self.support)
-        M, rows, level = self.M, self.rows, self.level
+        M, rows, level = ev.M, self.rows, self.level
         twist = ev.lift(h_twist) if h_twist else 1
-        # a twist not prime to M has no coset to pair: both conjugates walk
-        cosets = math.gcd(twist, M) == 1
+        if math.gcd(twist, M) != 1:
+            raise ConductorClash(f"h-twist {h_twist} is not prime to M = {M}")
         coeffs: dict = {}
-        for g, lift, a, partner in self.conjugates:
-            if partner and cosets:
+        for g, lift, partner in self.conjugates:
+            mult = lift * twist % M
+            if partner:
                 coeffs[g] = -coeffs[partner]
                 if self.partner_rows:
-                    table = ev._mobius_table(a * twist % M, self.partner_rows, rows)
+                    table = ev._mobius_table(self.u * mult % M, self.partner_rows, rows)
                     coeffs[g] += ev.dlog(_orbit_value(q, table, self.groups), level)
-                continue
-            if self.paired:
-                orbit = ev._paired_orbit(a * twist % M, rows), None
             else:
-                orbit = ev.factor_orbit(self.kind, self.param, lift * twist % M, rows)
-            coeffs[g] = ev.dlog(_orbit_value(q, orbit, self.groups), level)
+                orbit = ev.factor_orbit(self.kind, self.param, mult, rows)
+                coeffs[g] = ev.dlog(_orbit_value(q, orbit, self.groups), level)
         return GroupRingElement(self.ring, coeffs)
 
 
-# Chains kept, as many as _multi_indices keeps weights: a sampler run at
-# i <= 1 visits at most 1 + 6 chains (ideals._PER_LEVEL)
+# Chains kept: a sampler run at i <= 1 visits at most 1 + 6 chains
+# (ideals._PER_LEVEL)
 _chain_evaluator = lru_cache(maxsize=8)(_ChainEvaluator)
 
 
@@ -721,8 +717,9 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
     Returns sum_g dlog(eval(g^{-1} . eta(n)^{D_n})) * g over Z/p^level[G]; the
     coefficient convention makes the map Galois-equivariant.  Requires
     q = 1 mod f_K * p^max(level, m+1) * n (splits_completely).  What the
-    class and the level fix is read from the chain's _ChainEvaluator; the h-twist
-    multiplies its lifts at every call.
+    class and the level fix is read from the chain's _ChainEvaluator; the
+    h-twist multiplies its lifts at every call and must be prime to M
+    (ConductorClash otherwise).
     """
     ctx_level = ctx.N if level is None else level
     if not splits_completely(ctx, q, cls.n, ctx_level):

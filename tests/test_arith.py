@@ -291,9 +291,9 @@ def test_root_of_unity_compatible_along_divisor_chains(q, data):
 # Slot paths at 64 terms (a slot needs 2 bits(q - 1) + 7 bits): 2, 3 and
 # 65537 fill part of one 64-bit word and 134217757 63 of its 64 bits;
 # 2^31 - 1 (69 of 72 bits) and 2^31 + 11 (71 of 72) take two words, and
-# 2^61 - 1 (129 bits) and 2^89 - 1 are wider than two words and pack each
-# coefficient with int.to_bytes
-POLY_MUL_MODULI = (2, 3, 65537, 134217757, 2**31 - 1, 2**31 + 11, 2**61 - 1, 2**89 - 1)
+# 2^61 - 1 (129 bits, 17 bytes) is wider than two words and unpacks each
+# coefficient with int.from_bytes.  Every list packs through 64-bit words.
+POLY_MUL_MODULI = (2, 3, 65537, 134217757, 2**31 - 1, 2**31 + 11, 2**61 - 1)
 
 
 def _schoolbook(a, b, q):
@@ -320,6 +320,13 @@ def test_poly_mul_fills_slots_exactly(q):
     a = [q - 1] * 64
     assert poly_mul(a, a, q) == _schoolbook(a, a, q)
     assert poly_mul(a, a, q, cyclic=64) == _cyclic_fold(_schoolbook(a, a, q), 64, q)
+
+
+def test_poly_mul_refuses_coefficients_wider_than_a_word():
+    # coefficients pack as 64-bit words: fields stay below the 2^62 budget
+    q = 2**89 - 1
+    with pytest.raises(OverflowError):
+        poly_mul([q - 1] * 64, [q - 1] * 64, q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -393,8 +400,9 @@ def _cyclic_pow(a, e, q, L):
     return out + [0] * (L - len(out))
 
 
-# The residue-degree-k primes q of `cycfit verify -p 3` at D = 5, 8, 257,
-# 473, 1229, 1937: q has order k modulo L = 3 D for one of these D
+# Primes q of order k modulo L = 3 D for one of D = 5, 8, 257, 473, 1229,
+# 1937: the cyclic q-th power that poly_mul computes in F_q[X]/(X^L - 1) is
+# the Frobenius permutation i -> i q mod L, of order k
 FROBENIUS_CASES = [(7, 2), (19, 2), (31, 2), (241, 4), (787, 4), (1087, 4), (2113, 3),
                    (3433, 3), (4729, 2), (6661, 4), (12289, 2), (16987, 3)]
 

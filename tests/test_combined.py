@@ -16,16 +16,16 @@ from cycfit.combined import (
 
 def test_build_combined_divisor_lattice():
     x1 = build_combined((), "q")
-    assert x1.terms == {("kappa", frozenset({"q"})): {frozenset(): 1}}
+    assert x1 == {("kappa", frozenset({"q"})): {frozenset(): 1}}
     xl = build_combined(("l",), "q")
-    assert xl.terms == {
+    assert xl == {
         ("kappa", frozenset({"q", "l"})): {frozenset(): 1},
         ("kappa", frozenset({"q"})): {frozenset({"l"}): 1},
     }
     xll = build_combined(("l1", "l2"), "q")
-    assert len(xll.terms) == 4
-    assert xll.terms[("kappa", frozenset({"q"}))] == {frozenset({"l1", "l2"}): 1}
-    assert xll.terms[("kappa", frozenset({"q", "l1"}))] == {frozenset({"l2"}): 1}
+    assert len(xll) == 4
+    assert xll[("kappa", frozenset({"q"}))] == {frozenset({"l1", "l2"}): 1}
+    assert xll[("kappa", frozenset({"q", "l1"}))] == {frozenset({"l2"}): 1}
 
 
 def test_build_combined_label_validation():
@@ -39,15 +39,15 @@ def test_build_combined_respects_divisor_recursion():
     full = build_combined(("l1", "l2"), "q")
     sub = build_combined(("l1",), "q")
     reconstructed = {}
-    for (kind, arg), coeff in sub.terms.items():
+    for (kind, arg), coeff in sub.items():
         reconstructed[(kind, frozenset(arg | {"l2"}))] = dict(coeff)
-    for (kind, arg), coeff in sub.terms.items():
+    for (kind, arg), coeff in sub.items():
         key = (kind, arg)
         tgt = reconstructed.setdefault(key, {})
         for mono, c in coeff.items():
             m2 = frozenset(mono | {"l2"})
             tgt[m2] = tgt.get(m2, 0) + c
-    assert reconstructed == full.terms
+    assert reconstructed == full
 
 
 def test_axioms():

@@ -27,7 +27,7 @@ import pytest
 
 import reference_engine as ref
 from cycfit.arith import factorint, primitive_root
-from cycfit.errors import NotSplit
+from cycfit.errors import ConductorClash, NotSplit
 from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
                            kolyvagin_primes)
 from cycfit.units import (EvalContext, _chain_evaluator, _mobius_rows, _multi_indices,
@@ -239,11 +239,11 @@ def test_epsilon_zero_vectors_match_reference(p, D, m, N, twist):
 
 
 # (D, m, N, chain length, level, f_K-component of the h-twist): a twist
-# that is not prime to f_K leaves no chi_D-coset to pair, so both
-# conjugates are walked
+# that is not prime to f_K is no Galois element, so evaluate_kappa refuses
+# it before any walk
 @pytest.mark.parametrize("D,m,N,r,level,w", [(473, 0, 3, 1, 3, 11), (785, 0, 3, 1, 3, 5),
                                              (785, 0, 1, 0, 1, 5)])
-def test_twist_not_prime_to_conductor_walks_both_cosets(D, m, N, r, level, w, monkeypatch):
+def test_twist_not_prime_to_conductor_is_refused(D, m, N, r, level, w, monkeypatch):
     ctx = build_field(3, D, m, N)
     kps = _chain(ctx, r, level)
     cls = derivative_class(ctx, "d", D, kps)
@@ -251,13 +251,13 @@ def test_twist_not_prime_to_conductor_walks_both_cosets(D, m, N, r, level, w, mo
     ev = EvalContext(ctx, cls.aux, q)
     order = len(list(ctx.group.elements()))
     walks, tables = _count_orbit_reads(monkeypatch)
-    new = evaluate_kappa(ctx, cls, q, level=level, h_twist={D: w})
-    assert len(walks) == order
-    assert new == ref.evaluate_kappa(ctx, cls, ev, level, {D: w})
-    # a twist prime to f_K at the same prime does take the partner route,
+    with pytest.raises(ConductorClash, match="h-twist"):
+        evaluate_kappa(ctx, cls, q, level=level, h_twist={D: w})
+    assert walks == []
+    # a twist prime to f_K at the same prime takes the partner route,
     # which at p^{m+1} = 3 builds no table
     coprime = evaluate_kappa(ctx, cls, q, level=level, h_twist={D: 2})
-    assert len(walks) == order + order // 2
+    assert len(walks) == order // 2
     assert tables == []
     assert coprime == ref.evaluate_kappa(ctx, cls, ev, level, {D: 2})
 
@@ -405,7 +405,8 @@ def test_shallow_chains_key_each_divisor(p, D, m):
     for q in (next(gen) for _ in range(2)):
         ev = EvalContext(ctx, cls.aux, q)
         assert evaluate_kappa(ctx, cls, q, level=1) == ref.evaluate_kappa(ctx, cls, ev, 1)
-        for _, _, a, _ in evaluator.conjugates:
+        for _, lift, _ in evaluator.conjugates:
+            a = evaluator.u * lift % ev.M
             dlogs = {ev.dlog(_orbit_value(q, ev._mobius_table(
                 a, _mobius_rows(D, p ** (m + 1), classed), rows), groups), 1)
                 for classed in (False, True)}
@@ -531,7 +532,7 @@ CHAIN_STATE_CASES.append((3, 8, 0, 2))
 
 @pytest.mark.parametrize("p,D,m,r", CHAIN_STATE_CASES)
 def test_chain_state_matches_fresh_recomputation(p, D, m, r):
-    # what an auxiliary support keeps for all its evaluation primes, read
+    # what the chain's evaluator keeps for all its evaluation primes, read
     # after evaluations with and without h-twists: lifts, unit multipliers,
     # sigma_l rows, and the multi-index weights with their grouping
     N = m + 1
@@ -541,22 +542,25 @@ def test_chain_state_matches_fresh_recomputation(p, D, m, r):
     cls = derivative_class(ctx, "d", D, kps)
     gen = evaluation_primes(ctx, cls.n)
     qs = [next(gen), next(gen)]
-    for q, twist in zip(qs, (None, {D: 2, ells[0]: 3})):
+    for q, twist in zip(qs, (None, {D: 3, ells[0]: 3})):
         evaluate_kappa(ctx, cls, q, h_twist=twist)
+    evaluator = _chain_evaluator(ctx, "d", D, cls.aux_primes, N)
+    support = evaluator.support
     ev = EvalContext(ctx, ells, qs[1])
     pN, M, n = p**N, ev.M, cls.n
+    assert support.M == M
     for g in ctx.group.elements():
-        assert ev.support.lifts[g] == _fresh_lift(ev, g)
-    assert ev.support.conjugates == tuple(
+        assert support.lifts[g] == _fresh_lift(ev, g)
+    assert support.conjugates == tuple(
         (g, _fresh_lift(ev, ctx.group.inv(g))) for g in ctx.group.elements())
-    assert sorted(ev.support.primes) == sorted(factorint(M))
+    assert sorted(support.primes) == sorted(factorint(M))
     p_m = p**m
     for d in (d for d in range(2, D + 1) if D % d == 0):
         assert _unit_multipliers("d", d, p, m, D, ells) == (
             (M // d) * pow(p_m, -1, d) + D, None, d)
     u_n, u_p = (M // n) * pow(p_m, -1, n), M // ev.p_part
     assert _unit_multipliers("a", 2, p, m, D, ells) == (u_n + 2 * u_p, u_n + u_p, 1)
-    rows, groups = _multi_indices(kps, pN)
+    rows, groups = evaluator.rows, evaluator.groups
     assert rows == tuple(tuple(pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1))
                          for kp in kps)
     weights = [math.prod(ks) % pN

@@ -13,6 +13,7 @@ from cycfit.fitting import fitting_of_p_group
 from cycfit.groupring import IdealNF, chi_project
 from cycfit.classgroup import fundamental_discriminants
 from cycfit.ideals import CycIdealRun, _preferred_chains, sample_cyclotomic_ideal, stabilized
+from cycfit import units
 from cycfit.units import derivative_class, evaluate_kappa
 
 
@@ -220,3 +221,26 @@ def test_cached_chain_evaluators_match_fresh_evaluation(p, D, m, N):
         _clear_caches()
         cls = derivative_class(ctx, "d", D, chain_primes(ctx, sample.factors))
         assert evaluate_kappa(ctx, cls, sample.q).vector() == sample.vector, sample.q
+
+
+def test_sampler_builds_one_support_per_chain(monkeypatch):
+    # each chain's evaluator builds its auxiliary support once and every
+    # EvalContext of the sample path reads it: one units._Support per
+    # distinct chain, however many evaluation primes the chain is sampled at
+    built = []
+
+    class CountedSupport(units._Support):
+        def __init__(self, group, p, m, f, aux):
+            built.append(aux)
+            super().__init__(group, p, m, f, aux)
+
+    _clear_caches()
+    monkeypatch.setattr(units, "_Support", CountedSupport)
+    ctx = build_field(3, 257, 0, 3)
+    run = None
+    for i in (0, 1):
+        run = sample_cyclotomic_ideal(ctx, i, base_run=run)
+    _clear_caches()
+    chains = {sample.factors for sample in run.samples}
+    assert sorted(built) == sorted(chains)
+    assert len(run.samples) > len(chains)

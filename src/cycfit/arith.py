@@ -192,7 +192,9 @@ def val_p(x: int, p: int, cap: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
+# The keys of primitive_root are the p^(m+1) of the chains' supports
+# (units._Support), one or two per field a process verifies.
+@lru_cache(maxsize=16)
 def primitive_root(n: int) -> int:
     """Smallest primitive root modulo a prime power n (1 for n = 2); n is
     factored to find phi(n)."""
@@ -201,19 +203,9 @@ def primitive_root(n: int) -> int:
 
 def _smallest_generator(n: int, phi: int, known: tuple[int, ...] = ()) -> int:
     """Smallest g prime to n of order phi modulo n, for n with a cyclic unit
-    group of order phi.  The primes in `known` are divided out of phi, and
-    only the cofactor is factored.
-
-    g has order phi exactly when chi_r(g) = g^(phi/r) != 1 for every prime
-    r | phi.  The r are tried in increasing order, so half of all candidates
-    fall at the first, and chi_r(g) is found only when r is reached.  Each
-    chi_r is multiplicative, so a composite candidate's value is the product
-    of the values at its smallest prime factor and its cofactor, both below
-    it (found now if that candidate fell at an earlier r): only a prime
-    candidate c pays a pow.  For a prime n (phi = n - 1), chi_2(c) is the
-    Legendre symbol (c | n), read by quadratic reciprocity from n mod 8
-    (c = 2) or from (n | c) by Euler's criterion modulo c, a pow of c-sized
-    numbers."""
+    group of order phi: the least g prime to n with g^(phi/r) != 1 for every
+    prime r | phi, the r tried in increasing order.  The primes in `known`
+    are divided out of phi, and only the cofactor is factored."""
     factors = set()
     rest = phi
     for r in known:
@@ -222,53 +214,11 @@ def _smallest_generator(n: int, phi: int, known: tuple[int, ...] = ()) -> int:
             while rest % r == 0:
                 rest //= r
     factors.update(factorint(rest))
-    if not factors:
-        return 1
     exponents = [phi // r for r in sorted(factors)]
-    half = phi // 2 if phi == n - 1 else 0  # the exponent of chi_2 for a prime n
-    # chars[i][c] = chi_(r_i)(c) mod n, for the candidates c reached so far
-    chars: list[dict[int, int]] = [{} for _ in exponents]
-    primes: list[int] = []  # the prime candidates so far
-    split: dict[int, int] = {}  # the smallest prime factor of each composite one
-
-    def at_prime(c: int, e: int) -> int:
-        if e != half:
-            return pow(c, e, n)
-        if c == 2:
-            square = n % 8 in (1, 7)
-        else:
-            square = (pow(n % c, (c - 1) // 2, c) == 1) != (c % 4 == 3 == n % 4)
-        return 1 if square else n - 1
-
-    def chi(values: dict[int, int], e: int, c: int) -> int:
-        v = values.get(c)
-        if v is None:
-            f = split.get(c, c)
-            v = values[c] = (at_prime(c, e) if f == c
-                             else chi(values, e, f) * chi(values, e, c // f) % n)
-        return v
-
     g = 1
-    while True:
+    while math.gcd(g, n) != 1 or any(pow(g, e, n) == 1 for e in exponents):
         g += 1
-        f = g
-        for r in primes:
-            if r * r > g:
-                break
-            if g % r == 0:
-                f = split[g] = r
-                break
-        if f == g:
-            primes.append(g)
-        if math.gcd(g, n) != 1:
-            continue
-        for values, e in zip(chars, exponents):
-            v = values[g] = (at_prime(g, e) if f == g
-                             else chi(values, e, f) * chi(values, e, g // f) % n)
-            if v == 1:
-                break
-        else:
-            return g
+    return g
 
 
 def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> list[int]:
@@ -330,7 +280,7 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
 
 
 class FieldCtx:
-    """F_q with its smallest generator g of F_q^x, set by make_field.
+    """F_q with its smallest generator g of F_q^x, as make_field builds it.
     Elements are plain ints in [0, q)."""
 
     def __init__(self, q: int, g: int):
@@ -338,36 +288,22 @@ class FieldCtx:
         self.g = g
 
 
-# Prime fields kept: an evaluation prime is used by one sample, and a few
-# hundred cover the primes read again (auxiliary primes, the re-draws of a
-# sampler run at i >= 1 and the annihilation suite's primes).
-_FIELDS_KEPT = 256
-
-
-@lru_cache(maxsize=_FIELDS_KEPT)
-def _make_field_cached(q: int) -> FieldCtx:
+def make_field(q: int, *, known: tuple[int, ...] = ()) -> FieldCtx:
+    """F_q with its smallest generator, computed afresh on every call;
+    NotPrime for a composite q and BudgetExceeded when q exceeds the field
+    budget.  q is proven prime once: a prime that a search of fields has
+    just yielded keeps that search's proof (proven_prime), any other q is
+    proven here.  The generator is found from phi(q) = q - 1, without
+    factoring q; `known` lists primes the caller knows to divide q - 1
+    (those of an evaluation prime's search step), so only the cofactor of
+    q - 1 is factored.  The generator does not depend on them.  `known` is
+    keyword-only: bench/spans.py reads a second positional argument as the
+    degree of an extension field."""
     if q < 2 or not proven_prime(q):
         raise NotPrime(f"q = {q} is not prime")
     if q > DEFAULT_FIELD_BUDGET:
         raise BudgetExceeded(f"q = {q} exceeds the field budget {DEFAULT_FIELD_BUDGET}")
-    return FieldCtx(q=q, g=0)
-
-
-def make_field(q: int, *, known: tuple[int, ...] = ()) -> FieldCtx:
-    """F_q with its smallest generator; NotPrime for a composite q and
-    BudgetExceeded when q exceeds the field budget.  q is proven prime once:
-    a prime that a search of fields has just yielded keeps that search's
-    proof (proven_prime), any other q is proven here.  The generator is
-    found on the first call for q from phi(q) = q - 1, without factoring q;
-    `known` lists primes the caller knows to divide q - 1 (those of an
-    evaluation prime's search step), so only the cofactor of q - 1 is
-    factored.  The generator does not depend on them.  `known` is
-    keyword-only: bench/spans.py reads a second positional argument as the
-    degree of an extension field."""
-    field = _make_field_cached(q)
-    if not field.g:
-        field.g = _smallest_generator(q, q - 1, known)
-    return field
+    return FieldCtx(q, _smallest_generator(q, q - 1, known))
 
 
 def root_of_unity(ctx: FieldCtx, M: int) -> int:
@@ -385,10 +321,11 @@ def root_of_unity(ctx: FieldCtx, M: int) -> int:
 def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
     """Discrete log of x in the p^N-part of F_q^x, in Z/p^N.
 
-    Returns d with x^{(q-1)/p^N} = (g^{(q-1)/p^N})^d; kills p^N-th powers
-    and is additive in x.  Pohlig-Hellman digit lifting inside the cyclic
-    p^N-subgroup (p^N is always small here); 0 at once when
-    x^{(q-1)/p^N} = 1.
+    Returns d with x^{(q-1)/p^N} = z^d for z = g^{(q-1)/p^N}; kills p^N-th
+    powers and is additive in x.  Pohlig-Hellman digit lifting inside the
+    cyclic p^N-subgroup (p^N is always small here), each digit read from
+    the p powers of z^{p^(N-1)}, which are built on every call; 0 at once
+    when x^{(q-1)/p^N} = 1.
     """
     if x == 0:
         raise ZeroElement("dlog of 0")
@@ -399,7 +336,10 @@ def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
     y = pow(x, (q - 1) // pN, q)
     if y == 1:
         return 0
-    z_inv, table = _dlog_base(q, ctx.g, p, N)
+    z = pow(ctx.g, (q - 1) // pN, q)
+    zp = pow(z, pN // p, q)
+    table = {pow(zp, j, q): j for j in range(p)}
+    z_inv = pow(z, -1, q)
     d = 0
     for i in range(N):
         w = pow(y * pow(z_inv, d, q) % q, pN // p ** (i + 1), q)
@@ -407,19 +347,3 @@ def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
             raise ArithmeticError("dlog digit outside subgroup")
         d += table[w] * p**i
     return d % pN
-
-
-@lru_cache(maxsize=16)
-def _dlog_base(q: int, g: int, p: int, N: int) -> tuple[int, dict[int, int]]:
-    """(z^-1, {z^(j p^(N-1)): j for j < p}) for z = g^((q-1)/p^N): the base
-    of dlog_p_part and the table of its order-p subgroup, built once per
-    (q, p, N)."""
-    pN = p**N
-    z = pow(g, (q - 1) // pN, q)
-    zp = pow(z, pN // p, q)
-    table = {}
-    cur = 1
-    for j in range(p):
-        table[cur] = j
-        cur = cur * zp % q
-    return pow(z, -1, q), table

@@ -111,10 +111,6 @@ class GroupRing:
     def basis(self) -> tuple[tuple, ...]:
         return tuple(sorted(self.group.elements()))
 
-    @cached_property
-    def basis_index(self) -> dict:
-        return {g: i for i, g in enumerate(self.basis)}
-
     def zero(self) -> "GroupRingElement":
         return GroupRingElement(self, {})
 
@@ -330,10 +326,9 @@ class IdealNF:
     @cached_property
     def _is_unit(self) -> bool:
         """Whether 1 lies in the ideal, tested once: nothing changes a form
-        after it is built."""
-        one = [0] * self.ring.group.order
-        one[self.ring.basis_index[self.ring.group.identity()]] = 1
-        return self.contains_vector(one)
+        after it is built.  The identity, all zeros, is basis[0] of the
+        sorted basis."""
+        return self.contains_vector([1] + [0] * (self.ring.group.order - 1))
 
     def generators(self) -> list[GroupRingElement]:
         return [self.ring.from_vector(r) for r in self.rows]

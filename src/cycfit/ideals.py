@@ -154,7 +154,7 @@ def sample_cyclotomic_ideal(
         ideal=base_run.ideal if base_run else IdealNF(ctx.ring.chi_quotient, ()),
         samples=list(base_run.samples) if base_run else [],
     )
-    if base_run and base_run.status == "BUG":  # pragma: no cover
+    if base_run and base_run.status == "BUG":
         run.status = "BUG"
         return run
     if stabilized(run, window):

@@ -98,13 +98,14 @@ evaluate_kappa at a new q is one cache lookup and one call.  An EvalContext
 built outside an evaluator builds a support of its own.  Per conductor: the
 chi_D-kernel (_kernel) and the walk gaps (_walk); per auxiliary prime, the
 chirp exponents (_chirp_exponents).  Per evaluation prime q: one primality
-proof, the search's (arith.proven_prime), the generator of F_q^x from the
-primes of M and the factors of the cofactor of q - 1 by a character test
-(arith.make_field), zeta_M and the root tables (the EvalContext), and the
-dlog base with its order-p table (arith._dlog_base).  Per sample: the walk,
-the product tree and the chirps, the partner's table (none at p^{m+1} = 3),
-the weighted products and the dlog digits (none when the value's p-part is
-1, and none for a partner without terms).  The caches hold residues, index
+proof, the search's (arith.proven_prime, the only thing kept per q), the
+generator of F_q^x from the primes of M and the factors of the cofactor of
+q - 1 (arith.make_field, which keeps no field), and zeta_M and the root
+tables (the EvalContext); each dlog builds its own base and order-p table
+(arith.dlog_p_part).  Per sample: the walk, the product tree and the
+chirps, the partner's table (none at p^{m+1} = 3), the weighted products
+and the dlog digits (none when the value's p-part is 1, and none for a
+partner without terms).  The caches hold residues, index
 tables and F_q tables, never a unit value, a cell or a dlog: every walked
 conjugate is evaluated afresh (with its own tree and chirps), a partner
 reads only its walked conjugate's dlog, and an orbit table lives only for

@@ -18,6 +18,19 @@ from cycfit.arith import crt
 from cycfit.groupring import GroupRing, GroupRingElement
 
 
+def mobius(n: int) -> int:
+    """mu(n) by trial division."""
+    out, r = 1, 2
+    while r * r <= n:
+        if n % r == 0:
+            n //= r
+            if n % r == 0:
+                return 0
+            out = -out
+        r += 1
+    return -out if n > 1 else out
+
+
 def lift(ev, components: dict[int, int]) -> int:
     residues = [components.get(mod, 1) % mod for mod in ev.moduli]
     return crt(residues, ev.moduli)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycfit.arith import (
-    _make_field_cached,
     _smallest_generator,
     crt,
     dlog_p_part,
@@ -24,6 +23,7 @@ from cycfit.arith import (
 from cycfit.config import DEFAULT_FIELD_BUDGET
 from cycfit.errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
 from cycfit.fields import KolyvaginPrime, build_field, evaluation_primes, kolyvagin_primes
+from reference_engine import mobius
 
 
 def test_make_field_7_generator_is_3():
@@ -78,8 +78,9 @@ def _generator_by_definition(q):
 
 def test_smallest_generator_matches_its_definition():
     # every prime below 30 000, and 200 evaluation primes at each of three
-    # conductors with the primes of f_K p^(m+1) handed over as known; the
-    # winners include composites, whose character values are products
+    # conductors with the primes of f_K p^(m+1) handed over as known, against
+    # a search that factors q - 1 by trial division; the winners include
+    # composites, so the search does not stop at prime candidates
     winners = set()
     for q in filter(is_prime, range(2, 30000)):
         g = _generator_by_definition(q)
@@ -92,7 +93,8 @@ def test_smallest_generator_matches_its_definition():
             assert _smallest_generator(q, q - 1, known) == g, q
             winners.add(g)
     assert {6, 10, 12} <= winners
-    # prime powers take no Legendre symbol: the least g prime to n of order phi(n)
+    # prime powers, where a candidate may share a factor with n: the least g
+    # prime to n of order phi(n)
     for n in (4, 9, 25, 27, 49, 81, 121, 125, 169, 243, 343, 729, 2187):
         phi = n - n // min(factorint(n))
         want = next(g for g in range(1, n) if math.gcd(g, n) == 1
@@ -108,20 +110,6 @@ def test_kolyvagin_generators_are_the_smallest():
             g = _generator_by_definition(kp.ell)
             assert kp.s_ell == g, kp.ell
             assert KolyvaginPrime.build(kp.ell, 3, flip_sigma=True).s_ell == pow(g, -1, kp.ell)
-
-
-def test_make_field_cache_keeps_its_bound():
-    # a walk over 300 primes fills the cache of fields to its bound and no
-    # further; the first prime, evicted, comes back with the same generator
-    qs = list(itertools.islice(evaluation_primes(build_field(3, 257, 0, 3)), 300))
-    _make_field_cached.cache_clear()
-    first = make_field(qs[0]).g
-    for q in qs:
-        make_field(q)
-    info = _make_field_cached.cache_info()
-    assert info.maxsize < len(qs) and info.currsize == info.maxsize
-    assert make_field(qs[0]).g == first
-    assert _make_field_cached.cache_info().misses == info.misses + 1
 
 
 def test_make_field_rejects_composite():
@@ -354,18 +342,6 @@ def test_poly_mul_cyclic_matches_folded_schoolbook(q, size, shape, data):
     assert poly_mul(a, b, q, cyclic=size) == _cyclic_fold(_schoolbook(a, b, q), size, q)
 
 
-def _moebius(n):
-    out, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    return -out if n > 1 else out
-
-
 def _monics(q, j):
     return [list(tail) + [1] for tail in itertools.product(range(q), repeat=j)]
 
@@ -376,7 +352,7 @@ def test_irreducible_count_matches_gauss(q, k):
     # Gauss: (1/k) sum_{d | k} mu(d) q^{k/d} monic irreducibles of degree k;
     # the reducible monics are exactly the products of two monics of degrees
     # j and k - j, 1 <= j <= k/2, so poly_mul must leave that many out
-    expected = sum(_moebius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    expected = sum(mobius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
     reducible = {tuple(poly_mul(a, b, q)) for j in range(1, k // 2 + 1)
                  for a in _monics(q, j) for b in _monics(q, k - j)}
     assert q**k - len(reducible) == expected

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cycfit
-from cycfit import cli, combined
+from cycfit import classgroup, cli, combined
 from cycfit.cli import _sanitize, build_parser, main, run_verify
 from cycfit.errors import InsufficientPrecision
 from cycfit.groupring import principal_ideal
@@ -350,6 +352,54 @@ def test_verify_is_a_bug_when_the_oracle_fitting_routes_disagree(capsys, monkeyp
     assert code == 3 and report["status"] == "BUG"
     assert report["fitting_minor_cross_check"] == {"0": False, "1": False, "2": False}
     assert report["verdicts"] == {"0": "MATCH", "1": "MATCH", "2": "MATCH"}
+
+
+def test_verify_is_a_bug_when_a_sample_escapes_the_oracle_fitting(capsys, monkeypatch):
+    # the oracle claims a 3-part Z/9 at D = 257 (it is Z/3), so Fitt_0 = (9)
+    # at N = 4, and the first sample, of valuation 1, lies outside it
+    monkeypatch.setattr(classgroup.FormClassGroup, "p_part_divisors", lambda self, p: (2,))
+    code, out, _ = run_cli(capsys, ["verify", "-D", "257", "--annihilation", "0", "--quiet"])
+    report = json.loads(out)
+    assert code == 3 and report["status"] == "BUG"
+    assert report["config"]["N"] == 4 and report["fitting"]["0"]["rows"] == [[9]]
+    assert report["verdicts"] == {"0": "BUG", "1": "BUG", "2": "BUG"}
+    runs = report["cyclotomic"]
+    # the run at i = 0 stops at its first sample; the runs at i >= 1 inherit
+    # its BUG and draw no sample of their own
+    [sample] = runs["0"]["samples"]
+    assert sample["valuation"] == 1 and sample["in_fitting"] is False
+    for i in "012":
+        assert runs[i]["status"] == "BUG" and runs[i]["samples"] == [sample], i
+
+
+def test_package_caches_are_the_inventory():
+    # every functools cache of the package, found as bench's clear_caches
+    # finds them (a module attribute with cache_clear), once per object and
+    # named by its binding in the module that defines it.  A new cache edits
+    # this table and the ROADMAP standing decision on what a sample may take
+    # from earlier samples.
+    for info in pkgutil.iter_modules(cycfit.__path__):
+        importlib.import_module(f"cycfit.{info.name}")
+    bound = {}  # id -> (cache, every module.name bound to it)
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("cycfit."):
+            for name, obj in vars(mod).items():
+                if hasattr(obj, "cache_clear"):
+                    bound.setdefault(id(obj), (obj, set()))[1].add(f"{key}.{name}")
+    caches = {min(names, key=lambda n, home=f"{obj.__module__}.": not n.startswith(home)):
+              obj.cache_info().maxsize for obj, names in bound.values()}
+    assert len(caches) == len(bound) and caches == {
+        "cycfit.arith.proven_prime": 64,
+        "cycfit.arith.primitive_root": 16,
+        "cycfit.units._chain_evaluator": 8,
+        "cycfit.units._walk": 4,
+        "cycfit.units._kernel": 2,
+        "cycfit.units._chirp_exponents": 16,
+        "cycfit.classgroup._ln2_fixed": 1,
+        # per process, keyed by (p, N, divisors, i_max) and by nothing
+        "cycfit.cli._oracle_fittings": None,
+        "cycfit.cli._formal_reports": None,
+    }
 
 
 def test_sanitize_big_integers():

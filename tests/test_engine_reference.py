@@ -322,23 +322,10 @@ def test_epsilon_zero_cosets_cancel_at_p3_level0(D):
     assert _mobius_rows(D, 3, True) == ()
 
 
-def _mobius(n):
-    """mu(n) by trial division."""
-    out, r = 1, 2
-    while r * r <= n:
-        if n % r == 0:
-            n //= r
-            if n % r == 0:
-                return 0
-            out = -out
-        r += 1
-    return -out if n > 1 else out
-
-
 @pytest.mark.parametrize("p_part", [3, 5, 7, 9, 25])
 def test_mobius_rows_are_the_divisor_sums(p_part):
     for d in range(1, 2000):
-        mus = {e: _mobius(d // e) for e in range(1, d + 1) if d % e == 0}
+        mus = {e: ref.mobius(d // e) for e in range(1, d + 1) if d % e == 0}
         unclassed = _mobius_rows(d, p_part, False)
         assert sorted(unclassed) == sorted((e, e, mu) for e, mu in mus.items() if mu)
         sums = {}

@@ -30,23 +30,12 @@ from cycfit.units import (
     norm_relation_check,
     splits_completely,
 )
+from reference_engine import mobius
 
 
 def _unit_at(ctx, cls, q):
     """The class's basic unit reduced at the distinguished prime above q."""
     return EvalContext(ctx, cls.aux, q).symbol_value(cls, 1)
-
-
-def _mu(n):
-    out, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    return -out if n > 1 else out
 
 
 def _phi(n):
@@ -78,7 +67,7 @@ def exact_eta_quadratic(D, p):
         e = u * t % M
         vec = [vec[j] - vec[(j - e) % M] for j in range(M)]
     phiM = _phi(M)
-    tr = [_mu(M // math.gcd(M, j)) * (phiM // _phi(M // math.gcd(M, j))) for j in range(M)]
+    tr = [mobius(M // math.gcd(M, j)) * (phiM // _phi(M // math.gcd(M, j))) for j in range(M)]
     T0 = sum(c * tr[j] for j, c in enumerate(vec))
     gsupport = [(x * (M // D) % M, kronecker(D, x)) for x in range(1, D) if math.gcd(x, D) == 1]
     prod2 = [0] * M

@@ -133,6 +133,12 @@ PINNED_REPORTS = [
      "6fd8396de9062ae85e3db4c96cb37562b420b2464ca9b0402c62245ee1953234"),
     ("kappa -p 5 -D 12 -N 1 -q 3053821 --chain 11 661", 0,
      "9409f50cde83be87350cdbca5a7e957dd6cfcfc354c62ba4980f74e96ff5c522"),
+    # one chain prime l against the kernel R: 2 |R| = 256 < l = 1621, and
+    # |R| = 380 < l = 757 < 2 |R|
+    ("kappa -D 257 -N 3 -q 22496239 --chain 1621", 0,
+     "ad714b3fcd7932d9f257b3f193bf9c9618cd22dadff6247d0f1315b0f2c4b2aa"),
+    ("kappa -D 761 -N 3 -q 217757107 --chain 757", 0,
+     "0676d554d22c6cdde9ee6c341b0f38dd72c2b29667c439889dd092ec2b2c003a"),
 ]
 PINNED_CORPUS = "7b2ffa30a2e192b65bc442eec992f0cd6c5ffdf2185bfff7513c00bb2f6e9e91"
 

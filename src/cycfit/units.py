@@ -16,15 +16,14 @@ R_d the chi_D-kernel reduced mod d, so each +- pair of conjugates is one
 factor by the cyclotomic identity
 (1 - A zeta^b)(1 - A zeta^-b) = 1 - A (zeta^b + zeta^-b) + A^2,
 A = c T_f[a r mod f_K].  The f_K-component keeps no table: the class at
-f_K walks R = R_{f_K}, the chi_D-kernel itself, in increasing r with
-u = w_f^(a mod f_K), w_f = zeta_M^{E_f}, A_{r'} = A_r u^{r' - r}, and the
-powers u^gap up to the largest gap of R (the gaps are cached per f_K).
-With no auxiliary prime (c = 1) the walk stops below f_K/2: K is real, so
-R = -R, and the pair at f_K - r is the pair at r divided by A_r^2.  The
-product is then the square of the product over R+ = {r in R : 2 r < f_K}
-times u^(-2 sum R+).  The chi_D-kernel is the product of per-prime-power
-characters, each tabulated once as a bytes row of its values mod 3 and
-multiplied into the others bytewise (_kernel).
+f_K walks the lower half R+ = {r in R : 2 r < f_K} of R = R_{f_K}, the
+chi_D-kernel itself, in increasing r with u = w_f^(a mod f_K),
+w_f = zeta_M^{E_f}, B_{r'} = B_r u^{r' - r} for B_r = T_f[a r mod f_K],
+and the powers u^gap up to the largest gap of R+ (the gaps are cached per
+f_K).  Half of R is all a walk needs: K is real, so R = -R (below).  The
+chi_D-kernel is the product of per-prime-power characters, each tabulated
+once as a bytes row of its values mod 3 and multiplied into the others
+bytewise (_kernel).
 
 Every other class is read from the Moebius form
 Phi_d(x) = prod_{e | d} (1 - x^e)^mu(d/e) without a walk
@@ -67,22 +66,34 @@ Every derivative class evaluates its whole auxiliary orbit at once: for
 one conjugate g, EvalContext.factor_orbit gives the unit's value at every
 multi-index (one cell at n = 1).  An EvalContext evaluates units of its
 own auxiliary support only; the unit eta(n/l) of norm_relation_check is
-read in a context of its own.  A walked conjugate at n > 1 has
-multi-indices that move only the auxiliary components of the multiplier,
-so its values are P_g(c) for a root c of mu_n and one polynomial
-P_g(X) = prod_r (1 - B_r s X + B_r^2 X^2) over F_q.  With
-s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P_g(X) =
-Q(alpha X) Q(X / alpha) for Q(Y) = prod_r (1 - B_r Y), of half the degree.
-Q comes from a product tree of exact Kronecker products (arith.poly_mul)
+read in a context of its own.  A walked conjugate has multi-indices that
+move only the auxiliary components of the multiplier, so its values are
+P(c) for a root c of mu_n and one polynomial
+P(X) = prod_{r in R} (1 - B_r s X + B_r^2 X^2) over F_q.  With
+s = alpha + 1/alpha, alpha = T_p[a mod p^{m+1}] in F_q, P(X) =
+Q(alpha X) Q(X / alpha) for Q(Y) = prod_{r in R} (1 - B_r Y).  As R = -R,
+Q is palindromic: Q(Y) = Y^|R| Q(1/Y) = kappa Q+(Y) Y^d Q+(1/Y) for Q+ the
+product over R+, d = |R+| and kappa = prod_{r in R+} (-B_r^-1).  So with
+U(c) = alpha^-d Q(alpha c) / kappa every cell is
+P(c) = kappa^2 c^|R| U(c) U(1/c) (EvalContext._paired_orbit builds U).  Q+
+comes from a product tree of exact Kronecker products (arith.poly_mul)
 whose nodes are cyclic products mod X^(n p^{m+1}) - 1, folded on the big
-integer (alpha^t depends on t mod p^{m+1} only); its two scalings are
-folded mod X^n - 1 and multiplied once, cyclically mod X^n - 1, the
-product spread onto one axis per auxiliary prime, and each axis is
-evaluated at all of mu_l by a chirp-z transform over the root table T_l
-that packs each line only up to its last nonzero entry; a multi-index
-reads its value at its residues mod l_i.  At n = 1 the one cell is one
-paired product; one residue per auxiliary prime at n > 1 is one cell of
-the same transform (a chirp with one pick).
+integer (alpha^t depends on t mod p^{m+1} only), and one more such product
+with its reversal is Q / kappa (_palindrome); scaled by alpha^(t - d) and
+folded mod X^n - 1, it is spread onto one axis per auxiliary prime, and
+each axis is evaluated at all of mu_l by a chirp-z transform over the root
+table T_l that packs each line only up to its last nonzero entry (|R| + 1
+entries of a single line, half of P's); a multi-index reads its value at
+its residues mod l_i.  The root 1/c of the cell sigma_l^k is the cell
+sigma_l^(k + (l-1)/2) on every axis, so a chain's evaluator transforms U
+once over every residue sigma_l^k, 0 <= k <= l - 2, and weighs cell j by
+w(j) + w(j + h), h_i = (l_i - 1)/2 (_multi_indices): prod_k P(c_k)^w(k) is
+then prod_j U(c_j)^(w(j) + w(j + h)) up to powers of kappa, of order
+dividing 2 f_K, and of the c_j, of order dividing n, both prime to p, so
+neither moves the p-part dlog.  At n = 1, U(1) = prod_{r in R+}
+(1 - B_r s + B_r^2) is one product along the walk, weighed 2.  factor_orbit
+keeps exact cells P(c) for its other callers (norm_relation_check,
+factor_value), reading U at c and at 1/c (_paired_cells).
 
 Work is split by what fixes it, so that a sample pays only for its own
 arithmetic in F_q.  This module keeps four functools caches.  Per
@@ -91,8 +102,10 @@ the field, the class and the level, never on a multiplier or a twist) is
 the one holder of what a chain fixes: the expansion-size check, its
 _Support (M, the conductor components, their CRT idempotents, the primes of
 M and the lift of every g of Delta x Gamma), the sigma_l rows with the
-cells grouped by weight (_multi_indices, the only builder of a chain's
-weights), each conjugate's lift with the conjugate its partner reads, the
+cells grouped by the merged weights of a walked conjugate and, where a
+partner or another class reads a table, by the plain weights
+(_multi_indices, the only builder of a chain's weights), each conjugate's
+lift with the conjugate its partner reads, the
 unit's multiplier, the partner's terms (_mobius_rows) and the ring, so
 evaluate_kappa at a new q is one cache lookup and one call.  An EvalContext
 built outside an evaluator builds a support of its own.  Per conductor: the
@@ -119,7 +132,8 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from functools import lru_cache
+from collections import defaultdict
+from functools import lru_cache, partial
 from itertools import compress
 from itertools import product as iter_product
 
@@ -206,7 +220,7 @@ class EvalContext:
         self.zeta = root_of_unity(self.field, self.M)
         # root tables T_i[j] = zeta^(j * E_i), so zeta^e = prod_i T_i[e mod m_i].
         # The f_K-component has no row (tables[0] is None): the walk over the
-        # chi_D-kernel steps by powers of w_f = zeta^(E_f) instead (_walk_steps)
+        # chi_D-kernel steps by powers of w_f = zeta^(E_f) instead (_paired_orbit)
         steps = [pow(self.zeta, e, q) for e in self.idempotents]
         self.w_f = steps[0]
         self.tables = [None] + [_power_row(step, mi, q)
@@ -237,43 +251,11 @@ class EvalContext:
         trivial on the f_K-component, +-1 mod p^{m+1}."""
         return ((1, 1), (1, -1))
 
-    def _walk_steps(self, a: int, half: bool = False) -> tuple[tuple[int, ...], list[int]]:
-        """(gaps, steps): the gaps r_0 - 0, r_1 - r_0, ... of the
-        chi_D-kernel R in increasing order, or with half of its lower half
-        R+ = {r in R : 2 r < f_K}, and steps[g] = u^g up to the largest of
-        those gaps, u = w_f^(a mod f_K) = steps[1].  Multiplying by
-        steps[gap] in turn gives T_f[a r mod f_K] for r = r_0, r_1, ..."""
-        gaps, widest, _ = _walk(self.ctx.f_K, half)
-        u = pow(self.w_f, a % self.moduli[0], self.q)
-        return gaps, _power_row(u, widest + 1, self.q)
-
     def dlog(self, value: int, level: int) -> int:
         """p-part dlog of a value of F_q."""
         return dlog_p_part(self.field, value, self.ctx.p, level)
 
     # -- unit evaluation ------------------------------------------------------
-
-    def _paired_product(self, a: int):
-        """prod over (r, +-1) in norm_set_d(f_K) of 1 - zeta^(a t), t the
-        multiplier of the pair, at n = 1: p^{m+1} gives zeta^(+-b), so each
-        pair is 1 - A s + A^2 with A = T_f[a r mod f_K] and
-        s = zeta^b + zeta^-b.
-
-        The walk takes only R+ = {r in R : 2 r < f_K} in increasing r by the
-        steps of _walk_steps: K is real, so chi_D is even and R = -R, while
-        0 and f_K/2 are not in R (f_K >= 5).  As u = T_f[a mod f_K] has
-        u^f_K = 1, A_{f_K-r} = A_r^-1.  With 1 - A^-1 s + A^-2 =
-        (1 - A s + A^2) / A^2 the product is
-        (prod_{r in R+} (1 - A_r s + A_r^2))^2 u^(-2 sum R+)."""
-        q, t_p, p_part = self.q, self.tables[1], self.p_part
-        s = (t_p[a % p_part] + t_p[-a % p_part]) % q
-        gaps, steps = self._walk_steps(a, True)
-        A = out = 1
-        for gap in gaps:
-            A = A * steps[gap] % q
-            out = out * (1 - A * (s - A)) % q
-        total = _walk(self.ctx.f_K, True)[2]
-        return out * out * pow(steps[1], -2 * total % self.moduli[0], q) % q
 
     def _mobius_table(self, a: int, terms, rows) -> tuple[list, list]:
         """prod h_e(c^power)^exponent over the (e, power, exponent) terms of
@@ -312,56 +294,69 @@ class EvalContext:
         return parts[0], parts[1]
 
     def _paired_orbit(self, a: int, rows) -> list:
-        """The paired product over norm_set_d(f_K) of 1 - zeta^(a t), t the
-        multiplier of the pair, conjugated by lift({l_i: rho_i}) for every
-        (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major.
+        """U(c) = c^d Q+(alpha c) Q+(1 / (alpha c)) for every
+        (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major, at the
+        root c = prod_i T_i[a rho_i mod l_i] of mu_n (c = 1 and one cell at
+        n = 1).  Here Q+(Y) = prod_{r in R+} (1 - B_r Y) over the lower half
+        R+ = {r in R : 2 r < f_K} of the chi_D-kernel R (_walk), d = |R+|,
+        B_r = T_f[a r mod f_K] and alpha = T_p[a mod p^{m+1}].  The walk goes
+        through R+ in increasing r by the steps u^gap, u = w_f^(a mod f_K),
+        so B_{r'} = B_r u^(r' - r).
 
-        At n = 1 the one cell is _paired_product(a).  Otherwise only the
-        auxiliary components of the multiplier move, so B_r =
-        T_f[a r mod f_K] (walked in full as in _walk_steps) and s are fixed
-        and every value is P(c) at the root
-        c = prod_i T_i[a rho_i mod l_i] of mu_n, with
-        P(X) = prod_{r in R} (1 - B_r s X + B_r^2 X^2).  As s =
-        alpha + 1/alpha with alpha = T_p[a mod p^{m+1}] in F_q, P(X) =
-        Q(alpha X) Q(X / alpha) with Q(Y) = prod_{r in R} (1 - B_r Y).  Q
-        comes from a product tree of exact Kronecker products over linear
-        leaves; alpha^t depends on t mod p^{m+1} only, so every node is a
-        cyclic poly_mul mod X^(n p^{m+1}) - 1, folded on the big integer.
-        Each scaled half is folded mod X^n - 1 by _fold (not Q itself:
-        alpha^n != 1), the halves are multiplied once, cyclically mod
-        X^n - 1, the coefficient of X^t goes to the cell
-        (t mod l_1, ..., t mod l_r), and each axis is evaluated at all of
-        mu_{l_i} by _chirp_axis, which keeps the row's picks (one for a
-        one-cell table)."""
-        if self.n == 1:
-            return [self._paired_product(a)]
+        K is real, so R = -R and Q(Y) = prod_{r in R} (1 - B_r Y) is
+        palindromic: Q(Y) = Y^|R| Q(1/Y) = kappa Q+(Y) Y^d Q+(1/Y) with
+        kappa = prod_{r in R+} (-B_r^-1).  So U(c) = alpha^-d Q(alpha c) / kappa,
+        and the paired product of _paired_cells is
+        P(c) = Q(alpha c) Q(c / alpha) = kappa^2 c^|R| U(c) U(1/c).
+
+        At n = 1, U(1) = prod_{r in R+} (1 - B_r s + B_r^2) with
+        s = alpha + 1/alpha, one factor per step.  At n > 1 Q+ comes from a
+        product tree of exact Kronecker products over linear leaves;
+        alpha^t depends on t mod p^{m+1} only, so every node is a cyclic
+        poly_mul mod X^(n p^{m+1}) - 1, folded on the big integer, and so is
+        the one product of Q+ with its reversal j -> d - j (mod the length of
+        the folded Q+), which is Q / kappa.  Its coefficient of X^t, times
+        alpha^(t - d), goes to X^(t mod n), the cell (t mod l_1, ...,
+        t mod l_r) (Q / kappa is not folded mod X^n - 1 before: alpha^n != 1),
+        and each axis is evaluated at all of mu_{l_i} by _chirp_axis, which
+        keeps the row's picks."""
         q, t_p, p_part, n, ells = self.q, self.tables[1], self.p_part, self.n, self.aux
-        gaps, steps = self._walk_steps(a)
-        B = 1
-        polys = []
-        for i in range(0, len(gaps), _LEAF):
-            # a leaf multiplies up to _LEAF linear factors directly
-            poly = [1]
-            for gap in gaps[i:i + _LEAF]:
+        gaps, widest, _ = _walk(self.ctx.f_K)
+        steps = _power_row(pow(self.w_f, a % self.moduli[0], q), widest + 1, q)
+        if n == 1:
+            s = (t_p[a % p_part] + t_p[-a % p_part]) % q
+            B = out = 1
+            for gap in gaps:
                 B = B * steps[gap] % q
-                poly.append(0)
-                for j in range(len(poly) - 1, 0, -1):
-                    poly[j] = (poly[j] - B * poly[j - 1]) % q
-            polys.append(poly)
-        while len(polys) > 1:
-            polys = [poly_mul(*polys[i:i + 2], q, cyclic=n * p_part)
-                     if i + 1 < len(polys) else polys[i] for i in range(0, len(polys), 2)]
-        halves = [_fold([c * t_p[sign * a * t % p_part] % q for t, c in enumerate(polys[0])], n, q)
-                  for sign in (1, -1)]
+                out = out * (1 - B * (s - B)) % q
+            return [out]
+        full, d = _palindrome(gaps, steps, q, n * p_part), len(gaps)
         cells = [0] * n
-        for t, coeff in enumerate(poly_mul(*halves, q, cyclic=n)):
+        for t, coeff in enumerate(full):
             idx = 0
             for ell in ells:
                 idx = idx * ell + t % ell
-            cells[idx] = coeff
+            cells[idx] = (cells[idx] + coeff * t_p[a * (t - d) % p_part]) % q
         for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
             cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
         return cells
+
+    def _paired_cells(self, a: int, rows) -> list:
+        """The paired product over norm_set_d(f_K) of 1 - zeta^(a t), t the
+        multiplier of the pair, conjugated by lift({l_i: rho_i}) for every
+        (rho_1, ..., rho_r) in rows[0] x ... x rows[r-1], row-major: p^{m+1}
+        gives zeta^(+-b), so each pair is 1 - A s + A^2 with
+        A = c T_f[a r mod f_K] and s = zeta^b + zeta^-b, and the product is
+        P(c) = kappa^2 c^|R| U(c) U(1/c) (_paired_orbit), with
+        kappa^2 = u^(-2 sum R+), u = T_f[a mod f_K].  U is read at the rows
+        and at their negatives (1/c)."""
+        q, (gaps, _, total) = self.q, _walk(self.ctx.f_K)
+        xs = [pow(self.w_f, -2 * total * a % self.moduli[0], q)]
+        for ell, table, row in zip(self.aux, self.tables[2:], rows):
+            xs = [x * table[2 * len(gaps) * a * rho % ell] % q for x in xs for rho in row]
+        cells, inverse = (self._paired_orbit(a, [[sign * rho for rho in row] for row in rows])
+                          for sign in (1, -1))
+        return [x * v * w % q for x, v, w in zip(xs, cells, inverse)]
 
     # wrapped by bench/spans.py; deleted with the benchmark change of ROADMAP item 1
     def factor_value(self, kind: str, param: int, mult: int):
@@ -377,17 +372,18 @@ class EvalContext:
         rows[0] x ... x rows[r-1] (one row of residues per auxiliary prime of
         the context; no rows and one value at n = 1), row-major, as
         (numerators, denominators).  The class at f_K walks the
-        chi_D-kernel (_paired_orbit), and its denominators are None.  Every
+        chi_D-kernel (_paired_cells), and its denominators are None.  Every
         other class is a _mobius_table: a proper divisor d at u mult, which
         needs mult prime to M (else w = T_f[a mod f_K] may have order below
         d, and ValueError is raised), and the a-type as the numerators at
         d = 1 of u mult over those of u_den mult.  This is the one place
         that picks the builder of a conjugate; _ChainEvaluator reads every
-        conjugate but a partner through it."""
+        conjugate through it but a partner and a walked conjugate, which it
+        reads from U (_paired_orbit)."""
         ctx = self.ctx
         u, u_den, d = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)
         if d == ctx.f_K:
-            return self._paired_orbit(u * mult % self.M, rows), None
+            return self._paired_cells(u * mult % self.M, rows), None
         terms = _mobius_rows(d, self.p_part, False)
         if u_den is None:
             if math.gcd(mult, self.M) != 1:
@@ -458,28 +454,39 @@ def _unit_multipliers(kind: str, param: int, p: int, m: int, f: int,
     return u_n + u_p * param, u_n + u_p, 1
 
 
-def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int):
-    """(rows, groups) for the multi-indices (k_1, ..., k_r),
-    1 <= k_i <= l_i - 2, in row-major order: rows[i] holds the residues
-    sigma_l^k of the i-th auxiliary prime, and groups the cells by their
-    weight prod_i k_i mod p^N (_group_weights).  Nothing else builds a
+def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int, plain: bool,
+                   merged: bool):
+    """(rows, plain, merged) for the multi-indices (k_1, ..., k_r),
+    0 <= k_i <= l_i - 2, in row-major order: rows[i] holds the residues
+    sigma_l^k of the i-th auxiliary prime, plain groups the cells by their
+    weight w(k) = prod_i k_i mod p^N (0 when some k_i = 0), and merged by
+    w(k) + w(k + h), h_i = (l_i - 1) / 2 (each k_i + h_i mod l_i - 1), the
+    weight of U(c) for a walked conjugate (_ChainEvaluator): sigma_l^h = -1,
+    so the cell k + h holds U(1/c).  Each grouping is built when asked
+    (_group_weights), else None.  When every l_i = 1 mod p^N, h_i and
+    l_i - 1 are 0 mod p^N, so w(k + h) = w(k) and merged is plain with its
+    weights doubled; a shallower chain needs the sum.  Nothing else builds a
     chain's weights; each _ChainEvaluator builds them once and keeps them."""
-    rows, weights = [], [1]
+    rows, weights, shifted = [], [1], [1]
     for kp in aux_primes:
-        rows.append(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)[1:]))
-        weights = [w * k % pN for w in weights for k in range(1, kp.ell - 1)]
-    return tuple(rows), _group_weights(weights)
+        rows.append(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)))
+        weights = [w * k % pN for w in weights for k in range(kp.ell - 1)]
+        shifted = [w * ((k + kp.ell // 2) % (kp.ell - 1)) % pN
+                   for w in shifted for k in range(kp.ell - 1)]
+    return (tuple(rows), _group_weights(weights) if plain else None,
+            _group_weights((w + x) % pN for w, x in zip(weights, shifted)) if merged else None)
 
 
 def _group_weights(weights) -> tuple[tuple[int, array], ...]:
     """The cell indices grouped by weight, as (weight, indices) pairs by
     decreasing weight, the indices packed in machine words; cells of weight
-    0 are left out (x^0 = 1)."""
-    groups: dict = {}
+    0 are left out (x^0 = 1).  Each index goes into its array at once, so no
+    list of index objects is ever built."""
+    groups: dict = defaultdict(partial(array, "L"))
     for i, w in enumerate(weights):
         if w:
-            groups.setdefault(w, []).append(i)
-    return tuple((w, array("L", groups[w])) for w in sorted(groups, reverse=True))
+            groups[w].append(i)
+    return tuple((w, groups[w]) for w in sorted(groups, reverse=True))
 
 
 # the groups of a one-cell table at weight 1
@@ -502,15 +509,33 @@ def _power_row(step: int, size: int, q: int) -> list[int]:
 _LEAF = 12
 
 
-def _fold(poly: list[int], size: int, q: int) -> list[int]:
-    """poly mod X^size - 1 over F_q (poly itself when it is no longer)."""
-    if len(poly) <= size:
-        return poly
-    out = poly[:size]
-    for start in range(size, len(poly), size):
-        chunk = poly[start:start + size]
-        out[:len(chunk)] = map(operator.add, out, chunk)
-    return [x % q for x in out]
+def _palindrome(gaps: tuple[int, ...], steps: list[int], q: int, size: int) -> list[int]:
+    """Q+(Y) Y^d Q+(1/Y) mod Y^size - 1 over F_q, the coefficients of Y^0
+    .. Y^(size - 1) (fewer when no fold is needed), for
+    Q+(Y) = prod_j (1 - B_j Y), B_j = prod_{i <= j} steps[gaps[i]] and
+    d = len(gaps): Q / kappa of EvalContext._paired_orbit.
+
+    Q+ comes from a product tree whose leaves multiply up to _LEAF linear
+    factors directly and whose nodes are exact cyclic poly_mul products mod
+    Y^size - 1, folded on the big integer; its reversal Y^d Q+(1/Y) mod
+    Y^size - 1 reads index j from (d - j) mod the length of the folded Q+,
+    and one more cyclic poly_mul multiplies the two."""
+    B, polys = 1, []
+    for i in range(0, len(gaps), _LEAF):
+        # a leaf multiplies up to _LEAF linear factors directly
+        poly = [1]
+        for gap in gaps[i:i + _LEAF]:
+            B = B * steps[gap] % q
+            poly.append(0)
+            for j in range(len(poly) - 1, 0, -1):
+                poly[j] = (poly[j] - B * poly[j - 1]) % q
+        polys.append(poly)
+    while len(polys) > 1:
+        polys = [poly_mul(*polys[i:i + 2], q, cyclic=size)
+                 if i + 1 < len(polys) else polys[i] for i in range(0, len(polys), 2)]
+    half = polys[0]
+    top = len(gaps) % len(half)  # coefficient d of Q+ is at index top of the folded Q+
+    return poly_mul(half, half[top::-1] + half[:top:-1], q, cyclic=size)
 
 
 def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) -> list[int]:
@@ -603,14 +628,12 @@ def _kernel(f: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4)
-def _walk(f: int, half: bool) -> tuple[tuple[int, ...], int, int]:
-    """(the gaps from 0 of the chi_D-kernel R in increasing order, the
-    largest gap, the sum of R) for the conductor f = f_K, or with half the
-    same for R+ = {r in R : 2 r < f}: R = -R, so R+ is the first half
-    of R."""
-    residues = _kernel(f)
-    if half:
-        residues = residues[:len(residues) // 2]
+def _walk(f: int) -> tuple[tuple[int, ...], int, int]:
+    """(the gaps from 0 of R+ = {r in R : 2 r < f} in increasing order, the
+    largest gap, the sum of R+) for the chi_D-kernel R of the conductor
+    f = f_K: R = -R, so R+ is the first half of R, and |R| = 2 |R+|."""
+    kernel = _kernel(f)
+    residues = kernel[:len(kernel) // 2]
     gaps = tuple(map(operator.sub, residues, (0,) + residues))
     return gaps, max(gaps), sum(residues)
 
@@ -653,12 +676,12 @@ class _ChainEvaluator:
     """What one derivative class (kind, param, aux_primes) at one level of
     the field ctx fixes in evaluate_kappa, at every evaluation prime: the
     expansion-size check (BudgetExhausted), the chain's _Support, the ring
-    Z/p^level[G], the _multi_indices rows and weight groups, the unit's
-    multiplier u and each conjugate's lift, with the conjugate whose dlog
-    its partner reads and the partner's _mobius_rows terms of Phi_f (by
-    class or per divisor) when the class is the one at f_K.  Built once per
-    chain and level by _chain_evaluator; a call at q does only the F_q work
-    (see evaluate_kappa)."""
+    Z/p^level[G], the _multi_indices rows and the weight groupings its
+    conjugates read, the unit's multiplier u and each conjugate's lift, and,
+    when the class is the one at f_K, the conjugate whose dlog each partner
+    reads and the partner's _mobius_rows terms of Phi_f (by class or per
+    divisor).  Built once per chain and level by _chain_evaluator; a call at
+    q does only the F_q work (see evaluate_kappa)."""
 
     def __init__(self, ctx: AbelianFieldCtx, kind: str, param: int,
                  aux_primes: tuple[KolyvaginPrime, ...], level: int):
@@ -673,19 +696,27 @@ class _ChainEvaluator:
         self.aux = tuple(kp.ell for kp in aux_primes)
         self.support = _Support(ctx.group, ctx.p, ctx.m, ctx.f_K, self.aux)
         self.ring = ctx.ring if level == ctx.N else GroupRing(ctx.group, ctx.p, level)
-        self.rows, self.groups = _multi_indices(aux_primes, ctx.p**level)
         self.u = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)[0]
         # the class at f_K: each conjugate with g[0] = 1 is read from its
         # partner with g[0] = 0, which elements() lists first, and the
-        # Moebius table of Phi_f, the product of the two chi_D-cosets
+        # Moebius table of Phi_f, the product of the two chi_D-cosets; each
+        # walked conjugate reads U (_paired_orbit) with the merged weights
         paired = kind == "d" and param == ctx.f_K
         classed = all(kp.N_ell >= max(level, ctx.m + 1) for kp in aux_primes)
         self.partner_rows = _mobius_rows(ctx.f_K, ctx.p ** (ctx.m + 1), classed)
         self.conjugates = tuple((g, lift, (0,) + g[1:] if paired and g[0] else None)
                                 for g, lift in self.support.conjugates)
+        self.rows, self.plain, self.merged = _multi_indices(
+            aux_primes, ctx.p**level, not paired or bool(self.partner_rows), paired)
 
     def __call__(self, q: int, h_twist: dict[int, int] | None) -> GroupRingElement:
-        """kappa(n) at q, for q = 1 mod f_K p^max(level, m+1) n."""
+        """kappa(n) at q, for q = 1 mod f_K p^max(level, m+1) n.
+
+        A walked conjugate of the class at f_K reads prod_k P(c_k)^w(k),
+        P(c) = kappa^2 c^|R| U(c) U(1/c) (_paired_orbit), as
+        prod_j U(c_j)^(w(j) + w(j + h)) (the merged weights of
+        _multi_indices): kappa has order dividing 2 f_K and c_j order
+        dividing n, both prime to p, so their p-part dlog is 0."""
         ev = EvalContext(self.ctx, self.aux, q, self.support)
         M, rows, level = ev.M, self.rows, self.level
         twist = ev.lift(h_twist) if h_twist else 1
@@ -698,10 +729,13 @@ class _ChainEvaluator:
                 coeffs[g] = -coeffs[partner]
                 if self.partner_rows:
                     table = ev._mobius_table(self.u * mult % M, self.partner_rows, rows)
-                    coeffs[g] += ev.dlog(_orbit_value(q, table, self.groups), level)
+                    coeffs[g] += ev.dlog(_orbit_value(q, table, self.plain), level)
             else:
-                orbit = ev.factor_orbit(self.kind, self.param, mult, rows)
-                coeffs[g] = ev.dlog(_orbit_value(q, orbit, self.groups), level)
+                # the class at f_K reads U with the merged weights, any other
+                # class its factor_orbit table with the plain ones
+                orbit = ((ev._paired_orbit(self.u * mult % M, rows), None) if self.merged
+                         else ev.factor_orbit(self.kind, self.param, mult, rows))
+                coeffs[g] = ev.dlog(_orbit_value(q, orbit, self.merged or self.plain), level)
         return GroupRingElement(self.ring, coeffs)
 
 

@@ -30,7 +30,7 @@ from cycfit.arith import factorint, primitive_root
 from cycfit.errors import ConductorClash, NotSplit
 from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
                            kolyvagin_primes)
-from cycfit.units import (EvalContext, _chain_evaluator, _mobius_rows, _multi_indices,
+from cycfit.units import (EvalContext, _chain_evaluator, _kernel, _mobius_rows, _multi_indices,
                           _orbit_value, _unit_multipliers, _weighted_product,
                           derivative_class, evaluate_kappa)
 
@@ -147,7 +147,8 @@ def _unit_multiplier(ev, kind, param):
 # its conjugates with g[0] = 1 from Phi_f(alpha c) Phi_f(c / alpha) at every
 # cell: p = 5 and 7 at m = 0, p = 3 at m = 1 with a twist, f_K = 785 =
 # 5 * 157 and 1937 = 13 * 149 (divisors of both Moebius signs) and the 2-part
-# conductor 8.
+# conductor 8.  The last row walks at m = 2 (p^{m+1} = 27, 18 conjugates),
+# f_K = 140 = 4 * 5 * 7, with a twist.
 KAPPA_CASES = [
     (3, 257, 0, 3, 0, 3, "d", 257, None),
     (3, 257, 0, 3, 1, 3, "d", 257, 2),
@@ -167,6 +168,7 @@ KAPPA_CASES = [
     (3, 785, 0, 3, 1, 3, "a", 2, 2),
     (3, 785, 0, 1, 2, 1, "d", 785, None),
     (3, 1937, 0, 1, 1, 1, "d", 1937, None),
+    (3, 140, 2, 3, 1, 3, "d", 140, 2),
 ]
 
 
@@ -354,7 +356,7 @@ def test_chain_cosets_cancel_at_p3_level0(D, chain, N):
     cls = derivative_class(ctx, "d", D, kps)
     assert _chain_evaluator(ctx, "d", D, kps, N).partner_rows == ()
     gen = evaluation_primes(ctx, cls.n, level=N)
-    rows, groups = _multi_indices(kps, 3**N)
+    rows, groups, _ = _multi_indices(kps, 3**N, True, False)
     tau = {g: (1 - g[0],) + g[1:] for g in ctx.group.elements()}
     vectors = []
     for q in (next(gen) for _ in range(2)):
@@ -385,7 +387,7 @@ def test_shallow_chains_key_each_divisor(p, D, m):
     kps = _chain(ctx, 1, 1)
     assert kps[0].N_ell < m + 1
     cls = derivative_class(ctx, "d", D, kps)
-    rows, groups = _multi_indices(kps, p)
+    rows, groups, _ = _multi_indices(kps, p, True, False)
     evaluator = _chain_evaluator(ctx, "d", D, kps, 1)
     gen = evaluation_primes(ctx, cls.n, level=m + 1)
     differs = False
@@ -402,6 +404,31 @@ def test_shallow_chains_key_each_divisor(p, D, m):
     per_divisor = _mobius_rows(D, p ** (m + 1), False)
     assert evaluator.partner_rows == per_divisor
     assert all(power == e and abs(exponent) == 1 for e, power, exponent in per_divisor)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_shallow_chain_above_its_depth_matches_reference(m):
+    # the chain (7,) at D = 8 is well ordered at level 1 only (7 = 1 mod 3,
+    # not mod 9) and is read at level 2, where |R| sum_k w(k) = 2 * 15 = 3
+    # mod 9.  With the merged weights the walked value is
+    # prod_j U(c_j)^(w(j) + w(j + h)); were U not scaled by alpha^-d it would
+    # be off by alpha^(|R| sum_k w(k)), which is 1 at m = 0 (alpha^3 = 1) but
+    # not at m = 1, where alpha has order 9.  The partner keeps its
+    # per-divisor terms.
+    ctx = build_field(3, 8, m, 2)
+    kps = _chain(ctx, 1, 1)
+    assert [kp.ell for kp in kps] == [7] and kps[0].N_ell == 1
+    assert len(_kernel(8)) * sum(range(1, 6)) % 9 == 3
+    cls = derivative_class(ctx, "d", 8, kps)
+    evaluator = _chain_evaluator(ctx, "d", 8, kps, 2)
+    assert evaluator.partner_rows == _mobius_rows(8, 3 ** (m + 1), False)
+    gen = evaluation_primes(ctx, cls.n, level=2)
+    vectors = []
+    for q in (next(gen) for _ in range(3)):
+        new = evaluate_kappa(ctx, cls, q, level=2)
+        assert new == ref.evaluate_kappa(ctx, cls, EvalContext(ctx, cls.aux, q), 2)
+        vectors.append(new)
+    assert any(not v.is_zero() for v in vectors)
 
 
 # (p, D, m, N, chain length, level): chains with N_l >= max(level, m + 1)
@@ -426,7 +453,7 @@ def test_class_keyed_rows_match_the_per_divisor_table(p, D, m, N, r, level):
     assert _chain_evaluator(ctx, "d", D, kps, level).partner_rows == classed
     assert all(power == 1 for _, power, _ in classed)
     assert 0 < len(classed) <= len(_mobius_rows(D, p ** (m + 1), False))
-    rows, groups = _multi_indices(kps, p**level)
+    rows, groups, _ = _multi_indices(kps, p**level, True, False)
     gen = evaluation_primes(ctx, math.prod(ells), level=max(level, m + 1))
     dlogs = []
     for q in (next(gen) for _ in range(2)):
@@ -512,16 +539,18 @@ def _fresh_lift(ev, g):
 
 
 # (p, D, m, chain length): the per-chain state at p = 3, 5, 7 and levels
-# m = 0, 1, 2, and for a chain of two primes
+# m = 0, 1, 2, and for chains of two primes.  Every chain is well ordered at
+# level 1 and read at N = m + 1, so at m >= 1 some N_l < N, where
+# w(k + h) = w(k) mod p^N fails and the merged weights are not 2 w(k)
 CHAIN_STATE_CASES = [(p, D, m, 1) for p, D in ((3, 257), (5, 8), (7, 5)) for m in (0, 1, 2)]
-CHAIN_STATE_CASES.append((3, 8, 0, 2))
+CHAIN_STATE_CASES += [(3, 8, 0, 2), (3, 8, 1, 2)]
 
 
 @pytest.mark.parametrize("p,D,m,r", CHAIN_STATE_CASES)
 def test_chain_state_matches_fresh_recomputation(p, D, m, r):
     # what the chain's evaluator keeps for all its evaluation primes, read
     # after evaluations with and without h-twists: lifts, unit multipliers,
-    # sigma_l rows, and the multi-index weights with their grouping
+    # sigma_l rows, and the multi-index weights with their groupings
     N = m + 1
     ctx = build_field(p, D, m, N)
     kps = _chain(ctx, r, 1)
@@ -547,15 +576,32 @@ def test_chain_state_matches_fresh_recomputation(p, D, m, r):
             (M // d) * pow(p_m, -1, d) + D, None, d)
     u_n, u_p = (M // n) * pow(p_m, -1, n), M // ev.p_part
     assert _unit_multipliers("a", 2, p, m, D, ells) == (u_n + 2 * u_p, u_n + u_p, 1)
-    rows, groups = evaluator.rows, evaluator.groups
-    assert rows == tuple(tuple(pow(kp.s_ell, k, kp.ell) for k in range(1, kp.ell - 1))
+    rows = evaluator.rows
+    assert rows == tuple(tuple(pow(kp.s_ell, k, kp.ell) for k in range(kp.ell - 1))
                          for kp in kps)
-    weights = [math.prod(ks) % pN
-               for ks in iter_product(*(range(1, kp.ell - 1) for kp in kps))]
-    assert (sorted(i for _, cells in groups for i in cells)
-            == [i for i, w in enumerate(weights) if w])
-    assert all(weights[i] == w for w, cells in groups for i in cells)
-    assert len({w for w, _ in groups}) == len(groups)
+    # the cell at 1/c is k + h on every axis, h = (l - 1) / 2: sigma_l^h = -1
+    halves = [(kp.ell - 1) // 2 for kp in kps]
+    assert all(row[(k + h) % len(row)] == -row[k] % (len(row) + 1)
+               for row, h in zip(rows, halves) for k in range(len(row)))
+    cells = list(iter_product(*(range(kp.ell - 1) for kp in kps)))
+    index = {k: i for i, k in enumerate(cells)}
+    weights = [math.prod(k) % pN for k in cells]
+    inverse = [index[tuple((kj + h) % (kp.ell - 1) for kj, h, kp in zip(k, halves, kps))]
+               for k in cells]
+    merged = [(weights[i] + weights[j]) % pN for i, j in enumerate(inverse)]
+    assert _grouped(evaluator.merged) == {i: w for i, w in enumerate(merged) if w}
+    # the plain grouping is kept only for a partner with Moebius terms
+    if evaluator.partner_rows:
+        assert _grouped(evaluator.plain) == {i: w for i, w in enumerate(weights) if w}
+    else:
+        assert evaluator.plain is None and p ** (m + 1) == 3
+
+
+def _grouped(groups):
+    """{cell: weight} of a _group_weights grouping, whose weights are
+    distinct and decreasing."""
+    assert [w for w, _ in groups] == sorted({w for w, _ in groups}, reverse=True)
+    return {i: w for w, cells in groups for i in cells}
 
 
 # (D, m, N, chain length, level, h-twist exponent): chains of one and two

@@ -24,8 +24,10 @@ from cycfit.units import (
     derivative_class,
     evaluate_kappa,
     _chirp_axis,
+    _LEAF,
     _kernel,
     _orbit_value,
+    _palindrome,
     _walk,
     norm_relation_check,
     splits_completely,
@@ -153,7 +155,7 @@ def test_norm_sets_from_component_tables():
     # (r = 3 mod 4 at 12, r = 1 mod 4 at 5); 32009 and 39992 lie beyond the
     # D < 2000 corpus, and 3080 = 8 * 5 * 7 * 11, 32045 = 5 * 13 * 17 * 29
     # have four components.  norm_set_d pairs R_d, the kernel reduced mod d;
-    # the kernel itself is walked, in full or in its lower half
+    # the kernel itself is walked in its lower half
     for D in list(fundamental_discriminants(2000)) + [3080, 3137, 4409, 32009, 32045, 39992]:
         direct = [x for x in range(1, D) if math.gcd(x, D) == 1 and kronecker(D, x) == 1]
         assert _kernel(D) == tuple(direct), D
@@ -172,8 +174,7 @@ def test_norm_sets_from_component_tables():
         gaps = [b - a for a, b in zip([0] + direct, direct)]
         h = len(direct) // 2
         assert all(2 * r < D for r in direct[:h]) and all(2 * r > D for r in direct[h:]), D
-        assert _walk(D, False) == (tuple(gaps), max(gaps), sum(direct)), D
-        assert _walk(D, True) == (tuple(gaps[:h]), max(gaps[:h]), sum(direct[:h])), D
+        assert _walk(D) == (tuple(gaps[:h]), max(gaps[:h]), sum(direct[:h])), D
 
 
 def test_proper_divisor_norm_sets_are_all_units():
@@ -187,6 +188,37 @@ def test_proper_divisor_norm_sets_are_all_units():
             assert ev.norm_set_d(d) == tuple((r, s) for r in units for s in (1, -1)), (D, d)
             pairs += 1
     assert pairs == 2628
+
+
+# f_K with d = |R+| = 1, 64, 105, 444 and 240: 1937 is the conductor whose
+# Q+ outgrows n p^{m+1} = 183 at l = 61, and 3080 has four components
+@pytest.mark.parametrize("D", [8, 257, 473, 1937, 3080])
+def test_palindrome_is_the_kernel_polynomial_over_kappa(D):
+    # R = -R, so Q(Y) = prod_{r in R} (1 - u^r Y), multiplied out one factor
+    # at a time, is kappa Q+(Y) Y^d Q+(1/Y) with kappa = prod_{r in R+} (-u^-r)
+    # for any u with u^D = 1: the tree's Q+ times its reversal, mod Y^size - 1
+    # at a size below d + 1 (Q+ itself folds), between d + 1 and 2 d + 1
+    # (only the product folds), and above 2 d + 1 (nothing folds)
+    q = next(q for q in count(1 + 2 * D, 2 * D) if is_prime(q))
+    u = pow(_smallest_generator(q, q - 1), (q - 1) // D, q)
+    kernel = _kernel(D)
+    gaps, widest, total = _walk(D)
+    d = len(gaps)
+    assert 2 * d == len(kernel) and total == sum(kernel[:d])
+    plain = [1]
+    for r in kernel:
+        ur = pow(u, r, q)
+        plain = [(x - ur * y) % q for x, y in zip(plain + [0], [0] + plain)]
+    kappa = math.prod(-pow(u, -r, q) for r in kernel[:d]) % q
+    over_kappa = [x * pow(kappa, -1, q) % q for x in plain]
+    steps = [pow(u, g, q) for g in range(widest + 1)]
+    sizes = [size for size in (21, d + 1 + d // 2, 2 * d + 2) if size > _LEAF]
+    assert D == 8 or sizes[0] < d + 1 <= sizes[1] < 2 * d + 1 < sizes[2]
+    for size in sizes:
+        folded = [0] * min(size, 2 * d + 1)
+        for t, x in enumerate(over_kappa):
+            folded[t % size] = (folded[t % size] + x) % q
+        assert _palindrome(gaps, steps, q, size) == folded, (D, size)
 
 
 @pytest.mark.parametrize("cells", [

@@ -139,6 +139,12 @@ PINNED_REPORTS = [
      "ad714b3fcd7932d9f257b3f193bf9c9618cd22dadff6247d0f1315b0f2c4b2aa"),
     ("kappa -D 761 -N 3 -q 217757107 --chain 757", 0,
      "0676d554d22c6cdde9ee6c341b0f38dd72c2b29667c439889dd092ec2b2c003a"),
+    # a proper divisor and the a-type with nonzero vectors (p = 5: [1,4,1,4]
+    # and [4,1,4,1]), each read from its Moebius table at every conjugate
+    ("kappa -p 5 -D 12 -N 1 -q 661 --chain 11 --param 4", 0,
+     "e2a940d18e1bc638728168125839516ea6f8a62f16fac7785d287206a58b5394"),
+    ("kappa -p 5 -D 12 -N 1 -q 661 --chain 11 --kind a --param 2", 0,
+     "cbf810658988075d336ad290d55b233cb048c6ef34a4b27c08c51f62c0c57126"),
 ]
 PINNED_CORPUS = "7b2ffa30a2e192b65bc442eec992f0cd6c5ffdf2185bfff7513c00bb2f6e9e91"
 

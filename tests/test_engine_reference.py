@@ -141,9 +141,10 @@ def _unit_multiplier(ev, kind, param):
 
 
 # (p, D, m, N, chain length, evaluation level, kind, param, h-twist
-# exponent).  Units of a proper divisor d < f_K come from a subfield where
-# they are rational, and the a-type unit is 1 at p^{m+1} = 3, so their
-# vectors vanish; the others must come out nonzero.  The class at f_K reads
+# exponent).  At p^{m+1} = 3 the vectors of a proper divisor d < f_K and of
+# the a-type unit vanish; every other vector must come out nonzero, among
+# them a proper divisor at p = 5 and at m = 1 (d = 43 of 473 with a twist)
+# and the a-type at p = 7.  The class at f_K reads
 # its conjugates with g[0] = 1 from Phi_f(alpha c) Phi_f(c / alpha) at every
 # cell: p = 5 and 7 at m = 0, p = 3 at m = 1 with a twist, f_K = 785 =
 # 5 * 157 and 1937 = 13 * 149 (divisors of both Moebius signs) and the 2-part
@@ -169,6 +170,9 @@ KAPPA_CASES = [
     (3, 785, 0, 1, 2, 1, "d", 785, None),
     (3, 1937, 0, 1, 1, 1, "d", 1937, None),
     (3, 140, 2, 3, 1, 3, "d", 140, 2),
+    (5, 12, 0, 1, 1, 1, "d", 4, None),
+    (3, 473, 1, 2, 1, 2, "d", 43, 2),
+    (7, 5, 0, 1, 1, 1, "a", 3, None),
 ]
 
 
@@ -193,7 +197,7 @@ def test_kappa_vectors_match_reference(p, D, m, N, r, level, kind, param, w, mon
         new = evaluate_kappa(ctx, cls, q, level=level, h_twist=twist)
         assert new == ref.evaluate_kappa(ctx, cls, ev, level, twist)
         vectors.append(new)
-    nonzero = param == D if kind == "d" else p ** (m + 1) > 3
+    nonzero = (kind == "d" and param == D) or p ** (m + 1) > 3
     assert any(not v.is_zero() for v in vectors) == nonzero
     order = len(list(ctx.group.elements()))
     if kind == "d" and param == D:

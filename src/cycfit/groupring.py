@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import product
 
 from .arith import is_prime, val_p
 from .errors import BadDecomposition, MixedAmbient, NotPrime
@@ -55,17 +56,8 @@ class FiniteAbelianGroup:
         return (0,) * len(self.divisors)
 
     def elements(self):
-        divs = self.divisors
-        idx = [0] * len(divs)
-        while True:
-            yield tuple(idx)
-            for i in range(len(divs) - 1, -1, -1):
-                idx[i] += 1
-                if idx[i] < divs[i]:
-                    break
-                idx[i] = 0
-            else:
-                return
+        """Every element once, in lexicographic order, the identity first."""
+        return product(*map(range, self.divisors))
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.divisors))
@@ -109,7 +101,7 @@ class GroupRing:
 
     @cached_property
     def basis(self) -> tuple[tuple, ...]:
-        return tuple(sorted(self.group.elements()))
+        return tuple(self.group.elements())
 
     def zero(self) -> "GroupRingElement":
         return GroupRingElement(self, {})

@@ -39,24 +39,23 @@ norm set is all of (Z/d)^x), the a-type (d = 1, where the form is the one
 pair 1 - x, a numerator row over a denominator row), and the partner below.
 
 The partner g tau (g[0] = 1) of a walked conjugate g of the class at f_K
-(kind "d", param f_K: every class the sampler draws) has the multiplier
-a n_0 with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and every auxiliary
+(kind "d", param f_K: every class the sampler draws) has the multiplier a
+n_0 with chi_D(n_0) = -1 and n_0 = 1 modulo p^{m+1} and every auxiliary
 prime, so at every multi-index the two norm sets are the two cosets of the
 chi_D-kernel, and the product of the two values is the form at d = f_K,
-read at the walked conjugate's a.  The partner's dlog is the dlog of that
-table, weighted as the walked one, minus the walked one's, and its terms
-are taken by class (_mobius_rows): h_e depends on e only through
+read at the walked conjugate's a.  The partner's dlog is half the dlog of
+that table, weighted as the walked one (below), minus the walked one's, and
+its terms are taken by class (_mobius_rows): h_e depends on e only through
 +-e mod p^{m+1}, c^e is a rotation of the cells along each sigma_l, and
 when every chain prime has N_l >= max(level, m+1) the rotation only shifts
-the weights, so up to a p^level-th power the product is
-prod_C W(h_C(c))^(sum_{e in C} mu(f_K/e)) over the classes C, W the
-weighted product over the cells (exactly so at n = 1).  At p^{m+1} = 3
-every divisor lies in one class, whose sum is 0: the partner has no term,
-builds no table, and coeff(g tau) = -coeff(g) (at n = 1 the resultant of
-Phi_3 and Phi_f is +-1: Apostol, Proc. AMS 24, 1970).  A shallower chain
-keeps one term per divisor, read at c^e.  An h-twist is a Galois element,
-so it must be prime to M (ConductorClash otherwise), and every partner
-has its coset.
+the weights, so up to a p^level-th power the product is prod_C
+W(h_C(c))^(sum_{e in C} mu(f_K/e)) over the classes C, W the weighted
+product over the cells (exactly so at n = 1).  At p^{m+1} = 3 every divisor
+lies in one class, whose sum is 0: the partner has no term, builds no
+table, and coeff(g tau) = -coeff(g) (at n = 1 the resultant of Phi_3 and
+Phi_f is +-1: Apostol, Proc. AMS 24, 1970).  A shallower chain keeps one
+term per divisor, read at c^e.  An h-twist is a Galois element, so it must
+be prime to M (ConductorClash otherwise), and every partner has its coset.
 
 Derivative values are p-part discrete logarithms, taken once per conjugate
 as dlog(prod_k v_k^{w_k}) = sum_k w_k dlog(v_k), so the p^N-th power
@@ -91,8 +90,14 @@ w(j) + w(j + h), h_i = (l_i - 1)/2 (_multi_indices): prod_k P(c_k)^w(k) is
 then prod_j U(c_j)^(w(j) + w(j + h)) up to powers of kappa, of order
 dividing 2 f_K, and of the c_j, of order dividing n, both prime to p, so
 neither moves the p-part dlog.  At n = 1, U(1) = prod_{r in R+}
-(1 - B_r s + B_r^2) is one product along the walk, weighed 2.  factor_orbit
-keeps exact cells P(c) for its other callers (norm_relation_check,
+(1 - B_r s + B_r^2) is one product along the walk, weighed 2.  These merged
+weights are the only ones a chain keeps: a Moebius table T is read with
+them too, and its dlog is halved (multiplied by (p^level + 1)/2, the
+inverse of 2 mod p^level).  T is a product of rows h_e(x), and
+h_e(1/x) = x^-2 h_e(x), so the cell j + h, which holds 1/c, has
+dlog T(c_(j+h)) = dlog T(c_j) (c has order dividing n), and
+sum_j (w(j) + w(j + h)) dlog T(c_j) = 2 sum_k w(k) dlog T(c_k).
+factor_orbit keeps exact cells P(c) for its other callers (norm_relation_check,
 factor_value), reading U at c and at 1/c (_paired_cells).
 
 Work is split by what fixes it, so that a sample pays only for its own
@@ -102,23 +107,21 @@ the field, the class and the level, never on a multiplier or a twist) is
 the one holder of what a chain fixes: the expansion-size check, its
 _Support (M, the conductor components, their CRT idempotents, the primes of
 M and the lift of every g of Delta x Gamma), the sigma_l rows with the
-cells grouped by the merged weights of a walked conjugate and, where a
-partner or another class reads a table, by the plain weights
-(_multi_indices, the only builder of a chain's weights), each conjugate's
-lift with the conjugate its partner reads, the
-unit's multiplier, the partner's terms (_mobius_rows) and the ring, so
-evaluate_kappa at a new q is one cache lookup and one call.  An EvalContext
-built outside an evaluator builds a support of its own.  Per conductor: the
-chi_D-kernel (_kernel) and the walk gaps (_walk); per auxiliary prime, the
-chirp exponents (_chirp_exponents).  Per evaluation prime q: one primality
-proof, the search's (arith.proven_prime, the only thing kept per q), the
-generator of F_q^x from the primes of M and the factors of the cofactor of
-q - 1 (arith.make_field, which keeps no field), and zeta_M and the root
-tables (the EvalContext); each dlog builds its own base and order-p table
-(arith.dlog_p_part).  Per sample: the walk, the product tree and the
-chirps, the partner's table (none at p^{m+1} = 3), the weighted products
-and the dlog digits (none when the value's p-part is 1, and none for a
-partner without terms).  The caches hold residues, index
+cells grouped by the merged weights (_multi_indices, the only builder of a
+chain's weights), each conjugate's lift with the conjugate its partner
+reads, the unit's multiplier, the partner's terms (_mobius_rows) and the
+ring, so evaluate_kappa at a new q is one cache lookup and one call.  An
+EvalContext built outside an evaluator builds a support of its own.  Per
+conductor: the chi_D-kernel (_kernel) and the walk gaps (_walk); per
+auxiliary prime, the chirp exponents (_chirp_exponents).  Per evaluation
+prime q: one primality proof, the search's (arith.proven_prime, the only
+thing kept per q), the generator of F_q^x from the primes of M and the
+factors of the cofactor of q - 1 (arith.make_field, which keeps no field),
+and zeta_M and the root tables (the EvalContext); each dlog builds its own
+base and order-p table (arith.dlog_p_part).  Per sample: the walk, the
+product tree and the chirps, the partner's table (none at p^{m+1} = 3), the
+weighted products and the dlog digits (none when the value's p-part is 1,
+and none for a partner without terms).  The caches hold residues, index
 tables and F_q tables, never a unit value, a cell or a dlog: every walked
 conjugate is evaluated afresh (with its own tree and chirps), a partner
 reads only its walked conjugate's dlog, and an orbit table lives only for
@@ -454,27 +457,26 @@ def _unit_multipliers(kind: str, param: int, p: int, m: int, f: int,
     return u_n + u_p * param, u_n + u_p, 1
 
 
-def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int, plain: bool,
-                   merged: bool):
-    """(rows, plain, merged) for the multi-indices (k_1, ..., k_r),
+def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int):
+    """(rows, groups) for the multi-indices (k_1, ..., k_r),
     0 <= k_i <= l_i - 2, in row-major order: rows[i] holds the residues
-    sigma_l^k of the i-th auxiliary prime, plain groups the cells by their
-    weight w(k) = prod_i k_i mod p^N (0 when some k_i = 0), and merged by
-    w(k) + w(k + h), h_i = (l_i - 1) / 2 (each k_i + h_i mod l_i - 1), the
-    weight of U(c) for a walked conjugate (_ChainEvaluator): sigma_l^h = -1,
-    so the cell k + h holds U(1/c).  Each grouping is built when asked
-    (_group_weights), else None.  When every l_i = 1 mod p^N, h_i and
-    l_i - 1 are 0 mod p^N, so w(k + h) = w(k) and merged is plain with its
-    weights doubled; a shallower chain needs the sum.  Nothing else builds a
-    chain's weights; each _ChainEvaluator builds them once and keeps them."""
+    sigma_l^k of the i-th auxiliary prime, and groups the cells by their
+    merged weight w(k) + w(k + h) (_group_weights), with
+    w(k) = prod_i k_i mod p^N (0 when some k_i = 0) and h_i = (l_i - 1) / 2
+    (each k_i + h_i mod l_i - 1): sigma_l^h = -1, so the cell k + h holds
+    1/c.  That is the weight of U(c) for a walked conjugate, and twice the
+    weight of every Moebius table, whose rows have h_e(1/x) = x^-2 h_e(x)
+    (_ChainEvaluator).  When every l_i = 1 mod p^N, h_i and l_i - 1 are 0
+    mod p^N, so the merged weight is 2 w(k); a shallower chain needs the
+    sum.  Nothing else builds a chain's weights; each _ChainEvaluator
+    builds them once and keeps them."""
     rows, weights, shifted = [], [1], [1]
     for kp in aux_primes:
         rows.append(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)))
         weights = [w * k % pN for w in weights for k in range(kp.ell - 1)]
         shifted = [w * ((k + kp.ell // 2) % (kp.ell - 1)) % pN
                    for w in shifted for k in range(kp.ell - 1)]
-    return (tuple(rows), _group_weights(weights) if plain else None,
-            _group_weights((w + x) % pN for w, x in zip(weights, shifted)) if merged else None)
+    return tuple(rows), _group_weights((w + x) % pN for w, x in zip(weights, shifted))
 
 
 def _group_weights(weights) -> tuple[tuple[int, array], ...]:
@@ -676,12 +678,14 @@ class _ChainEvaluator:
     """What one derivative class (kind, param, aux_primes) at one level of
     the field ctx fixes in evaluate_kappa, at every evaluation prime: the
     expansion-size check (BudgetExhausted), the chain's _Support, the ring
-    Z/p^level[G], the _multi_indices rows and the weight groupings its
-    conjugates read, the unit's multiplier u and each conjugate's lift, and,
-    when the class is the one at f_K, the conjugate whose dlog each partner
-    reads and the partner's _mobius_rows terms of Phi_f (by class or per
-    divisor).  Built once per chain and level by _chain_evaluator; a call at
-    q does only the F_q work (see evaluate_kappa)."""
+    Z/p^level[G], the _multi_indices rows and the one grouping of the cells
+    by merged weight that every conjugate reads (a Moebius table with its
+    dlog halved, as h_e(1/x) = x^-2 h_e(x): see __call__), the unit's
+    multiplier u and each conjugate's lift, and, when the class is the one
+    at f_K, the conjugate whose dlog each partner reads and the partner's
+    _mobius_rows terms of Phi_f (by class or per divisor).  Built once per
+    chain and level by _chain_evaluator; a call at q does only the F_q work
+    (see evaluate_kappa)."""
 
     def __init__(self, ctx: AbelianFieldCtx, kind: str, param: int,
                  aux_primes: tuple[KolyvaginPrime, ...], level: int):
@@ -699,15 +703,13 @@ class _ChainEvaluator:
         self.u = _unit_multipliers(kind, param, ctx.p, ctx.m, ctx.f_K, self.aux)[0]
         # the class at f_K: each conjugate with g[0] = 1 is read from its
         # partner with g[0] = 0, which elements() lists first, and the
-        # Moebius table of Phi_f, the product of the two chi_D-cosets; each
-        # walked conjugate reads U (_paired_orbit) with the merged weights
+        # Moebius table of Phi_f, the product of the two chi_D-cosets
         paired = kind == "d" and param == ctx.f_K
         classed = all(kp.N_ell >= max(level, ctx.m + 1) for kp in aux_primes)
         self.partner_rows = _mobius_rows(ctx.f_K, ctx.p ** (ctx.m + 1), classed)
         self.conjugates = tuple((g, lift, (0,) + g[1:] if paired and g[0] else None)
                                 for g, lift in self.support.conjugates)
-        self.rows, self.plain, self.merged = _multi_indices(
-            aux_primes, ctx.p**level, not paired or bool(self.partner_rows), paired)
+        self.rows, self.groups = _multi_indices(aux_primes, ctx.p**level)
 
     def __call__(self, q: int, h_twist: dict[int, int] | None) -> GroupRingElement:
         """kappa(n) at q, for q = 1 mod f_K p^max(level, m+1) n.
@@ -716,9 +718,15 @@ class _ChainEvaluator:
         P(c) = kappa^2 c^|R| U(c) U(1/c) (_paired_orbit), as
         prod_j U(c_j)^(w(j) + w(j + h)) (the merged weights of
         _multi_indices): kappa has order dividing 2 f_K and c_j order
-        dividing n, both prime to p, so their p-part dlog is 0."""
+        dividing n, both prime to p, so their p-part dlog is 0.  Every other
+        conjugate, and every partner with terms, reads a Moebius table T
+        with the same weights and halves its dlog: T is a product of rows
+        h_e(x) = 1 - x (s_e - x), h_e(1/x) = x^-2 h_e(x), and the cell
+        j + h holds 1/c_j, so dlog T(c_(j+h)) = dlog T(c_j) and the merged
+        sum is 2 sum_k w(k) dlog T(c_k) mod p^level (p is odd)."""
         ev = EvalContext(self.ctx, self.aux, q, self.support)
-        M, rows, level = ev.M, self.rows, self.level
+        M, rows, groups, level = ev.M, self.rows, self.groups, self.level
+        half = (self.ctx.p**level + 1) // 2
         twist = ev.lift(h_twist) if h_twist else 1
         if math.gcd(twist, M) != 1:
             raise ConductorClash(f"h-twist {h_twist} is not prime to M = {M}")
@@ -729,13 +737,13 @@ class _ChainEvaluator:
                 coeffs[g] = -coeffs[partner]
                 if self.partner_rows:
                     table = ev._mobius_table(self.u * mult % M, self.partner_rows, rows)
-                    coeffs[g] += ev.dlog(_orbit_value(q, table, self.plain), level)
+                    coeffs[g] += half * ev.dlog(_orbit_value(q, table, groups), level)
+            elif self.kind == "d" and self.param == self.ctx.f_K:
+                walked = ev._paired_orbit(self.u * mult % M, rows), None
+                coeffs[g] = ev.dlog(_orbit_value(q, walked, groups), level)
             else:
-                # the class at f_K reads U with the merged weights, any other
-                # class its factor_orbit table with the plain ones
-                orbit = ((ev._paired_orbit(self.u * mult % M, rows), None) if self.merged
-                         else ev.factor_orbit(self.kind, self.param, mult, rows))
-                coeffs[g] = ev.dlog(_orbit_value(q, orbit, self.merged or self.plain), level)
+                table = ev.factor_orbit(self.kind, self.param, mult, rows)
+                coeffs[g] = half * ev.dlog(_orbit_value(q, table, groups), level)
         return GroupRingElement(self.ring, coeffs)
 
 

@@ -15,7 +15,9 @@ chi_D-cosets and Phi_f itself.  The walks and the partner's tables are
 counted per evaluation prime.  The partner's terms by classes of divisors
 are compared with the walked cosets where the chain allows it, each
 divisor stays its own term where it does not, and the terms themselves
-(_mobius_rows) are checked against Moebius sums by trial division.
+(_mobius_rows) are checked against Moebius sums by trial division.  Every
+Moebius table the evaluator reads takes the same dlog at c and 1/c, so half
+its dlog over the merged weights is the one over the plain weights.
 """
 
 import itertools
@@ -30,8 +32,8 @@ from cycfit.arith import factorint, primitive_root
 from cycfit.errors import ConductorClash, NotSplit
 from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
                            kolyvagin_primes)
-from cycfit.units import (EvalContext, _chain_evaluator, _kernel, _mobius_rows, _multi_indices,
-                          _orbit_value, _unit_multipliers, _weighted_product,
+from cycfit.units import (EvalContext, _chain_evaluator, _group_weights, _kernel, _mobius_rows,
+                          _multi_indices, _orbit_value, _unit_multipliers, _weighted_product,
                           derivative_class, evaluate_kappa)
 
 
@@ -132,6 +134,13 @@ def _count_orbit_reads(monkeypatch):
     monkeypatch.setattr(EvalContext, "_paired_orbit", walked)
     monkeypatch.setattr(EvalContext, "_mobius_table", tabled)
     return walks, tables
+
+
+def _plain_groups(kps, pN):
+    """The cells of a chain grouped by w(k) = prod_i k_i mod pN, row-major
+    over 0 <= k_i <= l_i - 2, as the sum of kappa(n) weighs them."""
+    return _group_weights([math.prod(k) % pN
+                           for k in iter_product(*(range(kp.ell - 1) for kp in kps))])
 
 
 def _unit_multiplier(ev, kind, param):
@@ -360,7 +369,8 @@ def test_chain_cosets_cancel_at_p3_level0(D, chain, N):
     cls = derivative_class(ctx, "d", D, kps)
     assert _chain_evaluator(ctx, "d", D, kps, N).partner_rows == ()
     gen = evaluation_primes(ctx, cls.n, level=N)
-    rows, groups, _ = _multi_indices(kps, 3**N, True, False)
+    rows, _ = _multi_indices(kps, 3**N)
+    groups = _plain_groups(kps, 3**N)
     tau = {g: (1 - g[0],) + g[1:] for g in ctx.group.elements()}
     vectors = []
     for q in (next(gen) for _ in range(2)):
@@ -391,7 +401,8 @@ def test_shallow_chains_key_each_divisor(p, D, m):
     kps = _chain(ctx, 1, 1)
     assert kps[0].N_ell < m + 1
     cls = derivative_class(ctx, "d", D, kps)
-    rows, groups, _ = _multi_indices(kps, p, True, False)
+    rows, _ = _multi_indices(kps, p)
+    groups = _plain_groups(kps, p)
     evaluator = _chain_evaluator(ctx, "d", D, kps, 1)
     gen = evaluation_primes(ctx, cls.n, level=m + 1)
     differs = False
@@ -457,7 +468,8 @@ def test_class_keyed_rows_match_the_per_divisor_table(p, D, m, N, r, level):
     assert _chain_evaluator(ctx, "d", D, kps, level).partner_rows == classed
     assert all(power == 1 for _, power, _ in classed)
     assert 0 < len(classed) <= len(_mobius_rows(D, p ** (m + 1), False))
-    rows, groups, _ = _multi_indices(kps, p**level, True, False)
+    rows, _ = _multi_indices(kps, p**level)
+    groups = _plain_groups(kps, p**level)
     gen = evaluation_primes(ctx, math.prod(ells), level=max(level, m + 1))
     dlogs = []
     for q in (next(gen) for _ in range(2)):
@@ -475,6 +487,53 @@ def test_class_keyed_rows_match_the_per_divisor_table(p, D, m, N, r, level):
             value = _orbit_value(q, ev._mobius_table(u * t_g, classed, rows), groups)
             assert ev.dlog(value, level) == dlogs[-1]
     assert any(dlogs)
+
+
+# (p, D, m, N, chain length, level): chains of one and two primes at
+# p = 3 (m = 1), 5 and 7; every conductor has a proper divisor
+MOBIUS_CASES = [(3, 785, 1, 2, 1, 2), (3, 785, 1, 2, 2, 1), (5, 12, 0, 1, 1, 1),
+                (5, 12, 0, 1, 2, 1), (7, 24, 0, 1, 1, 1), (7, 40, 0, 2, 1, 2)]
+
+
+@pytest.mark.parametrize("p,D,m,N,r,level", MOBIUS_CASES)
+def test_mobius_tables_read_with_merged_weights_halve(p, D, m, N, r, level):
+    # every Moebius table T the evaluator reads (the partner's of Phi_f, by
+    # class and per divisor, a proper divisor's, the a-type's numerator and
+    # denominator) is a product of rows h_e(x) = 1 - x (s_e - x), and
+    # h_e(1/x) = x^-2 h_e(x); the cell k + h holds 1/c, c of order dividing
+    # n (prime to p), so dlog T(c_(k+h)) = dlog T(c_k), and half the dlog of
+    # T over the merged weights is sum_k w(k) dlog T(c_k)
+    ctx = build_field(p, D, m, N)
+    kps = _chain(ctx, r, level)
+    ells = tuple(kp.ell for kp in kps)
+    pL, p_part = p**level, p ** (m + 1)
+    rows, groups = _multi_indices(kps, pL)
+    cells = list(iter_product(*(range(ell - 1) for ell in ells)))
+    index = {k: i for i, k in enumerate(cells)}
+    inverse = [index[tuple((kj + ell // 2) % (ell - 1) for kj, ell in zip(k, ells))]
+               for k in cells]
+    q = next(evaluation_primes(ctx, math.prod(ells), level=max(level, m + 1)))
+    ev = EvalContext(ctx, ells, q)
+    d = max(d for d in range(2, D) if D % d == 0)
+    (u_f, _, _), (u_d, _, _), (u_a, u_den, _) = (
+        _unit_multipliers(kind, param, p, m, D, ells)
+        for kind, param in (("d", D), ("d", d), ("a", 2)))
+    sums = set()
+    for lift in ev.support.lifts.values():
+        tables = [ev._mobius_table(u_f * lift, _mobius_rows(D, p_part, classed), rows)
+                  for classed in (True, False)]
+        tables.append(ev._mobius_table(u_d * lift, _mobius_rows(d, p_part, False), rows))
+        tables += [(ev._mobius_table(t * lift, _mobius_rows(1, p_part, False), rows)[0], None)
+                   for t in (u_a, u_den)]
+        for num, den in tables:
+            values = num if den is None else [x * pow(y, -1, q) % q for x, y in zip(num, den)]
+            dlogs = [ev.dlog(v, level) for v in values]
+            assert all(dlogs[j] == dlogs[i] for i, j in enumerate(inverse))
+            plain = sum(math.prod(k) * x for k, x in zip(cells, dlogs)) % pL
+            merged = ev.dlog(_orbit_value(q, (num, den), groups), level)
+            assert (pL + 1) // 2 * merged % pL == plain
+            sums.add(plain)
+    assert sums != {0}
 
 
 def test_h_twists_change_factor_values_but_not_kappa():
@@ -554,7 +613,7 @@ CHAIN_STATE_CASES += [(3, 8, 0, 2), (3, 8, 1, 2)]
 def test_chain_state_matches_fresh_recomputation(p, D, m, r):
     # what the chain's evaluator keeps for all its evaluation primes, read
     # after evaluations with and without h-twists: lifts, unit multipliers,
-    # sigma_l rows, and the multi-index weights with their groupings
+    # sigma_l rows, and the merged multi-index weights with their grouping
     N = m + 1
     ctx = build_field(p, D, m, N)
     kps = _chain(ctx, r, 1)
@@ -593,12 +652,7 @@ def test_chain_state_matches_fresh_recomputation(p, D, m, r):
     inverse = [index[tuple((kj + h) % (kp.ell - 1) for kj, h, kp in zip(k, halves, kps))]
                for k in cells]
     merged = [(weights[i] + weights[j]) % pN for i, j in enumerate(inverse)]
-    assert _grouped(evaluator.merged) == {i: w for i, w in enumerate(merged) if w}
-    # the plain grouping is kept only for a partner with Moebius terms
-    if evaluator.partner_rows:
-        assert _grouped(evaluator.plain) == {i: w for i, w in enumerate(weights) if w}
-    else:
-        assert evaluator.plain is None and p ** (m + 1) == 3
+    assert _grouped(evaluator.groups) == {i: w for i, w in enumerate(merged) if w}
 
 
 def _grouped(groups):

@@ -30,6 +30,20 @@ def sign_sum(x):
     return {k: v % x.ring.mod for k, v in out.items() if v % x.ring.mod}
 
 
+@pytest.mark.parametrize("delta,gamma", [((2,), 1), ((2,), 9), ((2, 3), 1), ((2, 2), 27),
+                                         ((), 1), ((), 3), ((2, 3), 25)])
+def test_elements_are_listed_once_in_lexicographic_order(delta, gamma):
+    # GroupRing.basis is this sequence, and the evaluator of units reads each
+    # conjugate with g[0] = 1 from its partner with g[0] = 0, listed before it
+    group = FiniteAbelianGroup(delta, gamma)
+    elements = list(group.elements())
+    assert elements[0] == group.identity()
+    assert elements == sorted(set(elements))
+    assert len(elements) == group.order
+    assert all(0 <= x < d for g in elements for x, d in zip(g, group.divisors))
+    assert GroupRing(group, 5, 1).basis == tuple(elements)
+
+
 def test_chi_project_identity():
     ring = z2_ring()
     one = ring.one()

@@ -12,40 +12,45 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from functools import lru_cache
 
 from .config import DEFAULT_FIELD_BUDGET
 from .errors import BudgetExceeded, NotPrime, OrderNotDividing, ZeroElement
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 # (bound, number of leading _SMALL_PRIMES): Miller-Rabin with these bases
 # is proven for n below the bound (Jaeschke, Math. Comp. 61, 1993; each
 # bound is the least strong pseudoprime to its bases).  All twelve bases
 # are proven below 318665857834031151167461.
 _MR_BASES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
              (341550071728321, 7), (3825123056546413051, 9))
+_MR_BOUNDS = tuple(bound for bound, _ in _MR_BASES)
+# the bases for n in [_MR_BOUNDS[i - 1], _MR_BOUNDS[i]), all twelve at the end
+_MR_PREFIXES = tuple(_SMALL_PRIMES[:c] for _, c in _MR_BASES) + (_SMALL_PRIMES,)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond 2^64 with all bases)."""
-    if n < 2:
+    """Deterministic Miller-Rabin, proven for every n below 3.18 * 10^23
+    (all twelve bases) and a strong probable-prime test above.  n <= 37 is
+    looked up among the small primes; a larger n with a small factor is
+    rejected by one gcd with their product; the bases are the fewest of
+    Jaeschke's prefixes whose bound exceeds n."""
+    if n <= 37:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    count = next((c for bound, c in _MR_BASES if n < bound), len(_SMALL_PRIMES))
-    for a in _SMALL_PRIMES[:count]:
+    m = n - 1
+    r = (m & -m).bit_length() - 1
+    d = m >> r
+    for a in _MR_PREFIXES[bisect_right(_MR_BOUNDS, n)]:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == m:
             continue
         for _ in range(r - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == m:
                 break
         else:
             return False
@@ -79,14 +84,22 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Full factorization {prime: exponent} by trial division + Pollard rho."""
+    """Full factorization {prime: exponent}, keys in increasing order for the
+    small primes and then as Pollard rho finds the rest: trial division by
+    the small primes that divide gcd(n, 2 * 3 * ... * 37), then rho."""
     if n <= 0:
         raise ValueError("factorint needs a positive integer")
     out: dict[int, int] = {}
+    small = math.gcd(n, _SMALL_PRODUCT)
     for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if p > small:
+            break
+        if small % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
     stack = [n] if n > 1 else []
     while stack:
         v = stack.pop()
@@ -216,9 +229,14 @@ def _smallest_generator(n: int, phi: int, known: tuple[int, ...] = ()) -> int:
     factors.update(factorint(rest))
     exponents = [phi // r for r in sorted(factors)]
     g = 1
-    while math.gcd(g, n) != 1 or any(pow(g, e, n) == 1 for e in exponents):
+    while True:
+        if math.gcd(g, n) == 1:
+            for e in exponents:
+                if pow(g, e, n) == 1:
+                    break
+            else:
+                return g
         g += 1
-    return g
 
 
 def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> list[int]:
@@ -322,14 +340,17 @@ def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
     """Discrete log of x in the p^N-part of F_q^x, in Z/p^N.
 
     Returns d with x^{(q-1)/p^N} = z^d for z = g^{(q-1)/p^N}; kills p^N-th
-    powers and is additive in x.  Pohlig-Hellman digit lifting inside the
-    cyclic p^N-subgroup (p^N is always small here), each digit read from
-    the p powers of z^{p^(N-1)}, which are built on every call; 0 at once
-    when x^{(q-1)/p^N} = 1.
+    powers and is additive in x.  ZeroElement for x = 0 mod q.  Pohlig-
+    Hellman digit lifting inside the cyclic p^N-subgroup (p^N is always
+    small here).  y = x^{(q-1)/p^N} and z are the only full-size powers,
+    and 0 is returned at once when y = 1.  Otherwise the p powers of
+    z^{p^(N-1)} are built by p - 1 multiplications, and digit i is read
+    from y^{p^(N-1-i)}, after which y is divided by z^(digit p^i) from a
+    running base z^{-p^i}, inverted once; every later exponent is below p^N.
     """
-    if x == 0:
-        raise ZeroElement("dlog of 0")
     q = ctx.q
+    if x % q == 0:
+        raise ZeroElement("dlog of 0")
     pN = p**N
     if (q - 1) % pN != 0:
         raise OrderNotDividing(f"p^N = {pN} does not divide q - 1")
@@ -338,12 +359,23 @@ def dlog_p_part(ctx: FieldCtx, x: int, p: int, N: int) -> int:
         return 0
     z = pow(ctx.g, (q - 1) // pN, q)
     zp = pow(z, pN // p, q)
-    table = {pow(zp, j, q): j for j in range(p)}
-    z_inv = pow(z, -1, q)
+    table = {1: 0}
+    w = 1
+    for j in range(1, p):
+        w = w * zp % q
+        table[w] = j
+    base = pow(z, -1, q)
+    rest = pN // p
+    weight = 1
     d = 0
-    for i in range(N):
-        w = pow(y * pow(z_inv, d, q) % q, pN // p ** (i + 1), q)
-        if w not in table:  # pragma: no cover - subgroup membership is forced
+    while True:
+        digit = table.get(pow(y, rest, q))
+        if digit is None:  # pragma: no cover - subgroup membership is forced
             raise ArithmeticError("dlog digit outside subgroup")
-        d += table[w] * p**i
-    return d % pN
+        d += digit * weight
+        if rest == 1:
+            return d
+        y = y * pow(base, digit, q) % q
+        base = pow(base, p, q)
+        rest //= p
+        weight *= p

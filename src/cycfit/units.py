@@ -137,7 +137,7 @@ import operator
 from array import array
 from collections import defaultdict
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import accumulate, compress
 from itertools import product as iter_product
 
 from .arith import (FieldCtx, crt, dlog_p_part, factorint, kronecker, make_field,
@@ -582,9 +582,9 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
 def _chirp_exponents(ell: int) -> tuple[operator.itemgetter, operator.itemgetter]:
     """Readers of the chirp b_s = w^C(s, 2) and its inverse, s < l, from a
     root table T_l, for the prime l: item getters at C(s, 2) and -C(s, 2)
-    mod l."""
+    mod l, the C(s, 2) = 0 + 1 + ... + (s - 1) summed by accumulate."""
     residues = list(range(ell))  # one int object per residue, shared by both
-    binom = [residues[s * (s - 1) // 2 % ell] for s in range(ell)]
+    binom = [residues[c % ell] for c in accumulate(range(ell - 1), initial=0)]
     return operator.itemgetter(*binom), operator.itemgetter(*(residues[-c] for c in binom))
 
 

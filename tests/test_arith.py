@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycfit import arith
 from cycfit.arith import (
     _smallest_generator,
     crt,
@@ -152,6 +154,11 @@ def test_dlog_examples():
     assert dlog_p_part(F7, 2, 3, 1) == 2
     with pytest.raises(ZeroElement):
         dlog_p_part(F7, 0, 3, 1)
+    # every x = 0 mod q, not only x = 0, has no discrete log
+    ctx = make_field(13879)
+    for x in (13879, 2 * 13879):
+        with pytest.raises(ZeroElement):
+            dlog_p_part(ctx, x, 3, 3)
     with pytest.raises(OrderNotDividing):
         dlog_p_part(F7, 2, 5, 1)
 
@@ -171,7 +178,9 @@ def test_dlog_homomorphism_and_kills_powers():
 
 def test_dlog_matches_exhaustive_search_small_fields():
     # q <= 10^4: exhaustive discrete log must agree with the p-part value
-    for q, p, N in ((19, 3, 2), (7, 3, 1), (29, 7, 1), (31, 5, 1), (109, 3, 3), (8101, 3, 4)):
+    # (101, 5, 2) and (197, 7, 2) lift two digits at p > 3, (1459, 3, 6) six at p = 3
+    for q, p, N in ((19, 3, 2), (7, 3, 1), (29, 7, 1), (31, 5, 1), (109, 3, 3), (8101, 3, 4),
+                    (101, 5, 2), (197, 7, 2), (1459, 3, 6)):
         ctx = make_field(q)
         table = {}
         cur = 1
@@ -182,6 +191,64 @@ def test_dlog_matches_exhaustive_search_small_fields():
         assert (q - 1) % pN == 0
         for x, j in list(table.items())[:200]:
             assert dlog_p_part(ctx, x, p, N) == j % pN
+
+
+def test_a_searched_prime_is_proven_once(monkeypatch):
+    # make_field(q, known=...) reads back the proof of a q that
+    # evaluation_primes yielded, and KolyvaginPrime.build (with its
+    # make_field) that of an l from kolyvagin_primes: is_prime sees each
+    # number once, during its search
+    calls = collections.Counter()
+    prove = arith.is_prime
+
+    def counting(n):
+        calls[n] += 1
+        return prove(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    arith.proven_prime.cache_clear()
+    ctx = build_field(3, 785, 0, 3)
+    known = tuple(factorint(3 * 785))
+    for q in itertools.islice(evaluation_primes(ctx), 10):
+        assert calls[q] == 1, q
+        make_field(q, known=known)
+        assert calls[q] == 1, q
+    for kp in itertools.islice(kolyvagin_primes(ctx), 10):
+        assert calls[kp.ell] == 1, kp.ell
+        KolyvaginPrime.build(kp.ell, 3)
+        assert calls[kp.ell] == 1, kp.ell
+
+
+def _factor_by_trial_division(n):
+    """{prime: exponent} of n > 0, the primes in increasing order."""
+    out, r = {}, 2
+    while r * r <= n:
+        while n % r == 0:
+            out[r] = out.get(r, 0) + 1
+            n //= r
+        r += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorint_matches_trial_division():
+    # factorint lists the primes up to 37 first, in increasing order as trial
+    # division finds them, and the rest as Pollard rho splits the cofactor
+    for n in range(1, 2 * 10**4):
+        want = _factor_by_trial_division(n)
+        got = factorint(n)
+        assert got == want, n
+        small = [r for r in want if r <= 37]
+        assert list(got)[:len(small)] == small, n
+    for r in ALL_BASES:
+        for e in range(1, 63):
+            if r**e > 2**62:
+                break
+            assert factorint(r**e) == {r: e}, (r, e)
+    # the cofactor (2^31 - 1)(2^61 - 1) is composite, so rho splits it
+    n = 2**5 * 3**4 * (2**31 - 1) * (2**61 - 1)
+    assert list(factorint(n).items()) == [(2, 5), (3, 4), (2**61 - 1, 1), (2**31 - 1, 1)]
 
 
 def test_utility_functions():

@@ -253,11 +253,13 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
     coefficients of both lists go through one array('Q') as little-endian
     64-bit words (every q the engine meets is below
     config.DEFAULT_FIELD_BUDGET = 2^62; a coefficient of 2^64 or more
-    raises OverflowError), moved into the slots by one strided bytearray
-    copy per word byte.  For slots of at most 16 bytes (at 64 terms, every
-    q < 2^60) the product is unpacked the same way into one or two words
-    per slot; only the final % q runs per coefficient.  Wider slots unpack
-    each coefficient with int.from_bytes.
+    raises OverflowError).  Slots of exactly 8 bytes are those words, and
+    their bytes are the packed integers as they stand; other widths move
+    the words into the slots by one strided bytearray copy per word byte.
+    For slots of at most 16 bytes (at 64 terms, every q < 2^60) the product
+    is unpacked the same way into one or two words per slot (8-byte slots
+    read straight back through array('Q')); only the final % q runs per
+    coefficient.  Wider slots unpack each coefficient with int.from_bytes.
     """
     terms = min(len(a), len(b))
     width = (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8
@@ -266,10 +268,11 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
     words.extend(b)
     if sys.byteorder == "big":
         words.byteswap()
-    raw = words.tobytes()
-    slots = bytearray(width * len(words))
-    for k in range(min(width, 8)):
-        slots[k::width] = raw[k::8]
+    slots = words.tobytes()
+    if width != 8:
+        packed, slots = slots, bytearray(width * len(words))
+        for k in range(min(width, 8)):
+            slots[k::width] = packed[k::8]
     view = memoryview(slots)
     x = int.from_bytes(view[:width * len(a)], "little")
     y = int.from_bytes(view[width * len(a):], "little")
@@ -282,10 +285,11 @@ def poly_mul(a: list[int], b: list[int], q: int, cyclic: int | None = None) -> l
     if width > 16:
         return [int.from_bytes(raw[i:i + width], "little") % q for i in range(0, len(raw), width)]
     span = 8 * -(-width // 8)  # whole words per slot, in bytes
-    buf = bytearray(span * size)
-    for k in range(width):
-        buf[k::span] = raw[k::width]
-    words = array("Q", buf)
+    if span != width:
+        packed, raw = raw, bytearray(span * size)
+        for k in range(width):
+            raw[k::span] = packed[k::width]
+    words = array("Q", raw)
     if sys.byteorder == "big":
         words.byteswap()
     if span == 8:

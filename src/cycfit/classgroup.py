@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 
 from .arith import factorint, is_prime, kronecker, sqrt_mod_prime
-from .errors import BudgetExhausted, NotFundamental, NotSplit
+from .errors import BudgetExhausted, NotFundamental, NotPrime, NotSplit
 
 
 def is_squarefree(n: int) -> bool:
@@ -302,7 +302,14 @@ class FormClassGroup:
     def p_part_divisors(self, p: int) -> tuple[int, ...]:
         """Elementary divisors (exponents of p), non-increasing, of the
         p-Sylow subgroup, read from the element orders: c_j = #{x : ord x |
-        p^j} = p^{sum_i min(d_i, j)}, so log_p(c_j / c_{j-1}) = #{i : d_i >= j}."""
+        p^j} = p^{sum_i min(d_i, j)}, so log_p(c_j / c_{j-1}) = #{i : d_i >= j}.
+        No element has order p when p does not divide h+ (Lagrange), and the
+        divisors are () at once.  NotPrime for p < 2, where the p-power
+        orders are not defined."""
+        if p < 2:
+            raise NotPrime(f"p = {p} is not a prime")
+        if self.h_plus % p:
+            return ()
         levels = []  # j for every element of order p^j
         for x in range(self.h_plus):
             n, j = self.element_order(x), 0

@@ -107,6 +107,7 @@ def run_verify(p: int, D: int, i_max: int = 2, N: int | None = None,
     _check_bound("--annihilation", anni_count)
     _check_bound("--budget", budget)
     _check_bound("--window", window)
+    _check_odd_prime(p)
     conventions = Conventions(flip_sigma=flip_sigma)
     say(f"[oracle] narrow class group of D = {D}")
     oracle = narrow_class_group(D)
@@ -199,6 +200,12 @@ def _check_bound(flag: str, value: int) -> None:
         raise NegativeArgument(f"{flag} = {value} must be >= 0")
 
 
+def _check_odd_prime(p: int) -> None:
+    """p is checked before the class group is built, which needs p prime."""
+    if p < 3 or not is_prime(p):
+        raise NotPrime(f"p = {p} must be an odd prime")
+
+
 def _status_exit(report: dict) -> int:
     return {"OK": 0, "INCONCLUSIVE": 2, "BUG": 3}[report["status"]]
 
@@ -218,8 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classgroup(args) -> int:
-    if args.p < 3 or not is_prime(args.p):
-        raise NotPrime(f"p = {args.p} must be an odd prime")
+    _check_odd_prime(args.p)
     grp = narrow_class_group(args.D)
     divisors = grp.p_part_divisors(args.p)
     band = class_number_band(args.D, grp.h_plus, grp.unit)

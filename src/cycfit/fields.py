@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import count
 
 from .arith import is_prime, kronecker, make_field, proven_prime, sqrt_mod_prime, val_p
 from .config import DEFAULT_CONVENTIONS, DEFAULT_PRIME_SEARCH_BUDGET, Conventions
@@ -157,7 +158,9 @@ def kolyvagin_primes(ctx: AbelianFieldCtx, extra_modulus: int = 1,
 
     Each yielded prime is re-verified by an independent route: a square root
     of D mod l is found and squared back (trial splitting) in addition to the
-    Kronecker-symbol test.
+    Kronecker-symbol test.  The candidates are l = 1 + k step, k = 1, 2, ...;
+    when step is odd, l is even for odd k, and those k are counted toward
+    the budget without a test.
     """
     level = ctx.N if level is None else level
     if extra_modulus < 1 or math.gcd(extra_modulus, ctx.p * ctx.f_K) != 1:
@@ -165,16 +168,13 @@ def kolyvagin_primes(ctx: AbelianFieldCtx, extra_modulus: int = 1,
             f"extra modulus {extra_modulus} must be a positive integer prime to "
             f"p*f_K = {ctx.p * ctx.f_K}")
     step = ctx.p**level * extra_modulus
-    cand = 1 + step
-    examined = 0
-    while True:
-        if examined >= budget:
+    skip = 1 + step % 2
+    for k in count(skip, skip):
+        if k > budget:
             raise BudgetExhausted(
                 f"no more auxiliary primes within budget {budget} (mod {step})")
-        examined += 1
-        ell = cand
-        cand += step
-        if ell <= 2 or not proven_prime(ell):
+        ell = 1 + k * step
+        if not proven_prime(ell):
             continue
         if ctx.D % ell == 0:
             continue
@@ -194,11 +194,11 @@ def evaluation_primes(ctx: AbelianFieldCtx, n: int = 1, level: int | None = None
     lives in F_q (residue degree one).  Each candidate is proven by
     arith.proven_prime, so make_field(q) keeps this proof of a yielded q;
     the engine hands make_field the primes of f_K p^(m+1) n, which divide
-    q - 1, so its generator search factors only the cofactor."""
+    q - 1, so its generator search factors only the cofactor.  When the
+    step is odd, every other candidate is even and is stepped over."""
     level = ctx.N if level is None else level
     step = ctx.f_K * ctx.p**level * n
-    q = 1 + step
-    while True:
+    step <<= step % 2
+    for q in count(1 + step, step):
         if proven_prime(q):
             yield q
-        q += step

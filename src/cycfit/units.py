@@ -78,15 +78,19 @@ P(c) = kappa^2 c^|R| U(c) U(1/c) (EvalContext._paired_orbit builds U).  Q+
 comes from a product tree of exact Kronecker products (arith.poly_mul)
 whose nodes are cyclic products mod X^(n p^{m+1}) - 1, folded on the big
 integer (alpha^t depends on t mod p^{m+1} only), and one more such product
-with its reversal is Q / kappa (_palindrome); scaled by alpha^(t - d) and
-folded mod X^n - 1, it is spread onto one axis per auxiliary prime, and
-each axis is evaluated at all of mu_l by a chirp-z transform over the root
-table T_l that packs each line only up to its last nonzero entry (|R| + 1
-entries of a single line, half of P's); a multi-index reads its value at
-its residues mod l_i.  The root 1/c of the cell sigma_l^k is the cell
-sigma_l^(k + (l-1)/2) on every axis, so a chain's evaluator transforms U
-once over every residue sigma_l^k, 0 <= k <= l - 2, and weighs cell j by
-w(j) + w(j + h), h_i = (l_i - 1)/2 (_multi_indices): prod_k P(c_k)^w(k) is
+with its reversal is Q / kappa (_palindrome).  Its coefficients are
+scaled by alpha^(t - d), one constant per class of t mod p^{m+1}, folded
+mod X^n - 1 by slices and placed through the chain's row-major index of
+t mod n (_Support.places, the identity at one prime), and each axis is
+evaluated at all of mu_l by a chirp-z transform over the root table T_l
+that packs each line only up to its last nonzero entry (|R| + 1 entries
+of a single line, half of P's); a multi-index reads its value at its
+residues mod l_i, one itemgetter per axis.  The root 1/c of the cell
+sigma_l^k is the cell sigma_l^(k + (l-1)/2) on every axis, so a chain's
+evaluator transforms U once over every residue sigma_l^k,
+0 <= k <= l - 2, and weighs cell j by w(j) + w(j + h), h_i = (l_i - 1)/2
+(_multi_indices, which groups the cells by each k_i mod p^level and
+whether k_i + h_i wraps, never cell by cell): prod_k P(c_k)^w(k) is
 then prod_j U(c_j)^(w(j) + w(j + h)) up to powers of kappa, of order
 dividing 2 f_K, and of the c_j, of order dividing n, both prime to p, so
 neither moves the p-part dlog.  At n = 1, U(1) = prod_{r in R+}
@@ -106,7 +110,8 @@ derivative class and level, one _ChainEvaluator (_chain_evaluator, keyed on
 the field, the class and the level, never on a multiplier or a twist) is
 the one holder of what a chain fixes: the expansion-size check, its
 _Support (M, the conductor components, their CRT idempotents, the primes of
-M and the lift of every g of Delta x Gamma), the sigma_l rows with the
+M, the lift of every g of Delta x Gamma and, at two or more auxiliary
+primes, the row-major index of t mod n), the sigma_l rows with the
 cells grouped by the merged weights (_multi_indices, the only builder of a
 chain's weights), each conjugate's lift with the conjugate its partner
 reads, the unit's multiplier, the partner's terms (_mobius_rows) and the
@@ -135,9 +140,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from functools import lru_cache, partial
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat
 from itertools import product as iter_product
 
 from .arith import (FieldCtx, crt, dlog_p_part, factorint, kronecker, make_field,
@@ -320,9 +325,14 @@ class EvalContext:
         the one product of Q+ with its reversal j -> d - j (mod the length of
         the folded Q+), which is Q / kappa.  Its coefficient of X^t, times
         alpha^(t - d), goes to X^(t mod n), the cell (t mod l_1, ...,
-        t mod l_r) (Q / kappa is not folded mod X^n - 1 before: alpha^n != 1),
-        and each axis is evaluated at all of mu_{l_i} by _chirp_axis, which
-        keeps the row's picks."""
+        t mod l_r) (Q / kappa is not folded mod X^n - 1 before: alpha^n != 1).
+        No Python code runs per coefficient: each class of t mod p^{m+1} is
+        one slice scaled by one map, the fold adds slices of length n, and at
+        two or more primes the folded coefficients go to the row-major index
+        of t (_Support.places).  The cells stay unreduced sums below
+        p^{m+1} q^2; the transform reduces them.  Each axis is evaluated at
+        all of mu_{l_i} by _chirp_axis, which keeps the picks a rho mod l_i
+        of the row."""
         q, t_p, p_part, n, ells = self.q, self.tables[1], self.p_part, self.n, self.aux
         gaps, widest, _ = _walk(self.ctx.f_K)
         steps = _power_row(pow(self.w_f, a % self.moduli[0], q), widest + 1, q)
@@ -334,14 +344,20 @@ class EvalContext:
                 out = out * (1 - B * (s - B)) % q
             return [out]
         full, d = _palindrome(gaps, steps, q, n * p_part), len(gaps)
-        cells = [0] * n
-        for t, coeff in enumerate(full):
-            idx = 0
-            for ell in ells:
-                idx = idx * ell + t % ell
-            cells[idx] = (cells[idx] + coeff * t_p[a * (t - d) % p_part]) % q
+        for j in range(min(p_part, len(full))):
+            full[j::p_part] = map(operator.mul, full[j::p_part], repeat(t_p[a * (j - d) % p_part]))
+        cells = full[:n]
+        for start in range(n, len(full), n):
+            block = full[start:start + n]
+            cells[:len(block)] = map(operator.add, cells, block)
+        if len(ells) == 1:
+            cells += [0] * (n - len(cells))
+        else:
+            cells, coeffs = [0] * n, cells
+            deque(map(cells.__setitem__, self.support.places, coeffs), 0)
         for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
-            cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
+            a_ell = a % ell
+            cells = _chirp_axis(cells, table, [a_ell * rho % ell for rho in row], q)
         return cells
 
     def _paired_cells(self, a: int, rows) -> list:
@@ -407,10 +423,13 @@ class _Support:
     modulus M = f p^(m+1) n, its conductor components m_i, their CRT
     idempotents E_i (1 mod m_i, 0 mod the other components), the primes of
     M (they divide q - 1 at every evaluation prime q), the residue lifts[g]
-    acting on the tower as each g of Delta x Gamma, and conjugates, the
-    pairs (g, lifts[g^-1]) in the order of group.elements().  Built once
-    per chain by its _ChainEvaluator, and by each EvalContext made without
-    one."""
+    acting on the tower as each g of Delta x Gamma, conjugates, the pairs
+    (g, lifts[g^-1]) in the order of group.elements(), and, at two or more
+    auxiliary primes, places: the row-major index of the cell
+    (t mod l_1, ..., t mod l_r) for every t below n and |R| + 1, where a
+    walked conjugate's folded U has its coefficients
+    (EvalContext._paired_orbit).  Built once per chain by its
+    _ChainEvaluator, and by each EvalContext made without one."""
 
     def __init__(self, group: FiniteAbelianGroup, p: int, m: int, f: int,
                  aux: tuple[int, ...]):
@@ -436,6 +455,15 @@ class _Support:
             self.lifts[g] = ((nonresidue if g[0] % 2 else 1) * e_f
                              + pow(w0, exp, p_part) * e_p + rest) % M
         self.conjugates = tuple((g, self.lifts[group.inv(g)]) for g in group.elements())
+        # sum_i (t mod l_i) * stride_i by C-level maps over range(size)
+        if len(aux) > 1:
+            stride = math.prod(aux)
+            size, places = min(stride, 2 * len(_walk(f)[0]) + 1), repeat(0)
+            for ell in aux:
+                stride //= ell
+                places = map(operator.add, places, map(operator.mul, map(
+                    operator.mod, range(size), repeat(ell)), repeat(stride)))
+            self.places = array("L", places)
 
 
 
@@ -460,35 +488,43 @@ def _unit_multipliers(kind: str, param: int, p: int, m: int, f: int,
 def _multi_indices(aux_primes: tuple[KolyvaginPrime, ...], pN: int):
     """(rows, groups) for the multi-indices (k_1, ..., k_r),
     0 <= k_i <= l_i - 2, in row-major order: rows[i] holds the residues
-    sigma_l^k of the i-th auxiliary prime, and groups the cells by their
-    merged weight w(k) + w(k + h) (_group_weights), with
-    w(k) = prod_i k_i mod p^N (0 when some k_i = 0) and h_i = (l_i - 1) / 2
-    (each k_i + h_i mod l_i - 1): sigma_l^h = -1, so the cell k + h holds
-    1/c.  That is the weight of U(c) for a walked conjugate, and twice the
-    weight of every Moebius table, whose rows have h_e(1/x) = x^-2 h_e(x)
-    (_ChainEvaluator).  When every l_i = 1 mod p^N, h_i and l_i - 1 are 0
-    mod p^N, so the merged weight is 2 w(k); a shallower chain needs the
-    sum.  Nothing else builds a chain's weights; each _ChainEvaluator
-    builds them once and keeps them."""
-    rows, weights, shifted = [], [1], [1]
-    for kp in aux_primes:
-        rows.append(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)))
-        weights = [w * k % pN for w in weights for k in range(kp.ell - 1)]
-        shifted = [w * ((k + kp.ell // 2) % (kp.ell - 1)) % pN
-                   for w in shifted for k in range(kp.ell - 1)]
-    return tuple(rows), _group_weights((w + x) % pN for w, x in zip(weights, shifted))
+    sigma_l^k of the i-th auxiliary prime, and groups holds the cells with
+    a nonzero merged weight w(k) + w(k + h) mod p^N, as (weight, indices)
+    pairs by decreasing weight, the indices in machine words (in no
+    particular order), with w(k) = prod_i k_i mod p^N (0 when some k_i = 0)
+    and h_i = (l_i - 1) / 2 (each k_i + h_i mod l_i - 1): sigma_l^h = -1,
+    so the cell k + h holds 1/c.  That is the weight of U(c) for a walked
+    conjugate, and twice the weight of every Moebius table, whose rows have
+    h_e(1/x) = x^-2 h_e(x) (_ChainEvaluator).
 
-
-def _group_weights(weights) -> tuple[tuple[int, array], ...]:
-    """The cell indices grouped by weight, as (weight, indices) pairs by
-    decreasing weight, the indices packed in machine words; cells of weight
-    0 are left out (x^0 = 1).  Each index goes into its array at once, so no
-    list of index objects is ever built."""
+    The merged weight depends on k only through each k_i mod p^N and
+    whether k_i + h_i wraps past l_i - 2, so the cells of the last axis
+    come by class: for each cell of the other axes (w and v its two
+    partial products) and each class k = c mod p^N of k_r < h_r or of
+    k_r >= h_r, whose k + h is c + h_r or c - h_r mod p^N, one range of
+    indices goes into its weight's array.  Deep chains (every l_i = 1 mod
+    p^N, so h_i = 0 mod p^N and the weight is 2 w(k)) and shallow ones
+    take this one path.  Nothing else builds a chain's weights; each
+    _ChainEvaluator builds them once and keeps them."""
+    if not aux_primes:
+        return (), ((2, array("L", (0,))),)
+    rows = tuple(tuple(_power_row(kp.s_ell, kp.ell - 1, kp.ell)) for kp in aux_primes)
+    head = [(0, 1, 1)]  # (row-major offset, w, v) over the axes before the last
+    for kp in aux_primes[:-1]:
+        size, h = kp.ell - 1, kp.ell // 2
+        head = [(offset * size + k, w * k % pN, v * ((k + h) % size) % pN)
+                for offset, w, v in head for k in range(size)]
+    size, h = aux_primes[-1].ell - 1, aux_primes[-1].ell // 2
+    classes = [(k % pN, (k + h) % size % pN, k, stop)
+               for start, stop in ((0, h), (h, size)) for k in range(start, min(start + pN, stop))]
     groups: dict = defaultdict(partial(array, "L"))
-    for i, w in enumerate(weights):
-        if w:
-            groups[w].append(i)
-    return tuple((w, groups[w]) for w in sorted(groups, reverse=True))
+    for offset, w, v in head:
+        base = offset * size
+        for c, shifted, k, stop in classes:
+            weight = (w * c + v * shifted) % pN
+            if weight:
+                groups[weight].extend(range(base + k, base + stop, pN))
+    return rows, tuple((w, groups[w]) for w in sorted(groups, reverse=True))
 
 
 # the groups of a one-cell table at weight 1
@@ -553,7 +589,9 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
     at top + j plus, for j > shift = l - 1 - top, its wrap at j - 1 - shift.
     The lines are packed at stride top + l into one exact product with the
     chirp, so no line's product meets its neighbours'.  A single line reads
-    its top from its last nonzero entry; several lines keep top = l - 1."""
+    its top from its last nonzero entry; several lines keep top = l - 1.
+    The cells need not be reduced mod q (a nonzero multiple of q only
+    raises top), and one itemgetter reads the picks from every line."""
     ell = len(table)
     top = ell - 1
     if len(cells) == ell:
@@ -575,7 +613,12 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
     lines = [[(x + y) * w % q for x, y, w in zip(conv[base + top:base + top + ell],
                                                  wrap + conv[base:base + ell - 1 - shift], damp)]
              for base in range(0, len(packed), stride)]
-    return [line[j] for j in picks for line in lines]
+    read = operator.itemgetter(*picks)
+    if len(picks) == 1:
+        return list(map(read, lines))
+    if len(lines) == 1:
+        return list(read(lines[0]))
+    return list(chain.from_iterable(zip(*map(read, lines))))
 
 
 @lru_cache(maxsize=16)

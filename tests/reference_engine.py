@@ -7,11 +7,17 @@ multi-index.  It is slow, and it shares none of the root tables, residue
 norm sets, pairing or dlog folding of ``cycfit.units``; only the
 EvalContext's prime q, root zeta_M and the Delta x Gamma residue convention
 (``support.lifts``) are reused.
+
+The per-cell helpers below (group_weights, multi_indices, scatter_cells,
+chirp_picks, chirp_axis) are the bookkeeping that ``cycfit.units`` does by
+residue class, written one cell or one coefficient at a time.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from itertools import product as iter_product
 
 from cycfit.arith import crt
@@ -91,3 +97,56 @@ def evaluate_kappa(ctx, cls, ev, level: int, h_twist: dict[int, int] | None = No
             total = (total + weight * ev.dlog(val, level)) % pN
         coeffs[g] = total
     return GroupRingElement(GroupRing(ctx.group, ctx.p, level), coeffs)
+
+
+def group_weights(weights) -> tuple[tuple[int, array], ...]:
+    """The cell indices grouped by weight, as (weight, indices) pairs by
+    decreasing weight, the indices in increasing order; cells of weight 0
+    are left out."""
+    groups = defaultdict(lambda: array("L"))
+    for i, w in enumerate(weights):
+        if w:
+            groups[w].append(i)
+    return tuple((w, groups[w]) for w in sorted(groups, reverse=True))
+
+
+def multi_indices(aux_primes, pN: int):
+    """(rows, groups) of units._multi_indices from its definition, one cell
+    at a time: rows[i] = [sigma_l^k, 0 <= k <= l - 2] and every cell k
+    weighed w(k) + w(k + h) mod pN, w(k) = prod_i k_i, h_i = (l_i - 1) / 2."""
+    rows = tuple(tuple(pow(kp.s_ell, k, kp.ell) for k in range(kp.ell - 1))
+                 for kp in aux_primes)
+    cells = iter_product(*(range(kp.ell - 1) for kp in aux_primes))
+    halves = [(kp.ell - 1) // 2 for kp in aux_primes]
+    weights = [(math.prod(k) + math.prod((kj + h) % (2 * h) for kj, h in zip(k, halves))) % pN
+               for k in cells]
+    return rows, group_weights(weights)
+
+
+def scatter_cells(full, a: int, d: int, t_p, p_part: int, ells, q: int) -> list:
+    """The cells of EvalContext._paired_orbit before its transforms, one
+    coefficient at a time: the coefficient of X^t of Q / kappa, times
+    alpha^(t - d) = t_p[a (t - d) mod p_part], added mod q into the
+    row-major cell (t mod l_1, ..., t mod l_r)."""
+    cells = [0] * math.prod(ells)
+    for t, coeff in enumerate(full):
+        idx = 0
+        for ell in ells:
+            idx = idx * ell + t % ell
+        cells[idx] = (cells[idx] + coeff * t_p[a * (t - d) % p_part]) % q
+    return cells
+
+
+def chirp_picks(lines, picks) -> list:
+    """The read-out of units._chirp_axis: line[j] for j in picks, pick-major."""
+    return [line[j] for j in picks for line in lines]
+
+
+def chirp_axis(cells, table, picks, q: int) -> list:
+    """units._chirp_axis by direct evaluation: each line of the last axis
+    at every root w^j, w = table[1] of order l = len(table), read by
+    chirp_picks."""
+    ell = len(table)
+    lines = [[sum(c * table[t * j % ell] for t, c in enumerate(cells[i:i + ell])) % q
+              for j in range(ell)] for i in range(0, len(cells), ell)]
+    return chirp_picks(lines, picks)

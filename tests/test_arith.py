@@ -347,8 +347,10 @@ def test_root_of_unity_compatible_along_divisor_chains(q, data):
 # 65537 fill part of one 64-bit word and 134217757 63 of its 64 bits;
 # 2^31 - 1 (69 of 72 bits) and 2^31 + 11 (71 of 72) take two words, and
 # 2^61 - 1 (129 bits, 17 bytes) is wider than two words and unpacks each
-# coefficient with int.from_bytes.  Every list packs through 64-bit words.
-POLY_MUL_MODULI = (2, 3, 65537, 134217757, 2**31 - 1, 2**31 + 11, 2**61 - 1)
+# coefficient with int.from_bytes.  2^28 + 3 sits at the 8-byte boundary:
+# whole-word slots up to 63 terms, 9 bytes at 64.  Every list packs through
+# 64-bit words.
+POLY_MUL_MODULI = (2, 3, 65537, 134217757, 2**28 + 3, 2**31 - 1, 2**31 + 11, 2**61 - 1)
 
 
 def _schoolbook(a, b, q):
@@ -375,6 +377,25 @@ def test_poly_mul_fills_slots_exactly(q):
     a = [q - 1] * 64
     assert poly_mul(a, a, q) == _schoolbook(a, a, q)
     assert poly_mul(a, a, q, cyclic=64) == _cyclic_fold(_schoolbook(a, a, q), 64, q)
+
+
+# (q, shorter length, slot bytes): 7-byte slots restride into words, 8-byte
+# slots are the words themselves, 9-byte slots restride into two words
+SLOT_WIDTH_CASES = [(2**25 + 35, 15, 7), (2**25 + 35, 16, 8), (2**28 + 3, 1, 8),
+                    (2**28 + 3, 63, 8), (2**28 + 3, 64, 9), (2**31 - 1, 3, 8), (2**31 - 1, 4, 9)]
+
+
+@pytest.mark.parametrize("q,terms,width", SLOT_WIDTH_CASES)
+def test_poly_mul_matches_schoolbook_at_slot_widths_7_8_9(q, terms, width):
+    assert is_prime(q)
+    assert (2 * (q - 1).bit_length() + terms.bit_length() + 7) // 8 == width
+    rng = random.Random(q + terms)
+    for longer in (terms, terms + 9):
+        for a in ([q - 1] * terms, [rng.randrange(q) for _ in range(terms)]):
+            b = [q - 1] * (longer - 1) + [rng.randrange(q)]
+            assert poly_mul(a, b, q) == _schoolbook(a, b, q)
+            assert poly_mul(b, a, q) == _schoolbook(b, a, q)
+            assert poly_mul(a, b, q, cyclic=longer) == _cyclic_fold(_schoolbook(a, b, q), longer, q)
 
 
 def test_poly_mul_refuses_coefficients_wider_than_a_word():

@@ -18,7 +18,7 @@ from cycfit.classgroup import (
     principal_form,
     rho,
 )
-from cycfit.errors import NotSplit
+from cycfit.errors import NotPrime, NotSplit
 
 
 def test_fundamental_discriminants():
@@ -120,6 +120,22 @@ def test_p_part_divisors_count_the_p_power_torsion():
                 powers = [_pow(g, y, p) for y in powers]
                 killed = sum(1 for y in powers if y == g.identity)
                 assert killed == p ** sum(min(di, j) for di in d), (D, p, j)
+
+
+def test_p_part_divisors_refuse_p_below_2_and_skip_p_prime_to_h(monkeypatch):
+    # h+ = 3 at D = 257: below 2 there are no p-power orders (p = 1 divides
+    # every order, p = 0 none); a p prime to h+ has no element of order p
+    # (Lagrange), so no element order is computed
+    g = narrow_class_group(257)
+    for p in (-2, 0, 1):
+        with pytest.raises(NotPrime):
+            g.p_part_divisors(p)
+
+    def no_orders(self, x):
+        raise AssertionError("an element order was computed for p prime to h+")
+
+    monkeypatch.setattr(type(g), "element_order", no_orders)
+    assert [g.p_part_divisors(p) for p in (2, 5, 7, 257)] == [()] * 4
 
 
 def _pow(g, x, e):

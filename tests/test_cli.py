@@ -281,6 +281,9 @@ BAD_INPUTS = [
     # a bad evaluation prime: 11 is not 1 mod M = 257 * 3
     (["kappa", "-D", "257", "-N", "1", "-q", "11"], 15, "NotSplit"),
     (["verify", "-D", "257", "--external", "r.json"], 21, "UsageError"),
+    # p = 0 and 1 are refused before the class group: its p-part needs a prime
+    (["verify", "-p", "0", "-D", "5", "--quiet"], 7, "NotPrime"),
+    (["verify", "-p", "1", "-D", "5", "--quiet"], 7, "NotPrime"),
 ]
 
 
@@ -300,6 +303,19 @@ def test_verify_refuses_negative_bounds_before_any_work(capsys, monkeypatch, fla
     got, out, err = run_cli(capsys, ["verify", "-D", "257", flag, "-1", "--quiet"])
     assert got == 20 and out == ""
     assert err == f"error: NegativeArgument: {flag} = -1 must be >= 0\n"
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3"])
+def test_verify_refuses_a_bad_p_before_any_work(capsys, monkeypatch, p):
+    # the p-part of the class group is read only for a checked p: at p = 1
+    # it would never return, at p = 0 it would divide by zero
+    def no_oracle(D):
+        raise AssertionError("the class group was built before p was checked")
+
+    monkeypatch.setattr(cli, "narrow_class_group", no_oracle)
+    got, out, err = run_cli(capsys, ["verify", "-p", p, "-D", "5", "--quiet"])
+    assert got == 7 and out == ""
+    assert err == f"error: NotPrime: p = {p} must be an odd prime\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["--version"]])

@@ -32,9 +32,10 @@ from cycfit.arith import factorint, primitive_root
 from cycfit.errors import ConductorClash, NotSplit
 from cycfit.fields import (KolyvaginPrime, build_field, chain_primes, evaluation_primes,
                            kolyvagin_primes)
-from cycfit.units import (EvalContext, _chain_evaluator, _group_weights, _kernel, _mobius_rows,
-                          _multi_indices, _orbit_value, _unit_multipliers, _weighted_product,
-                          derivative_class, evaluate_kappa)
+from cycfit.units import (EvalContext, _chain_evaluator, _chirp_axis, _kernel, _mobius_rows,
+                          _multi_indices, _orbit_value, _palindrome, _power_row,
+                          _unit_multipliers, _walk, _weighted_product, derivative_class,
+                          evaluate_kappa)
 
 
 def _chain(ctx, r, level):
@@ -139,8 +140,8 @@ def _count_orbit_reads(monkeypatch):
 def _plain_groups(kps, pN):
     """The cells of a chain grouped by w(k) = prod_i k_i mod pN, row-major
     over 0 <= k_i <= l_i - 2, as the sum of kappa(n) weighs them."""
-    return _group_weights([math.prod(k) % pN
-                           for k in iter_product(*(range(kp.ell - 1) for kp in kps))])
+    return ref.group_weights([math.prod(k) % pN
+                              for k in iter_product(*(range(kp.ell - 1) for kp in kps))])
 
 
 def _unit_multiplier(ev, kind, param):
@@ -656,7 +657,7 @@ def test_chain_state_matches_fresh_recomputation(p, D, m, r):
 
 
 def _grouped(groups):
-    """{cell: weight} of a _group_weights grouping, whose weights are
+    """{cell: weight} of a grouping of cells by weight, whose weights are
     distinct and decreasing."""
     assert [w for w, _ in groups] == sorted({w for w, _ in groups}, reverse=True)
     return {i: w for w, cells in groups for i in cells}
@@ -731,3 +732,74 @@ def test_proper_divisor_needs_multiplier_prime_to_conductor():
             ev.factor_orbit("d", 43, ev.lift({473: w}), [])
     good = ev.lift({473: 2})
     assert ev.factor_value("d", 43, good) == ref.factor_value(ev, "d", 43, (), good)
+
+
+# (p, chain): chains of no, one, two and three primes at p = 3, 5 and 7,
+# read at levels 1 to 4, so each is deep (every N_l >= level, merged weight
+# 2 w(k)) at some levels and shallow at the others: N_l = 1 at 7, 13, 43,
+# 11, 31 and 29, 2 at 19, 37, 101 and 197, 3 at 109
+MULTI_INDEX_CASES = [(3, ()), (3, (7,)), (3, (19,)), (3, (109,)), (3, (7, 43)), (3, (19, 37)),
+                     (3, (7, 13, 19)), (5, (11,)), (5, (101,)), (5, (11, 31)), (7, (29,)),
+                     (7, (197,)), (7, (29, 43))]
+
+
+@pytest.mark.parametrize("p,ells", MULTI_INDEX_CASES)
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_multi_indices_match_the_per_cell_weights(p, ells, level):
+    # the cells grouped by residue class and wrap bit against the merged
+    # weight w(k) + w(k + h) of every cell: the same weights, in the same
+    # order, and for each the same set of cells, each once
+    kps = tuple(KolyvaginPrime.build(ell, p) for ell in ells)
+    rows, groups = _multi_indices(kps, p**level)
+    want_rows, want_groups = ref.multi_indices(kps, p**level)
+    assert rows == want_rows
+    assert [w for w, _ in groups] == [w for w, _ in want_groups]
+    for (_, cells), (_, want) in zip(groups, want_groups):
+        assert cells.typecode == "L" and sorted(cells) == list(want)
+
+
+# (D, m, N, chain length, level): the walked class at one and two primes,
+# with U unfolded (257), folded mod X^n - 1 (785 above 7 * 43, 1937 above
+# 61, whose tree folds too) and at p^{m+1} = 9 (785, m = 1, l = 7)
+PAIRED_CASES = [(257, 0, 3, 1, 3), (785, 0, 1, 2, 1), (1937, 0, 1, 1, 1), (785, 1, 2, 1, 1),
+                (8, 0, 2, 2, 1), (473, 0, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("D,m,N,r,level", PAIRED_CASES)
+def test_paired_orbit_matches_the_per_coefficient_scatter(D, m, N, r, level):
+    # U's coefficients scaled by class of t mod p^{m+1}, folded and placed
+    # through the chain's row-major index, each axis's picks read by one
+    # itemgetter, against the coefficient-by-coefficient scatter, the
+    # list-comprehension picks and a directly evaluated transform
+    ctx = build_field(3, D, m, N)
+    kps = _chain(ctx, r, level)
+    ells = tuple(kp.ell for kp in kps)
+    n = math.prod(ells)
+    q = next(evaluation_primes(ctx, n, level=max(level, m + 1)))
+    ev = EvalContext(ctx, ells, q)
+    rows, _ = _multi_indices(kps, 3**level)
+    gaps, widest, _ = _walk(D)
+    u = _unit_multiplier(ev, "d", D)
+    for lift in ev.support.lifts.values():
+        a = u * lift % ev.M
+        steps = _power_row(pow(ev.w_f, a % D, q), widest + 1, q)
+        full = _palindrome(gaps, steps, q, n * ev.p_part)
+        cells = ref.scatter_cells(full, a, len(gaps), ev.tables[1], ev.p_part, ells, q)
+        for ell, table, row in reversed(list(zip(ells, ev.tables[2:], rows))):
+            cells = ref.chirp_axis(cells, table, [a * rho % ell for rho in row], q)
+        assert ev._paired_orbit(a, rows) == cells
+
+
+@pytest.mark.parametrize("picks", [[3, 0, 6, 1, 5, 2, 4], [4], [0, 6]])
+@pytest.mark.parametrize("lines", [1, 3])
+def test_chirp_axis_reads_its_picks_as_the_per_cell_reference(picks, lines):
+    # one and several picks from one and several lines, also from cells
+    # that are not reduced mod q (the walked conjugate's folded U)
+    ell, q = 7, 2147483857
+    w = pow(2, (q - 1) // ell, q)
+    table = [pow(w, j, q) for j in range(ell)]
+    rng = random.Random(len(picks) + 10 * lines)
+    for cells in ([rng.randrange(q) for _ in range(ell * lines)],
+                  [rng.randrange(9 * q * q) for _ in range(ell * lines)],
+                  [rng.randrange(q)] + [0] * (ell * lines - 1)):
+        assert _chirp_axis(cells, table, picks, q) == ref.chirp_axis(cells, table, picks, q)

@@ -1,6 +1,8 @@
+from itertools import count, islice
+
 import pytest
 
-from cycfit.arith import kronecker
+from cycfit.arith import is_prime, kronecker
 from cycfit.errors import BudgetExhausted, Ramified, SplitP
 from cycfit.fields import (
     KolyvaginPrime,
@@ -91,3 +93,39 @@ def test_level_validation():
         build_field(3, 257, 0, 0)
     with pytest.raises(ValueError):
         build_field(3, 257, 1, 1)  # N >= m+1 required
+
+
+def _plain_kolyvagin(ctx, extra, budget, level):
+    """(k, l) for every candidate l = 1 + k p^level extra, k = 1 .. budget,
+    that is an odd prime, prime to D and split in K: no candidate skipped."""
+    step = ctx.p**level * extra
+    return [(k, 1 + k * step) for k in range(1, budget + 1)
+            if 1 + k * step > 2 and is_prime(1 + k * step) and ctx.D % (1 + k * step)
+            and kronecker(ctx.D, 1 + k * step) == 1]
+
+
+# odd steps (257 * 1, 3^2 * 13, 5 with 3^3) skip the even candidates; even
+# steps (extra 2 at 257, 4 at 5) test every one
+@pytest.mark.parametrize("D,level,extra", [(257, 1, 1), (257, 2, 13), (257, 1, 2),
+                                           (5, 3, 1), (5, 1, 4), (8, 1, 1)])
+def test_kolyvagin_primes_match_a_plain_scan_of_every_candidate(D, level, extra):
+    ctx = build_field(3, D, 0, level)
+    ks = [k for k, _ in _plain_kolyvagin(ctx, extra, 300, level)]
+    assert len(ks) >= 3
+    # budgets at and around the candidates of the first and third yields,
+    # so the budget ends on an odd k and on an even one
+    for budget in sorted({0, 1, 2, ks[0] - 1, ks[0], ks[0] + 1, ks[2] - 1, ks[2], ks[2] + 1}):
+        want = [ell for _, ell in _plain_kolyvagin(ctx, extra, budget, level)]
+        gen = kolyvagin_primes(ctx, extra_modulus=extra, budget=budget, level=level)
+        assert [next(gen).ell for _ in want] == want, budget
+        with pytest.raises(BudgetExhausted):
+            next(gen)
+
+
+@pytest.mark.parametrize("D,n,level", [(257, 1, 1), (257, 7, 2), (8, 7, 1), (5, 1, 3),
+                                       (44, 1, 2)])
+def test_evaluation_primes_match_a_plain_scan_of_every_candidate(D, n, level):
+    ctx = build_field(3, D, 0, level)
+    step = D * 3**level * n
+    want = list(islice((q for q in count(1 + step, step) if is_prime(q)), 25))
+    assert list(islice(evaluation_primes(ctx, n, level=level), 25)) == want

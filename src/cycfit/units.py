@@ -81,14 +81,14 @@ integer (alpha^t depends on t mod p^{m+1} only), and one more such product
 with its reversal is Q / kappa (_palindrome).  Its coefficients are
 scaled by alpha^(t - d), one constant per class of t mod p^{m+1}, folded
 mod X^n - 1 by slices and placed through the chain's row-major index of
-t mod n (_Support.places, the identity at one prime), and each axis is
+t mod n (_Support.places, t itself at one prime), and each axis is
 evaluated at all of mu_l by a chirp-z transform over the root table T_l
 that packs each line only up to its last nonzero entry (|R| + 1 entries
 of a single line, half of P's); a multi-index reads its value at its
-residues mod l_i, one itemgetter per axis.  The root 1/c of the cell
-sigma_l^k is the cell sigma_l^(k + (l-1)/2) on every axis, so a chain's
-evaluator transforms U once over every residue sigma_l^k,
-0 <= k <= l - 2, and weighs cell j by w(j) + w(j + h), h_i = (l_i - 1)/2
+residues mod l_i (one itemgetter when the axis has one line).  The root
+1/c of the cell sigma_l^k is the cell sigma_l^(k + (l-1)/2) on every
+axis, so a chain's evaluator transforms U once over every residue
+sigma_l^k, 0 <= k <= l - 2, and weighs cell j by w(j) + w(j + h), h_i = (l_i - 1)/2
 (_multi_indices, which groups the cells by each k_i mod p^level and
 whether k_i + h_i wraps, never cell by cell): prod_k P(c_k)^w(k) is
 then prod_j U(c_j)^(w(j) + w(j + h)) up to powers of kappa, of order
@@ -110,8 +110,8 @@ derivative class and level, one _ChainEvaluator (_chain_evaluator, keyed on
 the field, the class and the level, never on a multiplier or a twist) is
 the one holder of what a chain fixes: the expansion-size check, its
 _Support (M, the conductor components, their CRT idempotents, the primes of
-M, the lift of every g of Delta x Gamma and, at two or more auxiliary
-primes, the row-major index of t mod n), the sigma_l rows with the
+M, the lift of every g of Delta x Gamma and the row-major index of
+t mod n), the sigma_l rows with the
 cells grouped by the merged weights (_multi_indices, the only builder of a
 chain's weights), each conjugate's lift with the conjugate its partner
 reads, the unit's multiplier, the partner's terms (_mobius_rows) and the
@@ -142,7 +142,7 @@ import operator
 from array import array
 from collections import defaultdict, deque
 from functools import lru_cache, partial
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from itertools import product as iter_product
 
 from .arith import (FieldCtx, crt, dlog_p_part, factorint, kronecker, make_field,
@@ -327,10 +327,10 @@ class EvalContext:
         alpha^(t - d), goes to X^(t mod n), the cell (t mod l_1, ...,
         t mod l_r) (Q / kappa is not folded mod X^n - 1 before: alpha^n != 1).
         No Python code runs per coefficient: each class of t mod p^{m+1} is
-        one slice scaled by one map, the fold adds slices of length n, and at
-        two or more primes the folded coefficients go to the row-major index
-        of t (_Support.places).  The cells stay unreduced sums below
-        p^{m+1} q^2; the transform reduces them.  Each axis is evaluated at
+        one slice scaled by one map, the fold adds slices of length n, and
+        the folded coefficients go to the row-major index of t
+        (_Support.places, t itself at one prime).  The cells stay unreduced
+        sums below p^{m+1} q^2; the transform reduces them.  Each axis is evaluated at
         all of mu_{l_i} by _chirp_axis, which keeps the picks a rho mod l_i
         of the row."""
         q, t_p, p_part, n, ells = self.q, self.tables[1], self.p_part, self.n, self.aux
@@ -350,14 +350,10 @@ class EvalContext:
         for start in range(n, len(full), n):
             block = full[start:start + n]
             cells[:len(block)] = map(operator.add, cells, block)
-        if len(ells) == 1:
-            cells += [0] * (n - len(cells))
-        else:
-            cells, coeffs = [0] * n, cells
-            deque(map(cells.__setitem__, self.support.places, coeffs), 0)
+        cells, coeffs = [0] * n, cells
+        deque(map(cells.__setitem__, self.support.places, coeffs), 0)
         for ell, table, row in reversed(list(zip(ells, self.tables[2:], rows))):
-            a_ell = a % ell
-            cells = _chirp_axis(cells, table, [a_ell * rho % ell for rho in row], q)
+            cells = _chirp_axis(cells, table, [a * rho % ell for rho in row], q)
         return cells
 
     def _paired_cells(self, a: int, rows) -> list:
@@ -424,11 +420,10 @@ class _Support:
     idempotents E_i (1 mod m_i, 0 mod the other components), the primes of
     M (they divide q - 1 at every evaluation prime q), the residue lifts[g]
     acting on the tower as each g of Delta x Gamma, conjugates, the pairs
-    (g, lifts[g^-1]) in the order of group.elements(), and, at two or more
-    auxiliary primes, places: the row-major index of the cell
-    (t mod l_1, ..., t mod l_r) for every t below n and |R| + 1, where a
-    walked conjugate's folded U has its coefficients
-    (EvalContext._paired_orbit).  Built once per chain by its
+    (g, lifts[g^-1]) in the order of group.elements(), and places: the
+    row-major index of the cell (t mod l_1, ..., t mod l_r) for every t
+    below n and |R| + 1, where a walked conjugate's folded U has its
+    coefficients (EvalContext._paired_orbit; t itself at one prime).  Built once per chain by its
     _ChainEvaluator, and by each EvalContext made without one."""
 
     def __init__(self, group: FiniteAbelianGroup, p: int, m: int, f: int,
@@ -456,14 +451,14 @@ class _Support:
                              + pow(w0, exp, p_part) * e_p + rest) % M
         self.conjugates = tuple((g, self.lifts[group.inv(g)]) for g in group.elements())
         # sum_i (t mod l_i) * stride_i by C-level maps over range(size)
-        if len(aux) > 1:
-            stride = math.prod(aux)
-            size, places = min(stride, 2 * len(_walk(f)[0]) + 1), repeat(0)
-            for ell in aux:
-                stride //= ell
-                places = map(operator.add, places, map(operator.mul, map(
-                    operator.mod, range(size), repeat(ell)), repeat(stride)))
-            self.places = array("L", places)
+        stride = math.prod(aux)
+        size = min(stride, 2 * len(_walk(f)[0]) + 1)
+        places = repeat(0, size)
+        for ell in aux:
+            stride //= ell
+            places = map(operator.add, places, map(operator.mul, map(
+                operator.mod, range(size), repeat(ell)), repeat(stride)))
+        self.places = array("L", places)
 
 
 
@@ -591,7 +586,8 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
     chirp, so no line's product meets its neighbours'.  A single line reads
     its top from its last nonzero entry; several lines keep top = l - 1.
     The cells need not be reduced mod q (a nonzero multiple of q only
-    raises top), and one itemgetter reads the picks from every line."""
+    raises top).  A single line reads its picks with one itemgetter;
+    several lines are read pick by pick, line by line."""
     ell = len(table)
     top = ell - 1
     if len(cells) == ell:
@@ -613,12 +609,9 @@ def _chirp_axis(cells: list[int], table: list[int], picks: list[int], q: int) ->
     lines = [[(x + y) * w % q for x, y, w in zip(conv[base + top:base + top + ell],
                                                  wrap + conv[base:base + ell - 1 - shift], damp)]
              for base in range(0, len(packed), stride)]
-    read = operator.itemgetter(*picks)
-    if len(picks) == 1:
-        return list(map(read, lines))
-    if len(lines) == 1:
-        return list(read(lines[0]))
-    return list(chain.from_iterable(zip(*map(read, lines))))
+    if len(lines) == 1 and len(picks) > 1:
+        return list(operator.itemgetter(*picks)(lines[0]))
+    return [line[j] for j in picks for line in lines]
 
 
 @lru_cache(maxsize=16)
@@ -816,7 +809,7 @@ def evaluate_kappa(ctx: AbelianFieldCtx, cls: DerivativeClass, q: int,
 
 def _orbit_value(q: int, orbit: tuple[list, list | None], groups) -> int:
     """prod_i cell_i^(weight_i) in F_q of a factor_orbit table, numerators
-    over denominators, for the cells grouped by weight (_group_weights)."""
+    over denominators, for the cells grouped by weight (_multi_indices)."""
     num, den = orbit
     val = _weighted_product(q, num, groups)
     if den is not None:
@@ -830,7 +823,8 @@ _CHUNK = 32
 
 def _weighted_product(q: int, values: list[int], groups) -> int:
     """prod_i values[i]^(weight_i) in F_q over the (weight, indices) groups
-    of _group_weights, by decreasing weight w_1 > w_2 > ... > w_k > 0: with
+    of _multi_indices (the order of the indices within a group does not
+    matter), by decreasing weight w_1 > w_2 > ... > w_k > 0: with
     P_j the product of the first j classes, the value is
     prod_j P_j^(w_j - w_{j+1}), w_{k+1} = 0, one pow to a small exponent per
     class.  Each class is multiplied in C, _CHUNK cells at a time."""

@@ -768,8 +768,8 @@ PAIRED_CASES = [(257, 0, 3, 1, 3), (785, 0, 1, 2, 1), (1937, 0, 1, 1, 1), (785, 
 @pytest.mark.parametrize("D,m,N,r,level", PAIRED_CASES)
 def test_paired_orbit_matches_the_per_coefficient_scatter(D, m, N, r, level):
     # U's coefficients scaled by class of t mod p^{m+1}, folded and placed
-    # through the chain's row-major index, each axis's picks read by one
-    # itemgetter, against the coefficient-by-coefficient scatter, the
+    # through the chain's row-major index (t itself at one prime), against
+    # the coefficient-by-coefficient scatter, the
     # list-comprehension picks and a directly evaluated transform
     ctx = build_field(3, D, m, N)
     kps = _chain(ctx, r, level)
